@@ -54,7 +54,6 @@ from .survival import (
 )
 from .montecarlo import (
     BridgeHistogram,
-    ConvergenceError,
     McEstimate,
     ReturnSamples,
     arrival_time_samples,
@@ -62,7 +61,6 @@ from .montecarlo import (
     mc_bridge_histogram,
     mc_first_return,
     mc_ruin,
-    riccati_psi,
 )
 from .bridge import (
     BridgeMemoryError,
@@ -77,7 +75,6 @@ from .homogeneous import (
     level_fixed_point,
     run_level_recursion,
     run_split_recursion,
-    split_fixed_point,
 )
 from .descriptors import (
     ErlangizedModel,
@@ -147,9 +144,8 @@ __all__ = [
     "renewal_operator",
     "survival_matrix",
     "survival_profile",
-    # Monte Carlo and oracles
+    # Monte Carlo
     "BridgeHistogram",
-    "ConvergenceError",
     "McEstimate",
     "ReturnSamples",
     "arrival_time_samples",
@@ -157,7 +153,6 @@ __all__ = [
     "mc_bridge_histogram",
     "mc_first_return",
     "mc_ruin",
-    "riccati_psi",
     # bridge densities
     "BridgeMemoryError",
     "BridgeTensor",
@@ -170,7 +165,6 @@ __all__ = [
     "level_fixed_point",
     "run_level_recursion",
     "run_split_recursion",
-    "split_fixed_point",
     # descriptors
     "ErlangizedModel",
     "FiniteTimeReturn",

@@ -45,7 +45,6 @@ __all__ = [
     "LevelDurationGrid",
     "BridgeTensor",
     "BridgeMemoryError",
-    "bridge2",
     "bridge2_slice",
     "gamma_first",
     "gamma_middle",
@@ -223,13 +222,20 @@ def bridge2_slice(
     keeps quadrature and convolution against the jump second-order accurate).
     Without it boundary nodes carry the full closed-region limit.
     """
+    no_arrival, arrival = _bridge2_branches(model, grid, z, theta1, theta2, edge_weights)
+    return no_arrival + arrival
+
+
+def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
+    """The two kernel branches of :func:`bridge2_slice`, as ``(no_arrival, arrival)``."""
     gamma = model.gamma
     ip, im = model.s_plus, model.s_minus
     s = grid.durations[:, None]
     lvl = grid.levels[None, :]
     kappa = np.exp(-theta2 * model.k_cost)
     tol = 1e-9 * grid.du if edge_weights else 0.0
-    out = np.zeros((ip.size, im.size, grid.n_durations, grid.n_levels))
+    no_arrival = np.zeros((ip.size, im.size, grid.n_durations, grid.n_levels))
+    arrival = np.zeros_like(no_arrival)
 
     def _edge(h):
         if not edge_weights:
@@ -275,8 +281,9 @@ def bridge2_slice(
                 * _edge(t1)
                 / ri
             )
-            out[a, b] = np.where(sup_c, val_c, 0.0) + np.where(sup_d, val_d, 0.0)
-    return out
+            no_arrival[a, b] = np.where(sup_c, val_c, 0.0)
+            arrival[a, b] = np.where(sup_d, val_d, 0.0)
+    return no_arrival, arrival
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +294,8 @@ def bridge2_slice(
 # initial duration z on the duration grid.  These operators are direct
 # quadratures of the decomposition; they are simple but O(nz * nu) per node
 # and intended for duration-dependent kernels at moderate n (the dispatcher
-# uses the fast split engines whenever the kernel allows).
+# uses the split engine of :mod:`.homogeneous` whenever the kernel is
+# duration-free).
 
 
 def _uniformized_stacks(model: FluidModel, grid: LevelDurationGrid):
@@ -472,16 +480,6 @@ def gamma_last(
     return out
 
 
-def bridge2(
-    model: FluidModel,
-    grid: LevelDurationGrid,
-    theta1: float = 0.0,
-    theta2: float = 0.0,
-) -> "BridgeTensor":
-    """Closed-form 2-bridge tensor over every on-grid initial duration."""
-    return bridge_recursion(model, grid, theta1=theta1, theta2=theta2, n_max=2)
-
-
 # ---------------------------------------------------------------------------
 # Tensor container and dispatch
 # ---------------------------------------------------------------------------
@@ -497,7 +495,8 @@ class BridgeTensor:
       duration-dependent kernels),
     * ``"split"`` — arrival-free part ``A`` (a function of ``s - z``) and
       arrival part ``B`` (independent of ``z``), each ``(|S+|, |S-|, ns, L)``
-      per ``n`` (duration-free kernels).
+      per ``n`` (duration-free kernels, built by
+      :func:`~fluidrisk.homogeneous.run_split_recursion`).
 
     ``masses[n]`` holds the grid integral over ``s`` and ``l <= 0`` at
     ``z = 0`` (the first-return contribution of the n-th epoch).
@@ -606,7 +605,10 @@ def bridge_recursion(
     ``method`` selects the engine: ``"split"`` (duration-free kernels,
     arrival-free/arrival decomposition — valid at every initial duration),
     ``"z"`` (generic, explicit initial-duration axis), or ``"auto"``.  A
-    sizing check runs before any allocation.
+    sizing check runs before any allocation.  Both engines build one order
+    at a time; whole-series first-return masses of duration-free kernels
+    come from :func:`~fluidrisk.homogeneous.level_fixed_point`, which has no
+    duration window to truncate.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max!r}")

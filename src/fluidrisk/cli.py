@@ -51,8 +51,7 @@ import numpy as np
 
 from . import __version__
 from .bridge import LevelDurationGrid, bridge_recursion, integrate_bridge
-from .descriptors import finite_time_return, psi, ruin_descriptor
-from .homogeneous import LevelGrid
+from .descriptors import _refine_and_extrapolate, finite_time_return, psi, ruin_descriptor
 from .model import (
     FluidModel,
     FluidModelError,
@@ -60,12 +59,7 @@ from .model import (
     load_model_config,
     validate_model,
 )
-from .montecarlo import (
-    ConvergenceError,
-    mc_bridge_histogram,
-    mc_first_return,
-    mc_ruin,
-)
+from .montecarlo import mc_bridge_histogram, mc_first_return, mc_ruin
 from .simulate import simulate_path
 from .survival import iph_marginal, survival_matrix
 
@@ -514,28 +508,18 @@ def _cmd_convergence_study(args) -> int:
     threads = _resolve_threads(args)
 
     if args.quantity == "first-return":
-        base = psi(model, args.theta1, args.theta2, z=args.z)
-        g = base.info["grid"]
-        if model.kernel.is_constant:
-            fine_grid = LevelGrid(l_max=g.l_max, dl=g.dl / 2.0)
-        else:
-            fine_grid = LevelDurationGrid(
-                u_max=g.u_max, du=g.du / 2.0, l_max=g.l_max, dl=g.dl / 2.0
-            )
-        fine = psi(model, args.theta1, args.theta2, z=args.z, grid=fine_grid)
         alpha_plus = model.alpha[model.s_plus]
         if alpha_plus.sum() <= 0.0:
             raise FluidModelError(
                 "convergence-study needs initial mass on ascending states"
             )
         alpha_plus = alpha_plus / alpha_plus.sum()
-        raw = float(alpha_plus @ base.matrix.sum(axis=1))
-        refined = float(alpha_plus @ fine.matrix.sum(axis=1))
-        # The level quadrature converges at second order, so the halved grid
-        # supports Richardson extrapolation; the generic duration-level
-        # engine is only first-order at its support edges, where the refined
-        # value itself is the best available.
-        analytic = (4.0 * refined - raw) / 3.0 if model.kernel.is_constant else refined
+
+        def solve(grid):
+            res = psi(model, args.theta1, args.theta2, z=args.z, grid=grid)
+            return float(alpha_plus @ res.matrix.sum(axis=1)), res.info
+
+        (raw, _), (refined, _), analytic = _refine_and_extrapolate(solve)
         est = mc_first_return(
             model,
             args.z,
@@ -772,9 +756,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except ConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.stats import poisson
 
 from .bridge import LevelDurationGrid, bridge_recursion
-from .homogeneous import LevelGrid, level_fixed_point, run_level_recursion
+from .homogeneous import LevelGrid, level_fixed_point
 from .model import (
     FluidModel,
     StateSpace,
@@ -455,6 +455,28 @@ def erlangize(model: FluidModel, u: float, n_stages: int, i0: int | None = None)
     )
 
 
+def _refine_and_extrapolate(solve, grid=None):
+    """One Richardson step over the grid spacing.
+
+    ``solve(g)`` returns ``(value, info)`` for grid ``g`` (``None`` selects
+    the solver's default grid) and records the grid it used in
+    ``info['grid']``.  The step solves again on the same window at half the
+    spacing and returns ``(coarse, fine, best)``: both runs and the best value
+    they support.  The level quadrature of the duration-free engines
+    converges at second order, so on a :class:`LevelGrid` ``best`` is the
+    Richardson extrapolate ``(4 fine - coarse) / 3``; the generic
+    duration-level engine is only first order at its support edges, where
+    the refined value itself is the best available.
+    """
+    coarse = solve(grid)
+    g = coarse[1]["grid"]
+    if isinstance(g, LevelGrid):
+        fine = solve(LevelGrid(l_max=g.l_max, dl=g.dl / 2.0))
+        return coarse, fine, (4.0 * fine[0] - coarse[0]) / 3.0
+    fine = solve(LevelDurationGrid(u_max=g.u_max, du=g.du / 2.0, l_max=g.l_max, dl=g.dl / 2.0))
+    return coarse, fine, fine[0]
+
+
 @dataclass(frozen=True)
 class RuinDescriptor:
     """Erlangized ruin quantity with the augmented model attached.
@@ -548,21 +570,18 @@ def ruin_descriptor(
         dl = min(float(r_abs.min()), 1.0) / (16.0 * aug.gamma)
         grid = LevelGrid(l_max=float(round(l_max / dl) * dl), dl=dl)
 
-    runs = []
-    grids = [grid]
-    if extrapolate:
-        grids.append(LevelGrid(l_max=grid.l_max, dl=grid.dl / 2.0))
-    for g in grids:
+    def solve(g):
         _, _, run_info = level_fixed_point(aug, g, theta1, theta2, eps=eps, max_iter=max_iter)
-        mass = run_info.pop("mass")
-        runs.append((mass[start], run_info))
+        run_info["grid"] = g
+        return run_info.pop("mass")[start], run_info
 
     if extrapolate:
-        by_state = (4.0 * runs[1][0] - runs[0][0]) / 3.0
+        coarse, fine, by_state = _refine_and_extrapolate(solve, grid)
+        runs = [coarse, fine]
     else:
+        runs = [solve(grid)]
         by_state = runs[0][0]
     info = dict(runs[-1][1])
-    info["grid"] = grids[-1]
     info["raw_values"] = [float(r[0].sum()) for r in runs]
     info["iterations"] = [r[1]["iterations"] for r in runs]
     info["extrapolated"] = extrapolate

@@ -1,17 +1,20 @@
-"""Fast bridge recursion for duration-free kernels.
+"""Fast bridge recursions for duration-free kernels.
 
 When the kernel pair does not depend on the duration, the bridge splits
 exactly into an arrival-free part ``A`` — a function of the elapsed time
 ``s - z`` because the duration never resets — and an arrival part ``B`` that
 is independent of the initial duration ``z`` because the final duration
-restarts at the last arrival.  The recursion closes on the pair ``(A, B)``
-with no initial-duration axis at all.
+restarts at the last arrival.  The split recursion closes on the pair
+``(A, B)`` with no initial-duration axis at all and builds the bridge
+densities order by order.
 
 Every recursion term is a convolution along the elapsed-time and level axes
 with either another field or a line-supported kernel (a holding-time density
-swept along its fluid displacement), so the engine runs on FFTs.  It also
-exposes a fixed-point mode that sums the whole bridge series at once: the
-series is the minimal solution of
+swept along its fluid displacement), so the engine runs on FFTs.
+
+First-return masses need only the densities integrated over the final
+duration.  The level engine integrates that axis out analytically and sums
+the whole bridge series at once: the series is the minimal solution of
 
 ``Lambda = Lambda_2 + first(Lambda) + middle(Lambda, Lambda) + last(Lambda)``
 
@@ -25,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, irfft2, next_fast_len, rfft, rfft2
 
-from .model import FluidModel, StructureError, cost_weights, eval_kernel_batch
+from .model import BlockView, FluidModel, StructureError, uniformized_kernel
 from .bridge import (
     LevelDurationGrid,
+    _bridge2_branches,
     _clamp_and_flag,
     _mask_level_nonneg,
     _mask_level_nonpos,
@@ -38,7 +42,6 @@ from .bridge import (
 __all__ = [
     "LevelGrid",
     "run_split_recursion",
-    "split_fixed_point",
     "run_level_recursion",
     "level_fixed_point",
 ]
@@ -118,15 +121,22 @@ def _field_mass(field: np.ndarray, w_s, w_l, m_hi):
     return np.einsum("ijsl,s,l->ij", field[..., : m_hi + 1], w_s, w_l)
 
 
-def _record_edges(fields, diagnostics: dict):
-    lvl_edge = dur_edge = 0.0
-    for f in fields:
-        lvl_edge = max(lvl_edge, float(np.abs(f[..., 0]).max()), float(np.abs(f[..., -1]).max()))
-        dur_edge = max(dur_edge, float(np.abs(f[..., -1, :]).max()))
-    diagnostics["level_edge_max_density"] = max(diagnostics.get("level_edge_max_density", 0.0), lvl_edge)
-    diagnostics["duration_edge_max_density"] = max(
-        diagnostics.get("duration_edge_max_density", 0.0), dur_edge
-    )
+def _level_edge_max(fields) -> float:
+    """Largest density magnitude on either end of the level window."""
+    return max(float(np.abs(f[..., [0, -1]]).max()) for f in fields)
+
+
+def _rate_class_blocks(model: FluidModel, theta2: float):
+    """Rate-class blocks of the uniformized kernel ``Cbar`` and of the
+    cost-tilted arrival kernel ``exp(-theta2 k) * Dbar`` of a duration-free model."""
+    if not model.kernel.is_constant:
+        raise StructureError(
+            "the duration-free engines require a duration-free kernel; "
+            "duration-dependent kernels need the generic duration-level recursion"
+        )
+    Cbar, Dbar = uniformized_kernel(model.kernel, 0.0)
+    kD = np.exp(-theta2 * model.k_cost) * Dbar
+    return BlockView.split(Cbar, model.space), BlockView.split(kD, model.space)
 
 
 # ---------------------------------------------------------------------------
@@ -135,29 +145,13 @@ def _record_edges(fields, diagnostics: dict):
 
 
 class _SplitConstants:
-    """Uniformized blocks, transform weights, and kernel spectra (duration-free)."""
+    """Uniformized blocks and kernel spectra (duration-free)."""
 
     def __init__(self, model: FluidModel, grid: LevelDurationGrid, theta1: float, theta2: float):
-        if not model.kernel.is_constant:
-            raise StructureError(
-                "the split recursion requires a duration-free kernel; "
-                "duration-dependent kernels need the generic duration-level recursion"
-            )
-        self.model, self.grid = model, grid
-        self.theta1, self.theta2 = theta1, theta2
+        self.C, self.D = _rate_class_blocks(model, theta2)
+        self.grid = grid
         ip, im = model.s_plus, model.s_minus
         gamma = model.gamma
-        C, D = eval_kernel_batch(model.kernel, np.array([0.0]))
-        self.Cbar = np.eye(model.p) + C[0] / gamma
-        self.Dbar = D[0] / gamma
-        self.kappa = np.exp(-theta2 * model.k_cost)
-        self.Cpp = self.Cbar[ip[:, None], ip[None, :]]
-        self.Cmp = self.Cbar[im[:, None], ip[None, :]]
-        self.Cmm = self.Cbar[im[:, None], im[None, :]]
-        kD = self.kappa * self.Dbar
-        self.Dpp = kD[ip[:, None], ip[None, :]]
-        self.Dmp = kD[im[:, None], ip[None, :]]
-        self.Dmm = kD[im[:, None], im[None, :]]
 
         ns, L, m0 = grid.n_durations, grid.n_levels, grid.zero_index
         self.plans = _Plans(ns, L, m0)
@@ -187,55 +181,6 @@ class _SplitConstants:
         self.exp_s = gamma * np.exp(-gamma * t)  # closing-arrival prefactor
         self.delta_minus = [grid.level_cells(model.rates[j]) for j in im]
 
-    def base_fields(self):
-        """Closed-form two-epoch fields: arrival-free part and arrival part.
-
-        Nodes lying exactly on a support boundary carry half the one-sided
-        limit (quarter at corners), which keeps every downstream quadrature
-        and convolution second-order accurate despite the density jump.
-        """
-        model, grid = self.model, self.grid
-        ip, im = model.s_plus, model.s_minus
-        gamma = model.gamma
-        t = grid.durations[:, None]
-        lvl = grid.levels[None, :]
-        tol = 1e-9 * grid.du
-        A = np.zeros((ip.size, im.size, grid.n_durations, grid.n_levels))
-        B = np.zeros_like(A)
-        for a_i, i in enumerate(ip):
-            ri, si = model.rates[i], model.sigma[i]
-            for b_j, j in enumerate(im):
-                rj = model.rates[j]
-                h1 = (lvl - rj * t) / (ri - rj)
-                h2 = (ri * t - lvl) / (ri - rj)
-                sup = (h1 >= -tol) & (h2 >= -tol)
-                w_edge = np.where(np.abs(h1) <= tol, 0.5, 1.0) * np.where(
-                    np.abs(h2) <= tol, 0.5, 1.0
-                )
-                A[a_i, b_j] = np.where(
-                    sup,
-                    gamma**2
-                    * np.exp(-gamma * t)
-                    * np.exp(-self.theta1 * si * np.maximum(h1, 0.0))
-                    * self.Cbar[i, j]
-                    * w_edge
-                    / (ri - rj),
-                    0.0,
-                )
-                t1 = (lvl - rj * t) / ri
-                B[a_i, b_j] = np.where(
-                    t1 >= -tol,
-                    gamma**2
-                    * np.exp(-gamma * (np.maximum(t1, 0.0) + t))
-                    * np.exp(-self.theta1 * si * np.maximum(t1, 0.0))
-                    * self.kappa[i, j]
-                    * self.Dbar[i, j]
-                    * np.where(np.abs(t1) <= tol, 0.5, 1.0)
-                    / ri,
-                    0.0,
-                )
-        return A, B
-
 
 class _SplitLevel:
     """Masked variants, reductions, and spectra of one order's ``(A, B)`` pair."""
@@ -250,13 +195,13 @@ class _SplitLevel:
         MR_B = _mask_level_nonpos(B, m0)
         self.SL_A = p.f2(_halve_first_row(ML_A))
         self.SL_B = p.f2(_halve_first_row(ML_B))
-        self.SRt_A = p.f2(np.einsum("xk,kjtl->xjtl", c.Cmp, _halve_first_row(MR_A)))
+        self.SRt_A = p.f2(np.einsum("xk,kjtl->xjtl", c.C.mp, _halve_first_row(MR_A)))
         ahat = np.einsum("ixtl,t->ixl", ML_A, c.w_s)
         bhat = np.einsum("ixtl,t->ixl", ML_B, c.w_s)
         self.ab_hat = p.f1(ahat + bhat)
         self.SR1 = p.f1(
-            np.einsum("xk,kjtl->xjtl", c.Cmp, MR_B)
-            + np.einsum("xk,kjtl->xjtl", c.Dmp, MR_A + MR_B)
+            np.einsum("xk,kjtl->xjtl", c.C.mp, MR_B)
+            + np.einsum("xk,kjtl->xjtl", c.D.mp, MR_A + MR_B)
         )
         self.chat = np.einsum("ixtl,t->ixl", _mask_level_nonneg(A + B, m0), c.w_s)
 
@@ -275,15 +220,15 @@ def _split_step(prev_level: _SplitLevel, pair_sums, c: _SplitConstants, prev_fie
     K3 = np.stack(c.K3_hat)  # (p-, ft, fl)
 
     # Arrival-free target: first-epoch line, interior split, closing line.
-    freq_A = K1[:, None] * p.f2(np.einsum("ik,kjtl->ijtl", c.Cpp, _halve_first_row(MR_A)))
-    freq_A += K3[None, :] * p.f2(np.einsum("ixtl,xj->ijtl", _halve_first_row(ML_A), c.Cmm))
+    freq_A = K1[:, None] * p.f2(np.einsum("ik,kjtl->ijtl", c.C.pp, _halve_first_row(MR_A)))
+    freq_A += K3[None, :] * p.f2(np.einsum("ixtl,xj->ijtl", _halve_first_row(ML_A), c.C.mm))
     if pair_sums is not None:
         freq_A += pair_sums[0]
     A_new = p.i2(freq_A)
 
     # Arrival target, 2-D pieces: interior splits whose right factor is
     # arrival-free, and the no-arrival closing line over the arrival part.
-    freq_B2 = K3[None, :] * p.f2(np.einsum("ixtl,xj->ijtl", _halve_first_row(ML_B), c.Cmm))
+    freq_B2 = K3[None, :] * p.f2(np.einsum("ixtl,xj->ijtl", _halve_first_row(ML_B), c.C.mm))
     if pair_sums is not None:
         freq_B2 += pair_sums[1]
     B_new = p.i2(freq_B2)
@@ -291,8 +236,8 @@ def _split_step(prev_level: _SplitLevel, pair_sums, c: _SplitConstants, prev_fie
     # Arrival target, level-only pieces: first epoch over a later-arrival
     # bridge (no-arrival step continues on B; arrival step restarts on A+B),
     # plus interior splits whose right factor carries the arrival.
-    YB = np.einsum("ik,kjtl->ijtl", c.Cpp, MR_B) + np.einsum(
-        "ik,kjtl->ijtl", c.Dpp, MR_A + MR_B
+    YB = np.einsum("ik,kjtl->ijtl", c.C.pp, MR_B) + np.einsum(
+        "ik,kjtl->ijtl", c.D.pp, MR_A + MR_B
     )
     K1L = np.stack(c.K1L_hat)  # (p+, fl)
     freq_B1 = K1L[:, None, None, :] * p.f1(YB)
@@ -303,7 +248,7 @@ def _split_step(prev_level: _SplitLevel, pair_sums, c: _SplitConstants, prev_fie
     # Closing arrival: pointwise in the final duration, looking up the
     # duration-integrated sub-bridge at the switch level (masked before the
     # shift; the boundary node carries the midpoint value).
-    cc = np.einsum("ixl,xj->ijl", prev_level.chat, c.Dmm)
+    cc = np.einsum("ixl,xj->ijl", prev_level.chat, c.D.mm)
     for b_j, cells in enumerate(c.delta_minus):
         for k_s in range(p.ns):
             lam = _shift_level(cc[:, b_j], k_s * cells)
@@ -333,9 +278,13 @@ def _pair_spectra(levels: dict, n: int, du: float, dl: float):
 
 
 def run_split_recursion(model, grid, theta1, theta2, n_max, diagnostics):
-    """Per-order bridge fields for duration-free kernels."""
+    """Per-order bridge fields for duration-free kernels.
+
+    The order-2 pair is the closed form of :func:`~fluidrisk.bridge.bridge2_slice`
+    at ``z = 0``: its no-arrival branch is ``A`` and its arrival branch ``B``.
+    """
     c = _SplitConstants(model, grid, theta1, theta2)
-    A, B = c.base_fields()
+    A, B = _bridge2_branches(model, grid, 0.0, theta1, theta2, edge_weights=True)
     _clamp_and_flag(A, diagnostics)
     _clamp_and_flag(B, diagnostics)
     slices = {2: (A, B)}
@@ -351,68 +300,14 @@ def run_split_recursion(model, grid, theta1, theta2, n_max, diagnostics):
         slices[n] = (A_n, B_n)
         levels[n] = _SplitLevel(A_n, B_n, c)
         masses[n] = _field_mass(A_n + B_n, w_s, w_l, m0)
-    for entry in slices.values():
-        _record_edges(entry, diagnostics)
+    fields = [f for pair in slices.values() for f in pair]
+    diagnostics["level_edge_max_density"] = _level_edge_max(fields)
+    diagnostics["duration_edge_max_density"] = max(
+        float(np.abs(f[..., -1, :]).max()) for f in fields
+    )
     diagnostics["holding_tail_bound"] = float(np.exp(-model.gamma * grid.u_max))
     diagnostics["kernel_window_loss"] = c.kernel_loss
     return slices, masses
-
-
-def split_fixed_point(
-    model,
-    grid,
-    theta1: float = 0.0,
-    theta2: float = 0.0,
-    eps: float = 1e-7,
-    max_iter: int = 400,
-    diagnostics: dict | None = None,
-):
-    """Whole-series bridge sum for duration-free kernels.
-
-    Iterates the series fixed-point equation from the two-epoch fields; each
-    sweep applies the three contribution operators to the current aggregate.
-    Returns ``(A_total, B_total, info)`` where the fields sum the bridge
-    densities of every order.
-    """
-    diagnostics = {} if diagnostics is None else diagnostics
-    c = _SplitConstants(model, grid, theta1, theta2)
-    A0, B0 = c.base_fields()
-    A, B = A0.copy(), B0.copy()
-    w_s, w_l = _mass_weights(grid)
-    m0 = grid.zero_index
-    mass = _field_mass(A + B, w_s, w_l, m0)
-    history = [mass]
-    converged = False
-    for _ in range(max_iter):
-        lvl = _SplitLevel(A, B, c)
-        pair = (
-            np.einsum("ixab,xjab->ijab", lvl.SL_A, lvl.SRt_A) * grid.du * grid.dl,
-            np.einsum("ixab,xjab->ijab", lvl.SL_B, lvl.SRt_A) * grid.du * grid.dl,
-            np.einsum("ixf,xjsf->ijsf", lvl.ab_hat, lvl.SR1) * grid.dl,
-        )
-        A_new, B_new = _split_step(lvl, pair, c, (A, B))
-        A_new += A0
-        B_new += B0
-        _clamp_and_flag(A_new, diagnostics)
-        _clamp_and_flag(B_new, diagnostics)
-        new_mass = _field_mass(A_new + B_new, w_s, w_l, m0)
-        history.append(new_mass)
-        delta = float(np.max(np.abs(new_mass - mass)))
-        A, B, mass = A_new, B_new, new_mass
-        if delta < eps:
-            converged = True
-            break
-    _record_edges((A, B), diagnostics)
-    info = {
-        "iterations": len(history) - 1,
-        "converged": converged,
-        "mass": mass,
-        "mass_history": np.array(history),
-        "holding_tail_bound": float(np.exp(-model.gamma * grid.u_max)),
-        "kernel_window_loss": c.kernel_loss,
-    }
-    info.update(diagnostics)
-    return A, B, info
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +353,10 @@ class LevelGrid:
 
     @classmethod
     def for_model(cls, model: FluidModel, l_max: float | None = None, dl: float | None = None):
-        """Default lattice: resolve the fastest holding-time level scale with
-        eight cells and extend far enough that near-critical excursion heights
-        are negligible at the window edge."""
+        """Default lattice: resolve the shortest holding-time level scale
+        ``r_min / gamma`` with sixteen cells and extend the window to
+        ``512 r_max / gamma``, far enough that near-critical excursion heights
+        are negligible at its edge."""
         rates = np.abs(model.rates[model.rates != 0.0])
         r_min, r_max = float(rates.min()), float(rates.max())
         if dl is None:
@@ -500,26 +396,7 @@ class _LevelConstants:
     """Blocks and kernel spectra for the duration-integrated recursion."""
 
     def __init__(self, model: FluidModel, grid: LevelGrid, theta1: float, theta2: float):
-        if not model.kernel.is_constant:
-            raise StructureError(
-                "the duration-integrated engine requires a duration-free kernel; "
-                "duration-dependent kernels need the duration-level recursion"
-            )
-        self.model, self.grid = model, grid
-        ip, im = model.s_plus, model.s_minus
-        gamma = model.gamma
-        C, D = eval_kernel_batch(model.kernel, np.array([0.0]))
-        Cbar = np.eye(model.p) + C[0] / gamma
-        kD = np.exp(-theta2 * model.k_cost) * (D[0] / gamma)
-        self.Cpp = Cbar[ip[:, None], ip[None, :]]
-        self.Cpm = Cbar[ip[:, None], im[None, :]]
-        self.Cmp = Cbar[im[:, None], ip[None, :]]
-        self.Cmm = Cbar[im[:, None], im[None, :]]
-        self.Dpp = kD[ip[:, None], ip[None, :]]
-        self.Dpm = kD[ip[:, None], im[None, :]]
-        self.Dmp = kD[im[:, None], ip[None, :]]
-        self.Dmm = kD[im[:, None], im[None, :]]
-
+        self.C, self.D = _rate_class_blocks(model, theta2)
         self.m0 = grid.zero_index
         self.dl = grid.dl
         self.plans = _Plans(1, grid.n_levels, self.m0)
@@ -534,7 +411,7 @@ class _LevelConstants:
         descending segment glued by either kernel branch."""
         spec = self.F1[:, None, :] * self.F3[None, :, :]
         conv = self.plans.i1(spec) * self.dl  # (|S+|, |S-|, L)
-        return conv * self.Cpm[:, :, None], conv * self.Dpm[:, :, None]
+        return conv * self.C.pm[:, :, None], conv * self.D.pm[:, :, None]
 
     def mass(self, field: np.ndarray) -> np.ndarray:
         """Integral over nonpositive displacements, per state pair."""
@@ -555,17 +432,17 @@ class _LevelOrder:
         MR_AB = MR_A + MR_B
         self.F_LA = f(ML_A)
         self.F_LB = f(ML_B)
-        self.F_RA = f(np.einsum("xk,kjl->xjl", c.Cmp, MR_A))
+        self.F_RA = f(np.einsum("xk,kjl->xjl", c.C.mp, MR_A))
         self.F_RB1 = f(
-            np.einsum("xk,kjl->xjl", c.Cmp, MR_B) + np.einsum("xk,kjl->xjl", c.Dmp, MR_AB)
+            np.einsum("xk,kjl->xjl", c.C.mp, MR_B) + np.einsum("xk,kjl->xjl", c.D.mp, MR_AB)
         )
-        self.F_YA = f(np.einsum("ik,kjl->ijl", c.Cpp, MR_A))
+        self.F_YA = f(np.einsum("ik,kjl->ijl", c.C.pp, MR_A))
         self.F_YB = f(
-            np.einsum("ik,kjl->ijl", c.Cpp, MR_B) + np.einsum("ik,kjl->ijl", c.Dpp, MR_AB)
+            np.einsum("ik,kjl->ijl", c.C.pp, MR_B) + np.einsum("ik,kjl->ijl", c.D.pp, MR_AB)
         )
-        self.FZ_A = f(np.einsum("ixl,xj->ijl", ML_A, c.Cmm))
-        self.FZ_B = f(np.einsum("ixl,xj->ijl", ML_B, c.Cmm))
-        self.FCD = f(np.einsum("ixl,xj->ijl", ML_A + ML_B, c.Dmm))
+        self.FZ_A = f(np.einsum("ixl,xj->ijl", ML_A, c.C.mm))
+        self.FZ_B = f(np.einsum("ixl,xj->ijl", ML_B, c.C.mm))
+        self.FCD = f(np.einsum("ixl,xj->ijl", ML_A + ML_B, c.D.mm))
 
 
 def _level_freqs(prev: _LevelOrder, pair, c: _LevelConstants):
@@ -623,12 +500,9 @@ def run_level_recursion(
         fields[n] = (a_n, b_n)
         orders[n] = _LevelOrder(a_n, b_n, c)
         masses[n] = c.mass(a_n + b_n)
-    edge = max(
-        max(float(np.abs(f[0][..., 0]).max()), float(np.abs(f[0][..., -1]).max()),
-            float(np.abs(f[1][..., 0]).max()), float(np.abs(f[1][..., -1]).max()))
-        for f in fields.values()
+    diagnostics["level_edge_max_density"] = _level_edge_max(
+        [f for pair in fields.values() for f in pair]
     )
-    diagnostics["level_edge_max_density"] = edge
     diagnostics["kernel_window_tail"] = c.kernel_tail
     return fields, masses, diagnostics
 
@@ -669,16 +543,12 @@ def level_fixed_point(
         if delta < eps:
             converged = True
             break
-    edge = max(
-        float(np.abs(a[..., 0]).max()), float(np.abs(a[..., -1]).max()),
-        float(np.abs(b[..., 0]).max()), float(np.abs(b[..., -1]).max()),
-    )
     info = {
         "iterations": len(history) - 1,
         "converged": converged,
         "mass": mass,
         "mass_history": np.array(history),
-        "level_edge_max_density": edge,
+        "level_edge_max_density": _level_edge_max((a, b)),
         "kernel_window_tail": c.kernel_tail,
     }
     info.update(diagnostics)

@@ -1,4 +1,4 @@
-"""Vectorized Monte Carlo reference engines and the Riccati fixed-point oracle.
+"""Vectorized Monte Carlo reference engines.
 
 The samplers run many paths of the uniformized chain in lockstep, chunked to
 bound memory, with one RNG stream per chunk derived from
@@ -7,11 +7,6 @@ independent of chunking or thread scheduling.  Censored paths (no event by
 ``max_epochs``) contribute weight zero, which biases weighted estimates
 downward; the censored fraction is always reported so callers can bracket the
 bias.
-
-``riccati_psi`` computes, for duration-free kernels only, the first-return
-probability matrix as the minimal solution of the algebraic Riccati equation
-associated with the fluid generator — an independent cross-check for the
-transform-based descriptors.
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_sylvester
 
 from .model import EPOCH_PROB_TOL, FluidModel, UniformizationBoundError, eval_kernel_batch
 from .simulate import KernelConsistencyError
@@ -29,20 +23,14 @@ __all__ = [
     "McEstimate",
     "ReturnSamples",
     "BridgeHistogram",
-    "ConvergenceError",
     "first_return_samples",
     "mc_first_return",
     "mc_ruin",
     "mc_bridge_histogram",
     "arrival_time_samples",
-    "riccati_psi",
 ]
 
 _DEFAULT_CHUNK = 1 << 14
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance within its budget."""
 
 
 @dataclass(frozen=True)
@@ -108,6 +96,10 @@ class BridgeHistogram:
 
 
 def _chunk_sizes(n_paths: int, chunk_size: int) -> list[int]:
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
     full, rem = divmod(n_paths, chunk_size)
     return [chunk_size] * full + ([rem] if rem else [])
 
@@ -252,8 +244,6 @@ def first_return_samples(
     drawn from ``model.alpha`` restricted to the positive-rate class unless
     ``start_state`` pins one.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
     if max_epochs < 2:
         raise ValueError(f"max_epochs must be at least 2, got {max_epochs!r}")
     if z < 0.0 or barrier_offset < 0.0:
@@ -425,8 +415,6 @@ def mc_bridge_histogram(
     """
     if n < 2:
         raise ValueError(f"bridge histograms need at least 2 epochs, got {n!r}")
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
     s_edges = np.asarray(s_edges, dtype=float)
     l_edges = np.asarray(l_edges, dtype=float)
     if s_edges.ndim != 1 or s_edges.size < 2 or np.any(np.diff(s_edges) <= 0):
@@ -515,48 +503,3 @@ def arrival_time_samples(
     parts = _run_chunks(worker, sizes, n_threads)
     return np.concatenate(parts, axis=0)
 
-
-def riccati_psi(
-    model: FluidModel,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-    check_monotone: bool = True,
-) -> np.ndarray:
-    """First-return probability matrix of a duration-free model.
-
-    Solves ``Psi A22 + A11 Psi + Psi A21 Psi + A12 = 0`` (the algebraic
-    Riccati equation of the rate-scaled generator ``Q = C + D``) by the
-    monotone fixed-point iteration
-    ``Psi_{k+1} = sylvester_solve(A11, A22, -(A12 + Psi_k A21 Psi_k))``
-    starting from zero.  Iterates increase entrywise to the minimal
-    nonnegative solution; entries are probabilities in ``[0, 1]``.
-    """
-    if not model.kernel.is_constant:
-        raise ValueError("the Riccati first-return oracle requires a duration-free kernel")
-    C, D = model.kernel.constant
-    Q = C + D
-    ip, im = model.s_plus, model.s_minus
-    r_abs = np.abs(model.rates)
-    scale_p = 1.0 / r_abs[ip]
-    scale_m = 1.0 / r_abs[im]
-    A11 = scale_p[:, None] * Q[np.ix_(ip, ip)]
-    A12 = scale_p[:, None] * Q[np.ix_(ip, im)]
-    A21 = scale_m[:, None] * Q[np.ix_(im, ip)]
-    A22 = scale_m[:, None] * Q[np.ix_(im, im)]
-
-    psi = np.zeros((ip.size, im.size))
-    for _ in range(max_iter):
-        rhs = -(A12 + psi @ A21 @ psi)
-        nxt = solve_sylvester(A11, A22, rhs)
-        if check_monotone:
-            if np.any(nxt < psi - 1e-12):
-                raise ConvergenceError("Riccati iteration lost entrywise monotonicity")
-            if np.any(nxt > 1.0 + 1e-9):
-                raise ConvergenceError("Riccati iterate exceeded probability bounds")
-        diff = float(np.max(np.abs(nxt - psi)))
-        psi = nxt
-        if diff < tol:
-            return np.clip(psi, 0.0, 1.0)
-    raise ConvergenceError(
-        f"Riccati iteration did not reach tolerance {tol!r} within {max_iter} steps"
-    )

@@ -14,7 +14,7 @@ from fluidrisk import (
     constant_kernel,
     integrate_bridge,
 )
-from fluidrisk.bridge import bridge2, gamma_first
+from fluidrisk.bridge import gamma_first
 from fluidrisk.gallery import (
     calendar_switch_model,
     cross_arrival_model,
@@ -99,7 +99,7 @@ def test_two_epoch_support_respects_the_ascent_bound():
 
 def test_two_epoch_mass_matches_hand_value():
     model = two_state_model()
-    tensor = bridge2(model, _grid(u_max=10.0, cells=320))
+    tensor = bridge_recursion(model, _grid(u_max=10.0, cells=320), n_max=2)
     mass = tensor.mass(2)
     assert mass.shape == (1, 1)
     assert mass[0, 0] == pytest.approx(TWO_STATE_BRIDGE2_MASS, abs=1e-3)
@@ -107,7 +107,7 @@ def test_two_epoch_mass_matches_hand_value():
 
 def test_two_epoch_full_plane_mass_matches_switch_probability():
     model = two_state_model()
-    tensor = bridge2(model, _grid(u_max=12.0, cells=384))
+    tensor = bridge_recursion(model, _grid(u_max=12.0, cells=384), n_max=2)
     full = _full_plane_mass(tensor, 2)
     assert full[0, 0] == pytest.approx(TWO_STATE_BRIDGE2_FULLPLANE, abs=2e-3)
 
@@ -260,7 +260,7 @@ def test_integrated_mass_matches_stored_masses():
 
 def test_integration_bound_must_stay_on_grid():
     model = two_state_model()
-    tensor = bridge2(model, _grid(u_max=4.0, cells=32))
+    tensor = bridge_recursion(model, _grid(u_max=4.0, cells=32), n_max=2)
     with pytest.raises(ValueError, match="outside the grid"):
         integrate_bridge(tensor, 2, l_hi=tensor.grid.l_max + 1.0)
 
@@ -269,7 +269,7 @@ def test_mass_refines_at_second_order():
     model = two_state_model()
     vals = []
     for cells in (40, 80, 160):
-        tensor = bridge2(model, _grid(u_max=10.0, cells=cells))
+        tensor = bridge_recursion(model, _grid(u_max=10.0, cells=cells), n_max=2)
         vals.append(tensor.mass(2)[0, 0])
     err_coarse = abs(vals[0] - vals[1])
     err_fine = abs(vals[1] - vals[2])
@@ -300,6 +300,6 @@ def test_recursion_argument_validation():
 
 
 def test_uncomputed_order_raises():
-    tensor = bridge2(two_state_model(), _grid(u_max=2.0, cells=16))
+    tensor = bridge_recursion(two_state_model(), _grid(u_max=2.0, cells=16), n_max=2)
     with pytest.raises(KeyError):
         tensor.value(5, 0.0)

@@ -1,0 +1,54 @@
+"""Command-line front end: reproducible artifacts and exit codes."""
+
+import csv
+import json
+
+import pytest
+
+from fluidrisk import ruin_descriptor
+from fluidrisk.cli import EXIT_INVALID, EXIT_OK, main
+from fluidrisk.gallery import gallery_configs, two_state_model
+
+# Positive transform arguments cap the ruin level window, which keeps each
+# ruin solve well under a second.
+THETA = ["--theta1", "0.3", "--theta2", "0.2"]
+
+
+@pytest.fixture
+def two_state_config(tmp_path):
+    path = tmp_path / "two_state.json"
+    path.write_text(json.dumps(gallery_configs()["two_state"]))
+    return path
+
+
+@pytest.mark.parametrize(
+    "args, artifact",
+    [
+        (["ruin", "--u", "1", "--n-stages", "1", "--i0", "0"] + THETA, "ruin.csv"),
+        (["bridge", "--n-max", "4"], "bridge.csv"),
+    ],
+)
+def test_reruns_write_byte_identical_csv(two_state_config, tmp_path, args, artifact):
+    outputs = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        assert main([args[0], str(two_state_config), "--out", str(out)] + args[1:]) == EXIT_OK
+        outputs.append((out / artifact).read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_malformed_config_exits_invalid(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["validate", str(bad), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+
+
+def test_ruin_convergence_study_reports_the_descriptor_grid_values(two_state_config, tmp_path):
+    out = tmp_path / "study"
+    args = "--quantity ruin --n-stages 1 --i0 0 --n-paths 2000".split() + THETA
+    main(["convergence-study", str(two_state_config), "--out", str(out)] + args)
+    with open(out / "convergence_study.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    raw = ruin_descriptor(two_state_model(), 1.0, 1, 0.3, 0.2, i0=0).info["raw_values"]
+    assert float(row["analytic_raw"]) == raw[0]
+    assert float(row["analytic_refined"]) == raw[1]

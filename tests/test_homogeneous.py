@@ -10,7 +10,6 @@ from fluidrisk import (
     bridge_recursion,
     level_fixed_point,
     run_level_recursion,
-    split_fixed_point,
 )
 from fluidrisk.gallery import pareto_renewal_model, two_state_model
 
@@ -145,29 +144,12 @@ def test_costless_model_ignores_transform_arguments():
     np.testing.assert_array_equal(b0, b1)
 
 
-def test_split_series_converges_and_reports_diagnostics():
-    A, B, info = split_fixed_point(
-        two_state_model(),
-        LevelDurationGrid(u_max=16.0, du=1.0 / 16, l_max=32.0, dl=1.0 / 16),
-    )
-    assert info["converged"] and 0 < info["iterations"] < 400
-    hist = info["mass_history"][:, 0, 0]
-    assert np.all(np.diff(hist) >= -1e-12)
-    assert info["holding_tail_bound"] == pytest.approx(np.exp(-16.0))
-    assert 0.9 < info["mass"][0, 0] <= 1.0 + 1e-9
-    assert "level_edge_max_density" in info and "duration_edge_max_density" in info
-
-
 def test_level_engine_outruns_the_duration_window_near_criticality():
     # Near-critical first-return times are heavy tailed, so any finite
     # duration window loses visible series mass; integrating the duration
     # out analytically removes that truncation entirely.
     model = two_state_model()
-    split_mass = split_fixed_point(
-        model, LevelDurationGrid(u_max=16.0, du=1.0 / 16, l_max=32.0, dl=1.0 / 16)
-    )[2]["mass"][0, 0]
     level_mass = level_fixed_point(model, LevelGrid(l_max=32.0, dl=1.0 / 16))[2]["mass"][0, 0]
-    assert abs(1.0 - split_mass) > 3e-2
     assert abs(1.0 - level_mass) < 1e-2
 
 
@@ -178,4 +160,9 @@ def test_duration_free_engines_reject_duration_dependent_kernels():
     with pytest.raises(StructureError):
         level_fixed_point(model, LevelGrid(l_max=4.0, dl=1.0 / 8))
     with pytest.raises(StructureError):
-        split_fixed_point(model, LevelDurationGrid(u_max=4.0, du=1.0 / 8, l_max=4.0, dl=1.0 / 8))
+        bridge_recursion(
+            model,
+            LevelDurationGrid(u_max=4.0, du=1.0 / 8, l_max=4.0, dl=1.0 / 8),
+            n_max=2,
+            method="split",
+        )
