@@ -37,7 +37,6 @@ from .model import (
     FluidModel,
     FluidModelError,
     cost_weights,
-    eval_kernel_batch,
     uniformized_kernel,
 )
 
@@ -196,6 +195,30 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
+def _level_edge_max(fields) -> float:
+    """Largest density magnitude on either end of the level window."""
+    return max(float(np.abs(f[..., [0, -1]]).max()) for f in fields)
+
+
+def _uniformized_nodes(model: FluidModel, u) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformized kernels ``(Cbar, Dbar)`` as ``(m, p, p)`` stacks on quadrature nodes.
+
+    This is the grid engines' jump rule: a node that equals a kernel
+    breakpoint gets the mean of the two one-sided values, which keeps
+    quadrature through the jump second-order accurate when a node lands on
+    it.  Every other node gets the kernel's right-continuous value.
+    """
+    u = np.asarray(u, dtype=float).ravel()
+    Cbar, Dbar = uniformized_kernel(model.kernel, u)
+    if model.kernel.breakpoints:
+        hit = np.isin(u, model.kernel.breakpoints)
+        if hit.any():
+            C_left, D_left = uniformized_kernel(model.kernel, np.nextafter(u[hit], -np.inf))
+            Cbar[hit] = 0.5 * (Cbar[hit] + C_left)
+            Dbar[hit] = 0.5 * (Dbar[hit] + D_left)
+    return Cbar, Dbar
+
+
 # ---------------------------------------------------------------------------
 # Closed-form base case (n = 2)
 # ---------------------------------------------------------------------------
@@ -254,8 +277,7 @@ def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
             h2 = (ri * span - lvl) / (ri - rj)
             sup_c = (h1 >= -tol) & (h2 >= -tol) & (span >= -tol)
             u_arg_c = np.where(sup_c, z + np.maximum(h1, 0.0), 0.0)
-            C_at, _ = eval_kernel_batch(model.kernel, u_arg_c.ravel())
-            cbar_ij = (np.eye(model.p) + C_at / gamma)[:, i, j].reshape(u_arg_c.shape)
+            cbar_ij = _uniformized_nodes(model, u_arg_c)[0][:, i, j].reshape(u_arg_c.shape)
             val_c = (
                 gamma**2
                 * np.exp(-gamma * np.maximum(span, 0.0))
@@ -270,8 +292,7 @@ def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
             t1 = (lvl - rj * s) / ri
             sup_d = (t1 >= -tol) & (s >= 0.0)
             u_arg_d = np.where(sup_d, z + np.maximum(t1, 0.0), 0.0)
-            _, D_at = eval_kernel_batch(model.kernel, u_arg_d.ravel())
-            dbar_ij = (D_at / gamma)[:, i, j].reshape(u_arg_d.shape)
+            dbar_ij = _uniformized_nodes(model, u_arg_d)[1][:, i, j].reshape(u_arg_d.shape)
             val_d = (
                 gamma**2
                 * np.exp(-gamma * (np.maximum(t1, 0.0) + s))
@@ -298,20 +319,6 @@ def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
 # duration-free).
 
 
-def _uniformized_stacks(model: FluidModel, grid: LevelDurationGrid):
-    """Per-duration-node uniformized matrices ``Cbar(u_k)``, ``Dbar(u_k)``."""
-    C, D = eval_kernel_batch(model.kernel, grid.durations)
-    gamma = model.gamma
-    Cbar = np.eye(model.p)[None, :, :] + C / gamma
-    Dbar = D / gamma
-    diag = np.einsum("kii->ki", Cbar)
-    if diag.min() < -1e-12:
-        k, i = np.unravel_index(np.argmin(diag), diag.shape)
-        uniformized_kernel(model.kernel, float(grid.durations[k]))  # raises with detail
-        raise FluidModelError(f"uniformization rate exceeded in state {i}")
-    return Cbar, Dbar
-
-
 def gamma_first(
     model: FluidModel,
     grid: LevelDurationGrid,
@@ -334,7 +341,7 @@ def gamma_first(
     m0 = grid.zero_index
     du = grid.du
     kappa = cost_weights(model, theta2).pp
-    Cbar, Dbar = _uniformized_stacks(model, grid)
+    Cbar, Dbar = _uniformized_nodes(model, grid.durations)
     Cpp = Cbar[:, ip][:, :, ip]
     Dpp = Dbar[:, ip][:, :, ip]
 
@@ -380,7 +387,7 @@ def gamma_middle(
     nz, n_p, n_m, ns, L = bridge_w.shape
     m0 = grid.zero_index
     kappa = cost_weights(model, theta2).mp
-    Cbar, Dbar = _uniformized_stacks(model, grid)
+    Cbar, Dbar = _uniformized_nodes(model, grid.durations)
     Cmp = Cbar[:, im][:, :, ip]
     Dmp = Dbar[:, im][:, :, ip]
 
@@ -437,7 +444,7 @@ def gamma_last(
     m0 = grid.zero_index
     du = grid.du
     kappa = cost_weights(model, theta2).mm
-    Cbar, Dbar = _uniformized_stacks(model, grid)
+    Cbar, Dbar = _uniformized_nodes(model, grid.durations)
     Cmm = Cbar[:, im][:, :, im]
     Dmm = Dbar[:, im][:, :, im]
 
@@ -668,7 +675,7 @@ def _run_z_recursion(model, grid, theta1, theta2, n_max, diagnostics):
         _clamp_and_flag(total, diagnostics)
         slices[n] = total
         masses[n] = _integrate_field(total[0], grid, m_hi)
-    level_edge = max(float(np.abs(s[..., -1]).max()) for s in slices.values())
+    level_edge = _level_edge_max(slices.values())
     duration_edge = max(float(np.abs(s[..., -1, :]).max()) for s in slices.values())
     diagnostics["level_edge_max_density"] = level_edge
     diagnostics["duration_edge_max_density"] = duration_edge

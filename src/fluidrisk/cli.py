@@ -537,15 +537,17 @@ def _cmd_convergence_study(args) -> int:
         analytic = res.value
         raws = res.info.get("raw_values", [analytic, analytic])
         raw, refined = float(raws[0]), float(raws[-1])
-        est = mc_ruin(
-            model,
-            args.u,
-            args.z,
+        # The descriptor is ruin from Erlang(n_stages)-randomized capital, the
+        # first return of the ramp-augmented model; sample that same model.
+        est = mc_first_return(
+            res.erlangized.model,
+            0.0,
+            args.theta1,
+            args.theta2,
             n_paths=args.n_paths,
             max_epochs=args.max_epochs,
             seed=args.seed,
-            theta1=args.theta1,
-            theta2=args.theta2,
+            start_state=0,
             n_threads=threads,
         )
 
@@ -608,15 +610,16 @@ def _cmd_convergence_study(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, theta: bool = True, seed: bool = False):
+def _add_common(sub, theta: bool = True, seed: bool = False, threads: bool = False):
     sub.add_argument("config", help="path to a JSON model configuration")
     sub.add_argument("--out", default=".", help="artifact directory (default: .)")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker cap for parallel sections (fallback: FLUIDRISK_THREADS, then 1)",
-    )
+    if threads:
+        sub.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="Monte Carlo worker cap (fallback: FLUIDRISK_THREADS, then 1)",
+        )
     if theta:
         sub.add_argument("--theta1", type=float, default=0.0, help="dividend transform argument")
         sub.add_argument("--theta2", type=float, default=0.0, help="cost transform argument")
@@ -714,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "mode", choices=["first-return", "ruin", "bridge"], help="quantity to estimate"
     )
-    _add_common(s, seed=True)
+    _add_common(s, seed=True, threads=True)
     s.add_argument("--n-paths", type=int, default=100_000, help="sample size (default 1e5)")
     s.add_argument("--max-epochs", type=int, default=10_000, help="per-path epoch cap")
     s.add_argument("--z", type=float, default=0.0, help="initial duration (default 0)")
@@ -727,14 +730,16 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser(
         "convergence-study", help="analytic vs Monte Carlo 3-SE cross-check"
     )
-    _add_common(s, seed=True)
+    _add_common(s, seed=True, threads=True)
     s.add_argument(
         "--quantity",
         choices=["first-return", "ruin"],
         default="first-return",
         help="quantity to cross-check (default first-return)",
     )
-    s.add_argument("--z", type=float, default=0.0, help="initial duration (default 0)")
+    s.add_argument(
+        "--z", type=float, default=0.0, help="initial duration (default 0; first-return only)"
+    )
     s.add_argument("--u", type=float, default=1.0, help="initial capital (ruin)")
     s.add_argument("--n-stages", type=int, default=16, help="Erlang stages (ruin)")
     s.add_argument("--i0", type=int, default=None, help="entry state (ruin)")

@@ -31,14 +31,7 @@ from scipy.stats import poisson
 
 from .bridge import LevelDurationGrid, bridge_recursion
 from .homogeneous import LevelGrid, level_fixed_point
-from .model import (
-    FluidModel,
-    StateSpace,
-    StructureError,
-    constant_kernel,
-    eval_kernel_batch,
-    kernel_from_callables,
-)
+from .model import DurationKernel, FluidModel, StateSpace, StructureError, eval_kernel_batch
 from .simulate import PathRecord
 
 __all__ = [
@@ -402,33 +395,18 @@ def erlangize(model: FluidModel, u: float, n_stages: int, i0: int | None = None)
             ramp_C[s, s + 1] = rate
     ramp_D[k - 1, k + i0] = rate
 
-    if model.kernel.is_constant:
-        C0, D0 = model.kernel.constant
-        C = np.zeros((n_tot, n_tot))
-        D = np.zeros((n_tot, n_tot))
-        C[:k], D[:k] = ramp_C, ramp_D
-        C[k:, k:] = C0
-        D[k:, k:] = D0
-        kernel = constant_kernel(C, D, gamma=gamma)
-    else:
-        base = model.kernel
+    base = model.kernel
 
-        def _lift(fun, ramp_block):
-            def lifted(v: float) -> np.ndarray:
-                out = np.zeros((n_tot, n_tot))
-                out[:k] = ramp_block
-                out[k:, k:] = fun(v)
-                return out
+    def lift(v):
+        C0, D0 = base.fun(v)
+        C = np.zeros(np.shape(v) + (n_tot, n_tot))
+        D = np.zeros_like(C)
+        C[..., :k, :], D[..., :k, :] = ramp_C, ramp_D
+        C[..., k:, k:], D[..., k:, k:] = C0, D0
+        return C, D
 
-            return lifted
-
-        kernel = kernel_from_callables(
-            _lift(base.c_fun, ramp_C),
-            _lift(base.d_fun, ramp_D),
-            gamma=gamma,
-            p=n_tot,
-            breakpoints=base.breakpoints,
-        )
+    constant = lift(0.0) if base.is_constant else None
+    kernel = DurationKernel(gamma=gamma, p=n_tot, fun=lift, breakpoints=base.breakpoints, constant=constant)
 
     rates = np.concatenate([np.ones(k), model.rates])
     sigma = np.concatenate([np.zeros(k), model.sigma])

@@ -33,6 +33,7 @@ from .bridge import (
     LevelDurationGrid,
     _bridge2_branches,
     _clamp_and_flag,
+    _level_edge_max,
     _mask_level_nonneg,
     _mask_level_nonpos,
     _shift_level,
@@ -119,11 +120,6 @@ def _mass_weights(grid: LevelDurationGrid):
 
 def _field_mass(field: np.ndarray, w_s, w_l, m_hi):
     return np.einsum("ijsl,s,l->ij", field[..., : m_hi + 1], w_s, w_l)
-
-
-def _level_edge_max(fields) -> float:
-    """Largest density magnitude on either end of the level window."""
-    return max(float(np.abs(f[..., [0, -1]]).max()) for f in fields)
 
 
 def _rate_class_blocks(model: FluidModel, theta2: float):

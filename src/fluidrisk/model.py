@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -155,27 +156,25 @@ class DurationKernel:
         duration ``u`` at which the kernel is evaluated.
     p : int
         State-space dimension.
-    c_fun, d_fun : callable
-        Map a scalar duration ``u >= 0`` to the ``(p, p)`` matrices.
+    fun : callable
+        The one evaluator ``fun(u) -> (C, D)``.  It broadcasts over ``u``: a
+        scalar duration gives two ``(p, p)`` matrices and a 1-D array of
+        ``m`` durations gives two ``(m, p, p)`` stacks.  It is
+        right-continuous: at a breakpoint the right piece applies.
     breakpoints : tuple of float
         Discontinuity locations of piecewise kernels; integrators align
-        their meshes on these.  Kernels are right-continuous there.
+        their meshes on these, and the grid engines apply their jump rule
+        there.
     constant : tuple of ndarray or None
         For duration-free kernels, the pair ``(C, D)``; enables exact
         matrix-exponential fast paths.
-    batch_funs : tuple of callables or None
-        Optional vectorized evaluators mapping a 1-D duration array to
-        ``(m, p, p)`` stacks; Monte Carlo engines fall back to a scalar loop
-        when absent.
     """
 
     gamma: float
     p: int
-    c_fun: Callable[[float], np.ndarray]
-    d_fun: Callable[[float], np.ndarray]
+    fun: Callable
     breakpoints: tuple = ()
     constant: tuple | None = None
-    batch_funs: tuple | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.gamma) or self.gamma <= 0.0:
@@ -186,16 +185,6 @@ class DurationKernel:
     @property
     def is_constant(self) -> bool:
         return self.constant is not None
-
-    def c(self, u: float) -> np.ndarray:
-        if u < 0.0:
-            raise KernelDomainError(f"duration must be nonnegative, got {u!r}")
-        return self.c_fun(float(u))
-
-    def d(self, u: float) -> np.ndarray:
-        if u < 0.0:
-            raise KernelDomainError(f"duration must be nonnegative, got {u!r}")
-        return self.d_fun(float(u))
 
 
 def constant_kernel(C, D, gamma: float | None = None) -> DurationKernel:
@@ -214,18 +203,13 @@ def constant_kernel(C, D, gamma: float | None = None) -> DurationKernel:
     frozen[0].setflags(write=False)
     frozen[1].setflags(write=False)
 
-    def _tile(mat: np.ndarray):
-        return lambda u: np.broadcast_to(mat, (np.asarray(u).size, p, p))
+    def fun(u):
+        shape = np.shape(u)
+        if not shape:
+            return frozen
+        return np.broadcast_to(frozen[0], shape + (p, p)), np.broadcast_to(frozen[1], shape + (p, p))
 
-    return DurationKernel(
-        gamma=float(gamma),
-        p=p,
-        c_fun=lambda u, _C=frozen[0]: _C,
-        d_fun=lambda u, _D=frozen[1]: _D,
-        breakpoints=(),
-        constant=frozen,
-        batch_funs=(_tile(frozen[0]), _tile(frozen[1])),
-    )
+    return DurationKernel(gamma=float(gamma), p=p, fun=fun, constant=frozen)
 
 
 def piecewise_constant_kernel(
@@ -235,11 +219,6 @@ def piecewise_constant_kernel(
 
     Piece ``k`` applies on ``[b_{k-1}, b_k)`` with ``b_0 = 0`` and the last
     piece extending to infinity, so ``len(C_pieces) == len(breakpoints) + 1``.
-    Scalar evaluation at a breakpoint returns the right piece (the kernel is
-    right-continuous with left limits); the batch evaluators — the sampling
-    path of the grid engines — instead average the two adjoining pieces at an
-    exact breakpoint, which keeps quadrature through the discontinuity
-    second-order accurate when a grid node lands on the jump.
     """
     breaks = np.asarray(breakpoints, dtype=float)
     if breaks.ndim != 1:
@@ -262,28 +241,12 @@ def piecewise_constant_kernel(
     if gamma is None:
         gamma = float(np.max(-C_arr[:, np.arange(p), np.arange(p)]))
 
-    def _lookup(arr: np.ndarray, u, midpoint: bool) -> np.ndarray:
-        u_arr = np.asarray(u, dtype=float)
-        idx_r = np.searchsorted(breaks, u_arr, side="right")
-        out = arr[idx_r]
-        if midpoint:
-            idx_l = np.searchsorted(breaks, u_arr, side="left")
-            hit = idx_l != idx_r
-            if np.any(hit):
-                out[hit] = 0.5 * (arr[idx_l[hit]] + arr[idx_r[hit]])
-        return out
+    def fun(u):
+        idx = np.searchsorted(breaks, u, side="right")
+        return C_arr[idx], D_arr[idx]
 
     return DurationKernel(
-        gamma=float(gamma),
-        p=p,
-        c_fun=lambda u: _lookup(C_arr, np.array([u]), midpoint=False)[0],
-        d_fun=lambda u: _lookup(D_arr, np.array([u]), midpoint=False)[0],
-        breakpoints=tuple(float(b) for b in breaks),
-        constant=None,
-        batch_funs=(
-            lambda u: _lookup(C_arr, u, midpoint=True),
-            lambda u: _lookup(D_arr, u, midpoint=True),
-        ),
+        gamma=float(gamma), p=p, fun=fun, breakpoints=tuple(float(b) for b in breaks)
     )
 
 
@@ -308,33 +271,13 @@ def pareto_renewal_kernel(a, b, routing, gamma: float | None = None) -> Duration
     if gamma is None:
         gamma = float(np.max(a / b))
 
-    def c_fun(u: float) -> np.ndarray:
-        return np.diag(-a / (b + u))
+    def fun(u):
+        h = a / (b + np.asarray(u, dtype=float)[..., None])
+        C = np.zeros(h.shape + (p,))
+        C.reshape(h.shape[:-1] + (p * p,))[..., :: p + 1] = -h  # the diagonal
+        return C, h[..., None] * P_route
 
-    def d_fun(u: float) -> np.ndarray:
-        return (a / (b + u))[:, None] * P_route
-
-    eye = np.eye(p, dtype=bool)
-
-    def c_batch(u) -> np.ndarray:
-        h = a / (b + np.asarray(u, dtype=float)[:, None])
-        out = np.zeros((h.shape[0], p, p))
-        out[:, eye] = -h
-        return out
-
-    def d_batch(u) -> np.ndarray:
-        h = a / (b + np.asarray(u, dtype=float)[:, None])
-        return h[:, :, None] * P_route
-
-    return DurationKernel(
-        gamma=float(gamma),
-        p=p,
-        c_fun=c_fun,
-        d_fun=d_fun,
-        breakpoints=(),
-        constant=None,
-        batch_funs=(c_batch, d_batch),
-    )
+    return DurationKernel(gamma=float(gamma), p=p, fun=fun)
 
 
 def kernel_from_callables(
@@ -344,15 +287,45 @@ def kernel_from_callables(
     p: int,
     breakpoints: Sequence[float] = (),
 ) -> DurationKernel:
-    """Wrap arbitrary kernel callables; the caller vouches for the bound."""
+    """Wrap per-point kernel callables; the caller vouches for the bound.
+
+    ``c_fun`` and ``d_fun`` map one duration to a ``(p, p)`` matrix; the
+    wrapped evaluator calls them in a Python loop over an array argument.
+    """
+
+    def fun(u):
+        if np.ndim(u) == 0:
+            return c_fun(float(u)), d_fun(float(u))
+        pairs = [(c_fun(v), d_fun(v)) for v in np.asarray(u, dtype=float).tolist()]
+        if not pairs:
+            return np.empty((0, p, p)), np.empty((0, p, p))
+        return np.stack([C for C, _ in pairs]), np.stack([D for _, D in pairs])
+
     return DurationKernel(
-        gamma=float(gamma),
-        p=int(p),
-        c_fun=c_fun,
-        d_fun=d_fun,
-        breakpoints=tuple(float(x) for x in breakpoints),
-        constant=None,
+        gamma=float(gamma), p=int(p), fun=fun, breakpoints=tuple(float(x) for x in breakpoints)
     )
+
+
+def _evaluate(kernel: DurationKernel, u) -> tuple[np.ndarray, np.ndarray]:
+    """Call ``kernel.fun`` at a float or a 1-D float array, checking the
+    duration domain, the returned shapes and their finiteness."""
+    scalar = isinstance(u, float)
+    lowest = u if scalar else (float(u.min()) if u.size else 0.0)
+    if lowest < 0.0:
+        raise KernelDomainError(f"duration must be nonnegative, got {lowest!r}")
+    C, D = (np.asarray(x, dtype=float) for x in kernel.fun(u))
+    shape = (kernel.p, kernel.p) if scalar else (u.size, kernel.p, kernel.p)
+    if C.shape != shape or D.shape != shape:
+        raise StructureError(f"kernel evaluator returned shapes {C.shape}/{D.shape}, expected {shape}")
+    # One reduction per matrix, over one copy of a stack broadcast from a
+    # single matrix; the entries are inspected only when it fails.
+    C1, D1 = (x[:1] if x.ndim == 3 and x.strides[0] == 0 else x for x in (C, D))
+    if not (math.isfinite(C1.sum()) and math.isfinite(D1.sum())):
+        bad = ~(np.isfinite(C) & np.isfinite(D))
+        if bad.any():
+            at = u if scalar else float(u[np.argwhere(bad)[0][0]])
+            raise FluidModelError(f"kernel returned non-finite values at u={at!r}")
+    return C, D
 
 
 def eval_kernel(kernel: DurationKernel, u: float) -> tuple[np.ndarray, np.ndarray]:
@@ -366,67 +339,43 @@ def eval_kernel(kernel: DurationKernel, u: float) -> tuple[np.ndarray, np.ndarra
     KernelDomainError
         If ``u`` is negative.
     """
-    if u < 0.0:
-        raise KernelDomainError(f"duration must be nonnegative, got {u!r}")
-    C = np.asarray(kernel.c_fun(float(u)), dtype=float)
-    D = np.asarray(kernel.d_fun(float(u)), dtype=float)
-    if C.shape != (kernel.p, kernel.p) or D.shape != (kernel.p, kernel.p):
-        raise StructureError(
-            f"kernel callables returned shapes {C.shape}/{D.shape}, "
-            f"expected ({kernel.p}, {kernel.p})"
-        )
-    if not (np.all(np.isfinite(C)) and np.all(np.isfinite(D))):
-        raise FluidModelError(f"kernel returned non-finite values at u={u!r}")
-    return C, D
-
-
-def uniformized_kernel(kernel: DurationKernel, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-epoch transition matrices ``Cbar(u) = I + C(u)/gamma``, ``Dbar(u) = D(u)/gamma``.
-
-    Raises
-    ------
-    UniformizationBoundError
-        If some state's total jump rate exceeds ``gamma`` at this duration,
-        naming the offending duration and state.
-    """
-    C, D = eval_kernel(kernel, u)
-    gamma = kernel.gamma
-    total = -np.diag(C)
-    if np.any(total > gamma * (1.0 + 1e-12)):
-        state = int(np.argmax(total))
-        raise UniformizationBoundError(u=float(u), state=state, total_rate=float(total[state]), gamma=gamma)
-    Cbar = np.eye(kernel.p) + C / gamma
-    Dbar = D / gamma
-    return Cbar, Dbar
+    return _evaluate(kernel, float(u))
 
 
 def eval_kernel_batch(kernel: DurationKernel, u) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate ``(C, D)`` at every duration of a 1-D array, as ``(m, p, p)`` stacks.
 
-    Uses the kernel's vectorized evaluators when available and a scalar loop
-    otherwise.  This is the sampling path of the grid engines; vectorized
-    evaluators of discontinuous kernels may return midpoint values at exact
-    jump locations (see :func:`piecewise_constant_kernel`) so that quadrature
-    through the jump stays second-order when a node lands on it.
+    One call of the kernel's broadcasting evaluator, with the same domain,
+    shape and finiteness checks as :func:`eval_kernel` and the same
+    right-continuous values.
     """
-    u = np.asarray(u, dtype=float).ravel()
-    if u.size and float(u.min()) < 0.0:
-        raise KernelDomainError(f"duration must be nonnegative, got {float(u.min())!r}")
-    if kernel.batch_funs is not None:
-        c_batch, d_batch = kernel.batch_funs
-        C = np.asarray(c_batch(u), dtype=float)
-        D = np.asarray(d_batch(u), dtype=float)
-        if C.shape != (u.size, kernel.p, kernel.p) or D.shape != (u.size, kernel.p, kernel.p):
-            raise StructureError(
-                f"batch kernel evaluators returned shapes {C.shape}/{D.shape}, "
-                f"expected ({u.size}, {kernel.p}, {kernel.p})"
-            )
-        return C, D
-    C = np.empty((u.size, kernel.p, kernel.p))
-    D = np.empty_like(C)
-    for k, val in enumerate(u):
-        C[k], D[k] = eval_kernel(kernel, float(val))
-    return C, D
+    return _evaluate(kernel, np.asarray(u, dtype=float).ravel())
+
+
+def uniformized_kernel(kernel: DurationKernel, u) -> tuple[np.ndarray, np.ndarray]:
+    """Per-epoch transition matrices ``Cbar(u) = I + C(u)/gamma``, ``Dbar(u) = D(u)/gamma``.
+
+    ``u`` is one duration, giving ``(p, p)`` matrices, or a 1-D array of
+    durations, giving ``(m, p, p)`` stacks.
+
+    Raises
+    ------
+    UniformizationBoundError
+        If some state's total jump rate exceeds ``gamma`` at some duration,
+        naming the offending duration and state.
+    """
+    scalar = np.ndim(u) == 0
+    u = float(u) if scalar else np.asarray(u, dtype=float).ravel()
+    C, D = eval_kernel(kernel, u) if scalar else eval_kernel_batch(kernel, u)
+    gamma = kernel.gamma
+    total = -C.diagonal(axis1=-2, axis2=-1)
+    if np.any(total > gamma * (1.0 + 1e-12)):
+        at = np.unravel_index(np.argmax(total), total.shape)
+        u_at = u if scalar else float(u[at[0]])
+        raise UniformizationBoundError(u=u_at, state=int(at[-1]), total_rate=float(total[at]), gamma=gamma)
+    Cbar = np.eye(kernel.p) + C / gamma
+    Dbar = D / gamma
+    return Cbar, Dbar
 
 
 @dataclass(frozen=True)

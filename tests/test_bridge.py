@@ -14,7 +14,8 @@ from fluidrisk import (
     constant_kernel,
     integrate_bridge,
 )
-from fluidrisk.bridge import gamma_first
+from fluidrisk import erlangize, uniformized_kernel
+from fluidrisk.bridge import _uniformized_nodes, gamma_first
 from fluidrisk.gallery import (
     calendar_switch_model,
     cross_arrival_model,
@@ -303,3 +304,31 @@ def test_uncomputed_order_raises():
     tensor = bridge_recursion(two_state_model(), _grid(u_max=2.0, cells=16), n_max=2)
     with pytest.raises(KeyError):
         tensor.value(5, 0.0)
+
+
+def test_grid_nodes_on_a_jump_take_the_mean_of_both_sides():
+    # The kernel is right-continuous; the grid quadrature helper averages the
+    # two one-sided values where a node lands exactly on a breakpoint, also
+    # for the original block of an Erlang-lifted kernel.
+    cal = calendar_switch_model()
+    lifted = erlangize(cal, 1.0, 2, i0=0).model
+    for model, first in ((cal, 0), (lifted, 2)):
+        gamma = model.gamma
+        Cbar, Dbar = _uniformized_nodes(model, [0.5, 1.0, 2.0])
+        assert Cbar[1][first, first] == pytest.approx(1.0 + 0.5 * (-0.8 - 1.5) / gamma)
+        left = uniformized_kernel(model.kernel, np.nextafter(1.0, 0.0))
+        right = uniformized_kernel(model.kernel, 1.0)
+        np.testing.assert_allclose(Cbar[1], 0.5 * (left[0] + right[0]), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(Dbar[1], 0.5 * (left[1] + right[1]), rtol=0.0, atol=1e-15)
+        off = uniformized_kernel(model.kernel, [0.5, 2.0])
+        np.testing.assert_array_equal(Cbar[[0, 2]], off[0])
+        np.testing.assert_array_equal(Dbar[[0, 2]], off[1])
+
+
+def test_z_engine_reports_both_level_window_edges():
+    grid = LevelDurationGrid(u_max=4.0, du=1 / 8, l_max=2.0, dl=1 / 8)
+    with pytest.warns(UserWarning, match="level-window edge"):
+        tensor = bridge_recursion(pareto_renewal_model(), grid, n_max=4, method="z")
+    lower = max(float(np.abs(s[..., 0]).max()) for s in tensor.slices.values())
+    assert lower >= 0.0147
+    assert tensor.diagnostics["level_edge_max_density"] >= lower

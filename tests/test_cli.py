@@ -6,7 +6,7 @@ import json
 import pytest
 
 from fluidrisk import ruin_descriptor
-from fluidrisk.cli import EXIT_INVALID, EXIT_OK, main
+from fluidrisk.cli import EXIT_INVALID, EXIT_OK, build_parser, main
 from fluidrisk.gallery import gallery_configs, two_state_model
 
 # Positive transform arguments cap the ruin level window, which keeps each
@@ -46,9 +46,22 @@ def test_malformed_config_exits_invalid(tmp_path):
 def test_ruin_convergence_study_reports_the_descriptor_grid_values(two_state_config, tmp_path):
     out = tmp_path / "study"
     args = "--quantity ruin --n-stages 1 --i0 0 --n-paths 2000".split() + THETA
-    main(["convergence-study", str(two_state_config), "--out", str(out)] + args)
+    code = main(["convergence-study", str(two_state_config), "--out", str(out)] + args)
     with open(out / "convergence_study.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     raw = ruin_descriptor(two_state_model(), 1.0, 1, 0.3, 0.2, i0=0).info["raw_values"]
     assert float(row["analytic_raw"]) == raw[0]
     assert float(row["analytic_refined"]) == raw[1]
+    # The Monte Carlo side samples the same Erlang-randomized capital.
+    assert code == EXIT_OK
+    assert row["inside"] == "True"
+
+
+def test_threads_flag_only_on_the_monte_carlo_subcommands(two_state_config):
+    parser = build_parser()
+    with pytest.raises(SystemExit) as err:
+        parser.parse_args(["validate", str(two_state_config), "--threads", "2"])
+    assert err.value.code == EXIT_INVALID
+    for argv in (["mc", "first-return"], ["convergence-study"]):
+        args = parser.parse_args(argv[:1] + argv[1:] + [str(two_state_config), "--threads", "2"])
+        assert args.threads == 2

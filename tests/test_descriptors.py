@@ -1,9 +1,12 @@
 """First-return and ruin descriptors against the Riccati and Erlang oracles."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from fluidrisk import psi, ruin_descriptor
-from fluidrisk.gallery import two_state_model
+from fluidrisk import erlangize, eval_kernel_batch, psi, ruin_descriptor
+from fluidrisk.gallery import pareto_renewal_model, two_state_model
 
 from _oracles import TWO_STATE_ERLANG_RUIN_U1, TWO_STATE_PSI_03_02
 
@@ -28,3 +31,19 @@ def test_ruin_extrapolation_cancels_the_level_quadrature_error():
     err = abs(res.value - exact)
     assert err < 1e-5
     assert abs(res.info["raw_values"][0] - exact) >= 100.0 * err
+
+
+def test_erlang_lift_calls_the_base_evaluator_once_per_array():
+    model = pareto_renewal_model()
+    calls = []
+
+    def counted(u):
+        calls.append(np.shape(u))
+        return model.kernel.fun(u)
+
+    base = dataclasses.replace(model, kernel=dataclasses.replace(model.kernel, fun=counted))
+    lifted = erlangize(base, 1.0, 2, i0=0).model.kernel
+    calls.clear()
+    C, D = eval_kernel_batch(lifted, np.linspace(0.0, 4.0, 50))
+    assert calls == [(50,)]
+    assert C.shape == D.shape == (50, 4, 4)

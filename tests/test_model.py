@@ -1,5 +1,7 @@
 """Model construction, kernel evaluation, uniformization, and config parsing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from fluidrisk import (
     ConfigError,
     FluidModel,
+    FluidModelError,
     KernelDomainError,
     StateSpace,
     StructureError,
@@ -15,8 +18,10 @@ from fluidrisk import (
     config_hash,
     constant_kernel,
     cost_weights,
+    erlangize,
     eval_kernel,
     eval_kernel_batch,
+    first_return_samples,
     kernel_from_callables,
     model_config_from_dict,
     pareto_renewal_kernel,
@@ -198,24 +203,72 @@ def test_pareto_kernel_hazard_at_zero():
     assert np.all(np.diag(C5) > np.diag(C0))
 
 
-def test_batch_evaluation_matches_scalar():
-    kernel = pareto_renewal_model().kernel
-    u = np.array([0.0, 0.3, 1.7, 9.0])
+def _callables_kernel():
+    def c_fun(u):
+        h = 1.0 / (1.0 + u)
+        return np.array([[-h, h], [0.5, -0.5]]) if u < 2.0 else np.array([[-0.2, 0.2], [0.5, -0.5]])
+
+    def d_fun(u):
+        return np.zeros((2, 2))
+
+    return kernel_from_callables(c_fun, d_fun, gamma=1.0, p=2, breakpoints=[2.0])
+
+
+def _kernels_under_test():
+    kernels = {name: model.kernel for name, model in gallery_models().items()}
+    kernels["erlang_pareto"] = erlangize(pareto_renewal_model(), 1.0, 2, i0=0).model.kernel
+    kernels["erlang_calendar"] = erlangize(calendar_switch_model(), 1.0, 2, i0=0).model.kernel
+    kernels["callables"] = _callables_kernel()
+    return kernels
+
+
+@pytest.mark.parametrize("name", sorted(_kernels_under_test()))
+def test_batch_evaluation_matches_scalar(name):
+    # One evaluator, one semantics: batch values equal scalar values bit for
+    # bit, also on a breakpoint and just below it.
+    kernel = _kernels_under_test()[name]
+    breaks = np.asarray(kernel.breakpoints, dtype=float)
+    u = np.unique(np.concatenate([[0.0, 0.3, 1.7, 9.0], breaks, np.nextafter(breaks, 0.0)]))
     Cb, Db = eval_kernel_batch(kernel, u)
+    assert Cb.shape == Db.shape == (u.size, kernel.p, kernel.p)
     for k, uk in enumerate(u):
         Ck, Dk = eval_kernel(kernel, float(uk))
-        np.testing.assert_allclose(Cb[k], Ck, atol=1e-14)
-        np.testing.assert_allclose(Db[k], Dk, atol=1e-14)
+        np.testing.assert_array_equal(Cb[k], Ck)
+        np.testing.assert_array_equal(Db[k], Dk)
 
 
-def test_batch_sampling_averages_across_jumps():
-    # Scalar evaluation takes the right piece at a jump; the batch sampling
-    # path used by grid quadrature averages the two one-sided limits there.
+def test_batch_evaluation_is_right_continuous_at_jumps():
+    # Scalar and batch evaluation both take the right piece at a jump; the
+    # grid engines' midpoint rule lives in the bridge quadrature helper.
     kernel = calendar_switch_model().kernel
     Cb, _ = eval_kernel_batch(kernel, np.array([0.5, 1.0, 2.0]))
-    assert Cb[1][0, 0] == pytest.approx(0.5 * (-0.8 - 1.5))
+    assert Cb[1][0, 0] == pytest.approx(-1.5)
     C_scalar, _ = eval_kernel(kernel, 1.0)
     assert C_scalar[0, 0] == pytest.approx(-1.5)
+
+
+def _nan_beyond_two(model):
+    base = model.kernel
+
+    def fun(u):
+        C, D = base.fun(u)
+        return np.where(np.asarray(u)[..., None, None] > 2.0, np.nan, C), D
+
+    return dataclasses.replace(model, kernel=dataclasses.replace(base, fun=fun))
+
+
+def test_batch_evaluation_rejects_non_finite_values():
+    model = _nan_beyond_two(pareto_renewal_model())
+    Cb, _ = eval_kernel_batch(model.kernel, [0.5, 1.5])
+    assert np.all(np.isfinite(Cb))
+    with pytest.raises(FluidModelError, match="u=2.5"):
+        eval_kernel_batch(model.kernel, [0.5, 2.5, 3.0])
+    with pytest.raises(FluidModelError, match="u=2.5"):
+        eval_kernel(model.kernel, 2.5)
+    # The sampler stops at the first non-finite kernel row instead of
+    # running on with NaN transition probabilities.
+    with pytest.raises(FluidModelError):
+        first_return_samples(model, 0.0, 0.0, 0.0, 200, 2000, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +300,23 @@ def test_uniformized_rows_sum_to_one_across_gallery():
             )
             assert np.all(Cbar >= -1e-15), name
             assert np.all(Dbar >= -1e-15), name
+
+
+def test_uniformized_kernel_accepts_an_array_of_durations():
+    kernel = calendar_switch_model().kernel
+    u = np.array([0.0, 1.0, 3.5])
+    Cbar, Dbar = uniformized_kernel(kernel, u)
+    for k, uk in enumerate(u):
+        Ck, Dk = uniformized_kernel(kernel, float(uk))
+        np.testing.assert_array_equal(Cbar[k], Ck)
+        np.testing.assert_array_equal(Dbar[k], Dk)
+    base = pareto_renewal_model().kernel
+    tight = dataclasses.replace(base, gamma=0.5 * base.gamma)
+    fastest = int(np.argmax(-np.diag(eval_kernel(base, 0.0)[0])))
+    with pytest.raises(UniformizationBoundError) as err:
+        uniformized_kernel(tight, [50.0, 0.0])
+    assert err.value.u == 0.0
+    assert err.value.state == fastest
 
 
 # ---------------------------------------------------------------------------
