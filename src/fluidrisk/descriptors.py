@@ -32,7 +32,6 @@ from scipy.stats import poisson
 from .bridge import LevelDurationGrid, bridge_recursion
 from .homogeneous import LevelGrid, level_fixed_point
 from .model import DurationKernel, FluidModel, StateSpace, StructureError, eval_kernel_batch
-from .simulate import PathRecord
 
 __all__ = [
     "FirstReturnDescriptor",
@@ -346,14 +345,6 @@ class ErlangizedModel:
     target_level: float
     stage_rate: float
     entry_state: int
-
-    def ramp_exit_height(self, path: PathRecord) -> float | None:
-        """Fluid level at the first epoch outside the ramp (None if the path
-        ends inside it)."""
-        outside = np.flatnonzero(path.states >= self.n_stages)
-        if outside.size == 0:
-            return None
-        return float(path.fluid[outside[0]])
 
 
 def erlangize(model: FluidModel, u: float, n_stages: int, i0: int | None = None) -> ErlangizedModel:

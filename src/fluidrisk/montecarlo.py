@@ -1,12 +1,13 @@
 """Vectorized Monte Carlo reference engines.
 
-The samplers run many paths of the uniformized chain in lockstep, chunked to
-bound memory, with one RNG stream per chunk derived from
-``SeedSequence((seed, chunk_index))`` so results are reproducible and
-independent of chunking or thread scheduling.  Censored paths (no event by
-``max_epochs``) contribute weight zero, which biases weighted estimates
-downward; the censored fraction is always reported so callers can bracket the
-bias.
+The samplers run many paths of the uniformized chain in lockstep on the
+stepper of :mod:`fluidrisk.simulate`, chunked to bound memory, with one RNG
+stream per chunk derived from ``SeedSequence((seed, chunk_index))``.  Results
+are reproducible and independent of ``n_threads``; they depend on
+``chunk_size``, which fixes how paths are split among the streams.  Censored
+paths (no event by ``max_epochs``) contribute weight zero, which biases
+weighted estimates downward; the censored fraction is always reported so
+callers can bracket the bias.
 """
 
 from __future__ import annotations
@@ -16,8 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EPOCH_PROB_TOL, FluidModel, UniformizationBoundError, eval_kernel_batch
-from .simulate import KernelConsistencyError
+from .model import FluidModel
+from .simulate import (
+    _check_duration,
+    _epoch_transition,
+    _first_passage_model,
+    _first_return_chunk,
+    _start_states,
+)
 
 __all__ = [
     "McEstimate",
@@ -30,6 +37,8 @@ __all__ = [
     "arrival_time_samples",
 ]
 
+#: Paths per chunk.  Each chunk draws from its own stream, so for a fixed seed
+#: a different ``chunk_size`` gives different samples.
 _DEFAULT_CHUNK = 1 << 14
 
 
@@ -104,118 +113,6 @@ def _chunk_sizes(n_paths: int, chunk_size: int) -> list[int]:
     return [chunk_size] * full + ([rem] if rem else [])
 
 
-def _start_states(model: FluidModel, rng: np.random.Generator, m: int, start_state) -> np.ndarray:
-    if start_state is not None:
-        return np.full(m, int(start_state), dtype=np.int64)
-    return rng.choice(model.p, size=m, p=model.alpha).astype(np.int64)
-
-
-def _batch_transition(
-    model: FluidModel, states: np.ndarray, u_args: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve one uniformized epoch for a batch of paths.
-
-    Returns the new states and an arrival indicator per path.  Raises when
-    the uniformization bound or the per-epoch probability normalization is
-    violated at any sampled duration.
-    """
-    m = states.size
-    gamma = model.gamma
-    C, D = eval_kernel_batch(model.kernel, u_args)
-    ar = np.arange(m)
-    c_rows = C[ar, states, :] / gamma
-    d_rows = D[ar, states, :] / gamma
-    c_rows[ar, states] += 1.0
-    self_prob = c_rows[ar, states]
-    if np.any(self_prob < -1e-12):
-        k = int(np.argmin(self_prob))
-        raise UniformizationBoundError(
-            u=float(u_args[k]),
-            state=int(states[k]),
-            total_rate=float((1.0 - self_prob[k]) * gamma),
-            gamma=gamma,
-        )
-    probs = np.concatenate([c_rows, d_rows], axis=1)
-    totals = probs.sum(axis=1)
-    err = np.abs(totals - 1.0)
-    if np.any(err > EPOCH_PROB_TOL):
-        k = int(np.argmax(err))
-        raise KernelConsistencyError(
-            f"per-epoch transition probabilities sum to {totals[k]!r} "
-            f"(state {int(states[k])}, duration {float(u_args[k])!r}); kernel is inconsistent"
-        )
-    cum = np.cumsum(probs, axis=1)
-    pick = rng.random(m) * totals
-    idx = np.minimum((cum < pick[:, None]).sum(axis=1), 2 * model.p - 1)
-    return (idx % model.p).astype(np.int64), idx >= model.p
-
-
-def _first_return_chunk(
-    model: FluidModel,
-    z: float,
-    theta1: float,
-    theta2: float,
-    m: int,
-    max_epochs: int,
-    seed_key: tuple,
-    start_state,
-    barrier_offset: float,
-):
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    states0 = _start_states(model, rng, m, start_state)
-    rates = model.rates
-    sigma = model.sigma
-
-    active = np.arange(m)
-    states = states0.copy()
-    level = np.zeros(m)
-    div_int = np.zeros(m)
-    costs = np.zeros(m)
-    dur = np.full(m, float(z))
-    t_now = np.zeros(m)
-
-    n_epoch = np.zeros(m, dtype=np.int64)
-    exit_state = np.full(m, -1, dtype=np.int64)
-    weight = np.zeros(m)
-    t_cross = np.full(m, np.inf)
-
-    for n in range(1, max_epochs + 1):
-        if active.size == 0:
-            break
-        dt = rng.exponential(1.0 / model.gamma, size=active.size)
-        s = states[active]
-        u_arg = dur[active] + dt
-        lvl_next = level[active] + rates[s] * dt
-        div_next = div_int[active] + sigma[s] * dt
-        hit = lvl_next <= -barrier_offset
-
-        if np.any(hit):
-            hit_idx = active[hit]
-            s_hit = s[hit]
-            n_epoch[hit_idx] = n
-            exit_state[hit_idx] = s_hit
-            weight[hit_idx] = np.exp(-theta1 * div_next[hit] - theta2 * costs[hit_idx])
-            t_cross[hit_idx] = t_now[hit_idx] + (-barrier_offset - level[hit_idx]) / rates[s_hit]
-
-        keep = ~hit
-        if not np.any(keep):
-            active = active[:0]
-            break
-        act = active[keep]
-        s_k = s[keep]
-        u_k = u_arg[keep]
-        new_s, arrived = _batch_transition(model, s_k, u_k, rng)
-        costs[act] += np.where(arrived, model.k_cost[s_k, new_s], 0.0)
-        dur[act] = np.where(arrived, 0.0, u_k)
-        states[act] = new_s
-        level[act] = lvl_next[keep]
-        div_int[act] = div_next[keep]
-        t_now[act] += dt[keep]
-        active = act
-
-    return n_epoch, exit_state, weight, t_cross, states0
-
-
 def _run_chunks(worker, sizes, n_threads: int):
     if n_threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -244,32 +141,13 @@ def first_return_samples(
     drawn from ``model.alpha`` restricted to the positive-rate class unless
     ``start_state`` pins one.
     """
-    if max_epochs < 2:
-        raise ValueError(f"max_epochs must be at least 2, got {max_epochs!r}")
-    if z < 0.0 or barrier_offset < 0.0:
-        raise ValueError("initial duration and barrier offset must be nonnegative")
-    if start_state is not None and model.rates[int(start_state)] <= 0.0 and barrier_offset == 0.0:
-        raise ValueError(
-            f"start state {start_state} has nonpositive fluid rate; first return is degenerate"
-        )
-    if start_state is None:
-        plus_mass = model.alpha[model.s_plus].sum()
-        if barrier_offset == 0.0 and plus_mass <= 0.0:
-            raise ValueError("alpha has no mass on positive-rate states; specify start_state")
-
-    base_model = model
-    if start_state is None and barrier_offset == 0.0:
-        alpha_plus = np.zeros(model.p)
-        alpha_plus[model.s_plus] = model.alpha[model.s_plus]
-        alpha_plus /= alpha_plus.sum()
-        base_model = model.with_alpha(alpha_plus)
-
+    base_model = _first_passage_model(model, z, max_epochs, start_state, barrier_offset)
     sizes = _chunk_sizes(n_paths, chunk_size)
 
     def worker(b: int):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
         return _first_return_chunk(
-            base_model, z, theta1, theta2, sizes[b], max_epochs, (seed, b), start_state,
-            barrier_offset,
+            base_model, z, theta1, theta2, sizes[b], max_epochs, rng, start_state, barrier_offset
         )
 
     parts = _run_chunks(worker, sizes, n_threads)
@@ -362,6 +240,7 @@ def _bridge_chunk(
 ):
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     states = _start_states(model, rng, m, start_state)
+    step = _epoch_transition(model)
     rates = model.rates
 
     level = np.zeros(m)
@@ -379,7 +258,7 @@ def _bridge_chunk(
             pre_final = states.copy()
             break
         min_interior = np.minimum(min_interior, level)
-        new_s, arrived = _batch_transition(model, states, u_arg, rng)
+        new_s, arrived = step(states, u_arg, rng)
         dur = np.where(arrived, 0.0, u_arg)
         states = new_s
 
@@ -413,6 +292,7 @@ def mc_bridge_histogram(
     ``max(0, F(T_n) - F(0))``; qualifying paths are binned over
     ``(U(T_n-), F(T_n) - F(0))`` per final-segment state.
     """
+    _check_duration(z)
     if n < 2:
         raise ValueError(f"bridge histograms need at least 2 epochs, got {n!r}")
     s_edges = np.asarray(s_edges, dtype=float)
@@ -452,6 +332,7 @@ def _arrival_chunk(
 ):
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     states = _start_states(model, rng, m, start_state)
+    step = _epoch_transition(model)
     times = np.full((m, n_arrivals), np.nan)
     n_seen = np.zeros(m, dtype=np.int64)
     t_now = np.zeros(m)
@@ -464,7 +345,7 @@ def _arrival_chunk(
         dt = rng.exponential(1.0 / model.gamma, size=active.size)
         u_arg = dur[active] + dt
         t_now[active] += dt
-        new_s, arrived = _batch_transition(model, states[active], u_arg, rng)
+        new_s, arrived = step(states[active], u_arg, rng)
         states[active] = new_s
         dur[active] = np.where(arrived, 0.0, u_arg)
         if np.any(arrived):
@@ -493,6 +374,7 @@ def arrival_time_samples(
     not observed within ``max_epochs`` (report and bound this censoring when
     comparing distributions).
     """
+    _check_duration(z)
     if n_arrivals < 1:
         raise ValueError("n_arrivals must be positive")
     sizes = _chunk_sizes(n_paths, chunk_size)

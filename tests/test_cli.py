@@ -43,6 +43,19 @@ def test_malformed_config_exits_invalid(tmp_path):
     assert main(["validate", str(bad), "--out", str(tmp_path / "out")]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--horizon", "2", "--z", "-1"],
+        ["mc", "first-return", "--n-paths", "50"],
+        ["mc", "bridge", "--z", "-0.000001"],
+    ],
+    ids=["simulate_negative_z", "mc_too_few_paths", "mc_bridge_negative_z"],
+)
+def test_invalid_arguments_exit_invalid(two_state_config, tmp_path, args):
+    assert main(args + [str(two_state_config), "--out", str(tmp_path)]) == EXIT_INVALID
+
+
 def test_ruin_convergence_study_reports_the_descriptor_grid_values(two_state_config, tmp_path):
     out = tmp_path / "study"
     args = "--quantity ruin --n-stages 1 --i0 0 --n-paths 2000".split() + THETA

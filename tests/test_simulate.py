@@ -18,9 +18,9 @@ from fluidrisk.gallery import (
     renewal_ph_model,
     two_state_model,
 )
-from fluidrisk.montecarlo import arrival_time_samples
+from fluidrisk.montecarlo import arrival_time_samples, first_return_samples
 
-from _oracles import ks_critical, ks_statistic, ph_cdf
+from _oracles import TWO_STATE_PSI_03_02, ks_critical, ks_statistic, ph_cdf
 
 
 def _frozen_model():
@@ -122,22 +122,23 @@ def test_start_state_follows_alpha_or_override():
 
 
 def test_inconsistent_kernel_raises():
-    def c_fun(u):
-        return np.array([[-1.0, 0.5], [0.5, -1.0]])  # leaks probability mass
-
-    def d_fun(u):
-        return np.zeros((2, 2))
-
-    kernel = kernel_from_callables(c_fun, d_fun, gamma=1.0, p=2)
-    model = FluidModel(
-        space=StateSpace(rates=np.array([1.0, -1.0])),
-        kernel=kernel,
-        alpha=np.array([1.0, 0.0]),
-        sigma=np.zeros(2),
-        k_cost=np.zeros((2, 2)),
-    )
-    with pytest.raises(KernelConsistencyError):
-        simulate_path(model, 0.0, 50.0, seed=1)
+    leaking = np.array([[-1.0, 0.5], [0.5, -1.0]])  # leaks probability mass
+    kernels = [
+        kernel_from_callables(lambda u: leaking, lambda u: np.zeros((2, 2)), gamma=1.0, p=2),
+        constant_kernel(leaking, np.zeros((2, 2)), gamma=1.0),
+    ]
+    for kernel in kernels:
+        model = FluidModel(
+            space=StateSpace(rates=np.array([1.0, -1.0])),
+            kernel=kernel,
+            alpha=np.array([1.0, 0.0]),
+            sigma=np.zeros(2),
+            k_cost=np.zeros((2, 2)),
+        )
+        with pytest.raises(KernelConsistencyError):
+            simulate_path(model, 0.0, 50.0, seed=1)
+        with pytest.raises(KernelConsistencyError):
+            first_return_samples(model, 0.0, 0.0, 0.0, 100, 1000, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +206,15 @@ def test_return_weights_discount_dividends_and_costs():
         if out.returned and out.weight > 0.0:
             got_positive = True
     assert got_positive
+
+
+def test_mean_return_weight_matches_the_closed_form():
+    model = two_state_model()
+    w = np.array(
+        [simulate_until_return(model, 0.0, 0.3, 0.2, 10_000, seed=s).weight for s in range(500)]
+    )
+    se = w.std(ddof=1) / np.sqrt(w.size)
+    assert abs(w.mean() - TWO_STATE_PSI_03_02) <= 3.0 * se
 
 
 def test_descending_start_state_is_rejected():
