@@ -169,21 +169,19 @@ def _shift_level(field_arr: np.ndarray, cells: float) -> np.ndarray:
     return out
 
 
-def _mask_level_nonneg(field_arr: np.ndarray, zero_index: int, halve_edge: bool = True) -> np.ndarray:
+def _mask_level_nonneg(field_arr: np.ndarray, zero_index: int) -> np.ndarray:
     """Restrict to levels >= 0 (trapezoid half-weight at the closed edge)."""
     out = field_arr.copy()
     out[..., :zero_index] = 0.0
-    if halve_edge:
-        out[..., zero_index] *= 0.5
+    out[..., zero_index] *= 0.5
     return out
 
 
-def _mask_level_nonpos(field_arr: np.ndarray, zero_index: int, halve_edge: bool = True) -> np.ndarray:
+def _mask_level_nonpos(field_arr: np.ndarray, zero_index: int) -> np.ndarray:
     """Restrict to levels <= 0 (trapezoid half-weight at the closed edge)."""
     out = field_arr.copy()
     out[..., zero_index + 1 :] = 0.0
-    if halve_edge:
-        out[..., zero_index] *= 0.5
+    out[..., zero_index] *= 0.5
     return out
 
 
@@ -566,9 +564,7 @@ def integrate_bridge(tensor: BridgeTensor, n: int, z: float = 0.0, l_hi: float =
     m_hi = grid.zero_index + int(round(l_hi / grid.dl))
     if not 0 <= m_hi < grid.n_levels:
         raise ValueError(f"level bound {l_hi!r} outside the grid window")
-    w_s = _trapezoid_weights(grid.n_durations) * grid.du
-    w_l = _trapezoid_weights(m_hi + 1) * grid.dl
-    return np.einsum("ijsl,s,l->ij", vals[..., : m_hi + 1], w_s, w_l)
+    return _integrate_field(vals, grid, m_hi)
 
 
 def _integrate_field(field_arr: np.ndarray, grid: LevelDurationGrid, m_hi: int) -> np.ndarray:

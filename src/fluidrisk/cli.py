@@ -160,6 +160,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     started = time.perf_counter()
+    if args.n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {args.n_paths!r}")
     model = _load(args)
     out = _out_dir(args)
     rows = []

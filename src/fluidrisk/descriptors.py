@@ -396,7 +396,7 @@ def erlangize(model: FluidModel, u: float, n_stages: int, i0: int | None = None)
         C[..., k:, k:], D[..., k:, k:] = C0, D0
         return C, D
 
-    constant = lift(0.0) if base.is_constant else None
+    constant = tuple(x[0] for x in lift(np.zeros(1))) if base.is_constant else None
     kernel = DurationKernel(gamma=gamma, p=n_tot, fun=lift, breakpoints=base.breakpoints, constant=constant)
 
     rates = np.concatenate([np.ones(k), model.rates])

@@ -33,6 +33,7 @@ from .bridge import (
     LevelDurationGrid,
     _bridge2_branches,
     _clamp_and_flag,
+    _integrate_field,
     _level_edge_max,
     _mask_level_nonneg,
     _mask_level_nonpos,
@@ -110,16 +111,6 @@ def _halve_first_row(field: np.ndarray) -> np.ndarray:
     out = field.copy()
     out[..., 0, :] *= 0.5
     return out
-
-
-def _mass_weights(grid: LevelDurationGrid):
-    w_s = _trapezoid_weights(grid.n_durations) * grid.du
-    w_l = _trapezoid_weights(grid.zero_index + 1) * grid.dl
-    return w_s, w_l
-
-
-def _field_mass(field: np.ndarray, w_s, w_l, m_hi):
-    return np.einsum("ijsl,s,l->ij", field[..., : m_hi + 1], w_s, w_l)
 
 
 def _rate_class_blocks(model: FluidModel, theta2: float):
@@ -285,9 +276,8 @@ def run_split_recursion(model, grid, theta1, theta2, n_max, diagnostics):
     _clamp_and_flag(B, diagnostics)
     slices = {2: (A, B)}
     levels = {2: _SplitLevel(A, B, c)}
-    w_s, w_l = _mass_weights(grid)
     m0 = grid.zero_index
-    masses = {2: _field_mass(A + B, w_s, w_l, m0)}
+    masses = {2: _integrate_field(A + B, grid, m0)}
     for n in range(3, n_max + 1):
         pair = _pair_spectra(levels, n, grid.du, grid.dl)
         A_n, B_n = _split_step(levels[n - 1], pair, c, slices[n - 1])
@@ -295,7 +285,7 @@ def run_split_recursion(model, grid, theta1, theta2, n_max, diagnostics):
         _clamp_and_flag(B_n, diagnostics)
         slices[n] = (A_n, B_n)
         levels[n] = _SplitLevel(A_n, B_n, c)
-        masses[n] = _field_mass(A_n + B_n, w_s, w_l, m0)
+        masses[n] = _integrate_field(A_n + B_n, grid, m0)
     fields = [f for pair in slices.values() for f in pair]
     diagnostics["level_edge_max_density"] = _level_edge_max(fields)
     diagnostics["duration_edge_max_density"] = max(

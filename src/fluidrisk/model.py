@@ -157,10 +157,10 @@ class DurationKernel:
     p : int
         State-space dimension.
     fun : callable
-        The one evaluator ``fun(u) -> (C, D)``.  It broadcasts over ``u``: a
-        scalar duration gives two ``(p, p)`` matrices and a 1-D array of
-        ``m`` durations gives two ``(m, p, p)`` stacks.  It is
-        right-continuous: at a breakpoint the right piece applies.
+        The one evaluator ``fun(u) -> (C, D)``.  It takes a 1-D array of
+        ``m`` durations and returns two ``(m, p, p)`` stacks; the library
+        never calls it with a scalar.  It is right-continuous: at a
+        breakpoint the right piece applies.
     breakpoints : tuple of float
         Discontinuity locations of piecewise kernels; integrators align
         their meshes on these, and the grid engines apply their jump rule
@@ -204,10 +204,8 @@ def constant_kernel(C, D, gamma: float | None = None) -> DurationKernel:
     frozen[1].setflags(write=False)
 
     def fun(u):
-        shape = np.shape(u)
-        if not shape:
-            return frozen
-        return np.broadcast_to(frozen[0], shape + (p, p)), np.broadcast_to(frozen[1], shape + (p, p))
+        shape = np.shape(u) + (p, p)
+        return np.broadcast_to(frozen[0], shape), np.broadcast_to(frozen[1], shape)
 
     return DurationKernel(gamma=float(gamma), p=p, fun=fun, constant=frozen)
 
@@ -290,12 +288,10 @@ def kernel_from_callables(
     """Wrap per-point kernel callables; the caller vouches for the bound.
 
     ``c_fun`` and ``d_fun`` map one duration to a ``(p, p)`` matrix; the
-    wrapped evaluator calls them in a Python loop over an array argument.
+    wrapped evaluator calls them in a Python loop over its array argument.
     """
 
     def fun(u):
-        if np.ndim(u) == 0:
-            return c_fun(float(u)), d_fun(float(u))
         pairs = [(c_fun(v), d_fun(v)) for v in np.asarray(u, dtype=float).tolist()]
         if not pairs:
             return np.empty((0, p, p)), np.empty((0, p, p))
@@ -306,48 +302,47 @@ def kernel_from_callables(
     )
 
 
-def _evaluate(kernel: DurationKernel, u) -> tuple[np.ndarray, np.ndarray]:
-    """Call ``kernel.fun`` at a float or a 1-D float array, checking the
-    duration domain, the returned shapes and their finiteness."""
-    scalar = isinstance(u, float)
-    lowest = u if scalar else (float(u.min()) if u.size else 0.0)
+def _evaluate(kernel: DurationKernel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Call ``kernel.fun`` on a 1-D float array, checking the duration
+    domain, the returned shapes and their finiteness."""
+    lowest = float(u.min()) if u.size else 0.0
     if lowest < 0.0:
         raise KernelDomainError(f"duration must be nonnegative, got {lowest!r}")
     C, D = (np.asarray(x, dtype=float) for x in kernel.fun(u))
-    shape = (kernel.p, kernel.p) if scalar else (u.size, kernel.p, kernel.p)
+    shape = (u.size, kernel.p, kernel.p)
     if C.shape != shape or D.shape != shape:
         raise StructureError(f"kernel evaluator returned shapes {C.shape}/{D.shape}, expected {shape}")
     # One reduction per matrix, over one copy of a stack broadcast from a
     # single matrix; the entries are inspected only when it fails.
-    C1, D1 = (x[:1] if x.ndim == 3 and x.strides[0] == 0 else x for x in (C, D))
+    C1, D1 = (x[:1] if x.strides[0] == 0 else x for x in (C, D))
     if not (math.isfinite(C1.sum()) and math.isfinite(D1.sum())):
         bad = ~(np.isfinite(C) & np.isfinite(D))
         if bad.any():
-            at = u if scalar else float(u[np.argwhere(bad)[0][0]])
-            raise FluidModelError(f"kernel returned non-finite values at u={at!r}")
+            raise FluidModelError(f"kernel returned non-finite values at u={float(u[np.argwhere(bad)[0][0]])!r}")
     return C, D
 
 
 def eval_kernel(kernel: DurationKernel, u: float) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate ``(C(u), D(u))`` at a single duration.
 
-    Evaluation is right-continuous: at a discontinuity the stored right-limit
-    value applies.
+    The one-row view of :func:`eval_kernel_batch`: evaluation is
+    right-continuous, so at a discontinuity the stored right-limit value
+    applies.
 
     Raises
     ------
     KernelDomainError
         If ``u`` is negative.
     """
-    return _evaluate(kernel, float(u))
+    C, D = _evaluate(kernel, np.array([float(u)]))
+    return C[0], D[0]
 
 
 def eval_kernel_batch(kernel: DurationKernel, u) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate ``(C, D)`` at every duration of a 1-D array, as ``(m, p, p)`` stacks.
 
-    One call of the kernel's broadcasting evaluator, with the same domain,
-    shape and finiteness checks as :func:`eval_kernel` and the same
-    right-continuous values.
+    One call of the kernel's evaluator, with domain, shape and finiteness
+    checks.
     """
     return _evaluate(kernel, np.asarray(u, dtype=float).ravel())
 
@@ -364,18 +359,16 @@ def uniformized_kernel(kernel: DurationKernel, u) -> tuple[np.ndarray, np.ndarra
         If some state's total jump rate exceeds ``gamma`` at some duration,
         naming the offending duration and state.
     """
-    scalar = np.ndim(u) == 0
-    u = float(u) if scalar else np.asarray(u, dtype=float).ravel()
-    C, D = eval_kernel(kernel, u) if scalar else eval_kernel_batch(kernel, u)
+    u = np.asarray(u, dtype=float)
+    C, D = eval_kernel_batch(kernel, u)
     gamma = kernel.gamma
     total = -C.diagonal(axis1=-2, axis2=-1)
     if np.any(total > gamma * (1.0 + 1e-12)):
-        at = np.unravel_index(np.argmax(total), total.shape)
-        u_at = u if scalar else float(u[at[0]])
-        raise UniformizationBoundError(u=u_at, state=int(at[-1]), total_rate=float(total[at]), gamma=gamma)
+        k, i = np.unravel_index(np.argmax(total), total.shape)
+        raise UniformizationBoundError(u=float(u.ravel()[k]), state=int(i), total_rate=float(total[k, i]), gamma=gamma)
     Cbar = np.eye(kernel.p) + C / gamma
     Dbar = D / gamma
-    return Cbar, Dbar
+    return (Cbar[0], Dbar[0]) if u.ndim == 0 else (Cbar, Dbar)
 
 
 @dataclass(frozen=True)
@@ -557,28 +550,27 @@ def validate_model(model: FluidModel, u_samples=None) -> ValidationReport:
     violations = []
     messages = []
     off_mask = ~np.eye(model.p, dtype=bool)
-    for u in u_samples:
-        C, D = eval_kernel(model.kernel, float(u))
+    for u, C, D in zip(u_samples.tolist(), *eval_kernel_batch(model.kernel, u_samples)):
         off = C.copy()
         off[~off_mask] = 0.0
         if np.any(off < 0):
             i, j = np.unravel_index(np.argmin(off), off.shape)
-            violations.append(("c_offdiagonal_negative", float(u), int(i), int(j), float(off[i, j])))
+            violations.append(("c_offdiagonal_negative", u, int(i), int(j), float(off[i, j])))
         diag = np.diag(C)
         if np.any(diag > 0):
             i = int(np.argmax(diag))
-            violations.append(("c_diagonal_positive", float(u), i, i, float(diag[i])))
+            violations.append(("c_diagonal_positive", u, i, i, float(diag[i])))
         if np.any(D < 0):
             i, j = np.unravel_index(np.argmin(D), D.shape)
-            violations.append(("d_negative", float(u), int(i), int(j), float(D[i, j])))
+            violations.append(("d_negative", u, int(i), int(j), float(D[i, j])))
         rowsum = (C + D).sum(axis=1)
         if np.any(np.abs(rowsum) > CONSERVATION_TOL):
             i = int(np.argmax(np.abs(rowsum)))
-            violations.append(("row_not_conservative", float(u), i, -1, float(rowsum[i])))
+            violations.append(("row_not_conservative", u, i, -1, float(rowsum[i])))
         total = -diag
         if np.any(total > model.gamma * (1.0 + 1e-12)):
             i = int(np.argmax(total))
-            violations.append(("gamma_bound_violated", float(u), i, -1, float(total[i])))
+            violations.append(("gamma_bound_violated", u, i, -1, float(total[i])))
     worst = max(violations, key=lambda v: abs(v[4])) if violations else None
     if violations:
         messages.append(f"{len(violations)} kernel violations over {u_samples.size} sampled durations")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import FluidModel
 from .simulate import (
-    _check_duration,
+    _check_start,
     _epoch_transition,
     _first_passage_model,
     _first_return_chunk,
@@ -292,7 +292,7 @@ def mc_bridge_histogram(
     ``max(0, F(T_n) - F(0))``; qualifying paths are binned over
     ``(U(T_n-), F(T_n) - F(0))`` per final-segment state.
     """
-    _check_duration(z)
+    _check_start(model, z, start_state)
     if n < 2:
         raise ValueError(f"bridge histograms need at least 2 epochs, got {n!r}")
     s_edges = np.asarray(s_edges, dtype=float)
@@ -374,7 +374,7 @@ def arrival_time_samples(
     not observed within ``max_epochs`` (report and bound this censoring when
     comparing distributions).
     """
-    _check_duration(z)
+    _check_start(model, z, start_state)
     if n_arrivals < 1:
         raise ValueError("n_arrivals must be positive")
     sizes = _chunk_sizes(n_paths, chunk_size)

@@ -150,9 +150,12 @@ def _start_states(model: FluidModel, rng: np.random.Generator, m: int, start_sta
     return rng.choice(model.p, size=m, p=model.alpha).astype(np.int64)
 
 
-def _check_duration(z: float) -> None:
+def _check_start(model: FluidModel, z: float, start_state) -> None:
+    """Reject a negative initial duration and a start state outside the state space."""
     if z < 0.0:
         raise ValueError(f"initial duration must be nonnegative, got {z!r}")
+    if start_state is not None and not 0 <= start_state < model.p:
+        raise ValueError(f"start state must lie in 0..{model.p - 1}, got {start_state!r}")
 
 
 def _first_passage_model(
@@ -161,7 +164,7 @@ def _first_passage_model(
     """Check a first-passage run's arguments; return the model whose ``alpha``
     draws its start states (for a first return, ``alpha`` restricted to the
     ascending states unless ``start_state`` pins an ascending one)."""
-    _check_duration(z)
+    _check_start(model, z, start_state)
     if max_epochs < 2:
         raise ValueError(f"max_epochs must be at least 2, got {max_epochs!r}")
     if barrier_offset < 0.0:
@@ -269,7 +272,7 @@ def simulate_path(
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
-    _check_duration(z)
+    _check_start(model, z, start_state)
     rng = np.random.default_rng(seed)
     state = int(_start_states(model, rng, 1, start_state)[0])
     step = _epoch_transition(model)

@@ -4,9 +4,10 @@ The survival matrix ``G(s, t)`` has entries
 ``P(no arrival in (s, t], J(t) = j | no arrival in (0, s], J(s) = i)`` for a
 chain that jumps with the no-arrival kernel ``C(u)`` while the duration clock
 runs.  It is the product integral of ``C`` over ``(s, t]`` and solves the
-linear system ``dG(s, x)/dx = G(s, x) C(x)`` with ``G(s, s) = I``; we
-integrate that system with a fixed-step classical 4th-order scheme whose mesh
-is aligned on kernel breakpoints.
+linear system ``dG(s, x)/dx = G(s, x) C(x)`` with ``G(s, s) = I``.  One
+fixed-step classical 4th-order sweep, its mesh aligned on kernel breakpoints
+and ``C`` taken from batched kernel evaluations, integrates that system for
+:func:`survival_matrix`, :func:`survival_profile` and :func:`renewal_operator`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DurationKernel, FluidModel, eval_kernel
+from .model import DurationKernel, FluidModel, eval_kernel, eval_kernel_batch
 
 __all__ = [
     "SurvivalMatrix",
@@ -65,51 +66,61 @@ class SurvivalMatrix:
     step: float
 
 
-def _segments(kernel: DurationKernel, s: float, t: float) -> list[tuple[float, float]]:
-    """Split ``[s, t]`` at kernel breakpoints so each piece is smooth."""
-    cuts = [b for b in kernel.breakpoints if s < b < t]
-    pts = [s, *cuts, t]
-    return [(pts[k], pts[k + 1]) for k in range(len(pts) - 1)]
+#: RK4 steps whose kernel nodes one batch evaluation covers; bounds the
+#: memory of a sweep whatever its length.
+_STEP_CHUNK = 1024
 
 
-def _rk4_sweep(kernel: DurationKernel, G: np.ndarray, a: float, b: float, step: float) -> np.ndarray:
-    """Advance ``G`` from ``a`` to ``b`` with fixed RK4 steps on a smooth piece."""
+def _sweep(kernel: DurationKernel, G: np.ndarray, nodes, steps) -> np.ndarray:
+    """Carry ``G`` through increasing ``nodes`` by RK4; ``G`` at each of ``nodes[1:]``.
+
+    Gap ``i`` is split at the kernel breakpoints inside it, and each piece
+    ``[a, b)`` is crossed in equal steps no wider than ``steps[i]``, its RK4
+    nodes clamped below ``b`` so that a right-continuous jump at ``b`` does
+    not bleed into it.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    cuts = np.asarray(kernel.breakpoints, dtype=float)
+    cuts = cuts[(cuts > nodes[0]) & (cuts < nodes[-1]) & ~np.isin(cuts, nodes)]
+    points = np.insert(nodes, np.searchsorted(nodes, cuts), cuts)
+    a, b = points[:-1], points[1:]
+    gap = np.cumsum(~np.isin(a, cuts)) - 1
     length = b - a
-    if length <= 0.0:
-        return G
-    n_steps = max(1, int(np.ceil(length / step - 1e-12)))
-    h = length / n_steps
-    # Clamp evaluations into [a, b) so right-continuous breakpoints do not
-    # bleed the next piece into this one.
-    hi = np.nextafter(b, a)
-
-    def C_at(x: float) -> np.ndarray:
-        return eval_kernel(kernel, min(x, hi))[0]
-
-    x = a
-    for _ in range(n_steps):
-        C0 = C_at(x)
-        Ch = C_at(x + 0.5 * h)
-        C1 = C_at(x + h)
-        k1 = G @ C0
-        k2 = (G + 0.5 * h * k1) @ Ch
-        k3 = (G + 0.5 * h * k2) @ Ch
-        k4 = (G + h * k3) @ C1
-        G = G + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x += h
-    return G
-
-
-def _integrate(kernel: DurationKernel, s: float, t: float, step: float) -> np.ndarray:
-    G = np.eye(kernel.p)
-    for a, b in _segments(kernel, s, t):
-        G = _rk4_sweep(kernel, G, a, b, step)
-    return G
+    n = np.ceil(length / np.asarray(steps)[gap] - 1e-12)
+    n = np.where(length > 0.0, np.maximum(n, 1.0), 0.0).astype(np.int64)
+    piece = np.repeat(np.arange(a.size), n)
+    x = a[piece]
+    width = (length / np.maximum(n, 1))[piece]
+    clamp = np.nextafter(b, a)[piece]
+    first = np.cumsum(n) - n
+    # Step starts accumulate sequentially within a piece, x_{k+1} = x_k + h.
+    for j in np.flatnonzero(n > 1):
+        x[first[j] : first[j] + n[j]] = np.add.accumulate(np.r_[a[j], width[first[j] + 1 : first[j] + n[j]]])
+    gap_ends = np.cumsum(n)[~np.isin(b, cuts)]
+    p = kernel.p
+    out = np.empty((nodes.size - 1, p, p))
+    k = 0
+    for i, end in enumerate(gap_ends.tolist()):
+        while k < end:
+            j = k % _STEP_CHUNK
+            if j == 0:
+                c = slice(k, k + _STEP_CHUNK)
+                xc, wc = x[c], width[c]
+                at = np.minimum(np.concatenate([xc, xc + 0.5 * wc, xc + wc]), np.tile(clamp[c], 3))
+                C0, Ch, C1 = eval_kernel_batch(kernel, at)[0].reshape(3, xc.size, p, p)
+                hs = wc.tolist()
+            h = hs[j]
+            k1 = G @ C0[j]
+            k2 = (G + 0.5 * h * k1) @ Ch[j]
+            k3 = (G + 0.5 * h * k2) @ Ch[j]
+            k4 = (G + h * k3) @ C1[j]
+            G = G + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k += 1
+        out[i] = G
+    return out
 
 
 def _default_step(kernel: DurationKernel, span: float) -> float:
-    if span <= 0.0:
-        return 1.0
     return float(min(span / 32.0, 1.0 / (128.0 * kernel.gamma)))
 
 
@@ -146,10 +157,10 @@ def survival_matrix(
     if t == s:
         return SurvivalMatrix(s=s, t=t, matrix=np.eye(kernel.p), error_estimate=0.0, step=step or 0.0)
     h = step if step is not None else _default_step(kernel, t - s)
-    G = _integrate(kernel, s, t, h)
+    G = _sweep(kernel, np.eye(kernel.p), (s, t), (h,))[0]
     err = 0.0
     if error_estimate:
-        G_half = _integrate(kernel, s, t, h / 2.0)
+        G_half = _sweep(kernel, np.eye(kernel.p), (s, t), (h / 2.0,))[0]
         err = float(np.max(np.abs(G - G_half)))
     return SurvivalMatrix(s=float(s), t=float(t), matrix=G, error_estimate=err, step=float(h))
 
@@ -164,16 +175,10 @@ def survival_profile(kernel: DurationKernel, t_grid, step: float | None = None) 
         raise ValueError("t_grid must be a nonempty 1-D array")
     if t_grid[0] < 0.0 or np.any(np.diff(t_grid) < 0.0):
         raise ValueError("t_grid must be nonnegative and nondecreasing")
+    if step is not None and step <= 0.0:
+        raise ValueError(f"step must be positive, got {step!r}")
     h = step if step is not None else _default_step(kernel, max(float(t_grid[-1]), 1e-12))
-    out = np.empty((t_grid.size, kernel.p, kernel.p))
-    G = np.eye(kernel.p)
-    prev = 0.0
-    for k, t in enumerate(t_grid):
-        for a, b in _segments(kernel, prev, float(t)):
-            G = _rk4_sweep(kernel, G, a, b, h)
-        prev = float(t)
-        out[k] = G
-    return out
+    return _sweep(kernel, np.eye(kernel.p), np.r_[0.0, t_grid], np.full(t_grid.size, h))
 
 
 def interarrival_density(model: FluidModel, y_list, step: float | None = None) -> float:
@@ -187,9 +192,8 @@ def interarrival_density(model: FluidModel, y_list, step: float | None = None) -
     if np.any(y_arr < 0.0):
         raise ValueError("interarrival durations must be nonnegative")
     vec = model.alpha.copy()
-    for y in y_arr:
+    for y, D in zip(y_arr, eval_kernel_batch(model.kernel, y_arr)[1]):
         G = survival_matrix(model.kernel, 0.0, float(y), step=step, error_estimate=False).matrix
-        D = eval_kernel(model.kernel, float(y))[1]
         vec = vec @ G @ D
     return float(vec.sum())
 
@@ -243,13 +247,14 @@ def renewal_operator(
 ) -> RenewalOperatorResult:
     """Arrival operator ``N``: survival-weighted arrival kernel over all durations.
 
-    Computes the trapezoid quadrature of ``G(0, s) D(s)`` over ``[0, u_max]``.
+    Computes the Simpson quadrature of ``G(0, s) D(s)`` over ``[0, u_max]``.
     With ``u_max`` omitted, the truncation point doubles from ``8/gamma``
     until the survival tail is below ``tail_tol`` or a hard ceiling is hit;
     the result then carries ``converged=False`` and a warning (heavy-tailed
     kernels may legitimately leave mass at any finite horizon).
     """
-    gamma = model.kernel.gamma
+    kernel = model.kernel
+    gamma = kernel.gamma
     if u_max is not None:
         if u_max <= 0:
             raise ValueError(f"u_max must be positive, got {u_max!r}")
@@ -260,55 +265,49 @@ def renewal_operator(
         while u <= RENEWAL_UMAX_CEILING / gamma:
             targets.append(u)
             u *= 2.0
-    full_grid = _renewal_grid(model.kernel, targets[-1], step if step is not None else 0.5 * _default_step(model.kernel, targets[-1]))
-    # One incremental sweep; check convergence whenever a target is passed.
-    G = np.eye(model.p)
-    N = np.zeros((model.p, model.p))
-    prev_u = 0.0
-    prev_GD = G @ eval_kernel(model.kernel, 0.0)[1]
-    next_target = 0
-    result = None
+    grid = _renewal_grid(kernel, targets[-1], step if step is not None else 0.5 * _default_step(kernel, targets[-1]))
+    span = np.diff(grid)
+    nodes = np.empty(2 * grid.size - 1)
+    nodes[0::2], nodes[1::2] = grid, grid[:-1] + 0.5 * span
+    rk4_steps = np.repeat(np.maximum(np.minimum(span, 0.5 / gamma), 1e-12), 2)
+    jump = np.isin(grid[1:], kernel.breakpoints)
+    left = np.nextafter(grid[1:], grid[:-1])
+    # Grid index at which each target is passed; the sweep advances one
+    # target window at a time and stops at the first converged window.
+    window_ends = np.searchsorted(grid, np.asarray(targets) * (1.0 - 1e-12))
     # Simpson quadrature per interval: the growing tail spacing would leave a
     # second-order trapezoid bias above 1e-6, while the fourth-order rule
     # matches the accuracy of the RK4 survival sweep.  Grid nodes sit on every
     # kernel jump, so interval interiors are smooth; at a jump node the
     # interval is closed with the left limit of D (the value in force on it)
     # and the right-continuous value opens the next interval.
-    jumps = set(model.kernel.breakpoints)
-    for u_val in full_grid[1:]:
-        span = float(u_val) - prev_u
-        mid = prev_u + 0.5 * span
-        rk4_step = max(min(span, 0.5 / gamma), 1e-12)
-        G = _rk4_sweep(kernel=model.kernel, G=G, a=prev_u, b=mid, step=rk4_step)
-        GD_mid = G @ eval_kernel(model.kernel, mid)[1]
-        G = _rk4_sweep(kernel=model.kernel, G=G, a=mid, b=float(u_val), step=rk4_step)
-        GD = G @ eval_kernel(model.kernel, float(u_val))[1]
-        if float(u_val) in jumps:
-            GD_end = G @ eval_kernel(model.kernel, np.nextafter(float(u_val), prev_u))[1]
-        else:
-            GD_end = GD
-        N += (span / 6.0) * (prev_GD + 4.0 * GD_mid + GD_end)
-        prev_u, prev_GD = float(u_val), GD
-        while next_target < len(targets) and prev_u >= targets[next_target] * (1.0 - 1e-12):
-            tail = float(np.max(G.sum(axis=1)))
-            result = RenewalOperatorResult(
-                matrix=N.copy(), tail_bound=tail, u_max=prev_u, converged=tail < tail_tol
-            )
-            next_target += 1
-        if result is not None and result.converged:
+    G = np.eye(model.p)
+    N = np.zeros((model.p, model.p))
+    lo = 0
+    for hi in window_ends.tolist():
+        G_at = _sweep(kernel, G, nodes[2 * lo : 2 * hi + 1], rk4_steps[2 * lo : 2 * hi])
+        D = eval_kernel_batch(kernel, np.r_[nodes[2 * lo : 2 * hi + 1], left[lo:hi][jump[lo:hi]]])[1]
+        D_left = iter(D[2 * (hi - lo) + 1 :])
+        prev_GD = G @ D[0]
+        for i in range(hi - lo):
+            G = G_at[2 * i + 1]
+            GD = G @ D[2 * i + 2]
+            GD_end = G @ next(D_left) if jump[lo + i] else GD
+            N += (span[lo + i] / 6.0) * (prev_GD + 4.0 * (G_at[2 * i] @ D[2 * i + 1]) + GD_end)
+            prev_GD = GD
+        lo = hi
+        tail = float(np.max(G.sum(axis=1)))
+        if tail < tail_tol:
             break
-    if result is None or not result.converged:
-        if result is None:
-            tail = float(np.max(G.sum(axis=1)))
-            result = RenewalOperatorResult(matrix=N, tail_bound=tail, u_max=prev_u, converged=tail < tail_tol)
-        if not result.converged:
-            warnings.warn(
-                f"arrival-operator truncation at u_max={result.u_max} leaves survival "
-                f"mass {result.tail_bound:.3e} above tolerance {tail_tol:.1e}; retry "
-                "with a larger u_max or accept the reported bound",
-                TruncationWarning,
-                stacklevel=2,
-            )
+    result = RenewalOperatorResult(matrix=N, tail_bound=tail, u_max=float(grid[lo]), converged=tail < tail_tol)
+    if not result.converged:
+        warnings.warn(
+            f"arrival-operator truncation at u_max={result.u_max} leaves survival "
+            f"mass {result.tail_bound:.3e} above tolerance {tail_tol:.1e}; retry "
+            "with a larger u_max or accept the reported bound",
+            TruncationWarning,
+            stacklevel=2,
+        )
     return result
 
 

@@ -49,11 +49,26 @@ def test_malformed_config_exits_invalid(tmp_path):
         ["simulate", "--horizon", "2", "--z", "-1"],
         ["mc", "first-return", "--n-paths", "50"],
         ["mc", "bridge", "--z", "-0.000001"],
+        ["mc", "bridge", "--n-paths", "100", "--start-state", "5"],
+        ["mc", "ruin", "--u", "1", "--n-paths", "100", "--start-state", "-1"],
     ],
-    ids=["simulate_negative_z", "mc_too_few_paths", "mc_bridge_negative_z"],
+    ids=[
+        "simulate_negative_z",
+        "mc_too_few_paths",
+        "mc_bridge_negative_z",
+        "mc_bridge_start_state_too_large",
+        "mc_ruin_negative_start_state",
+    ],
 )
 def test_invalid_arguments_exit_invalid(two_state_config, tmp_path, args):
     assert main(args + [str(two_state_config), "--out", str(tmp_path)]) == EXIT_INVALID
+
+
+def test_simulate_without_paths_exits_invalid_and_writes_nothing(two_state_config, tmp_path):
+    out = tmp_path / "out"
+    args = ["simulate", str(two_state_config), "--out", str(out), "--horizon", "1", "--n-paths", "0"]
+    assert main(args) == EXIT_INVALID
+    assert not (out / "paths.csv").exists()
 
 
 def test_ruin_convergence_study_reports_the_descriptor_grid_values(two_state_config, tmp_path):

@@ -68,3 +68,30 @@ def test_thread_count_does_not_change_samples():
 def test_samplers_reject_a_negative_initial_duration(sample):
     with pytest.raises(ValueError, match="initial duration"):
         sample(two_state_model(), -1e-9)
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda m, i: simulate_path(m, 0.0, 1.0, seed=1, start_state=i),
+        lambda m, i: simulate_until_return(m, 0.0, 0.0, 0.0, 10, seed=1, start_state=i),
+        lambda m, i: first_return_samples(m, 0.0, 0.0, 0.0, 10, 10, seed=1, start_state=i),
+        lambda m, i: mc_first_return(m, 0.0, 0.0, 0.0, 100, 10, seed=1, start_state=i),
+        lambda m, i: mc_ruin(m, 1.0, 0.0, 100, 10, seed=1, start_state=i),
+        lambda m, i: mc_bridge_histogram(m, 0.0, 2, [0.0, 1.0], [-1.0, 1.0], 10, seed=1, start_state=i),
+        lambda m, i: arrival_time_samples(m, 0.0, 1, 10, seed=1, start_state=i),
+    ],
+    ids=[
+        "simulate_path",
+        "simulate_until_return",
+        "first_return",
+        "mc_first_return",
+        "mc_ruin",
+        "bridge_histogram",
+        "arrival_time",
+    ],
+)
+@pytest.mark.parametrize("start_state", [-1, 2])
+def test_samplers_reject_a_start_state_outside_the_state_space(sample, start_state):
+    with pytest.raises(ValueError, match="start state must lie in 0..1"):
+        sample(two_state_model(), start_state)

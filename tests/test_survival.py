@@ -1,5 +1,7 @@
 """Product-integral survival, interarrival densities, and the arrival operator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -12,9 +14,12 @@ from fluidrisk import (
     eval_kernel,
     interarrival_density,
     iph_marginal,
+    piecewise_constant_kernel,
     renewal_operator,
     survival_matrix,
     survival_profile,
+    uniformized_kernel,
+    validate_model,
 )
 from fluidrisk.gallery import (
     calendar_switch_model,
@@ -207,6 +212,69 @@ def test_arrival_operator_reports_heavy_tails_honestly():
     np.testing.assert_allclose(
         got.matrix, np.array([[0.3, 0.7], [0.6, 0.4]]), atol=2e-2
     )
+
+
+# Arrivals on both sides of a jump at u = 1, with different rates and routing.
+_JUMP_C = (np.array([[-2.0, 0.5], [0.3, -1.5]]), np.array([[-4.0, 1.0], [1.0, -3.0]]))
+_JUMP_D = (np.array([[1.0, 0.5], [0.2, 1.0]]), np.array([[0.5, 2.5], [1.5, 0.5]]))
+
+
+def _jump_model():
+    return FluidModel(
+        space=StateSpace(rates=np.array([1.0, -1.0])),
+        kernel=piecewise_constant_kernel([1.0], _JUMP_C, _JUMP_D),
+        alpha=np.array([1.0, 0.0]),
+        sigma=np.zeros(2),
+        k_cost=np.zeros((2, 2)),
+    )
+
+
+def test_arrival_operator_closes_intervals_with_the_left_limit_at_a_jump():
+    # N = C0^{-1}(e^{C0} - I) D0 + e^{C0} C1^{-1}(e^{C1 (U-1)} - I) D1 on [0, U].
+    (C0, C1), (D0, D1), U = _JUMP_C, _JUMP_D, 6.0
+    G1 = expm(C0)
+    head = np.linalg.solve(C0, G1 - np.eye(2)) @ D0
+    tail = G1 @ np.linalg.solve(C1, expm(C1 * (U - 1.0)) - np.eye(2)) @ D1
+    with pytest.warns(TruncationWarning):
+        got = renewal_operator(_jump_model(), u_max=U)
+    np.testing.assert_allclose(got.matrix, head + tail, rtol=0.0, atol=1e-9)
+    assert got.tail_bound == pytest.approx(np.max((G1 @ expm(C1 * (U - 1.0))).sum(axis=1)), rel=1e-8)
+
+
+def _array_only(model):
+    """The model with an evaluator that refuses a scalar duration."""
+    base = model.kernel
+
+    def fun(u):
+        if np.ndim(u) == 0:
+            raise AssertionError(f"kernel evaluated at the scalar duration {u!r}")
+        return base.fun(u)
+
+    return dataclasses.replace(model, kernel=dataclasses.replace(base, fun=fun))
+
+
+def test_library_evaluates_kernels_only_on_arrays():
+    model = _jump_model()
+    strict = _array_only(model)
+
+    def run(m):
+        k = m.kernel
+        with pytest.warns(TruncationWarning):
+            ren = renewal_operator(m, u_max=2.0)
+            marginal = iph_marginal(m, 2, 0.7, u_max=2.0)
+        return [
+            *eval_kernel(k, 0.5),
+            *uniformized_kernel(k, 0.3),
+            validate_model(m).ok,
+            survival_matrix(k, 0.0, 2.0).matrix,
+            survival_profile(k, [0.5, 1.0, 2.0]),
+            ren.matrix,
+            interarrival_density(m, [0.4, 1.2]),
+            marginal.density,
+        ]
+
+    for got, want in zip(run(strict), run(model)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_arrival_operator_rejects_bad_window():
