@@ -24,7 +24,7 @@ density            inter-arrival marginal density values with tail bounds
 bridge             per-order integrated bridge masses (+ optional binary dump)
 first-return       first-return descriptor matrix Psi
 finite-time        horizon-limited return descriptor (arrival-free models)
-ruin               ruin descriptor via an Erlang ramp
+ruin               ruin descriptor from Erlang-randomized capital
 mc                 Monte Carlo estimates (first-return | ruin | bridge)
 convergence-study  analytic vs Monte Carlo 3-SE cross-check
 
@@ -703,10 +703,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m-max", type=int, default=None, help="hard cap on epoch orders")
     s.set_defaults(func=_cmd_finite_time)
 
-    s = subs.add_parser("ruin", help="ruin descriptor via an Erlang ramp")
+    s = subs.add_parser("ruin", help="ruin descriptor from Erlang-randomized capital")
     _add_common(s)
     s.add_argument("--u", type=float, required=True, help="initial capital")
-    s.add_argument("--n-stages", type=int, required=True, help="Erlang ramp stages")
+    s.add_argument("--n-stages", type=int, required=True, help="Erlang stages of the capital")
     s.add_argument("--i0", type=int, default=None, help="entry state (default: from alpha)")
     s.add_argument(
         "--no-extrapolate",

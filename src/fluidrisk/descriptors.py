@@ -14,10 +14,12 @@ Three quantities built on the bridge machinery:
   horizon, available for arrival-free models (``D = 0``), where the duration
   axis coincides with elapsed time and the horizon becomes an exact duration
   window.
-* :func:`erlangize` / :func:`ruin_descriptor` — ruin from initial capital
-  ``u`` approximated by prepending an Erlang ramp of artificial ascending
-  states, which converts the problem into a plain first return of an
-  augmented model.
+* :func:`erlangize` / :func:`ruin_descriptor` — ruin from Erlang-randomized
+  initial capital with mean ``u``.  Duration-free kernels take it from the
+  original model's first-return matrix by the ladder formula
+  ``Psi (I - (u/n) Khat)^-n``; duration-dependent kernels prepend an Erlang
+  ramp of artificial ascending states, which converts the problem into a
+  plain first return of an augmented model.
 """
 
 from __future__ import annotations
@@ -448,12 +450,13 @@ def _refine_and_extrapolate(solve, grid=None):
 
 @dataclass(frozen=True)
 class RuinDescriptor:
-    """Erlangized ruin quantity with the augmented model attached.
+    """Ruin transform from Erlang-randomized capital, with its ramp model.
 
-    ``value`` is the transform of the ruin event from (randomized) capital
-    ``u``: the first-return descriptor of the augmented model started in ramp
-    stage one, summed over crossing states.  ``by_state`` keeps the split
-    over crossing states of the original model.
+    ``value`` is the transform of the ruin event from capital
+    ``Erlang(n_stages, n_stages/u)`` entering in state ``i0``, summed over
+    crossing states; ``by_state`` keeps the split over the descending states
+    of the original model.  ``erlangized`` labels those states and is the
+    model that Monte Carlo samples for the same quantity.
     """
 
     value: float
@@ -478,83 +481,72 @@ def ruin_descriptor(
     max_iter: int = 5000,
     extrapolate: bool = True,
 ) -> RuinDescriptor:
-    """Ruin transform from capital ``u`` via an Erlang ramp of ``n_stages``.
+    """Ruin transform from Erlang(``n_stages``, ``n_stages/u``) capital.
 
-    As ``n_stages`` grows the ramp height concentrates at ``u`` and the value
-    approaches the exact ruin quantity at ``O(1/n_stages)``.  The value is the
-    first-return descriptor of the erlangized model read off the first ramp
-    state's row; ``by_state`` resolves it by the descending state in which the
-    level first dips below the ramp's starting point.
+    As ``n_stages`` grows the capital concentrates at ``u`` and the value
+    approaches the exact ruin quantity at ``O(1/n_stages)``.
 
-    Duration-free kernels run on the level engine.  Its default window adds
-    the ramp overshoot to the excursion scale of the original model; when
-    every ascending state pays dividends, a positive ``theta1`` caps that
-    scale, since a path at height ``h`` has already accrued weight at most
-    ``exp(-theta1 * sigma_min * h / r_max)``.  Window truncation shows up in
-    ``info['level_edge_max_density']``.  The level quadrature is second-order,
-    and its leading error accumulates once per ramp stage; with
-    ``extrapolate`` (default) the value is Richardson-extrapolated from the
-    grid and its spacing-halved refinement, cancelling that term.  Raw
-    per-grid values stay in ``info['raw_values']``.
+    Duration-free kernels use the ladder formula: row ``i0`` of
+    ``Psi (I - (u/n_stages) Khat)^-n_stages`` with ``Khat = T-- + T-+ Psi``
+    and ``T = Q_theta / |r|``, where ``Psi`` is the level engine's
+    first-return matrix of the original model on ``grid`` (a
+    :class:`~fluidrisk.homogeneous.LevelGrid` of that model, by default
+    :meth:`LevelGrid.for_model`).  The cost depends on neither ``u`` nor
+    ``n_stages``.  With ``extrapolate`` (default) ``Psi`` is
+    Richardson-extrapolated over the grid and its spacing-halved refinement;
+    ``info['raw_values']`` holds the ladder value from each grid's ``Psi``.
 
-    Duration-dependent kernels fall back to the duration-level bridge sum;
-    its default duration window covers the ramp transit time (mean ``u``) on
-    top of the inter-arrival scale.
+    Duration-dependent kernels sum the duration-level bridge series of the
+    erlangized model from its first ramp state; the default duration window
+    covers the ramp transit time (mean ``u``) on top of the inter-arrival
+    scale.
     """
     erl = erlangize(model, u, n_stages, i0)
-    aug = erl.model
-    r_abs = np.abs(model.rates[model.rates != 0.0])
-    r_max = float(r_abs.max())
-    excursion = 512.0 * r_max / model.gamma
-    kappa = theta1 * float(model.sigma[model.s_plus].min()) / r_max
-    if kappa > 0.0:
-        excursion = min(excursion, 24.0 / kappa)
-    l_max = u * (1.0 + 24.0 / n_stages) + excursion
-
-    start = int(np.flatnonzero(aug.s_plus == 0)[0])
-
-    if not aug.kernel.is_constant:
+    if not model.kernel.is_constant:
         if grid is None:
+            r_max = float(np.abs(model.rates).max())
+            excursion = 512.0 * r_max / model.gamma
+            kappa = theta1 * float(model.sigma[model.s_plus].min()) / r_max
+            if kappa > 0.0:
+                excursion = min(excursion, 24.0 / kappa)
+            l_max = u * (1.0 + 24.0 / n_stages) + excursion
             u_max = 3.0 * u + 8.0 / model.gamma
             du = u_max / 256.0
             dl = du * max(r_max, 1.0)
             grid = LevelDurationGrid(
                 u_max=u_max, du=du, l_max=math.ceil(l_max / dl) * dl, dl=dl
             )
-        psi_aug = psi(aug, theta1, theta2, grid=grid, eps=eps, n_max=max(64, 4 * n_stages))
-        by_state = psi_aug.matrix[start]
-        info = dict(psi_aug.info)
-        info["extrapolated"] = False
-        return RuinDescriptor(
-            value=float(by_state.sum()),
-            by_state=by_state,
-            erlangized=erl,
-            theta1=theta1,
-            theta2=theta2,
-            converged=psi_aug.converged,
-            info=info,
-        )
-
-    if grid is None:
-        dl = min(float(r_abs.min()), 1.0) / (16.0 * aug.gamma)
-        grid = LevelGrid(l_max=float(round(l_max / dl) * dl), dl=dl)
-
-    def solve(g):
-        _, _, run_info = level_fixed_point(aug, g, theta1, theta2, eps=eps, max_iter=max_iter)
-        run_info["grid"] = g
-        return run_info.pop("mass")[start], run_info
-
-    if extrapolate:
-        coarse, fine, by_state = _refine_and_extrapolate(solve, grid)
-        runs = [coarse, fine]
+        psi_aug = psi(erl.model, theta1, theta2, grid=grid, eps=eps, n_max=max(64, 4 * n_stages))
+        # Ramp stage one is the augmented model's first ascending state.
+        by_state, converged = psi_aug.matrix[0], psi_aug.converged
+        info = dict(psi_aug.info, extrapolated=False)
     else:
-        runs = [solve(grid)]
-        by_state = runs[0][0]
-    info = dict(runs[-1][1])
-    info["raw_values"] = [float(r[0].sum()) for r in runs]
-    info["iterations"] = [r[1]["iterations"] for r in runs]
-    info["extrapolated"] = extrapolate
-    converged = all(bool(r[1]["converged"]) for r in runs)
+        ip, im = model.s_plus, model.s_minus
+        C, D = model.kernel.constant
+        Q = C + np.exp(-theta2 * model.k_cost) * D - theta1 * np.diag(model.sigma)
+        T = Q / np.abs(model.rates)[:, None]
+        row = int(np.flatnonzero(ip == erl.entry_state)[0])
+
+        def ladder(matrix):
+            khat = T[np.ix_(im, im)] + T[np.ix_(im, ip)] @ matrix
+            step = np.linalg.inv(np.eye(im.size) - (u / n_stages) * khat)
+            return matrix[row] @ np.linalg.matrix_power(step, n_stages)
+
+        def solve(g):
+            res = psi(model, theta1, theta2, grid=g, eps=eps, max_iter=max_iter)
+            return res.matrix, res.info
+
+        if extrapolate:
+            coarse, fine, matrix = _refine_and_extrapolate(solve, grid)
+            runs = [coarse, fine]
+        else:
+            runs = [solve(grid)]
+            matrix = runs[0][0]
+        by_state = ladder(matrix)
+        info = dict(runs[-1][1], engine="level-ladder", extrapolated=extrapolate)
+        info["raw_values"] = [float(ladder(r[0]).sum()) for r in runs]
+        info["iterations"] = [r[1]["iterations"] for r in runs]
+        converged = all(bool(r[1]["converged"]) for r in runs)
     return RuinDescriptor(
         value=float(by_state.sum()),
         by_state=by_state,

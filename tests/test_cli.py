@@ -85,6 +85,16 @@ def test_ruin_convergence_study_reports_the_descriptor_grid_values(two_state_con
     assert row["inside"] == "True"
 
 
+def test_ruin_convergence_study_at_the_default_stage_count(two_state_config, tmp_path):
+    out = tmp_path / "study"
+    args = "--quantity ruin --i0 0 --n-paths 2000".split() + THETA
+    code = main(["convergence-study", str(two_state_config), "--out", str(out)] + args)
+    with open(out / "convergence_study.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert code == EXIT_OK
+    assert row["inside"] == "True"
+
+
 def test_threads_flag_only_on_the_monte_carlo_subcommands(two_state_config):
     parser = build_parser()
     with pytest.raises(SystemExit) as err:

@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fluidrisk import erlangize, eval_kernel_batch, psi, ruin_descriptor
-from fluidrisk.gallery import pareto_renewal_model, two_state_model
+from fluidrisk import LevelGrid, erlangize, eval_kernel_batch, psi, ruin_descriptor
+from fluidrisk.gallery import cross_arrival_model, pareto_renewal_model, two_state_model
 
-from _oracles import TWO_STATE_ERLANG_RUIN_U1, TWO_STATE_PSI_03_02
+from _oracles import TWO_STATE_ERLANG_RUIN_U1, TWO_STATE_PSI_03_02, erlang_ruin_exact
 
 
 def test_psi_on_the_default_level_grid_matches_the_riccati_value():
@@ -31,6 +31,36 @@ def test_ruin_extrapolation_cancels_the_level_quadrature_error():
     err = abs(res.value - exact)
     assert err < 1e-5
     assert abs(res.info["raw_values"][0] - exact) >= 100.0 * err
+
+
+def test_ladder_ruin_matches_the_first_return_of_the_erlangized_model():
+    # The paper's construction, solved independently of the ladder formula:
+    # ruin is the first return of the ramp-augmented model from ramp stage
+    # one, extrapolated over its own default grid and the half-spacing one.
+    aug = erlangize(two_state_model(), 1.0, 1, 0).model
+    coarse = LevelGrid.for_model(aug)
+    fine = LevelGrid(l_max=coarse.l_max, dl=coarse.dl / 2.0)
+    rows = [psi(aug, 0.3, 0.2, grid=g, eps=1e-9).matrix[0].sum() for g in (coarse, fine)]
+    construction = (4.0 * rows[1] - rows[0]) / 3.0
+    res = ruin_descriptor(two_state_model(), 1.0, 1, 0.3, 0.2, i0=0)
+    assert res.info["engine"] == "level-ladder"
+    assert isinstance(res.info["grid"], LevelGrid)
+    assert abs(res.value - construction) < 2e-6
+
+
+def test_ladder_ruin_matches_the_erlang_oracle_on_cross_arrival():
+    model = cross_arrival_model()
+    exact = erlang_ruin_exact(model, 1.0, 4, 0.3, 0.2)[0].sum()
+    res = ruin_descriptor(model, 1.0, 4, 0.3, 0.2, i0=0)
+    assert res.converged
+    assert abs(res.value - exact) < 1e-6
+
+
+def test_ladder_ruin_sweeps_do_not_depend_on_the_stage_count():
+    runs = [ruin_descriptor(two_state_model(), 1.0, n, 0.3, 0.2, i0=0) for n in (1, 16)]
+    assert runs[0].info["iterations"] == runs[1].info["iterations"]
+    assert runs[1].converged
+    assert abs(runs[1].value - TWO_STATE_ERLANG_RUIN_U1[16]) < 1e-6
 
 
 def test_erlang_lift_calls_the_base_evaluator_once_per_array():
