@@ -73,7 +73,6 @@ from .bridge import (
 from .homogeneous import (
     LevelGrid,
     level_fixed_point,
-    run_level_recursion,
     run_split_recursion,
 )
 from .descriptors import (
@@ -163,7 +162,6 @@ __all__ = [
     # duration-free engines
     "LevelGrid",
     "level_fixed_point",
-    "run_level_recursion",
     "run_split_recursion",
     # descriptors
     "ErlangizedModel",

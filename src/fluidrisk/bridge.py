@@ -169,6 +169,18 @@ def _shift_level(field_arr: np.ndarray, cells: float) -> np.ndarray:
     return out
 
 
+def _sweep_level(field_arr: np.ndarray, cells: float, weights: np.ndarray) -> np.ndarray:
+    """Sweep ``field`` along a line of ``cells`` level cells per duration cell.
+
+    Returns ``out[..., k, :] = weights[k] * _shift_level(field, k * cells)``:
+    a new duration axis, second to last, with one weighted shift per entry
+    of ``weights``.
+    """
+    return np.stack(
+        [w * _shift_level(field_arr, k * cells) for k, w in enumerate(weights)], axis=-2
+    )
+
+
 def _mask_level_nonneg(field_arr: np.ndarray, zero_index: int) -> np.ndarray:
     """Restrict to levels >= 0 (trapezoid half-weight at the closed edge)."""
     out = field_arr.copy()
@@ -311,10 +323,13 @@ def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
 #
 # Generic tensors have shape (nz, |S+|, |S-|, n_durations, n_levels) with the
 # initial duration z on the duration grid.  These operators are direct
-# quadratures of the decomposition; they are simple but O(nz * nu) per node
-# and intended for duration-dependent kernels at moderate n (the dispatcher
-# uses the split engine of :mod:`.homogeneous` whenever the kernel is
-# duration-free).
+# quadratures of the decomposition: gamma_first and gamma_last's no-arrival
+# branch shift whole tensors once per holding-time node, gamma_last's
+# arrival branch is one line sweep, and gamma_middle is two contractions
+# over (switch duration, state) against level spectra.  Each application
+# costs O(nz * nu) tensor-sized work, so they serve duration-dependent
+# kernels at moderate n (the dispatcher uses the split engine of
+# :mod:`.homogeneous` whenever the kernel is duration-free).
 
 
 def gamma_first(
@@ -382,7 +397,7 @@ def gamma_middle(
     at initial duration ``u``; arrival switches restart at ``0``.
     """
     ip, im = model.s_plus, model.s_minus
-    nz, n_p, n_m, ns, L = bridge_w.shape
+    ns, L = bridge_w.shape[-2:]
     m0 = grid.zero_index
     kappa = cost_weights(model, theta2).mp
     Cbar, Dbar = _uniformized_nodes(model, grid.durations)
@@ -393,28 +408,20 @@ def gamma_middle(
     right = _mask_level_nonpos(bridge_rest, m0)
     w_u = _trapezoid_weights(ns) * grid.du
 
-    # Right factors are combined per switch duration u (continue) or at the
-    # reset slice (arrival); the v-integral is a level correlation done here
-    # via FFT along the level axis.
+    # The v-integral is a level correlation done here via FFT along the level
+    # axis.  Both branches contract the left factor's final duration u and
+    # state j' against the switch weights (u, j', i'): no-arrival switches
+    # against the right factor started at u, arrival switches against the
+    # one started at 0.
     from scipy.fft import irfft, rfft
 
     pad = 2 * L - 1
     f_left = rfft(left, n=pad, axis=-1)
-    f_right_cont = rfft(right, n=pad, axis=-1)
-    f_right_reset = f_right_cont[0]
-
-    out_f = np.zeros((nz, n_p, n_m, ns, f_left.shape[-1]), dtype=complex)
-    for a_idx in range(ns):
-        # weight per (j', i') at this duration node
-        cw = Cmp[a_idx] * w_u[a_idx]
-        dw = kappa * Dmp[a_idx] * w_u[a_idx]
-        lf = f_left[:, :, :, a_idx, :]  # (nz, p+, p-, F)
-        rc = f_right_cont[a_idx]  # (p+, p-, s, F)
-        rz = f_right_reset
-        # continue branch: sum_{j', i'} left[:, i, j', u] cw[j', i'] right[u][i', j]
-        cont = np.einsum("zixf,xk,kjsf->zijsf", lf, cw, rc)
-        reset = np.einsum("zixf,xk,kjsf->zijsf", lf, dw, rz)
-        out_f += cont + reset
+    f_right = rfft(right, n=pad, axis=-1)
+    cw = Cmp * w_u[:, None, None]
+    dw = kappa * Dmp * w_u[:, None, None]
+    out_f = np.einsum("zixaf,axk,akjsf->zijsf", f_left, cw, f_right, optimize=True)
+    out_f += np.einsum("zixaf,axk,kjsf->zijsf", f_left, dw, f_right[0], optimize=True)
     # The correlation out(l) = sum_v left(v) right(l - v) maps in index space
     # to a convolution whose zero-level sits at index 2*m0; slice accordingly.
     full = irfft(out_f, n=pad, axis=-1)
@@ -475,13 +482,12 @@ def gamma_last(
     # midpoint value at the boundary node.
     masked_d = _mask_level_nonneg(bridge_prev, m0)
     w_u = _trapezoid_weights(ns) * du
+    closing = gamma * np.exp(-gamma * np.arange(ns) * du)
     for bj in range(n_m):
         kern = kappa[:, bj][None, :] * Dmm[:, :, bj]  # (s_idx, j')
         reduced = np.einsum("zixsl,sx,s->zil", masked_d, kern, w_u)
         shift_cells = grid.level_cells(model.rates[im[bj]])
-        for k_s in range(ns):
-            lam = _shift_level(reduced, k_s * shift_cells)
-            out[:, :, bj, k_s, :] += gamma * np.exp(-gamma * k_s * du) * lam
+        out[:, :, bj] += _sweep_level(reduced, shift_cells, closing)
     return out
 
 

@@ -76,15 +76,18 @@ def _fmt(x) -> str:
 
 
 def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, int(args.threads))
-    env = os.environ.get("FLUIDRISK_THREADS", "")
-    if env.strip():
+    threads = getattr(args, "threads", None)
+    if threads is None:
+        env = os.environ.get("FLUIDRISK_THREADS", "")
+        if not env.strip():
+            return 1
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise FluidModelError(f"FLUIDRISK_THREADS must be an integer, got {env!r}")
-    return 1
+    if threads < 1:
+        raise FluidModelError(f"thread count must be at least 1, got {threads!r}")
+    return threads
 
 
 def _out_dir(args) -> str:

@@ -206,9 +206,10 @@ class FiniteTimeReturn:
     ``increments[k]`` is the ``(|S+|, |S-|)`` mass contributed by order
     ``orders[k]`` — the probability (or transform value) that the first epoch
     at or below the start level is epoch ``orders[k]`` and falls within the
-    horizon.  ``value`` is their sum; ``tail_estimate`` is the epoch-count
-    tail envelope ``exp(-m (log m - log(gamma t) - 1))`` at the first
-    untruncated order.
+    horizon.  ``value`` is their sum; ``tail_estimate`` is
+    ``P(T_{n+1} <= t)`` for the top computed order ``n``, the probability that
+    one more Poisson epoch fits into the horizon.  It bounds every omitted
+    increment and never exceeds 1, also when ``m_max`` caps the series.
     """
 
     value: np.ndarray
@@ -255,7 +256,8 @@ def finite_time_return(
     envelope ``exp(-m (log m - log(gamma t) - 1))`` drops below ``eps`` —
     orders beyond that cannot fit into the horizon — or at ``m_max`` with a
     warning when the cap bites first.  Each computed increment is checked
-    against the Poisson bound ``P(T_m <= t)`` on the m-th epoch time.
+    against the Poisson bound ``P(T_m <= t)`` on the m-th epoch time, and
+    ``tail_estimate`` is that bound at the first omitted order.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -284,11 +286,11 @@ def finite_time_return(
         stop += 1
     capped = m_max is not None and m_max < stop
     n_top = m_max if capped else stop
-    tail = _epoch_tail_envelope(n_top + 1, gamma_t)
+    tail = float(poisson.sf(n_top, gamma_t))
     if capped:
         warnings.warn(
             f"finite-horizon series capped at m_max={m_max} before the epoch-count "
-            f"envelope reached eps={eps:.3e} (envelope there: {tail:.3e})",
+            f"envelope reached eps={eps:.3e} (next epoch-time bound: {tail:.3e})",
             stacklevel=2,
         )
 

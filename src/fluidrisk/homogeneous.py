@@ -13,12 +13,14 @@ with either another field or a line-supported kernel (a holding-time density
 swept along its fluid displacement), so the engine runs on FFTs.
 
 First-return masses need only the densities integrated over the final
-duration.  The level engine integrates that axis out analytically and sums
-the whole bridge series at once: the series is the minimal solution of
+duration.  The level engine, :func:`level_fixed_point`, integrates that axis
+out analytically and sums the whole bridge series at once: the series is the
+minimal solution of
 
 ``Lambda = Lambda_2 + first(Lambda) + middle(Lambda, Lambda) + last(Lambda)``
 
-and monotone iteration from zero converges to it from below.
+and monotone iteration from the two-epoch fields converges to it from below.
+It is the only level engine; per-order masses come from the split recursion.
 """
 
 from __future__ import annotations
@@ -37,14 +39,13 @@ from .bridge import (
     _level_edge_max,
     _mask_level_nonneg,
     _mask_level_nonpos,
-    _shift_level,
+    _sweep_level,
     _trapezoid_weights,
 )
 
 __all__ = [
     "LevelGrid",
     "run_split_recursion",
-    "run_level_recursion",
     "level_fixed_point",
 ]
 
@@ -80,31 +81,6 @@ class _Plans:
     def i1(self, spec: np.ndarray) -> np.ndarray:
         full = irfft(spec, n=self.pad1, axis=-1)
         return full[..., self.m0 : self.m0 + self.L]
-
-
-def _line_kernel_2d(weights: np.ndarray, cells: float, ns: int, L: int, m0: int):
-    """Dense ``(ns, L)`` kernel with weight ``weights[a]`` at ``(a, m0 + a*cells)``.
-
-    Fractional level offsets split linearly between neighbors; offsets that
-    leave the level window are dropped and their total weight is returned.
-    """
-    K = np.zeros((ns, L))
-    lost = 0.0
-    for a in range(ns):
-        w = weights[a]
-        if w == 0.0:
-            continue
-        off = m0 + a * cells
-        base = int(np.floor(off))
-        frac = off - base
-        for idx, part in ((base, (1.0 - frac) * w), (base + 1, frac * w)):
-            if part == 0.0:
-                continue
-            if 0 <= idx < L:
-                K[a, idx] += part
-            else:
-                lost += abs(part)
-    return K, lost
 
 
 def _halve_first_row(field: np.ndarray) -> np.ndarray:
@@ -147,23 +123,27 @@ class _SplitConstants:
         w_tr = _trapezoid_weights(ns)
         self.w_s = w_tr * du
         self.kernel_loss = 0.0
+        impulse = np.zeros(L)
+        impulse[m0] = 1.0
+
+        def line(weights, rate):
+            # Holding-time line: the level-zero impulse swept at slope `rate`;
+            # whatever weight leaves the level window is recorded as lost.
+            K = _sweep_level(impulse, grid.level_cells(rate), weights)
+            self.kernel_loss = max(self.kernel_loss, float(weights.sum() - K.sum()))
+            return K
 
         # First-epoch holding-time lines per ascending state (slope r_i).
         self.K1_hat, self.K1L_hat = [], []
         for i in ip:
             g = gamma * np.exp(-(gamma + theta1 * model.sigma[i]) * t) * du * w_tr
-            K, lost = _line_kernel_2d(g, grid.level_cells(model.rates[i]), ns, L, m0)
-            self.kernel_loss = max(self.kernel_loss, lost)
+            K = line(g, model.rates[i])
             self.K1_hat.append(self.plans.f2(K))
             self.K1L_hat.append(self.plans.f1(K.sum(axis=0)))
 
         # Closing-segment lines per descending state (slope r_j).
         g3 = gamma * np.exp(-gamma * t) * du * w_tr
-        self.K3_hat = []
-        for j in im:
-            K, lost = _line_kernel_2d(g3, grid.level_cells(model.rates[j]), ns, L, m0)
-            self.kernel_loss = max(self.kernel_loss, lost)
-            self.K3_hat.append(self.plans.f2(K))
+        self.K3_hat = [self.plans.f2(line(g3, model.rates[j])) for j in im]
 
         self.exp_s = gamma * np.exp(-gamma * t)  # closing-arrival prefactor
         self.delta_minus = [grid.level_cells(model.rates[j]) for j in im]
@@ -237,9 +217,7 @@ def _split_step(prev_level: _SplitLevel, pair_sums, c: _SplitConstants, prev_fie
     # shift; the boundary node carries the midpoint value).
     cc = np.einsum("ixl,xj->ijl", prev_level.chat, c.D.mm)
     for b_j, cells in enumerate(c.delta_minus):
-        for k_s in range(p.ns):
-            lam = _shift_level(cc[:, b_j], k_s * cells)
-            B_new[:, b_j, k_s, :] += c.exp_s[k_s] * lam
+        B_new[:, b_j] += _sweep_level(cc[:, b_j], cells, c.exp_s)
     return A_new, B_new
 
 
@@ -405,7 +383,7 @@ class _LevelConstants:
 
 
 class _LevelOrder:
-    """Masked spectra of one order's duration-integrated ``(a, b)`` pair."""
+    """Masked spectra of a duration-integrated ``(a, b)`` pair."""
 
     __slots__ = ("F_LA", "F_LB", "F_RA", "F_RB1", "F_YA", "F_YB", "FZ_A", "FZ_B", "FCD")
 
@@ -431,66 +409,16 @@ class _LevelOrder:
         self.FCD = f(np.einsum("ixl,xj->ijl", ML_A + ML_B, c.D.mm))
 
 
-def _level_freqs(prev: _LevelOrder, pair, c: _LevelConstants):
-    """Spectral assembly of one recursion application (all three operators)."""
-    freq_a = c.F1[:, None] * prev.F_YA + c.F3[None, :] * prev.FZ_A
-    freq_b = c.F1[:, None] * prev.F_YB + c.F3[None, :] * (prev.FZ_B + prev.FCD)
-    if pair is not None:
-        freq_a = freq_a + pair[0]
-        freq_b = freq_b + pair[1]
+def _level_freqs(lvl: _LevelOrder, c: _LevelConstants):
+    """Spectral assembly of one fixed-point sweep: the first and last
+    operators on the current sum, and the middle operator gluing it to itself."""
+    pa = np.einsum("ixf,xjf->ijf", lvl.F_LA, lvl.F_RA)
+    pb = np.einsum("ixf,xjf->ijf", lvl.F_LB, lvl.F_RA) + np.einsum(
+        "ixf,xjf->ijf", lvl.F_LA + lvl.F_LB, lvl.F_RB1
+    )
+    freq_a = c.F1[:, None] * lvl.F_YA + c.F3[None, :] * lvl.FZ_A + pa
+    freq_b = c.F1[:, None] * lvl.F_YB + c.F3[None, :] * (lvl.FZ_B + lvl.FCD) + pb
     return freq_a, freq_b
-
-
-def _level_pair(left: _LevelOrder, right: _LevelOrder):
-    pa = np.einsum("ixf,xjf->ijf", left.F_LA, right.F_RA)
-    pb = np.einsum("ixf,xjf->ijf", left.F_LB, right.F_RA) + np.einsum(
-        "ixf,xjf->ijf", left.F_LA + left.F_LB, right.F_RB1
-    )
-    return pa, pb
-
-
-def run_level_recursion(
-    model: FluidModel,
-    grid: LevelGrid,
-    theta1: float = 0.0,
-    theta2: float = 0.0,
-    n_max: int = 6,
-    diagnostics: dict | None = None,
-):
-    """Per-order duration-integrated bridge fields and first-return masses.
-
-    Returns ``(fields, masses, diagnostics)`` where ``fields[n]`` is the
-    ``(a, b)`` pair of ``(|S+|, |S-|, L)`` displacement densities of the
-    order-``n`` bridge integrated over its final duration and ``masses[n]``
-    integrates them over nonpositive displacements.  There is no duration
-    window: the only truncation is the level window itself.
-    """
-    diagnostics = {} if diagnostics is None else diagnostics
-    c = _LevelConstants(model, grid, theta1, theta2)
-    a, b = c.base()
-    _clamp_and_flag(a, diagnostics)
-    _clamp_and_flag(b, diagnostics)
-    fields = {2: (a, b)}
-    orders = {2: _LevelOrder(a, b, c)}
-    masses = {2: c.mass(a + b)}
-    for n in range(3, n_max + 1):
-        pair = None
-        for w in range(2, n - 1):
-            term = _level_pair(orders[w], orders[n - w])
-            pair = term if pair is None else (pair[0] + term[0], pair[1] + term[1])
-        freq_a, freq_b = _level_freqs(orders[n - 1], pair, c)
-        a_n = c.plans.i1(freq_a) * c.dl
-        b_n = c.plans.i1(freq_b) * c.dl
-        _clamp_and_flag(a_n, diagnostics)
-        _clamp_and_flag(b_n, diagnostics)
-        fields[n] = (a_n, b_n)
-        orders[n] = _LevelOrder(a_n, b_n, c)
-        masses[n] = c.mass(a_n + b_n)
-    diagnostics["level_edge_max_density"] = _level_edge_max(
-        [f for pair in fields.values() for f in pair]
-    )
-    diagnostics["kernel_window_tail"] = c.kernel_tail
-    return fields, masses, diagnostics
 
 
 def level_fixed_point(
@@ -517,7 +445,7 @@ def level_fixed_point(
     converged = False
     for _ in range(max_iter):
         lvl = _LevelOrder(a, b, c)
-        freq_a, freq_b = _level_freqs(lvl, _level_pair(lvl, lvl), c)
+        freq_a, freq_b = _level_freqs(lvl, c)
         a_new = c.plans.i1(freq_a) * c.dl + a0
         b_new = c.plans.i1(freq_b) * c.dl + b0
         _clamp_and_flag(a_new, diagnostics)

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import struct
 
+import numpy as np
 import pytest
 
-from fluidrisk import ruin_descriptor
-from fluidrisk.cli import EXIT_INVALID, EXIT_OK, build_parser, main
+from fluidrisk import LevelDurationGrid, __version__, bridge_recursion, config_hash, ruin_descriptor
+from fluidrisk.cli import EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_OK, build_parser, main
 from fluidrisk.gallery import gallery_configs, two_state_model
 
 # Positive transform arguments cap the ruin level window, which keeps each
@@ -103,3 +105,63 @@ def test_threads_flag_only_on_the_monte_carlo_subcommands(two_state_config):
     for argv in (["mc", "first-return"], ["convergence-study"]):
         args = parser.parse_args(argv[:1] + argv[1:] + [str(two_state_config), "--threads", "2"])
         assert args.threads == 2
+
+
+def test_bridge_binary_dump_round_trips(two_state_config, tmp_path):
+    out = tmp_path / "out"
+    args = ["bridge", str(two_state_config), "--out", str(out), "--n-max", "3"]
+    assert main(args + ["--z", "0.5", "--binary", "bridge.bin"] + THETA) == EXIT_OK
+    raw = (out / "bridge.bin").read_bytes()
+    assert raw[:8] == b"FRBRIDG1"
+    dims = struct.unpack_from("<5Q", raw, 8)
+    floats = struct.unpack_from("<7d", raw, 48)
+    orders = struct.unpack_from(f"<{dims[0]}Q", raw, 104)
+    values = np.frombuffer(raw, dtype="<f8", offset=104 + 8 * dims[0]).reshape(dims)
+
+    model = two_state_model()
+    grid = LevelDurationGrid.for_model(model)
+    tensor = bridge_recursion(model, grid, 0.3, 0.2, n_max=3)
+    assert orders == (2, 3)
+    assert dims == (2, 1, 1, grid.n_durations, grid.n_levels)
+    assert floats == (0.3, 0.2, 0.5, grid.u_max, grid.du, grid.l_max, grid.dl)
+    for k, n in enumerate(orders):
+        np.testing.assert_array_equal(values[k], tensor.value(n, 0.5))
+
+
+def test_manifest_records_the_command_and_config_hash(two_state_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["bridge", str(two_state_config), "--out", str(out), "--n-max", "2"]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "bridge"
+    assert manifest["config_hash"] == config_hash(str(two_state_config))
+    assert manifest["parameters"]["n_max"] == 2
+    assert manifest["parameters"]["theta1"] == 0.0
+    assert manifest["seed"] is None
+    assert manifest["version"] == __version__
+    assert manifest["wall_clock_seconds"] >= 0.0
+
+
+def test_capped_finite_time_series_exits_no_convergence(tmp_path):
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(gallery_configs()["calendar_switch"]))
+    args = ["finite-time", str(path), "--out", str(tmp_path / "out")]
+    with pytest.warns(UserWarning, match="capped"):
+        code = main(args + ["--horizon", "2", "--m-max", "3"])
+    assert code == EXIT_NO_CONVERGENCE
+
+
+@pytest.mark.parametrize(
+    "threads, env, code",
+    [("0", "", EXIT_INVALID), ("-2", "", EXIT_INVALID), (None, "0", EXIT_INVALID)]
+    + [("1", "0", EXIT_OK)],
+    ids=["flag_zero", "flag_negative", "env_zero", "flag_overrides_env"],
+)
+def test_nonpositive_thread_counts_exit_invalid(
+    two_state_config, tmp_path, monkeypatch, threads, env, code
+):
+    monkeypatch.setenv("FLUIDRISK_THREADS", env)
+    args = ["mc", "first-return", str(two_state_config), "--out", str(tmp_path)]
+    args += ["--n-paths", "100"] + THETA
+    if threads is not None:
+        args += ["--threads", threads]
+    assert main(args) == code

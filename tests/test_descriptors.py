@@ -5,10 +5,29 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fluidrisk import LevelGrid, erlangize, eval_kernel_batch, psi, ruin_descriptor
-from fluidrisk.gallery import cross_arrival_model, pareto_renewal_model, two_state_model
+from fluidrisk import (
+    LevelGrid,
+    erlangize,
+    eval_kernel_batch,
+    finite_time_return,
+    psi,
+    ruin_descriptor,
+)
+from fluidrisk.gallery import (
+    calendar_switch_model,
+    cross_arrival_model,
+    mmpp_model,
+    pareto_renewal_model,
+    renewal_ph_model,
+    two_state_model,
+)
 
-from _oracles import TWO_STATE_ERLANG_RUIN_U1, TWO_STATE_PSI_03_02, erlang_ruin_exact
+from _oracles import (
+    TWO_STATE_ERLANG_RUIN_U1,
+    TWO_STATE_PSI_03_02,
+    erlang_ruin_exact,
+    riccati_descriptor,
+)
 
 
 def test_psi_on_the_default_level_grid_matches_the_riccati_value():
@@ -16,6 +35,14 @@ def test_psi_on_the_default_level_grid_matches_the_riccati_value():
     assert res.info["engine"] == "level"
     assert res.converged
     assert res.matrix[0, 0] == pytest.approx(TWO_STATE_PSI_03_02, abs=2e-3)
+
+
+@pytest.mark.parametrize("make_model", [mmpp_model, renewal_ph_model, cross_arrival_model])
+def test_psi_matches_the_riccati_descriptor(make_model):
+    model = make_model()
+    res = psi(model, 1.0, 0.2)
+    assert res.converged
+    np.testing.assert_allclose(res.matrix, riccati_descriptor(model, 1.0, 0.2), atol=2e-3)
 
 
 def test_ruin_extrapolation_cancels_the_level_quadrature_error():
@@ -77,3 +104,34 @@ def test_erlang_lift_calls_the_base_evaluator_once_per_array():
     C, D = eval_kernel_batch(lifted, np.linspace(0.0, 4.0, 50))
     assert calls == [(50,)]
     assert C.shape == D.shape == (50, 4, 4)
+
+
+@pytest.fixture(scope="module")
+def capped_finite_time():
+    # Three horizons with the series capped at order 3: cheap, and the cap
+    # bites, so the reported tail must come from the epoch-time bound.
+    runs = {}
+    for horizon in (0.5, 1.0, 2.0):
+        with pytest.warns(UserWarning, match="capped"):
+            runs[horizon] = finite_time_return(calendar_switch_model(), horizon, m_max=3)
+    return runs
+
+
+def test_capped_finite_time_tail_is_a_probability(capped_finite_time):
+    for res in capped_finite_time.values():
+        assert list(res.orders) == [2, 3]
+        assert 0.0 <= res.tail_estimate <= 1.0
+        # P(T_4 <= t) lies below the bound P(T_3 <= t) of the last order.
+        assert res.tail_estimate <= res.info["epoch_time_bounds"][-1]
+
+
+def test_finite_time_increments_respect_their_epoch_time_bounds(capped_finite_time):
+    for res in capped_finite_time.values():
+        bounds = res.info["epoch_time_bounds"]
+        assert np.all(res.increments.max(axis=(1, 2)) <= bounds)
+
+
+def test_finite_time_value_grows_with_the_horizon(capped_finite_time):
+    values = [capped_finite_time[h].value for h in sorted(capped_finite_time)]
+    for shorter, longer in zip(values, values[1:]):
+        assert np.all(longer >= shorter)

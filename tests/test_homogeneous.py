@@ -1,4 +1,4 @@
-"""Duration-free engines: split recursion and duration-integrated level recursion."""
+"""Duration-free engines: per-order split recursion and whole-series level fixed point."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,11 @@ from fluidrisk import (
     StructureError,
     bridge_recursion,
     level_fixed_point,
-    run_level_recursion,
 )
 from fluidrisk.gallery import pareto_renewal_model, two_state_model
 
 from _oracles import (
     TWO_STATE_BRIDGE2_MASS,
-    TWO_STATE_BRIDGE3_MASS,
     TWO_STATE_PSI_03_02,
     two_state_psi_scalar,
 )
@@ -56,51 +54,38 @@ def test_level_grid_model_defaults_resolve_holding_scale():
 
 
 # ---------------------------------------------------------------------------
-# Per-order level recursion
+# Level fixed point diagnostics and per-order split masses
 # ---------------------------------------------------------------------------
 
 
 def test_level_masses_match_hand_values():
-    _, masses, _ = run_level_recursion(two_state_model(), _level_grid(), n_max=3)
-    assert masses[2].shape == (1, 1)
-    assert masses[2][0, 0] == pytest.approx(TWO_STATE_BRIDGE2_MASS, abs=5e-4)
-    assert masses[3][0, 0] == pytest.approx(TWO_STATE_BRIDGE3_MASS, abs=5e-4)
-
-
-def test_level_and_split_engines_integrate_to_the_same_masses():
-    # The level engine integrates the final duration analytically; the split
-    # engine carries the duration axis on a grid.  Per-order first-return
-    # masses must agree once both use the same level spacing.
-    model = two_state_model()
-    level_masses = run_level_recursion(model, LevelGrid(l_max=32.0, dl=1.0 / 16), n_max=5)[1]
-    tensor = bridge_recursion(
-        model,
-        LevelDurationGrid(u_max=16.0, du=1.0 / 16, l_max=32.0, dl=1.0 / 16),
-        n_max=5,
-        method="split",
-    )
-    for n in range(2, 6):
-        assert level_masses[n][0, 0] == pytest.approx(tensor.mass(n)[0, 0], abs=5e-4)
+    # The fixed point starts from the two-epoch fields, so its first recorded
+    # mass is the order-2 first-return mass.
+    info = level_fixed_point(two_state_model(), _level_grid(), max_iter=1)[2]
+    assert info["mass_history"][0].shape == (1, 1)
+    assert info["mass_history"][0][0, 0] == pytest.approx(TWO_STATE_BRIDGE2_MASS, abs=5e-4)
 
 
 def test_level_window_edges_stay_negligible():
-    _, _, diag = run_level_recursion(two_state_model(), _level_grid(), n_max=5)
-    assert diag["level_edge_max_density"] < 1e-12
-    assert diag["kernel_window_tail"] < 1e-15
+    info = level_fixed_point(two_state_model(), _level_grid())[2]
+    assert info["converged"]
+    assert info["level_edge_max_density"] < 1e-12
+    assert info["kernel_window_tail"] < 1e-15
 
 
 def test_arrival_cost_weight_skips_the_arrival_free_order():
-    # The two-state second-order bridge contains no arrival, so its
-    # duration-integrated mass ignores the arrival-cost weight exactly.
-    # The third order carries exactly one self-arrival: the 0.0225 component
-    # routes through state 0 (cost 0.5) and the 0.045 component through
-    # state 1 (cost 0.4), so the damped mass is the explicit blend.
+    # The two-state second-order bridge contains no arrival, so its mass
+    # ignores the arrival-cost weight exactly.  The third order carries
+    # exactly one self-arrival: the 0.0225 component routes through state 0
+    # (cost 0.5) and the 0.045 component through state 1 (cost 0.4), so the
+    # damped mass is the explicit blend.
     model = two_state_model()
-    plain = run_level_recursion(model, _level_grid(), n_max=3)[1]
-    tilted = run_level_recursion(model, _level_grid(), theta2=5.0, n_max=3)[1]
-    np.testing.assert_array_equal(plain[2], tilted[2])
+    grid = LevelDurationGrid(u_max=10.0, du=1.0 / 16, l_max=20.0, dl=1.0 / 16)
+    plain = bridge_recursion(model, grid, n_max=3, method="split")
+    tilted = bridge_recursion(model, grid, theta2=5.0, n_max=3, method="split")
+    np.testing.assert_array_equal(plain.mass(2), tilted.mass(2))
     blend = 0.0225 * np.exp(-5.0 * 0.5) + 0.045 * np.exp(-5.0 * 0.4)
-    assert tilted[3][0, 0] == pytest.approx(blend, abs=5e-5)
+    assert tilted.mass(3)[0, 0] == pytest.approx(blend, abs=5e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +140,6 @@ def test_level_engine_outruns_the_duration_window_near_criticality():
 
 def test_duration_free_engines_reject_duration_dependent_kernels():
     model = pareto_renewal_model()
-    with pytest.raises(StructureError):
-        run_level_recursion(model, LevelGrid(l_max=4.0, dl=1.0 / 8), n_max=2)
     with pytest.raises(StructureError):
         level_fixed_point(model, LevelGrid(l_max=4.0, dl=1.0 / 8))
     with pytest.raises(StructureError):
