@@ -228,10 +228,6 @@ class FiniteTimeReturn:
         return self.increments.sum(axis=(1, 2))
 
 
-def _epoch_tail_envelope(m: int, gamma_t: float) -> float:
-    return math.exp(-m * (math.log(m) - math.log(gamma_t) - 1.0))
-
-
 def finite_time_return(
     model: FluidModel,
     horizon: float,
@@ -252,12 +248,12 @@ def finite_time_return(
     is exactly the duration window ``u_max = z + t``: the grid truncates
     nothing beyond the horizon itself.
 
-    The series stops at the smallest order ``m`` whose epoch-count tail
-    envelope ``exp(-m (log m - log(gamma t) - 1))`` drops below ``eps`` —
-    orders beyond that cannot fit into the horizon — or at ``m_max`` with a
-    warning when the cap bites first.  Each computed increment is checked
-    against the Poisson bound ``P(T_m <= t)`` on the m-th epoch time, and
-    ``tail_estimate`` is that bound at the first omitted order.
+    The series stops at the smallest order ``n >= 2`` whose epoch-time tail
+    ``P(T_{n+1} <= t) = poisson.sf(n, gamma t)`` drops below ``eps`` — that
+    bounds every omitted order — or at ``m_max`` with a warning when the cap
+    bites first.  Each computed increment is checked against the Poisson
+    bound ``P(T_m <= t)`` on the m-th epoch time, and ``tail_estimate`` is
+    that bound at the first omitted order.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -282,15 +278,15 @@ def finite_time_return(
 
     gamma_t = model.gamma * horizon
     stop = 2
-    while _epoch_tail_envelope(stop, gamma_t) >= eps:
+    while poisson.sf(stop, gamma_t) >= eps:
         stop += 1
     capped = m_max is not None and m_max < stop
     n_top = m_max if capped else stop
     tail = float(poisson.sf(n_top, gamma_t))
     if capped:
         warnings.warn(
-            f"finite-horizon series capped at m_max={m_max} before the epoch-count "
-            f"envelope reached eps={eps:.3e} (next epoch-time bound: {tail:.3e})",
+            f"finite-horizon series capped at m_max={m_max} before the epoch-time "
+            f"tail reached eps={eps:.3e} (next epoch-time bound: {tail:.3e})",
             stacklevel=2,
         )
 

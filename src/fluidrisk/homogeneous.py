@@ -10,7 +10,8 @@ densities order by order.
 
 Every recursion term is a convolution along the elapsed-time and level axes
 with either another field or a line-supported kernel (a holding-time density
-swept along its fluid displacement), so the engine runs on FFTs.
+swept along its fluid displacement), so the engine runs on FFTs.  Its fields
+and kernels share one centered level lattice (:class:`_Plans`).
 
 First-return masses need only the densities integrated over the final
 duration.  The level engine, :func:`level_fixed_point`, integrates that axis
@@ -21,6 +22,9 @@ minimal solution of
 
 and monotone iteration from the two-epoch fields converges to it from below.
 It is the only level engine; per-order masses come from the split recursion.
+Each of its level products pairs a factor on ``l >= 0`` with one on
+``l <= 0``, so a sweep transforms four half-support fields of length
+``m0 + 1`` and needs no origin offset (:class:`_LevelConstants`).
 """
 
 from __future__ import annotations
@@ -56,11 +60,12 @@ __all__ = [
 
 
 class _Plans:
-    """Zero-padded FFT shapes with a common level origin.
+    """Zero-padded FFT shapes with a common level origin, for the split engine.
 
     All level data — fields and line kernels alike — live on the centered
     level lattice (index ``m0`` is level zero), so every spectral product is
-    sliced at the same window ``[0:ns, m0:m0+L)``.
+    sliced at the same window ``[0:ns, m0:m0+L)``.  The level engine does not
+    use it: its factors are half-supported (:class:`_LevelConstants`).
     """
 
     def __init__(self, ns: int, L: int, m0: int):
@@ -357,68 +362,73 @@ def _level_kernels(model: FluidModel, grid: LevelGrid, theta1: float):
 
 
 class _LevelConstants:
-    """Blocks and kernel spectra for the duration-integrated recursion."""
+    """Blocks and half-support kernel spectra for the duration-integrated recursion.
+
+    Every level product pairs a factor on ``l >= 0`` with one on ``l <= 0``,
+    so each factor is kept as its ``m0 + 1`` long half: the nonnegative half
+    from level zero up, the nonpositive half from ``-l_max`` up to zero.
+    Their linear convolution is ``L`` long and its index ``n`` is level
+    ``(n - m0) dl``: the whole window with no origin offset, so transforms of
+    length ``next_fast_len(L)`` never wrap.
+    """
 
     def __init__(self, model: FluidModel, grid: LevelGrid, theta1: float, theta2: float):
-        self.C, self.D = _rate_class_blocks(model, theta2)
-        self.m0 = grid.zero_index
-        self.dl = grid.dl
-        self.plans = _Plans(1, grid.n_levels, self.m0)
-        K1, K3 = _level_kernels(model, grid, theta1)
-        self.F1 = self.plans.f1(K1)  # (|S+|, freq)
-        self.F3 = self.plans.f1(K3)  # (|S-|, freq)
-        self.kernel_tail = float(max(K1[:, -1].max(initial=0.0), K3[:, 0].max(initial=0.0)))
-        self.w_mass = _trapezoid_weights(self.m0 + 1) * grid.dl
+        C, D = _rate_class_blocks(model, theta2)
+        self.pm = np.stack([C.pm, D.pm])[..., None]
 
-    def base(self):
-        """Duration-integrated two-epoch fields: one ascending and one
-        descending segment glued by either kernel branch."""
-        spec = self.F1[:, None, :] * self.F3[None, :, :]
-        conv = self.plans.i1(spec) * self.dl  # (|S+|, |S-|, L)
-        return conv * self.C.pm[:, :, None], conv * self.D.pm[:, :, None]
+        def pair(c, d):  # (target, source) blocks over (arrival-free, arrival)
+            return np.array([[c, np.zeros_like(c)], [d, c + d]])
+
+        self.W_pp, self.W_mp, self.W_mm = pair(C.pp, D.pp), pair(C.mp, D.mp), pair(C.mm, D.mm)
+        self.m0 = m0 = grid.zero_index
+        self.L, self.dl = grid.n_levels, grid.dl
+        self.nfft = next_fast_len(self.L, real=True)
+        K1, K3 = _level_kernels(model, grid, theta1)
+        self.F1 = rfft(K1[:, m0:], n=self.nfft, axis=-1)  # (|S+|, freq)
+        self.F3 = rfft(K3[:, : m0 + 1], n=self.nfft, axis=-1)  # (|S-|, freq)
+        self.kernel_tail = float(max(K1[:, -1].max(initial=0.0), K3[:, 0].max(initial=0.0)))
+        self.w_mass = _trapezoid_weights(m0 + 1) * grid.dl
+
+    def fields(self, spec: np.ndarray) -> np.ndarray:
+        """Level fields of product spectra, times the level step."""
+        return irfft(spec, n=self.nfft, axis=-1)[..., : self.L] * self.dl
+
+    def base(self) -> np.ndarray:
+        """Duration-integrated two-epoch fields ``(a, b)``, stacked: one ascending
+        and one descending segment glued by either kernel branch."""
+        conv = self.fields(self.F1[:, None, :] * self.F3[None, :, :])  # (|S+|, |S-|, L)
+        return conv * self.pm
 
     def mass(self, field: np.ndarray) -> np.ndarray:
         """Integral over nonpositive displacements, per state pair."""
         return np.einsum("ijl,l->ij", field[..., : self.m0 + 1], self.w_mass)
 
 
-class _LevelOrder:
-    """Masked spectra of a duration-integrated ``(a, b)`` pair."""
-
-    __slots__ = ("F_LA", "F_LB", "F_RA", "F_RB1", "F_YA", "F_YB", "FZ_A", "FZ_B", "FCD")
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, c: _LevelConstants):
-        f, m0 = c.plans.f1, c.m0
-        ML_A = _mask_level_nonneg(a, m0)
-        ML_B = _mask_level_nonneg(b, m0)
-        MR_A = _mask_level_nonpos(a, m0)
-        MR_B = _mask_level_nonpos(b, m0)
-        MR_AB = MR_A + MR_B
-        self.F_LA = f(ML_A)
-        self.F_LB = f(ML_B)
-        self.F_RA = f(np.einsum("xk,kjl->xjl", c.C.mp, MR_A))
-        self.F_RB1 = f(
-            np.einsum("xk,kjl->xjl", c.C.mp, MR_B) + np.einsum("xk,kjl->xjl", c.D.mp, MR_AB)
-        )
-        self.F_YA = f(np.einsum("ik,kjl->ijl", c.C.pp, MR_A))
-        self.F_YB = f(
-            np.einsum("ik,kjl->ijl", c.C.pp, MR_B) + np.einsum("ik,kjl->ijl", c.D.pp, MR_AB)
-        )
-        self.FZ_A = f(np.einsum("ixl,xj->ijl", ML_A, c.C.mm))
-        self.FZ_B = f(np.einsum("ixl,xj->ijl", ML_B, c.C.mm))
-        self.FCD = f(np.einsum("ixl,xj->ijl", ML_A + ML_B, c.D.mm))
+def _real_blocks(subscripts: str, blocks: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """Real state blocks applied to complex spectra through their float view."""
+    return np.einsum(subscripts, blocks, spec.view(np.float64)).view(np.complex128)
 
 
-def _level_freqs(lvl: _LevelOrder, c: _LevelConstants):
-    """Spectral assembly of one fixed-point sweep: the first and last
-    operators on the current sum, and the middle operator gluing it to itself."""
-    pa = np.einsum("ixf,xjf->ijf", lvl.F_LA, lvl.F_RA)
-    pb = np.einsum("ixf,xjf->ijf", lvl.F_LB, lvl.F_RA) + np.einsum(
-        "ixf,xjf->ijf", lvl.F_LA + lvl.F_LB, lvl.F_RB1
-    )
-    freq_a = c.F1[:, None] * lvl.F_YA + c.F3[None, :] * lvl.FZ_A + pa
-    freq_b = c.F1[:, None] * lvl.F_YB + c.F3[None, :] * (lvl.FZ_B + lvl.FCD) + pb
-    return freq_a, freq_b
+def _level_sweep(ab: np.ndarray, c: _LevelConstants) -> np.ndarray:
+    """One fixed-point sweep of the stacked ``(a, b)`` without the two-epoch
+    fields: the first and last operators on the current sum and the middle
+    operator gluing it to itself.  A path lands in ``a`` when all its pieces
+    are arrival-free and it takes no arrival branch; ``b`` collects the rest.
+
+    The four masked halves are transformed once; the state-block products
+    commute with the transform and act on their spectra.
+    """
+    m0 = c.m0
+    halves = np.concatenate([ab[..., m0:], ab[..., : m0 + 1]])
+    halves[:2, ..., 0] *= 0.5  # trapezoid half-weight at the closed edge, level zero
+    halves[2:, ..., -1] *= 0.5
+    spec = rfft(halves, n=c.nfft, axis=-1)
+    left, right = spec[:2], spec[2:]  # (source, ...) on l >= 0 and on l <= 0
+    first = _real_blocks("tsik,skjf->tijf", c.W_pp, right)
+    last = _real_blocks("tsxj,sixf->tijf", c.W_mm, left)
+    glue = np.einsum("sixf,uxjf->suijf", left, _real_blocks("tuxk,ukjf->txjf", c.W_mp, right))
+    middle = np.stack([glue[0, 0], glue[0, 1] + glue[1, 0] + glue[1, 1]])
+    return c.fields(c.F1[None, :, None] * first + c.F3[None, None, :] * last + middle)
 
 
 def level_fixed_point(
@@ -438,32 +448,22 @@ def level_fixed_point(
     """
     diagnostics = {} if diagnostics is None else diagnostics
     c = _LevelConstants(model, grid, theta1, theta2)
-    a0, b0 = c.base()
-    a, b = a0.copy(), b0.copy()
-    mass = c.mass(a + b)
-    history = [mass]
+    ab0 = ab = c.base()
+    history = [c.mass(ab[0] + ab[1])]
     converged = False
     for _ in range(max_iter):
-        lvl = _LevelOrder(a, b, c)
-        freq_a, freq_b = _level_freqs(lvl, c)
-        a_new = c.plans.i1(freq_a) * c.dl + a0
-        b_new = c.plans.i1(freq_b) * c.dl + b0
-        _clamp_and_flag(a_new, diagnostics)
-        _clamp_and_flag(b_new, diagnostics)
-        new_mass = c.mass(a_new + b_new)
-        history.append(new_mass)
-        delta = float(np.max(np.abs(new_mass - mass)))
-        a, b, mass = a_new, b_new, new_mass
-        if delta < eps:
+        ab = _clamp_and_flag(_level_sweep(ab, c) + ab0, diagnostics)
+        history.append(c.mass(ab[0] + ab[1]))
+        if float(np.max(np.abs(history[-1] - history[-2]))) < eps:
             converged = True
             break
     info = {
         "iterations": len(history) - 1,
         "converged": converged,
-        "mass": mass,
+        "mass": history[-1],
         "mass_history": np.array(history),
-        "level_edge_max_density": _level_edge_max((a, b)),
+        "level_edge_max_density": _level_edge_max(ab),
         "kernel_window_tail": c.kernel_tail,
     }
     info.update(diagnostics)
-    return a, b, info
+    return ab[0], ab[1], info

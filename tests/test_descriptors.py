@@ -1,6 +1,7 @@
 """First-return and ruin descriptors against the Riccati and Erlang oracles."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from _oracles import (
     TWO_STATE_PSI_03_02,
     erlang_ruin_exact,
     riccati_descriptor,
+    ruin_exact,
 )
 
 
@@ -90,6 +92,19 @@ def test_ladder_ruin_sweeps_do_not_depend_on_the_stage_count():
     assert abs(runs[1].value - TWO_STATE_ERLANG_RUIN_U1[16]) < 1e-6
 
 
+@pytest.mark.parametrize("make_model", [two_state_model, cross_arrival_model])
+def test_erlang_ruin_approaches_fixed_capital_ruin_like_one_over_n(make_model):
+    # Erlang(n, n/u) capital has variance u**2 / n, so ruin from it tends to
+    # ruin from the fixed capital u with a gap of order 1/n.
+    model = make_model()
+    exact = ruin_exact(model, 1.0, 0.3, 0.2)[0].sum()
+    gaps = [
+        abs(ruin_descriptor(model, 1.0, n, 0.3, 0.2, i0=0).value - exact) for n in (4, 16, 64)
+    ]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert coarse >= 3.5 * fine
+
+
 def test_erlang_lift_calls_the_base_evaluator_once_per_array():
     model = pareto_renewal_model()
     calls = []
@@ -129,6 +144,17 @@ def test_finite_time_increments_respect_their_epoch_time_bounds(capped_finite_ti
     for res in capped_finite_time.values():
         bounds = res.info["epoch_time_bounds"]
         assert np.all(res.increments.max(axis=(1, 2)) <= bounds)
+
+
+def test_uncapped_finite_time_stops_at_the_first_epoch_tail_below_eps():
+    # gamma t = 3: P(T_18 <= 2) = 3.6e-9 is the first epoch-time tail below
+    # the default eps = 1e-8 (P(T_17 <= 2) = 2.2e-8), so order 17 is the top.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = finite_time_return(calendar_switch_model(), 2.0, du=1.0 / 8.0)
+    assert res.n_used == 17
+    assert list(res.orders) == list(range(2, 18))
+    assert res.tail_estimate < 1e-8
 
 
 def test_finite_time_value_grows_with_the_horizon(capped_finite_time):

@@ -9,8 +9,14 @@ from fluidrisk import (
     StructureError,
     bridge_recursion,
     level_fixed_point,
+    uniformized_kernel,
 )
-from fluidrisk.gallery import pareto_renewal_model, two_state_model
+from fluidrisk.gallery import (
+    cross_arrival_model,
+    mmpp_model,
+    pareto_renewal_model,
+    two_state_model,
+)
 
 from _oracles import (
     TWO_STATE_BRIDGE2_MASS,
@@ -86,6 +92,75 @@ def test_arrival_cost_weight_skips_the_arrival_free_order():
     np.testing.assert_array_equal(plain.mass(2), tilted.mass(2))
     blend = 0.0225 * np.exp(-5.0 * 0.5) + 0.045 * np.exp(-5.0 * 0.4)
     assert tilted.mass(3)[0, 0] == pytest.approx(blend, abs=5e-5)
+
+
+def _direct_first_sweep(model, grid, theta1, theta2):
+    """The two-epoch fields and one fixed-point sweep, by ``np.convolve`` on
+    the whole centered lattice, with no transform and no half layout."""
+    m0, L, dl, lev = grid.zero_index, grid.n_levels, grid.dl, grid.levels
+    ip, im, gamma, r = model.s_plus, model.s_minus, model.gamma, model.rates
+    Cbar, Dbar = uniformized_kernel(model.kernel, 0.0)
+    kD = np.exp(-theta2 * model.k_cost) * Dbar
+    classes = {"p": ip, "m": im}
+    C, D = (
+        {a + b: M[np.ix_(classes[a], classes[b])] for a in "pm" for b in "pm"} for M in (Cbar, kD)
+    )
+    up, down = lev >= 0, lev <= 0
+    tilt = gamma + theta1 * model.sigma
+    K1 = [np.where(up, gamma / r[i] * np.exp(-tilt[i] * lev / r[i]), 0) for i in ip]
+    K3 = [np.where(down, gamma / -r[j] * np.exp(-gamma * lev / r[j]), 0) for j in im]
+    for k in K1 + K3:
+        k[m0] *= 0.5
+
+    def conv(x, y):
+        return np.convolve(x, y)[m0 : m0 + L] * dl
+
+    def masked(f, keep):
+        out = np.where(keep, f, 0.0)
+        out[..., m0] *= 0.5
+        return out
+
+    def block_times(M, f):  # per level
+        return np.einsum("xk,kjl->xjl", M, f)
+
+    def times_block(f, M):
+        return np.einsum("ixl,xj->ijl", f, M)
+
+    P, Q = ip.size, im.size
+    a0 = np.array([[conv(K1[i], K3[j]) * C["pm"][i, j] for j in range(Q)] for i in range(P)])
+    b0 = np.array([[conv(K1[i], K3[j]) * D["pm"][i, j] for j in range(Q)] for i in range(P)])
+    LA, LB, RA, RB = masked(a0, up), masked(b0, up), masked(a0, down), masked(b0, down)
+    first_a = block_times(C["pp"], RA)
+    first_b = block_times(C["pp"], RB) + block_times(D["pp"], RA + RB)
+    last_a = times_block(LA, C["mm"])
+    last_b = times_block(LB, C["mm"]) + times_block(LA + LB, D["mm"])
+    right_a = block_times(C["mp"], RA)
+    right_b = block_times(C["mp"], RB) + block_times(D["mp"], RA + RB)
+    a1, b1 = a0.copy(), b0.copy()
+    for i in range(P):
+        for j in range(Q):
+            a1[i, j] += conv(K1[i], first_a[i, j]) + conv(last_a[i, j], K3[j])
+            b1[i, j] += conv(K1[i], first_b[i, j]) + conv(last_b[i, j], K3[j])
+            for x in range(Q):
+                a1[i, j] += conv(LA[i, x], right_a[x, j])
+                b1[i, j] += conv(LB[i, x], right_a[x, j]) + conv(LA[i, x] + LB[i, x], right_b[x, j])
+    return np.maximum(a1, 0.0), np.maximum(b1, 0.0)
+
+
+@pytest.mark.parametrize("make_model", [two_state_model, mmpp_model, cross_arrival_model])
+def test_half_length_sweep_matches_direct_convolution_at_every_level(make_model):
+    # A window of a few holding scales keeps the fields far from zero at both
+    # edges, so a circular wrap or a shifted origin in the half-support
+    # layout would show at the first or last index.
+    model = make_model()
+    grid = LevelGrid(l_max=2.0, dl=0.125)
+    a, b, info = level_fixed_point(model, grid, 0.3, 0.2, max_iter=1)
+    assert info["iterations"] == 1
+    a_ref, b_ref = _direct_first_sweep(model, grid, 0.3, 0.2)
+    assert a.shape == a_ref.shape == (model.s_plus.size, model.s_minus.size, grid.n_levels)
+    assert min(a_ref[..., 0].min(), a_ref[..., -1].min()) > 1e-6
+    np.testing.assert_allclose(a, a_ref, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(b, b_ref, rtol=0.0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
