@@ -112,10 +112,9 @@ def psi(
         lgrid = grid if grid is not None else LevelGrid.for_model(model)
         if not isinstance(lgrid, LevelGrid):
             raise TypeError("duration-free kernels take a LevelGrid")
-        _, _, info = level_fixed_point(
+        _, matrix, info = level_fixed_point(
             model, lgrid, theta1, theta2, eps=eps, max_iter=max_iter
         )
-        matrix = info.pop("mass")
         info["engine"] = "level"
         info["grid"] = lgrid
         hist = info["mass_history"]
@@ -370,6 +369,8 @@ def erlangize(model: FluidModel, u: float, n_stages: int, i0: int | None = None)
             )
         i0 = int(support[0])
     i0 = int(i0)
+    if not 0 <= i0 < model.p:
+        raise ValueError(f"entry state must lie in 0..{model.p - 1}, got {i0!r}")
     if model.rates[i0] <= 0.0:
         raise ValueError(f"entry state {i0} must have positive fluid rate")
 

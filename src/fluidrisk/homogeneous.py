@@ -15,16 +15,17 @@ and kernels share one centered level lattice (:class:`_Plans`).
 
 First-return masses need only the densities integrated over the final
 duration.  The level engine, :func:`level_fixed_point`, integrates that axis
-out analytically and sums the whole bridge series at once: the series is the
-minimal solution of
+out analytically and sums the whole bridge series at once.  Integrated over
+the final duration, ``A + B`` closes on itself with the summed blocks
+``Cbar + exp(-theta2 k) Dbar``: the series sum ``S`` is the minimal solution of
 
-``Lambda = Lambda_2 + first(Lambda) + middle(Lambda, Lambda) + last(Lambda)``
+``S = S_2 + first(S) + middle(S, S) + last(S)``
 
-and monotone iteration from the two-epoch fields converges to it from below.
+and monotone iteration from the two-epoch field converges to it from below.
 It is the only level engine; per-order masses come from the split recursion.
 Each of its level products pairs a factor on ``l >= 0`` with one on
-``l <= 0``, so a sweep transforms four half-support fields of length
-``m0 + 1`` and needs no origin offset (:class:`_LevelConstants`).
+``l <= 0``, so a sweep transforms the two half-support halves of ``S``, of
+length ``m0 + 1``, and needs no origin offset (:class:`_LevelConstants`).
 """
 
 from __future__ import annotations
@@ -362,7 +363,8 @@ def _level_kernels(model: FluidModel, grid: LevelGrid, theta1: float):
 
 
 class _LevelConstants:
-    """Blocks and half-support kernel spectra for the duration-integrated recursion.
+    """Rate-class blocks of the branch sum ``Cbar + exp(-theta2 k) Dbar`` and
+    half-support kernel spectra for the duration-integrated recursion.
 
     Every level product pairs a factor on ``l >= 0`` with one on ``l <= 0``,
     so each factor is kept as its ``m0 + 1`` long half: the nonnegative half
@@ -374,12 +376,8 @@ class _LevelConstants:
 
     def __init__(self, model: FluidModel, grid: LevelGrid, theta1: float, theta2: float):
         C, D = _rate_class_blocks(model, theta2)
-        self.pm = np.stack([C.pm, D.pm])[..., None]
-
-        def pair(c, d):  # (target, source) blocks over (arrival-free, arrival)
-            return np.array([[c, np.zeros_like(c)], [d, c + d]])
-
-        self.W_pp, self.W_mp, self.W_mm = pair(C.pp, D.pp), pair(C.mp, D.mp), pair(C.mm, D.mm)
+        self.pp, self.mp, self.mm = C.pp + D.pp, C.mp + D.mp, C.mm + D.mm
+        self.pm = (C.pm + D.pm)[..., None]
         self.m0 = m0 = grid.zero_index
         self.L, self.dl = grid.n_levels, grid.dl
         self.nfft = next_fast_len(self.L, real=True)
@@ -394,8 +392,8 @@ class _LevelConstants:
         return irfft(spec, n=self.nfft, axis=-1)[..., : self.L] * self.dl
 
     def base(self) -> np.ndarray:
-        """Duration-integrated two-epoch fields ``(a, b)``, stacked: one ascending
-        and one descending segment glued by either kernel branch."""
+        """Duration-integrated two-epoch field: one ascending and one
+        descending segment glued by the summed kernel."""
         conv = self.fields(self.F1[:, None, :] * self.F3[None, :, :])  # (|S+|, |S-|, L)
         return conv * self.pm
 
@@ -409,26 +407,22 @@ def _real_blocks(subscripts: str, blocks: np.ndarray, spec: np.ndarray) -> np.nd
     return np.einsum(subscripts, blocks, spec.view(np.float64)).view(np.complex128)
 
 
-def _level_sweep(ab: np.ndarray, c: _LevelConstants) -> np.ndarray:
-    """One fixed-point sweep of the stacked ``(a, b)`` without the two-epoch
-    fields: the first and last operators on the current sum and the middle
-    operator gluing it to itself.  A path lands in ``a`` when all its pieces
-    are arrival-free and it takes no arrival branch; ``b`` collects the rest.
+def _level_sweep(field: np.ndarray, c: _LevelConstants) -> np.ndarray:
+    """One fixed-point sweep without the two-epoch field: the first and last
+    operators on the field and the middle operator gluing it to itself.
 
-    The four masked halves are transformed once; the state-block products
+    The two masked halves are transformed once; the state-block products
     commute with the transform and act on their spectra.
     """
     m0 = c.m0
-    halves = np.concatenate([ab[..., m0:], ab[..., : m0 + 1]])
-    halves[:2, ..., 0] *= 0.5  # trapezoid half-weight at the closed edge, level zero
-    halves[2:, ..., -1] *= 0.5
-    spec = rfft(halves, n=c.nfft, axis=-1)
-    left, right = spec[:2], spec[2:]  # (source, ...) on l >= 0 and on l <= 0
-    first = _real_blocks("tsik,skjf->tijf", c.W_pp, right)
-    last = _real_blocks("tsxj,sixf->tijf", c.W_mm, left)
-    glue = np.einsum("sixf,uxjf->suijf", left, _real_blocks("tuxk,ukjf->txjf", c.W_mp, right))
-    middle = np.stack([glue[0, 0], glue[0, 1] + glue[1, 0] + glue[1, 1]])
-    return c.fields(c.F1[None, :, None] * first + c.F3[None, None, :] * last + middle)
+    halves = np.stack([field[..., m0:], field[..., : m0 + 1]])
+    halves[0, ..., 0] *= 0.5  # trapezoid half-weight at the closed edge, level zero
+    halves[1, ..., -1] *= 0.5
+    left, right = rfft(halves, n=c.nfft, axis=-1)  # on l >= 0 and on l <= 0
+    first = _real_blocks("ik,kjf->ijf", c.pp, right)
+    last = _real_blocks("xj,ixf->ijf", c.mm, left)
+    middle = np.einsum("ixf,xjf->ijf", left, _real_blocks("xk,kjf->xjf", c.mp, right))
+    return c.fields(c.F1[:, None] * first + c.F3 * last + middle)
 
 
 def level_fixed_point(
@@ -440,30 +434,32 @@ def level_fixed_point(
     max_iter: int = 2000,
     diagnostics: dict | None = None,
 ):
-    """Whole-series duration-integrated bridge sum (first-return fields).
+    """Whole-series duration-integrated bridge sum (first-return field).
 
-    Iterates the series fixed-point equation from the two-epoch fields.  The
+    Iterates the series fixed-point equation from the two-epoch field.  The
     iteration is monotone from below, so the stopping rule watches the total
-    mass increment.  Returns ``(a_total, b_total, info)``.
+    mass increment.  Returns ``(field, mass, info)``: the series sum on the
+    level lattice and its first-return mass per state pair.
     """
+    if theta1 < 0 or theta2 < 0:
+        raise ValueError("transform arguments must be nonnegative")
     diagnostics = {} if diagnostics is None else diagnostics
     c = _LevelConstants(model, grid, theta1, theta2)
-    ab0 = ab = c.base()
-    history = [c.mass(ab[0] + ab[1])]
+    base = field = c.base()
+    history = [c.mass(field)]
     converged = False
     for _ in range(max_iter):
-        ab = _clamp_and_flag(_level_sweep(ab, c) + ab0, diagnostics)
-        history.append(c.mass(ab[0] + ab[1]))
+        field = _clamp_and_flag(_level_sweep(field, c) + base, diagnostics)
+        history.append(c.mass(field))
         if float(np.max(np.abs(history[-1] - history[-2]))) < eps:
             converged = True
             break
     info = {
         "iterations": len(history) - 1,
         "converged": converged,
-        "mass": history[-1],
         "mass_history": np.array(history),
-        "level_edge_max_density": _level_edge_max(ab),
+        "level_edge_max_density": _level_edge_max([field]),
         "kernel_window_tail": c.kernel_tail,
     }
     info.update(diagnostics)
-    return ab[0], ab[1], info
+    return field, history[-1], info

@@ -53,6 +53,8 @@ def test_malformed_config_exits_invalid(tmp_path):
         ["mc", "bridge", "--z", "-0.000001"],
         ["mc", "bridge", "--n-paths", "100", "--start-state", "5"],
         ["mc", "ruin", "--u", "1", "--n-paths", "100", "--start-state", "-1"],
+        ["first-return", "--theta1", "-0.5"],
+        ["ruin", "--u", "1", "--n-stages", "1", "--i0", "5"],
     ],
     ids=[
         "simulate_negative_z",
@@ -60,6 +62,8 @@ def test_malformed_config_exits_invalid(tmp_path):
         "mc_bridge_negative_z",
         "mc_bridge_start_state_too_large",
         "mc_ruin_negative_start_state",
+        "first_return_negative_theta1",
+        "ruin_entry_state_too_large",
     ],
 )
 def test_invalid_arguments_exit_invalid(two_state_config, tmp_path, args):

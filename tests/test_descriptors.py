@@ -39,6 +39,12 @@ def test_psi_on_the_default_level_grid_matches_the_riccati_value():
     assert res.matrix[0, 0] == pytest.approx(TWO_STATE_PSI_03_02, abs=2e-3)
 
 
+@pytest.mark.parametrize("thetas", [(-0.5, 0.0), (0.0, -0.5)])
+def test_psi_rejects_negative_transform_arguments(thetas):
+    with pytest.raises(ValueError, match="nonnegative"):
+        psi(two_state_model(), *thetas)
+
+
 @pytest.mark.parametrize("make_model", [mmpp_model, renewal_ph_model, cross_arrival_model])
 def test_psi_matches_the_riccati_descriptor(make_model):
     model = make_model()
@@ -103,6 +109,13 @@ def test_erlang_ruin_approaches_fixed_capital_ruin_like_one_over_n(make_model):
     ]
     for coarse, fine in zip(gaps, gaps[1:]):
         assert coarse >= 3.5 * fine
+
+
+@pytest.mark.parametrize("i0", [-1, 3])
+def test_erlangize_rejects_an_entry_state_outside_the_state_space(i0):
+    # mmpp's last state ascends, so a wrapped -1 would otherwise be accepted.
+    with pytest.raises(ValueError, match="entry state"):
+        erlangize(mmpp_model(), 1.0, 2, i0)
 
 
 def test_erlang_lift_calls_the_base_evaluator_once_per_array():

@@ -154,13 +154,14 @@ def test_half_length_sweep_matches_direct_convolution_at_every_level(make_model)
     # layout would show at the first or last index.
     model = make_model()
     grid = LevelGrid(l_max=2.0, dl=0.125)
-    a, b, info = level_fixed_point(model, grid, 0.3, 0.2, max_iter=1)
+    field, _, info = level_fixed_point(model, grid, 0.3, 0.2, max_iter=1)
     assert info["iterations"] == 1
+    # The reference keeps the arrival-free and arrival parts apart, so this
+    # also checks that their sum closes on itself with the summed blocks.
     a_ref, b_ref = _direct_first_sweep(model, grid, 0.3, 0.2)
-    assert a.shape == a_ref.shape == (model.s_plus.size, model.s_minus.size, grid.n_levels)
+    assert field.shape == a_ref.shape == (model.s_plus.size, model.s_minus.size, grid.n_levels)
     assert min(a_ref[..., 0].min(), a_ref[..., -1].min()) > 1e-6
-    np.testing.assert_allclose(a, a_ref, rtol=0.0, atol=1e-13)
-    np.testing.assert_allclose(b, b_ref, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(field, a_ref + b_ref, rtol=0.0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +173,14 @@ def test_level_series_reaches_certain_return():
     # Mean drift is negative, so the first-return mass is exactly one; the
     # lattice value lands within discretization error and the error is
     # second order in the spacing.
-    a, b, info = level_fixed_point(two_state_model(), _level_grid())
+    _, mass, info = level_fixed_point(two_state_model(), _level_grid())
     assert info["converged"] and info["iterations"] > 10
-    gap = abs(1.0 - info["mass"][0, 0])
+    gap = abs(1.0 - mass[0, 0])
     assert gap < 5e-2
     hist = info["mass_history"][:, 0, 0]
     assert np.all(np.diff(hist) >= -1e-12)
-    _, _, fine = level_fixed_point(two_state_model(), _level_grid(dl=1.0 / 64))
-    assert abs(1.0 - fine["mass"][0, 0]) < 0.6 * gap
+    _, fine, _ = level_fixed_point(two_state_model(), _level_grid(dl=1.0 / 64))
+    assert abs(1.0 - fine[0, 0]) < 0.6 * gap
 
 
 def test_transform_arguments_damp_the_series_mass():
@@ -187,7 +188,7 @@ def test_transform_arguments_damp_the_series_mass():
     grid = _level_grid()
     masses = {}
     for th in [(0.0, 0.0), (0.3, 0.2), (1.0, 1.0)]:
-        masses[th] = level_fixed_point(model, grid, theta1=th[0], theta2=th[1])[2]["mass"][0, 0]
+        masses[th] = level_fixed_point(model, grid, theta1=th[0], theta2=th[1])[1][0, 0]
     assert masses[(0.3, 0.2)] == pytest.approx(TWO_STATE_PSI_03_02, abs=2e-3)
     assert masses[(1.0, 1.0)] == pytest.approx(two_state_psi_scalar(1.0, 1.0), abs=2e-3)
     assert masses[(1.0, 1.0)] < masses[(0.3, 0.2)] < masses[(0.0, 0.0)]
@@ -198,10 +199,9 @@ def test_costless_model_ignores_transform_arguments():
     # identically one, so the computation is bit-for-bit unchanged.
     model = two_state_model(sigma=(0.0, 0.0), k_cost=((0.0, 0.0), (0.0, 0.0)))
     grid = _level_grid()
-    a0, b0, _ = level_fixed_point(model, grid)
-    a1, b1, _ = level_fixed_point(model, grid, theta1=0.7, theta2=1.3)
-    np.testing.assert_array_equal(a0, a1)
-    np.testing.assert_array_equal(b0, b1)
+    field0, _, _ = level_fixed_point(model, grid)
+    field1, _, _ = level_fixed_point(model, grid, theta1=0.7, theta2=1.3)
+    np.testing.assert_array_equal(field0, field1)
 
 
 def test_level_engine_outruns_the_duration_window_near_criticality():
@@ -209,7 +209,7 @@ def test_level_engine_outruns_the_duration_window_near_criticality():
     # duration window loses visible series mass; integrating the duration
     # out analytically removes that truncation entirely.
     model = two_state_model()
-    level_mass = level_fixed_point(model, LevelGrid(l_max=32.0, dl=1.0 / 16))[2]["mass"][0, 0]
+    level_mass = level_fixed_point(model, LevelGrid(l_max=32.0, dl=1.0 / 16))[1][0, 0]
     assert abs(1.0 - level_mass) < 1e-2
 
 
