@@ -146,26 +146,32 @@ class LevelDurationGrid:
         return rate * self.du / self.dl
 
 
-def _shift_level(field_arr: np.ndarray, cells: float) -> np.ndarray:
-    """Sample ``field`` at level argument shifted by ``cells`` grid cells.
+def _add_shifted(out: np.ndarray, scale, field_arr: np.ndarray, cells: float) -> None:
+    """Accumulate ``out[..., m] += scale * field[..., m - cells]`` in place.
 
-    Returns ``out[..., m] = field[..., m - cells]`` with linear interpolation
-    between neighbors and zero fill outside the window.
+    The shifted field is linearly interpolated between its two neighboring
+    cells, with zero fill outside the level window: the one level-shift rule
+    of the grid engines.  ``scale`` is a scalar or broadcasts against ``out``.
     """
-    out = np.zeros_like(field_arr)
     base = math.floor(cells)
     frac = cells - base
     L = field_arr.shape[-1]
-
     for shift, weight in ((base, 1.0 - frac), (base + 1, frac)):
-        if weight == 0.0:
-            continue
-        if shift >= L or shift <= -L:
+        if weight == 0.0 or abs(shift) >= L:
             continue
         if shift >= 0:
-            out[..., shift:] += weight * field_arr[..., : L - shift]
+            out[..., shift:] += (scale * weight) * field_arr[..., : L - shift]
         else:
-            out[..., :shift] += weight * field_arr[..., -shift:]
+            out[..., :shift] += (scale * weight) * field_arr[..., -shift:]
+
+
+def _shift_level(field_arr: np.ndarray, cells: float) -> np.ndarray:
+    """Sample ``field`` at level argument shifted by ``cells`` grid cells.
+
+    Returns ``out[..., m] = field[..., m - cells]`` by :func:`_add_shifted`.
+    """
+    out = np.zeros_like(field_arr)
+    _add_shifted(out, 1.0, field_arr, cells)
     return out
 
 
@@ -322,14 +328,28 @@ def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
 # ---------------------------------------------------------------------------
 #
 # Generic tensors have shape (nz, |S+|, |S-|, n_durations, n_levels) with the
-# initial duration z on the duration grid.  These operators are direct
-# quadratures of the decomposition: gamma_first and gamma_last's no-arrival
-# branch shift whole tensors once per holding-time node, gamma_last's
-# arrival branch is one line sweep, and gamma_middle is two contractions
-# over (switch duration, state) against level spectra.  Each application
-# costs O(nz * nu) tensor-sized work, so they serve duration-dependent
+# initial duration z on the duration grid (nz = n_durations).  These operators
+# are direct quadratures of the decomposition.  A level shift is linear and
+# blind to the state it carries, so gamma_first and gamma_last contract the
+# kernel's state axis before they shift: gamma_first then makes one shift per
+# (holding-time node, ascending state) and gamma_last one per (holding-time
+# node, descending state), plus one line sweep for its arrival branch.  Each
+# shift covers a block of z values (_z_block), small enough that its slab
+# stays in cache.  gamma_middle sums every interior split of an order on
+# half-length level spectra, which the recursion transforms once per order
+# (_level_spectra), and inverts that sum once.  The shifts still cost
+# O(nz * ns) slabs per order, so the operators serve duration-dependent
 # kernels at moderate n (the dispatcher uses the split engine of
 # :mod:`.homogeneous` whenever the kernel is duration-free).
+
+
+def _z_block(row: np.ndarray) -> int:
+    """Initial durations per block of the shift loops, for slabs of ``row``'s size.
+
+    Blocks of about 2**16 values keep a shifted slab, its scaled copy and its
+    target in a core's cache; a whole-grid slab runs through memory.
+    """
+    return max(1, (1 << 16) // row.size)
 
 
 def gamma_first(
@@ -347,85 +367,109 @@ def gamma_first(
     state, displaced by ``r_i u`` and restricted to sub-bridge displacements
     ``<= 0`` (the argmin condition).  No-arrival factors continue at initial
     duration ``z+u``; arrival factors restart at ``0``.
+
+    Both factors are summed over the new state into one continuation field
+    per duration ``z+u``.  Each holding-time node then shifts that field once
+    per ascending state and block of ``z`` values.
     """
     gamma = model.gamma
     ip = model.s_plus
-    nz, n_p, n_m, ns, L = bridge_prev.shape
-    m0 = grid.zero_index
+    ns = bridge_prev.shape[-2]
     du = grid.du
     kappa = cost_weights(model, theta2).pp
     Cbar, Dbar = _uniformized_nodes(model, grid.durations)
     Cpp = Cbar[:, ip][:, :, ip]
-    Dpp = Dbar[:, ip][:, :, ip]
+    kDpp = kappa * Dbar[:, ip][:, :, ip]
 
-    masked = _mask_level_nonpos(bridge_prev, m0)
+    masked = _mask_level_nonpos(bridge_prev, grid.zero_index)
+    # cont[p, i] = sum_k Cpp[p, i, k] masked[p, k] + kappa Dpp[p, i, k] masked[0, k]:
+    # the (n-1)-bridge entered after the first epoch at duration p = z + u.
+    cont = np.einsum("pik,pkjsl->pijsl", Cpp, masked)
+    cont += np.einsum("pik,kjsl->pijsl", kDpp, masked[0])
     out = np.zeros_like(bridge_prev)
-    w = _trapezoid_weights(ns)
-    for q in range(nz):
-        a_cap = ns - 1 - q  # z + u stays on the duration grid
-        for a_idx in range(a_cap + 1):
-            weights = w[a_idx] if a_idx < a_cap else 0.5  # trapezoid both ends
-            u_val = a_idx * du
-            decay = gamma * np.exp(-(gamma + theta1 * model.sigma[ip]) * u_val) * du * weights
-            cont = masked[q + a_idx]
-            reset = masked[0]
-            for ai in range(n_p):
-                shift = a_idx * grid.level_cells(model.rates[ip[ai]])
-                for ak in range(n_p):
-                    c_w = Cpp[q + a_idx, ai, ak]
-                    d_w = kappa[ai, ak] * Dpp[q + a_idx, ai, ak]
-                    if c_w != 0.0:
-                        out[q, ai] += decay[ai] * c_w * _shift_level(cont[ak], shift)
-                    if d_w != 0.0:
-                        out[q, ai] += decay[ai] * d_w * _shift_level(reset[ak], shift)
+    tilt = gamma + theta1 * model.sigma[ip]
+    decay = gamma * np.exp(-np.outer(grid.durations, tilt)) * du  # (a, i)
+    block = _z_block(cont[0, 0])
+    for q0 in range(0, ns, block):
+        for a in range(ns - q0):
+            q1 = min(q0 + block, ns - a)
+            # Trapezoid in u over [0, (ns - 1 - z) du]: half weight at u = 0
+            # and at the last node z + u = ns - 1, never both.
+            w_z = np.full(q1 - q0, 0.5 if a == 0 else 1.0)
+            if q1 == ns - a:
+                w_z[-1] = 0.5
+            for ai, i in enumerate(ip):
+                _add_shifted(
+                    out[q0:q1, ai],
+                    (decay[a, ai] * w_z)[:, None, None, None],
+                    cont[q0 + a : q1 + a, ai],
+                    a * grid.level_cells(model.rates[i]),
+                )
     return out
+
+
+def _level_spectra(bridge: np.ndarray, grid: LevelDurationGrid):
+    """Half-length level spectra ``(left, right)`` of one order's tensor.
+
+    ``left`` transforms the ``l >= 0`` half of the nonnegative mask, from
+    level zero up; ``right`` the ``l <= 0`` half of the nonpositive mask, from
+    ``-l_max`` up to zero.  Both are ``m0 + 1`` long, with the trapezoid
+    half-weight at level zero.  Their linear convolution is ``L`` long and its
+    index ``m`` is level ``(m - m0) dl``, so transforms of length
+    ``next_fast_len(L, real=True)`` never wrap.
+    """
+    from scipy.fft import next_fast_len, rfft
+
+    m0 = grid.zero_index
+    halves = np.stack([bridge[..., m0:], bridge[..., : m0 + 1]])
+    halves[0, ..., 0] *= 0.5
+    halves[1, ..., -1] *= 0.5
+    left, right = rfft(halves, n=next_fast_len(grid.n_levels, real=True), axis=-1)
+    return left, right
 
 
 def gamma_middle(
     model: FluidModel,
     grid: LevelDurationGrid,
-    bridge_w: np.ndarray,
-    bridge_rest: np.ndarray,
+    spectra: dict,
+    n: int,
     theta2: float = 0.0,
 ) -> np.ndarray:
-    """Contribution of bridges glued at an interior minimal epoch.
+    """Contribution of bridges glued at an interior minimal epoch, for order ``n``.
 
     Double quadrature over the switch duration ``u`` and switch level ``v``
     (from ``max(0, l)`` upward) of the ``w``-bridge ending at ``(u, v)``, a
     negative-to-positive kernel factor at duration ``u``, and the remaining
-    bridge from the switch, displaced by ``v``.  No-arrival switches continue
-    at initial duration ``u``; arrival switches restart at ``0``.
+    ``(n-w)``-bridge from the switch, displaced by ``v``.  No-arrival switches
+    continue at initial duration ``u``; arrival switches restart at ``0``.
+
+    Sums every split ``w = 2..n-2``.  The ``v``-integral is a level
+    correlation: a product of the factors' half-length level spectra, which
+    ``spectra`` maps from each order ``2..n-2`` (:func:`_level_spectra`).
+    The products are summed over the splits and inverted once.
     """
+    from scipy.fft import irfft, next_fast_len
+
+    if n < 4:
+        raise ValueError(f"interior splits need order n >= 4, got {n!r}")
     ip, im = model.s_plus, model.s_minus
-    ns, L = bridge_w.shape[-2:]
-    m0 = grid.zero_index
+    ns, L = grid.n_durations, grid.n_levels
     kappa = cost_weights(model, theta2).mp
     Cbar, Dbar = _uniformized_nodes(model, grid.durations)
-    Cmp = Cbar[:, im][:, :, ip]
-    Dmp = Dbar[:, im][:, :, ip]
-
-    left = _mask_level_nonneg(bridge_w, m0)
-    right = _mask_level_nonpos(bridge_rest, m0)
     w_u = _trapezoid_weights(ns) * grid.du
-
-    # The v-integral is a level correlation done here via FFT along the level
-    # axis.  Both branches contract the left factor's final duration u and
-    # state j' against the switch weights (u, j', i'): no-arrival switches
-    # against the right factor started at u, arrival switches against the
-    # one started at 0.
-    from scipy.fft import irfft, rfft
-
-    pad = 2 * L - 1
-    f_left = rfft(left, n=pad, axis=-1)
-    f_right = rfft(right, n=pad, axis=-1)
-    cw = Cmp * w_u[:, None, None]
-    dw = kappa * Dmp * w_u[:, None, None]
-    out_f = np.einsum("zixaf,axk,akjsf->zijsf", f_left, cw, f_right, optimize=True)
-    out_f += np.einsum("zixaf,axk,kjsf->zijsf", f_left, dw, f_right[0], optimize=True)
-    # The correlation out(l) = sum_v left(v) right(l - v) maps in index space
-    # to a convolution whose zero-level sits at index 2*m0; slice accordingly.
-    full = irfft(out_f, n=pad, axis=-1)
-    out = full[..., m0 : m0 + L] * grid.dl
+    cw = Cbar[:, im][:, :, ip] * w_u[:, None, None]
+    dw = kappa * Dbar[:, im][:, :, ip] * w_u[:, None, None]
+    total = 0.0
+    for w in range(2, n - 1):
+        left, right = spectra[w][0], spectra[n - w][1]
+        # Both branches weight the left factor's final duration u and state j'
+        # by the switch kernel (u, j', i').  No-arrival switches meet the
+        # right factor started at u; arrival switches restart it at 0, so
+        # their weight, summed over u, joins the u = 0 slot.
+        glue = np.einsum("zixaf,axk->ziakf", left, cw)
+        glue[:, :, 0] += np.einsum("zixaf,axk->zikf", left, dw)
+        total = total + np.einsum("ziakf,akjsf->zijsf", glue, right, optimize=True)
+    out = irfft(total, n=next_fast_len(L, real=True), axis=-1)[..., :L] * grid.dl
     return np.ascontiguousarray(out)
 
 
@@ -442,52 +486,51 @@ def gamma_last(
     shifts the ``(n-1)``-bridge by ``r_j u``; the arrival branch pins the
     final segment length to ``s``, integrating the ``(n-1)``-bridge over its
     final duration.  Sub-bridge displacements are restricted to ``>= 0``.
+
+    Both branches contract the pre-switch state first.  Each holding-time
+    node then shifts the reduced no-arrival field once per descending state
+    and block of ``z`` values, and the arrival branch is one line sweep per
+    descending state.
     """
     gamma = model.gamma
     im = model.s_minus
-    nz, n_p, n_m, ns, L = bridge_prev.shape
-    m0 = grid.zero_index
+    ns = bridge_prev.shape[-2]
     du = grid.du
     kappa = cost_weights(model, theta2).mm
     Cbar, Dbar = _uniformized_nodes(model, grid.durations)
     Cmm = Cbar[:, im][:, :, im]
-    Dmm = Dbar[:, im][:, :, im]
+    kDmm = kappa * Dbar[:, im][:, :, im]
 
-    masked = _mask_level_nonneg(bridge_prev, m0)
-    out = np.zeros_like(bridge_prev)
-
-    # No-arrival closing segment: for each segment length a*du, add the
-    # level-shifted sub-bridge (final duration s - u) weighted by the kernel
-    # at the pre-switch duration.  Trapezoid in u: half weight at u = 0 via
-    # the loop weight and at u = s via pre-halving the sub-bridge row s = 0.
-    masked_c = masked.copy()
-    masked_c[..., 0, :] *= 0.5
-    for a_idx in range(ns):
-        u_val = a_idx * du
-        decay = gamma * np.exp(-gamma * u_val) * du * (0.5 if a_idx == 0 else 1.0)
-        sub = masked_c[:, :, :, : ns - a_idx, :]
-        for bj in range(n_m):
-            shift = a_idx * grid.level_cells(model.rates[im[bj]])
-            shifted = _shift_level(sub, shift)
-            kern = Cmm[: ns - a_idx, :, bj]  # (s - u) kernel argument
-            contrib = np.einsum("zixsl,sx->zisl", shifted, kern)
-            if a_idx == 0:
-                out[:, :, bj, 1:, :] += decay * contrib[:, :, 1:, :]
-            else:
-                out[:, :, bj, a_idx:, :] += decay * contrib
-
+    masked = _mask_level_nonneg(bridge_prev, grid.zero_index)
     # Arrival closing segment: final duration = s exactly; integrate the
     # sub-bridge over its own final duration with the arrival kernel.  The
     # switch-level restriction is applied before the level shift, with the
     # midpoint value at the boundary node.
-    masked_d = _mask_level_nonneg(bridge_prev, m0)
     w_u = _trapezoid_weights(ns) * du
-    closing = gamma * np.exp(-gamma * np.arange(ns) * du)
-    for bj in range(n_m):
-        kern = kappa[:, bj][None, :] * Dmm[:, :, bj]  # (s_idx, j')
-        reduced = np.einsum("zixsl,sx,s->zil", masked_d, kern, w_u)
-        shift_cells = grid.level_cells(model.rates[im[bj]])
-        out[:, :, bj] += _sweep_level(reduced, shift_cells, closing)
+    arrival = np.einsum("zixsl,sxj,s->zijl", masked, kDmm, w_u)
+    # No-arrival closing segment: the sub-bridge at final duration s - u,
+    # weighted by the kernel at that pre-switch duration.  Trapezoid in u:
+    # half weight at u = 0 by the node weight and at u = s by halving the
+    # sub-bridge row s = 0.
+    masked[..., 0, :] *= 0.5
+    reduced = np.einsum("zixsl,sxj->zijsl", masked, Cmm)
+    del masked
+
+    out = np.zeros_like(bridge_prev)
+    closing = gamma * np.exp(-gamma * grid.durations)
+    decay = closing * du
+    decay[0] *= 0.5  # trapezoid half weight at u = 0
+    block = _z_block(reduced[0, :, 0])
+    for bj, j in enumerate(im):
+        cells = grid.level_cells(model.rates[j])
+        for z0 in range(0, reduced.shape[0], block):
+            target = out[z0 : z0 + block, :, bj]
+            field_j = reduced[z0 : z0 + block, :, bj]
+            for a in range(ns):
+                lo = max(a, 1)  # a zero-length segment adds nothing at s = 0
+                sub = field_j[..., lo - a : ns - a, :]
+                _add_shifted(target[..., lo:, :], decay[a], sub, a * cells)
+        out[:, :, bj] += _sweep_level(arrival[:, :, bj], cells, closing)
     return out
 
 
@@ -585,7 +628,13 @@ def _estimate_bytes(grid: LevelDurationGrid, model: FluidModel, n_max: int, mode
     per_field = pairs * ns * L * 8
     n_slots = max(n_max - 1, 1)
     if mode == "z":
-        return n_slots * grid.n_durations * per_field
+        # One tensor per order, plus the left and right half-length level
+        # spectra (complex) that gamma_middle holds for orders 2..n_max-2.
+        from scipy.fft import next_fast_len
+
+        n_freq = next_fast_len(L, real=True) // 2 + 1
+        spectra = max(n_max - 3, 0) * 2 * pairs * ns * n_freq * 16
+        return ns * (n_slots * per_field + spectra)
     # A and B fields plus cached spectra of comparable footprint.
     return n_slots * per_field * 5
 
@@ -669,11 +718,13 @@ def _run_z_recursion(model, grid, theta1, theta2, n_max, diagnostics):
     slices = {2: base}
     m_hi = grid.zero_index
     masses = {2: _integrate_field(base[0], grid, m_hi)}
+    spectra = {}  # half-length level spectra of orders 2..n_max-2
     for n in range(3, n_max + 1):
         total = gamma_first(model, grid, slices[n - 1], theta1, theta2)
         total += gamma_last(model, grid, slices[n - 1], theta2)
-        for w in range(2, n - 1):
-            total += gamma_middle(model, grid, slices[w], slices[n - w], theta2)
+        if n >= 4:
+            spectra[n - 2] = _level_spectra(slices[n - 2], grid)
+            total += gamma_middle(model, grid, spectra, n, theta2)
         _clamp_and_flag(total, diagnostics)
         slices[n] = total
         masses[n] = _integrate_field(total[0], grid, m_hi)

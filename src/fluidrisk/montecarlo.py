@@ -141,7 +141,9 @@ def first_return_samples(
     drawn from ``model.alpha`` restricted to the positive-rate class unless
     ``start_state`` pins one.
     """
-    base_model = _first_passage_model(model, z, max_epochs, start_state, barrier_offset)
+    base_model = _first_passage_model(
+        model, z, theta1, theta2, max_epochs, start_state, barrier_offset
+    )
     sizes = _chunk_sizes(n_paths, chunk_size)
 
     def worker(b: int):

@@ -159,12 +159,20 @@ def _check_start(model: FluidModel, z: float, start_state) -> None:
 
 
 def _first_passage_model(
-    model: FluidModel, z: float, max_epochs: int, start_state, barrier_offset: float = 0.0
+    model: FluidModel,
+    z: float,
+    theta1: float,
+    theta2: float,
+    max_epochs: int,
+    start_state,
+    barrier_offset: float = 0.0,
 ) -> FluidModel:
     """Check a first-passage run's arguments; return the model whose ``alpha``
     draws its start states (for a first return, ``alpha`` restricted to the
     ascending states unless ``start_state`` pins an ascending one)."""
     _check_start(model, z, start_state)
+    if theta1 < 0 or theta2 < 0:
+        raise ValueError("transform arguments must be nonnegative")
     if max_epochs < 2:
         raise ValueError(f"max_epochs must be at least 2, got {max_epochs!r}")
     if barrier_offset < 0.0:
@@ -349,7 +357,7 @@ def simulate_until_return(
         return immediately and degenerately); drawn from ``model.alpha``
         restricted to that class when omitted.
     """
-    base = _first_passage_model(model, z, max_epochs, start_state)
+    base = _first_passage_model(model, z, theta1, theta2, max_epochs, start_state)
     n_epoch, exit_state, weight, _, _ = _first_return_chunk(
         base, z, theta1, theta2, 1, max_epochs, np.random.default_rng(seed), start_state, 0.0
     )

@@ -14,11 +14,12 @@ from fluidrisk import (
     constant_kernel,
     integrate_bridge,
 )
-from fluidrisk import erlangize, uniformized_kernel
+from fluidrisk import bridge, cost_weights, erlangize, uniformized_kernel
 from fluidrisk.bridge import _uniformized_nodes, gamma_first
 from fluidrisk.gallery import (
     calendar_switch_model,
     cross_arrival_model,
+    mmpp_model,
     pareto_renewal_model,
     two_state_model,
 )
@@ -245,6 +246,209 @@ def test_negative_densities_only_within_clamp_tolerance():
     tensor = bridge_recursion(model, _grid(u_max=6.0, cells=96), n_max=6)
     assert tensor.diagnostics["negative_min"] >= -1e-10
     assert not tensor.diagnostics["negative_flagged"]
+
+
+# ---------------------------------------------------------------------------
+# Reference loops: each operator as a direct per-node quadrature
+# ---------------------------------------------------------------------------
+#
+# The engine contracts state axes before it shifts and sums interior splits
+# on cached half-length spectra.  These loops shift every state pair at every
+# holding-time node and glue each split pair at full padding, so a
+# contraction taken across the wrong state class shows up on models with
+# several ascending states.
+
+
+def _ref_shift(field, cells):
+    """``field[..., m - cells]``, linearly interpolated, zero outside the window."""
+    L = field.shape[-1]
+    pos = np.arange(L) - cells
+    lo = np.floor(pos).astype(int)
+    frac = pos - lo
+    out = np.zeros_like(field)
+    for idx, weight in ((lo, 1.0 - frac), (lo + 1, frac)):
+        inside = (idx >= 0) & (idx < L)
+        out[..., inside] += weight[inside] * field[..., idx[inside]]
+    return out
+
+
+def _ref_nonneg(field, m0):
+    out = field.copy()
+    out[..., :m0] = 0.0
+    out[..., m0] *= 0.5
+    return out
+
+
+def _ref_nonpos(field, m0):
+    out = field.copy()
+    out[..., m0 + 1 :] = 0.0
+    out[..., m0] *= 0.5
+    return out
+
+
+def _ref_trapezoid(n):
+    w = np.ones(n)
+    w[[0, -1]] = 0.5
+    return w
+
+
+def _ref_first(model, grid, prev, theta1, theta2):
+    gamma, ip = model.gamma, model.s_plus
+    nz, n_p, _, ns, _ = prev.shape
+    kappa = cost_weights(model, theta2).pp
+    Cbar, Dbar = _uniformized_nodes(model, grid.durations)
+    Cpp, Dpp = Cbar[:, ip][:, :, ip], Dbar[:, ip][:, :, ip]
+    masked = _ref_nonpos(prev, grid.zero_index)
+    out = np.zeros_like(prev)
+    w = _ref_trapezoid(ns)
+    for q in range(nz):
+        a_cap = ns - 1 - q
+        for a in range(a_cap + 1):
+            weight = w[a] if a < a_cap else 0.5
+            tilt = gamma + theta1 * model.sigma[ip]
+            decay = gamma * np.exp(-tilt * a * grid.du) * grid.du * weight
+            for i in range(n_p):
+                cells = a * grid.level_cells(model.rates[ip[i]])
+                for k in range(n_p):
+                    out[q, i] += decay[i] * Cpp[q + a, i, k] * _ref_shift(masked[q + a, k], cells)
+                    out[q, i] += (
+                        decay[i] * kappa[i, k] * Dpp[q + a, i, k] * _ref_shift(masked[0, k], cells)
+                    )
+    return out
+
+
+def _ref_last(model, grid, prev, theta2):
+    gamma, im = model.gamma, model.s_minus
+    ns, du = prev.shape[-2], grid.du
+    kappa = cost_weights(model, theta2).mm
+    Cbar, Dbar = _uniformized_nodes(model, grid.durations)
+    Cmm, Dmm = Cbar[:, im][:, :, im], Dbar[:, im][:, :, im]
+    masked = _ref_nonneg(prev, grid.zero_index)
+    masked_c = masked.copy()
+    masked_c[..., 0, :] *= 0.5
+    out = np.zeros_like(prev)
+    for a in range(ns):
+        decay = gamma * np.exp(-gamma * a * du) * du * (0.5 if a == 0 else 1.0)
+        sub = masked_c[:, :, :, : ns - a, :]
+        for j in range(im.size):
+            shifted = _ref_shift(sub, a * grid.level_cells(model.rates[im[j]]))
+            contrib = np.einsum("zixsl,sx->zisl", shifted, Cmm[: ns - a, :, j])
+            lo = max(a, 1)
+            out[:, :, j, lo:, :] += decay * contrib[:, :, lo - a :, :]
+    w_u = _ref_trapezoid(ns) * du
+    closing = gamma * np.exp(-gamma * np.arange(ns) * du)
+    for j in range(im.size):
+        reduced = np.einsum("zixsl,sx,s->zil", masked, kappa[:, j] * Dmm[:, :, j], w_u)
+        cells = grid.level_cells(model.rates[im[j]])
+        for s in range(ns):
+            out[:, :, j, s] += closing[s] * _ref_shift(reduced, s * cells)
+    return out
+
+
+def _ref_middle(model, grid, bridge_w, bridge_rest, theta2):
+    ip, im = model.s_plus, model.s_minus
+    ns, L = bridge_w.shape[-2:]
+    m0 = grid.zero_index
+    kappa = cost_weights(model, theta2).mp
+    Cbar, Dbar = _uniformized_nodes(model, grid.durations)
+    w_u = _ref_trapezoid(ns) * grid.du
+    cw = Cbar[:, im][:, :, ip] * w_u[:, None, None]
+    dw = kappa * Dbar[:, im][:, :, ip] * w_u[:, None, None]
+    pad = 2 * L - 1
+    f_left = np.fft.rfft(_ref_nonneg(bridge_w, m0), n=pad, axis=-1)
+    f_right = np.fft.rfft(_ref_nonpos(bridge_rest, m0), n=pad, axis=-1)
+    out_f = np.einsum("zixaf,axk,akjsf->zijsf", f_left, cw, f_right)
+    out_f += np.einsum("zixaf,axk,kjsf->zijsf", f_left, dw, f_right[0])
+    return np.fft.irfft(out_f, n=pad, axis=-1)[..., m0 : m0 + L] * grid.dl
+
+
+def _ref_z_recursion(model, grid, theta1, theta2, n_max):
+    base = np.stack(
+        [
+            bridge2_slice(model, grid, float(z), theta1, theta2, edge_weights=True)
+            for z in grid.durations
+        ]
+    )
+    slices = {2: np.maximum(base, 0.0)}
+    for n in range(3, n_max + 1):
+        total = _ref_first(model, grid, slices[n - 1], theta1, theta2)
+        total += _ref_last(model, grid, slices[n - 1], theta2)
+        for w in range(2, n - 1):
+            total += _ref_middle(model, grid, slices[w], slices[n - w], theta2)
+        slices[n] = np.maximum(total, 0.0)
+    return slices
+
+
+def _dense_four_state_model():
+    """Two ascending and two descending states with every kernel block dense."""
+    C = np.array(
+        [[-3.0, 0.5, 0.7, 0.3], [0.4, -2.5, 0.6, 0.5], [0.5, 0.4, -2.6, 0.6], [0.3, 0.6, 0.5, -2.4]]
+    )
+    D = np.array(
+        [[0.5, 0.4, 0.3, 0.3], [0.2, 0.3, 0.3, 0.2], [0.3, 0.2, 0.4, 0.2], [0.25, 0.25, 0.25, 0.25]]
+    )
+    return FluidModel(
+        space=StateSpace(rates=np.array([1.0, 0.5, -1.0, -0.5])),
+        kernel=constant_kernel(C, D, gamma=3.0),
+        alpha=np.array([0.5, 0.5, 0.0, 0.0]),
+        sigma=np.array([1.0, 0.5, 0.0, 0.0]),
+        k_cost=np.arange(16.0).reshape(4, 4) / 10.0,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:bridge density at the level-window edge")
+@pytest.mark.parametrize(
+    "make_model",
+    # mmpp: two ascending states and half-cell shifts; calendar_switch: grid
+    # nodes on kernel breakpoints; pareto_renewal: a duration-dependent
+    # arrival kernel; dense: no state block is diagonal or 1x1, so a
+    # transposed block or a contraction over the wrong class shows.
+    [mmpp_model, calendar_switch_model, pareto_renewal_model, _dense_four_state_model],
+    ids=["mmpp", "calendar_switch", "pareto_renewal", "dense"],
+)
+def test_z_engine_matches_the_reference_loops(make_model, monkeypatch):
+    model = make_model()
+    grid = LevelDurationGrid(3.0, 1 / 8, 4.0, 1 / 8)
+    reference = _ref_z_recursion(model, grid, 0.3, 0.2, 6)
+    assert max(float(np.abs(s).max()) for s in reference.values()) > 0.5
+    # This grid fits in one block of initial durations; blocks of 3 also
+    # cover the ragged last block of the shift loops.
+    for block in (None, 3):
+        if block is not None:
+            monkeypatch.setattr(bridge, "_z_block", lambda row: block)
+        tensor = bridge_recursion(model, grid, 0.3, 0.2, n_max=6, method="z")
+        assert tensor.orders == sorted(reference)
+        for n, expected in reference.items():
+            np.testing.assert_allclose(
+                tensor.slices[n], expected, rtol=0.0, atol=1e-14, err_msg=f"n={n} block={block}"
+            )
+
+
+@pytest.mark.filterwarnings("ignore:bridge density at the level-window edge")
+def test_z_memory_estimate_counts_slices_and_held_spectra(monkeypatch):
+    from scipy.fft import next_fast_len
+
+    model = pareto_renewal_model()
+    grid = LevelDurationGrid(3.0, 1 / 8, 4.0, 1 / 8)
+    n_max = 6
+    held = []
+    spectra_of = bridge._level_spectra
+
+    def recorded(*args):
+        held.append(spectra_of(*args))
+        return held[-1]
+
+    monkeypatch.setattr(bridge, "_level_spectra", recorded)
+    tensor = bridge_recursion(model, grid, n_max=n_max, method="z")
+
+    ns = grid.n_durations
+    pairs = model.s_plus.size * model.s_minus.size
+    n_freq = next_fast_len(grid.n_levels, real=True) // 2 + 1
+    # Left and right complex spectra of each order 2..n_max-2, every z at once.
+    spectra_bytes = (n_max - 3) * 2 * ns * pairs * ns * n_freq * 16
+    assert sum(left.nbytes + right.nbytes for left, right in held) == spectra_bytes
+    slice_bytes = sum(s.nbytes for s in tensor.slices.values())
+    assert bridge._estimate_bytes(grid, model, n_max, "z") >= slice_bytes + spectra_bytes
 
 
 # ---------------------------------------------------------------------------

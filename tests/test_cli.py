@@ -54,6 +54,7 @@ def test_malformed_config_exits_invalid(tmp_path):
         ["mc", "bridge", "--n-paths", "100", "--start-state", "5"],
         ["mc", "ruin", "--u", "1", "--n-paths", "100", "--start-state", "-1"],
         ["first-return", "--theta1", "-0.5"],
+        ["mc", "first-return", "--theta1", "-0.5"],
         ["ruin", "--u", "1", "--n-stages", "1", "--i0", "5"],
     ],
     ids=[
@@ -63,6 +64,7 @@ def test_malformed_config_exits_invalid(tmp_path):
         "mc_bridge_start_state_too_large",
         "mc_ruin_negative_start_state",
         "first_return_negative_theta1",
+        "mc_first_return_negative_theta1",
         "ruin_entry_state_too_large",
     ],
 )

@@ -7,8 +7,8 @@ import pytest
 
 import fluidrisk
 import fluidrisk.homogeneous as homogeneous
-from fluidrisk import LevelGrid, level_fixed_point
-from fluidrisk.gallery import two_state_model
+from fluidrisk import LevelDurationGrid, LevelGrid, bridge_recursion, level_fixed_point
+from fluidrisk.gallery import pareto_renewal_model, two_state_model
 
 MODULES = [fluidrisk] + [
     importlib.import_module(f"fluidrisk.{info.name}")
@@ -47,3 +47,19 @@ def test_level_sweeps_transform_through_the_module_names(monkeypatch):
     assert calls == ["rfft", "rfft", "irfft"] + ["rfft", "irfft"] * 3
     # The benchmark tracer reads the sweep count at this position.
     assert result[2]["iterations"] == 3
+
+
+@pytest.mark.filterwarnings("ignore:bridge density at the level-window edge")
+def test_z_engine_transforms_through_the_scipy_fft_names(monkeypatch):
+    # Tracing wraps these scipy.fft attributes to count the z engine's
+    # transforms, so the engine must look them up when it runs.
+    import scipy.fft
+
+    calls = []
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(scipy.fft, name, _counted(name, getattr(scipy.fft, name), calls))
+    grid = LevelDurationGrid(u_max=2.0, du=0.25, l_max=2.0, dl=0.25)
+    bridge_recursion(pareto_renewal_model(), grid, n_max=5, method="z")
+    # Order 4 transforms order 2 and inverts its interior sum; order 5
+    # transforms order 3 and inverts once.
+    assert calls == ["rfft", "irfft", "rfft", "irfft"]

@@ -95,3 +95,21 @@ def test_samplers_reject_a_negative_initial_duration(sample):
 def test_samplers_reject_a_start_state_outside_the_state_space(sample, start_state):
     with pytest.raises(ValueError, match="start state must lie in 0..1"):
         sample(two_state_model(), start_state)
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda m, t1, t2: simulate_until_return(m, 0.0, t1, t2, 10, seed=1),
+        lambda m, t1, t2: first_return_samples(m, 0.0, t1, t2, 10, 10, seed=1),
+        lambda m, t1, t2: mc_first_return(m, 0.0, t1, t2, 100, 10, seed=1),
+        lambda m, t1, t2: mc_ruin(m, 1.0, 0.0, 100, 10, seed=1, theta1=t1, theta2=t2),
+    ],
+    ids=["simulate_until_return", "first_return", "mc_first_return", "mc_ruin"],
+)
+@pytest.mark.parametrize("theta", [(-0.5, 0.0), (0.0, -0.5)], ids=["theta1", "theta2"])
+def test_samplers_reject_negative_transform_arguments(sample, theta):
+    # A negative theta1 makes each path weight exp(-theta1 * dividends) grow
+    # without bound; the samplers refuse it as the analytic engines do.
+    with pytest.raises(ValueError, match="transform arguments must be nonnegative"):
+        sample(two_state_model(), *theta)
