@@ -165,26 +165,20 @@ def _add_shifted(out: np.ndarray, scale, field_arr: np.ndarray, cells: float) ->
             out[..., :shift] += (scale * weight) * field_arr[..., -shift:]
 
 
-def _shift_level(field_arr: np.ndarray, cells: float) -> np.ndarray:
-    """Sample ``field`` at level argument shifted by ``cells`` grid cells.
-
-    Returns ``out[..., m] = field[..., m - cells]`` by :func:`_add_shifted`.
-    """
-    out = np.zeros_like(field_arr)
-    _add_shifted(out, 1.0, field_arr, cells)
-    return out
-
-
 def _sweep_level(field_arr: np.ndarray, cells: float, weights: np.ndarray) -> np.ndarray:
     """Sweep ``field`` along a line of ``cells`` level cells per duration cell.
 
-    Returns ``out[..., k, :] = weights[k] * _shift_level(field, k * cells)``:
-    a new duration axis, second to last, with one weighted shift per entry
-    of ``weights``.
+    Returns ``out[..., k, :] = weights[k] * field[..., m - k * cells]`` (by
+    :func:`_add_shifted`): a new duration axis, second to last, with one
+    weighted shift per entry of ``weights``.
     """
-    return np.stack(
-        [w * _shift_level(field_arr, k * cells) for k, w in enumerate(weights)], axis=-2
-    )
+
+    def shifted(c):
+        out = np.zeros_like(field_arr)
+        _add_shifted(out, 1.0, field_arr, c)
+        return out
+
+    return np.stack([w * shifted(k * cells) for k, w in enumerate(weights)], axis=-2)
 
 
 def _mask_level_nonneg(field_arr: np.ndarray, zero_index: int) -> np.ndarray:
@@ -201,6 +195,23 @@ def _mask_level_nonpos(field_arr: np.ndarray, zero_index: int) -> np.ndarray:
     out[..., zero_index + 1 :] = 0.0
     out[..., zero_index] *= 0.5
     return out
+
+
+def _level_halves(field_arr: np.ndarray, zero_index: int) -> np.ndarray:
+    """The ``l >= 0`` half of the nonnegative mask and the ``l <= 0`` half of
+    the nonpositive mask, stacked on a new first axis.
+
+    The first half runs from level zero up, the second from ``-l_max`` up to
+    zero; both are ``m0 + 1`` long, with the trapezoid half-weight at level
+    zero.  The linear convolution of two such halves is ``L`` long and its
+    index ``m`` is level ``(m - m0) dl``, so level transforms of length
+    ``next_fast_len(L, real=True)`` never wrap.
+    """
+    m0 = zero_index
+    halves = np.stack([field_arr[..., m0:], field_arr[..., : m0 + 1]])
+    halves[0, ..., 0] *= 0.5
+    halves[1, ..., -1] *= 0.5
+    return halves
 
 
 def _trapezoid_weights(n: int) -> np.ndarray:
@@ -336,11 +347,12 @@ def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
 # node, descending state), plus one line sweep for its arrival branch.  Each
 # shift covers a block of z values (_z_block), small enough that its slab
 # stays in cache.  gamma_middle sums every interior split of an order on
-# half-length level spectra, which the recursion transforms once per order
-# (_level_spectra), and inverts that sum once.  The shifts still cost
-# O(nz * ns) slabs per order, so the operators serve duration-dependent
-# kernels at moderate n (the dispatcher uses the split engine of
-# :mod:`.homogeneous` whenever the kernel is duration-free).
+# half-length level spectra (_level_halves) and inverts that sum once; it
+# transforms each lower order once per call rather than keeping the spectra
+# of every order, which would take twice the memory of the tensors.  The
+# shifts still cost O(nz * ns) slabs per order, so the operators serve
+# duration-dependent kernels at moderate n (the dispatcher uses the split
+# engine of :mod:`.homogeneous` whenever the kernel is duration-free).
 
 
 def _z_block(row: np.ndarray) -> int:
@@ -408,30 +420,10 @@ def gamma_first(
     return out
 
 
-def _level_spectra(bridge: np.ndarray, grid: LevelDurationGrid):
-    """Half-length level spectra ``(left, right)`` of one order's tensor.
-
-    ``left`` transforms the ``l >= 0`` half of the nonnegative mask, from
-    level zero up; ``right`` the ``l <= 0`` half of the nonpositive mask, from
-    ``-l_max`` up to zero.  Both are ``m0 + 1`` long, with the trapezoid
-    half-weight at level zero.  Their linear convolution is ``L`` long and its
-    index ``m`` is level ``(m - m0) dl``, so transforms of length
-    ``next_fast_len(L, real=True)`` never wrap.
-    """
-    from scipy.fft import next_fast_len, rfft
-
-    m0 = grid.zero_index
-    halves = np.stack([bridge[..., m0:], bridge[..., : m0 + 1]])
-    halves[0, ..., 0] *= 0.5
-    halves[1, ..., -1] *= 0.5
-    left, right = rfft(halves, n=next_fast_len(grid.n_levels, real=True), axis=-1)
-    return left, right
-
-
 def gamma_middle(
     model: FluidModel,
     grid: LevelDurationGrid,
-    spectra: dict,
+    bridges,
     n: int,
     theta2: float = 0.0,
 ) -> np.ndarray:
@@ -443,33 +435,49 @@ def gamma_middle(
     ``(n-w)``-bridge from the switch, displaced by ``v``.  No-arrival switches
     continue at initial duration ``u``; arrival switches restart at ``0``.
 
-    Sums every split ``w = 2..n-2``.  The ``v``-integral is a level
-    correlation: a product of the factors' half-length level spectra, which
-    ``spectra`` maps from each order ``2..n-2`` (:func:`_level_spectra`).
-    The products are summed over the splits and inverted once.
+    ``bridges`` maps each order ``2..n-2`` to its density tensor of shape
+    ``(nz, |S+|, |S-|, ns, L)`` (the ``slices`` of a ``"z"``-mode
+    :class:`BridgeTensor`).  Sums every split ``w = 2..n-2``.  The
+    ``v``-integral is a level correlation: a product of the factors'
+    half-length level spectra (:func:`_level_halves`).  Each order is
+    transformed once, together with its partner ``n - w``, so only two
+    orders' spectra are held at a time; the products are summed over the
+    splits and inverted once.
     """
-    from scipy.fft import irfft, next_fast_len
+    from scipy.fft import irfft, next_fast_len, rfft
 
     if n < 4:
         raise ValueError(f"interior splits need order n >= 4, got {n!r}")
     ip, im = model.s_plus, model.s_minus
     ns, L = grid.n_durations, grid.n_levels
+    nfft = next_fast_len(L, real=True)
     kappa = cost_weights(model, theta2).mp
     Cbar, Dbar = _uniformized_nodes(model, grid.durations)
     w_u = _trapezoid_weights(ns) * grid.du
     cw = Cbar[:, im][:, :, ip] * w_u[:, None, None]
     dw = kappa * Dbar[:, im][:, :, ip] * w_u[:, None, None]
-    total = 0.0
-    for w in range(2, n - 1):
-        left, right = spectra[w][0], spectra[n - w][1]
+
+    def spectra(w):  # (left, right) of order w
+        return rfft(_level_halves(bridges[w], grid.zero_index), n=nfft, axis=-1)
+
+    def split(left, right):
         # Both branches weight the left factor's final duration u and state j'
         # by the switch kernel (u, j', i').  No-arrival switches meet the
         # right factor started at u; arrival switches restart it at 0, so
         # their weight, summed over u, joins the u = 0 slot.
         glue = np.einsum("zixaf,axk->ziakf", left, cw)
         glue[:, :, 0] += np.einsum("zixaf,axk->zikf", left, dw)
-        total = total + np.einsum("ziakf,akjsf->zijsf", glue, right, optimize=True)
-    out = irfft(total, n=next_fast_len(L, real=True), axis=-1)[..., :L] * grid.dl
+        return np.einsum("ziakf,akjsf->zijsf", glue, right, optimize=True)
+
+    total = np.zeros((ns, ip.size, im.size, ns, nfft // 2 + 1), dtype=complex)
+    for w in range(2, n // 2 + 1):
+        spec_w = spectra(w)
+        spec_r = spec_w if 2 * w == n else spectra(n - w)
+        total += split(spec_w[0], spec_r[1])
+        if 2 * w != n:
+            total += split(spec_r[0], spec_w[1])
+        del spec_w, spec_r  # before the next pair is transformed
+    out = irfft(total, n=nfft, axis=-1)[..., :L] * grid.dl
     return np.ascontiguousarray(out)
 
 
@@ -628,12 +636,13 @@ def _estimate_bytes(grid: LevelDurationGrid, model: FluidModel, n_max: int, mode
     per_field = pairs * ns * L * 8
     n_slots = max(n_max - 1, 1)
     if mode == "z":
-        # One tensor per order, plus the left and right half-length level
-        # spectra (complex) that gamma_middle holds for orders 2..n_max-2.
+        # One tensor per order, plus gamma_middle's working set: the left and
+        # right half-length level spectra (complex) of two orders, the running
+        # sum over splits and one split's product.
         from scipy.fft import next_fast_len
 
         n_freq = next_fast_len(L, real=True) // 2 + 1
-        spectra = max(n_max - 3, 0) * 2 * pairs * ns * n_freq * 16
+        spectra = 6 * pairs * ns * n_freq * 16 if n_max >= 4 else 0
         return ns * (n_slots * per_field + spectra)
     # A and B fields plus cached spectra of comparable footprint.
     return n_slots * per_field * 5
@@ -718,13 +727,11 @@ def _run_z_recursion(model, grid, theta1, theta2, n_max, diagnostics):
     slices = {2: base}
     m_hi = grid.zero_index
     masses = {2: _integrate_field(base[0], grid, m_hi)}
-    spectra = {}  # half-length level spectra of orders 2..n_max-2
     for n in range(3, n_max + 1):
         total = gamma_first(model, grid, slices[n - 1], theta1, theta2)
         total += gamma_last(model, grid, slices[n - 1], theta2)
         if n >= 4:
-            spectra[n - 2] = _level_spectra(slices[n - 2], grid)
-            total += gamma_middle(model, grid, spectra, n, theta2)
+            total += gamma_middle(model, grid, slices, n, theta2)
         _clamp_and_flag(total, diagnostics)
         slices[n] = total
         masses[n] = _integrate_field(total[0], grid, m_hi)

@@ -42,6 +42,7 @@ from .bridge import (
     _clamp_and_flag,
     _integrate_field,
     _level_edge_max,
+    _level_halves,
     _mask_level_nonneg,
     _mask_level_nonpos,
     _sweep_level,
@@ -414,11 +415,8 @@ def _level_sweep(field: np.ndarray, c: _LevelConstants) -> np.ndarray:
     The two masked halves are transformed once; the state-block products
     commute with the transform and act on their spectra.
     """
-    m0 = c.m0
-    halves = np.stack([field[..., m0:], field[..., : m0 + 1]])
-    halves[0, ..., 0] *= 0.5  # trapezoid half-weight at the closed edge, level zero
-    halves[1, ..., -1] *= 0.5
-    left, right = rfft(halves, n=c.nfft, axis=-1)  # on l >= 0 and on l <= 0
+    # Spectra of the field on l >= 0 and on l <= 0.
+    left, right = rfft(_level_halves(field, c.m0), n=c.nfft, axis=-1)
     first = _real_blocks("ik,kjf->ijf", c.pp, right)
     last = _real_blocks("xj,ixf->ijf", c.mm, left)
     middle = np.einsum("ixf,xjf->ijf", left, _real_blocks("xk,kjf->xjf", c.mp, right))

@@ -426,29 +426,49 @@ def test_z_engine_matches_the_reference_loops(make_model, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:bridge density at the level-window edge")
 def test_z_memory_estimate_counts_slices_and_held_spectra(monkeypatch):
-    from scipy.fft import next_fast_len
+    import scipy.fft
 
-    model = pareto_renewal_model()
+    model = mmpp_model()
     grid = LevelDurationGrid(3.0, 1 / 8, 4.0, 1 / 8)
     n_max = 6
-    held = []
-    spectra_of = bridge._level_spectra
+    forward, inverse = [], []
+    rfft, irfft = scipy.fft.rfft, scipy.fft.irfft
 
-    def recorded(*args):
-        held.append(spectra_of(*args))
-        return held[-1]
+    def recorded_rfft(*args, **kwargs):
+        out = rfft(*args, **kwargs)
+        forward.append(out.nbytes)
+        return out
 
-    monkeypatch.setattr(bridge, "_level_spectra", recorded)
+    def recorded_irfft(spec, *args, **kwargs):
+        inverse.append(spec.nbytes)
+        return irfft(spec, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfft", recorded_rfft)
+    monkeypatch.setattr(scipy.fft, "irfft", recorded_irfft)
     tensor = bridge_recursion(model, grid, n_max=n_max, method="z")
 
     ns = grid.n_durations
     pairs = model.s_plus.size * model.s_minus.size
-    n_freq = next_fast_len(grid.n_levels, real=True) // 2 + 1
-    # Left and right complex spectra of each order 2..n_max-2, every z at once.
-    spectra_bytes = (n_max - 3) * 2 * ns * pairs * ns * n_freq * 16
-    assert sum(left.nbytes + right.nbytes for left, right in held) == spectra_bytes
+    n_freq = scipy.fft.next_fast_len(grid.n_levels, real=True) // 2 + 1
+    # Left and right complex spectra of one order, every z at once.
+    order_spectra = 2 * ns * pairs * ns * n_freq * 16
+    assert set(forward) == {order_spectra}
+    # At most two orders' spectra, the running sum and one split's product.
+    held = 2 * order_spectra + 2 * max(inverse)
     slice_bytes = sum(s.nbytes for s in tensor.slices.values())
-    assert bridge._estimate_bytes(grid, model, n_max, "z") >= slice_bytes + spectra_bytes
+    assert bridge._estimate_bytes(grid, model, n_max, "z") >= slice_bytes + held
+
+
+def test_default_z_build_with_two_state_pairs_fits_the_budget(monkeypatch):
+    # The sizing check alone: mmpp has |S+| |S-| = 2, and the default grid
+    # (65 x 257) with the default n_max = 64 must pass it, as it did before
+    # gamma_middle held level spectra.
+    model = mmpp_model()
+    monkeypatch.setattr(bridge, "_run_z_recursion", lambda *args: ({}, {}))
+    grid = LevelDurationGrid.for_model(model)
+    assert (grid.n_durations, grid.n_levels) == (65, 257)
+    bridge_recursion(model, grid, n_max=64, method="z")
+    assert bridge._estimate_bytes(grid, model, 64, "z") <= bridge.DEFAULT_MEMORY_BUDGET
 
 
 # ---------------------------------------------------------------------------
