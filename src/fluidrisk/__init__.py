@@ -72,7 +72,7 @@ from .bridge import (
 )
 from .homogeneous import (
     LevelGrid,
-    level_fixed_point,
+    doubling_psi,
     run_split_recursion,
 )
 from .descriptors import (
@@ -161,7 +161,7 @@ __all__ = [
     "integrate_bridge",
     # duration-free engines
     "LevelGrid",
-    "level_fixed_point",
+    "doubling_psi",
     "run_split_recursion",
     # descriptors
     "ErlangizedModel",

@@ -673,9 +673,9 @@ def bridge_recursion(
     arrival-free/arrival decomposition — valid at every initial duration),
     ``"z"`` (generic, explicit initial-duration axis), or ``"auto"``.  A
     sizing check runs before any allocation.  Both engines build one order
-    at a time; whole-series first-return masses of duration-free kernels
-    come from :func:`~fluidrisk.homogeneous.level_fixed_point`, which has no
-    duration window to truncate.
+    at a time; the whole-series first-return matrix of a duration-free kernel
+    comes from :func:`~fluidrisk.homogeneous.doubling_psi`, which solves its
+    Riccati equation exactly, with no window to truncate.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max!r}")

@@ -392,7 +392,6 @@ def _cmd_ruin(args) -> int:
         args.theta1,
         args.theta2,
         i0=args.i0,
-        extrapolate=not args.no_extrapolate,
     )
     aug = res.erlangized.model
     rows = []
@@ -406,7 +405,6 @@ def _cmd_ruin(args) -> int:
         "theta1": args.theta1,
         "theta2": args.theta2,
         "converged": res.converged,
-        "extrapolated": bool(res.info.get("extrapolated")),
     }
     with open(os.path.join(out, "ruin.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -414,7 +412,7 @@ def _cmd_ruin(args) -> int:
     _write_manifest(args, out, started, extra={"converged": res.converged})
     print(f"ruin descriptor from u={args.u:g} with {args.n_stages} stages: {res.value:.6f}")
     if not res.converged:
-        print("non-convergence: fixed point did not reach tolerance", file=sys.stderr)
+        print("non-convergence: first-return solve did not reach tolerance", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -524,7 +522,14 @@ def _cmd_convergence_study(args) -> int:
             res = psi(model, args.theta1, args.theta2, z=args.z, grid=grid)
             return float(alpha_plus @ res.matrix.sum(axis=1)), res.info
 
-        (raw, _), (refined, _), analytic = _refine_and_extrapolate(solve)
+        if model.kernel.is_constant:
+            # The doubling solve is exact to its error figure: nothing to refine.
+            analytic, info = solve(None)
+            raw = refined = analytic
+            numeric_est = info["tail_estimate"]
+        else:
+            (raw, _), (refined, _), analytic = _refine_and_extrapolate(solve)
+            numeric_est = abs(analytic - refined)
         est = mc_first_return(
             model,
             args.z,
@@ -539,9 +544,8 @@ def _cmd_convergence_study(args) -> int:
         res = ruin_descriptor(
             model, args.u, args.n_stages, args.theta1, args.theta2, i0=args.i0
         )
-        analytic = res.value
-        raws = res.info.get("raw_values", [analytic, analytic])
-        raw, refined = float(raws[0]), float(raws[-1])
+        analytic = raw = refined = res.value
+        numeric_est = res.info["tail_estimate"]
         # The descriptor is ruin from Erlang(n_stages)-randomized capital, the
         # first return of the ramp-augmented model; sample that same model.
         est = mc_first_return(
@@ -557,11 +561,10 @@ def _cmd_convergence_study(args) -> int:
         )
 
     gap = abs(analytic - est.value)
-    # The analytic side carries numerical error of its own; the shift between
-    # the extrapolated value and the finest computed grid value is the usual
-    # conservative proxy for what remains.  Without it, a zero-variance Monte
-    # Carlo sample (e.g. certain return at theta = 0) would demand exactness.
-    numeric_est = abs(analytic - refined)
+    # The analytic side carries numerical error of its own: the solver's error
+    # figure, or on a duration-level grid the shift between the best value and
+    # the finest computed one.  Without it, a zero-variance Monte Carlo sample
+    # (e.g. certain return at theta = 0) would demand exactness.
     band = 3.0 * est.std_error + numeric_est
     inside = gap <= band
     _write_csv(
@@ -711,11 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--u", type=float, required=True, help="initial capital")
     s.add_argument("--n-stages", type=int, required=True, help="Erlang stages of the capital")
     s.add_argument("--i0", type=int, default=None, help="entry state (default: from alpha)")
-    s.add_argument(
-        "--no-extrapolate",
-        action="store_true",
-        help="skip Richardson extrapolation over the level grid",
-    )
     s.set_defaults(func=_cmd_ruin)
 
     s = subs.add_parser("mc", help="Monte Carlo estimates with standard errors")

@@ -7,16 +7,16 @@ Three quantities built on the bridge machinery:
   where "return" is the first Poisson epoch at which the fluid sits at or
   below its starting level (the fluid crosses during the final descending
   segment, so the event and the crossing phase coincide with the continuous
-  first passage).  Duration-free kernels use the duration-integrated level
-  engine, whose only truncation is the level window itself; general kernels
-  sum bridge orders on a duration-level grid.
+  first passage).  Duration-free kernels solve its Riccati equation exactly
+  by doubling (:func:`~fluidrisk.homogeneous.doubling_psi`), with no grid;
+  general kernels sum bridge orders on a duration-level grid.
 * :func:`finite_time_return` — the same event restricted to a calendar-time
   horizon, available for arrival-free models (``D = 0``), where the duration
   axis coincides with elapsed time and the horizon becomes an exact duration
   window.
 * :func:`erlangize` / :func:`ruin_descriptor` — ruin from Erlang-randomized
   initial capital with mean ``u``.  Duration-free kernels take it from the
-  original model's first-return matrix by the ladder formula
+  original model's exact first-return matrix by the ladder formula
   ``Psi (I - (u/n) Khat)^-n``; duration-dependent kernels prepend an Erlang
   ramp of artificial ascending states, which converts the problem into a
   plain first return of an augmented model.
@@ -32,7 +32,7 @@ import numpy as np
 from scipy.stats import poisson
 
 from .bridge import LevelDurationGrid, bridge_recursion
-from .homogeneous import LevelGrid, level_fixed_point
+from .homogeneous import LevelGrid, _rate_scaled_generator, doubling_psi
 from .model import DurationKernel, FluidModel, StateSpace, StructureError, eval_kernel_batch
 
 __all__ = [
@@ -63,10 +63,11 @@ class FirstReturnDescriptor:
 
     ``matrix[i, j]`` is indexed by ascending start states ``s_plus[i]`` and
     descending crossing states ``s_minus[j]``.  ``n_used`` is the number of
-    series terms (or fixed-point sweeps) accumulated and ``tail_estimate``
-    the magnitude of the last sup-norm increment; ``converged`` reports
-    whether that increment met the tolerance.  ``info`` carries engine
-    diagnostics (increment history, window edge densities).
+    series terms (or doubling steps) taken and ``tail_estimate`` the
+    magnitude of the last sup-norm increment (for doubling, floored at its
+    rounding bound); ``converged`` reports whether it met the tolerance.
+    ``info`` carries engine diagnostics (increment history, residual or
+    window edge densities).
     """
 
     matrix: np.ndarray
@@ -93,36 +94,31 @@ def psi(
     z: float = 0.0,
     grid=None,
     eps: float = 1e-5,
-    max_iter: int = 5000,
     n_max: int = 64,
 ) -> FirstReturnDescriptor:
     """First-return descriptor matrix ``Psi^(z)(theta1, theta2)``.
 
-    Duration-free kernels (where ``z`` is immaterial) iterate the series
-    fixed point of the duration-integrated level engine on ``grid`` (a
-    :class:`~fluidrisk.homogeneous.LevelGrid`, defaulted per model) until the
-    total-mass increment drops below ``eps``.  Duration-dependent kernels sum
-    bridge orders at initial duration ``z`` on ``grid`` (a
-    :class:`~fluidrisk.bridge.LevelDurationGrid`, defaulted per model) up to
-    the first order whose sup-norm increment falls below ``eps``, capped at
-    ``n_max`` with a warning; the duration window adds its own truncation
-    (documented in ``info``).
+    Duration-free kernels (where ``z`` is immaterial) solve the Riccati
+    equation by doubling (:func:`~fluidrisk.homogeneous.doubling_psi`): the
+    matrix is exact to rounding, with entries in ``[0, 1]`` and row sums at
+    most one, and it is converged when the solver's last increment is below
+    ``eps``.  Such kernels need no grid; a
+    :class:`~fluidrisk.homogeneous.LevelGrid` passed as ``grid`` is accepted
+    and ignored.  Duration-dependent kernels sum bridge orders at initial
+    duration ``z`` on ``grid`` (a :class:`~fluidrisk.bridge.LevelDurationGrid`,
+    defaulted per model) up to the first order whose sup-norm increment falls
+    below ``eps``, capped at ``n_max`` with a warning; the duration window
+    adds its own truncation (documented in ``info``).
     """
     if model.kernel.is_constant:
-        lgrid = grid if grid is not None else LevelGrid.for_model(model)
-        if not isinstance(lgrid, LevelGrid):
-            raise TypeError("duration-free kernels take a LevelGrid")
-        _, matrix, info = level_fixed_point(
-            model, lgrid, theta1, theta2, eps=eps, max_iter=max_iter
-        )
-        info["engine"] = "level"
-        info["grid"] = lgrid
-        hist = info["mass_history"]
-        tail = float(np.abs(hist[-1] - hist[-2]).max()) if len(hist) > 1 else 0.0
-        if not info["converged"]:
+        if grid is not None and not isinstance(grid, LevelGrid):
+            raise TypeError("duration-free kernels take no grid (a LevelGrid is ignored)")
+        matrix, info = doubling_psi(model, theta1, theta2)
+        tail = info["tail_estimate"]
+        if tail >= eps:
             warnings.warn(
-                f"first-return fixed point stopped at max_iter={max_iter} "
-                f"with increment {tail:.3e} above eps={eps:.3e}",
+                f"doubling stopped after {info['steps']} steps with increment "
+                f"{tail:.3e} above eps={eps:.3e}",
                 stacklevel=2,
             )
         return FirstReturnDescriptor(
@@ -131,9 +127,9 @@ def psi(
             s_minus=model.s_minus,
             theta1=theta1,
             theta2=theta2,
-            n_used=int(info["iterations"]),
+            n_used=info["steps"],
             tail_estimate=tail,
-            converged=bool(info["converged"]),
+            converged=tail < eps,
             info=info,
         )
 
@@ -425,24 +421,19 @@ def erlangize(model: FluidModel, u: float, n_stages: int, i0: int | None = None)
     )
 
 
-def _refine_and_extrapolate(solve, grid=None):
-    """One Richardson step over the grid spacing.
+def _refine_and_extrapolate(solve):
+    """One refinement of the default duration-level grid.
 
     ``solve(g)`` returns ``(value, info)`` for grid ``g`` (``None`` selects
-    the solver's default grid) and records the grid it used in
-    ``info['grid']``.  The step solves again on the same window at half the
-    spacing and returns ``(coarse, fine, best)``: both runs and the best value
-    they support.  The level quadrature of the duration-free engines
-    converges at second order, so on a :class:`LevelGrid` ``best`` is the
-    Richardson extrapolate ``(4 fine - coarse) / 3``; the generic
-    duration-level engine is only first order at its support edges, where
-    the refined value itself is the best available.
+    the solver's default :class:`LevelDurationGrid`) and records the grid it
+    used in ``info['grid']``.  The step solves again on the same window at
+    half the spacing and returns ``(coarse, fine, best)``: both runs and the
+    best value they support.  The generic duration-level engine is only first
+    order at its support edges, so no extrapolation applies and ``best`` is
+    the refined value itself.
     """
-    coarse = solve(grid)
+    coarse = solve(None)
     g = coarse[1]["grid"]
-    if isinstance(g, LevelGrid):
-        fine = solve(LevelGrid(l_max=g.l_max, dl=g.dl / 2.0))
-        return coarse, fine, (4.0 * fine[0] - coarse[0]) / 3.0
     fine = solve(LevelDurationGrid(u_max=g.u_max, du=g.du / 2.0, l_max=g.l_max, dl=g.dl / 2.0))
     return coarse, fine, fine[0]
 
@@ -475,10 +466,8 @@ def ruin_descriptor(
     theta2: float = 0.0,
     *,
     i0: int | None = None,
-    grid: LevelGrid | LevelDurationGrid | None = None,
+    grid: LevelDurationGrid | None = None,
     eps: float = 1e-9,
-    max_iter: int = 5000,
-    extrapolate: bool = True,
 ) -> RuinDescriptor:
     """Ruin transform from Erlang(``n_stages``, ``n_stages/u``) capital.
 
@@ -487,18 +476,16 @@ def ruin_descriptor(
 
     Duration-free kernels use the ladder formula: row ``i0`` of
     ``Psi (I - (u/n_stages) Khat)^-n_stages`` with ``Khat = T-- + T-+ Psi``
-    and ``T = Q_theta / |r|``, where ``Psi`` is the level engine's
-    first-return matrix of the original model on ``grid`` (a
-    :class:`~fluidrisk.homogeneous.LevelGrid` of that model, by default
-    :meth:`LevelGrid.for_model`).  The cost depends on neither ``u`` nor
-    ``n_stages``.  With ``extrapolate`` (default) ``Psi`` is
-    Richardson-extrapolated over the grid and its spacing-halved refinement;
-    ``info['raw_values']`` holds the ladder value from each grid's ``Psi``.
+    and ``T = Q_theta / |r|``, where ``Psi`` is the original model's exact
+    first-return matrix from one doubling solve.  The value is exact to
+    rounding for every ``n_stages``, its cost depends on neither ``u`` nor
+    ``n_stages``, and ``grid`` does not apply.  ``info`` is the solver's,
+    with ``tail_estimate`` its error figure for ``Psi``.
 
     Duration-dependent kernels sum the duration-level bridge series of the
-    erlangized model from its first ramp state; the default duration window
-    covers the ramp transit time (mean ``u``) on top of the inter-arrival
-    scale.
+    erlangized model from its first ramp state on ``grid``; the default
+    duration window covers the ramp transit time (mean ``u``) on top of the
+    inter-arrival scale.  ``info['tail_estimate']`` is the series tail.
     """
     erl = erlangize(model, u, n_stages, i0)
     if not model.kernel.is_constant:
@@ -518,34 +505,16 @@ def ruin_descriptor(
         psi_aug = psi(erl.model, theta1, theta2, grid=grid, eps=eps, n_max=max(64, 4 * n_stages))
         # Ramp stage one is the augmented model's first ascending state.
         by_state, converged = psi_aug.matrix[0], psi_aug.converged
-        info = dict(psi_aug.info, extrapolated=False)
+        info = dict(psi_aug.info, tail_estimate=psi_aug.tail_estimate)
     else:
         ip, im = model.s_plus, model.s_minus
-        C, D = model.kernel.constant
-        Q = C + np.exp(-theta2 * model.k_cost) * D - theta1 * np.diag(model.sigma)
-        T = Q / np.abs(model.rates)[:, None]
+        res = psi(model, theta1, theta2, eps=eps)
+        T = _rate_scaled_generator(model, theta1, theta2)
+        khat = T[np.ix_(im, im)] + T[np.ix_(im, ip)] @ res.matrix
+        step = np.linalg.inv(np.eye(im.size) - (u / n_stages) * khat)
         row = int(np.flatnonzero(ip == erl.entry_state)[0])
-
-        def ladder(matrix):
-            khat = T[np.ix_(im, im)] + T[np.ix_(im, ip)] @ matrix
-            step = np.linalg.inv(np.eye(im.size) - (u / n_stages) * khat)
-            return matrix[row] @ np.linalg.matrix_power(step, n_stages)
-
-        def solve(g):
-            res = psi(model, theta1, theta2, grid=g, eps=eps, max_iter=max_iter)
-            return res.matrix, res.info
-
-        if extrapolate:
-            coarse, fine, matrix = _refine_and_extrapolate(solve, grid)
-            runs = [coarse, fine]
-        else:
-            runs = [solve(grid)]
-            matrix = runs[0][0]
-        by_state = ladder(matrix)
-        info = dict(runs[-1][1], engine="level-ladder", extrapolated=extrapolate)
-        info["raw_values"] = [float(ladder(r[0]).sum()) for r in runs]
-        info["iterations"] = [r[1]["iterations"] for r in runs]
-        converged = all(bool(r[1]["converged"]) for r in runs)
+        by_state = res.matrix[row] @ np.linalg.matrix_power(step, n_stages)
+        converged, info = res.converged, res.info
     return RuinDescriptor(
         value=float(by_state.sum()),
         by_state=by_state,

@@ -1,31 +1,31 @@
-"""Fast bridge recursions for duration-free kernels.
+"""Duration-free kernels: the exact first-return matrix and per-order bridges.
 
-When the kernel pair does not depend on the duration, the bridge splits
+When the kernel pair does not depend on the duration, the fluid model is a
+Markov-modulated fluid queue with generator ``Q_theta = C + exp(-theta2 K) o D
+- theta1 diag(sigma)``.  Its first-return matrix ``Psi`` is the minimal
+nonnegative solution of the Riccati equation
+
+``T++ Psi + Psi T-- + T+- + Psi T-+ Psi = 0``,  ``T = Q_theta / |r|``
+
+(Ramaswami 1999; Bean, O'Reilly & Taylor 2005).  :func:`doubling_psi` solves
+it by the structure-preserving doubling algorithm (Guo, Lin & Xu 2006), which
+converges quadratically.  At zero mean drift that rate degrades to linear,
+and the shift of Guo, Iannazzo & Meini (2007) along the null vector ``1``
+restores it; the shift applies whenever return is certain (no tilt acting
+and mean drift ``<= 0``), because only then does ``Psi 1 = 1`` keep the
+shifted equation's solution unchanged.
+
+Per-order bridge densities come from the split recursion.  The bridge splits
 exactly into an arrival-free part ``A`` — a function of the elapsed time
 ``s - z`` because the duration never resets — and an arrival part ``B`` that
 is independent of the initial duration ``z`` because the final duration
-restarts at the last arrival.  The split recursion closes on the pair
-``(A, B)`` with no initial-duration axis at all and builds the bridge
-densities order by order.
-
-Every recursion term is a convolution along the elapsed-time and level axes
-with either another field or a line-supported kernel (a holding-time density
-swept along its fluid displacement), so the engine runs on FFTs.  Its fields
-and kernels share one centered level lattice (:class:`_Plans`).
-
-First-return masses need only the densities integrated over the final
-duration.  The level engine, :func:`level_fixed_point`, integrates that axis
-out analytically and sums the whole bridge series at once.  Integrated over
-the final duration, ``A + B`` closes on itself with the summed blocks
-``Cbar + exp(-theta2 k) Dbar``: the series sum ``S`` is the minimal solution of
-
-``S = S_2 + first(S) + middle(S, S) + last(S)``
-
-and monotone iteration from the two-epoch field converges to it from below.
-It is the only level engine; per-order masses come from the split recursion.
-Each of its level products pairs a factor on ``l >= 0`` with one on
-``l <= 0``, so a sweep transforms the two half-support halves of ``S``, of
-length ``m0 + 1``, and needs no origin offset (:class:`_LevelConstants`).
+restarts at the last arrival.  The recursion closes on the pair ``(A, B)``
+with no initial-duration axis at all and builds the bridge densities order by
+order.  Every recursion term is a convolution along the elapsed-time and
+level axes with either another field or a line-supported kernel (a
+holding-time density swept along its fluid displacement), so the engine runs
+on FFTs.  Its fields and kernels share one centered level lattice
+(:class:`_Plans`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .bridge import (
     _clamp_and_flag,
     _integrate_field,
     _level_edge_max,
-    _level_halves,
     _mask_level_nonneg,
     _mask_level_nonpos,
     _sweep_level,
@@ -52,12 +51,136 @@ from .bridge import (
 __all__ = [
     "LevelGrid",
     "run_split_recursion",
-    "level_fixed_point",
+    "doubling_psi",
 ]
+
+#: Floor of the doubling solver's error figure: 32 units of roundoff.  Against
+#: 50-digit Newton solutions, the doubling Psi of the gallery's duration-free
+#: models at theta in {(0, 0), (0.1, 0.2), (0.3, 0.2), (1, 0.2)} is off by at
+#: most 3 units.
+DOUBLING_ROUNDING = 32.0 * float(np.finfo(float).eps)
+
+#: Doubling steps before the solver gives up.  A quadratic run takes 4-9; a
+#: linear one (drift just above zero) halves its error per step.
+_MAX_DOUBLING_STEPS = 64
 
 
 # ---------------------------------------------------------------------------
-# FFT workspace
+# Duration-free kernels: the first-return matrix by doubling
+# ---------------------------------------------------------------------------
+
+
+def _require_duration_free(model: FluidModel) -> None:
+    if not model.kernel.is_constant:
+        raise StructureError(
+            "the duration-free engines require a duration-free kernel; "
+            "duration-dependent kernels need the generic duration-level recursion"
+        )
+
+
+def _rate_scaled_generator(model: FluidModel, theta1: float, theta2: float) -> np.ndarray:
+    """``T = Q_theta / |r|``: the tilted generator per unit of fluid level."""
+    _require_duration_free(model)
+    C, D = model.kernel.constant
+    Q = C + np.exp(-theta2 * model.k_cost) * D - theta1 * np.diag(model.sigma)
+    return Q / np.abs(model.rates)[:, None]
+
+
+def _return_is_certain(model: FluidModel, T: np.ndarray) -> bool:
+    """Whether ``Psi 1 = 1``: no tilt acts (``T 1 = 0``) and the mean drift
+    ``pi . r`` of the stationary law is at most zero, up to rounding."""
+    if np.abs(T.sum(axis=1)).max() > 1e-12 * np.abs(T).max():
+        return False
+    Q = T * np.abs(model.rates)[:, None]
+    lhs = np.vstack([Q.T, np.ones(model.p)])
+    pi = np.linalg.lstsq(lhs, np.eye(model.p + 1)[-1], rcond=None)[0]
+    return float(pi @ model.rates) <= 1e-12 * float(pi @ np.abs(model.rates))
+
+
+def _substochastic(X: np.ndarray) -> np.ndarray:
+    """Clip at zero and scale back any row that rounding lifts above one."""
+    X = np.maximum(X, 0.0)
+    sums = X.sum(axis=1, keepdims=True)
+    while (sums > 1.0).any():
+        # The quotient can round back above one; step it an ulp down.
+        X = np.where(sums > 1.0, np.nextafter(X / sums, 0.0), X)
+        sums = X.sum(axis=1, keepdims=True)
+    return X
+
+
+def _right_solve(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``X M^-1``."""
+    return np.linalg.solve(M.T, X.T).T
+
+
+def doubling_psi(model: FluidModel, theta1: float = 0.0, theta2: float = 0.0):
+    """First-return matrix of a duration-free model by doubling.
+
+    In the M-matrix form ``X C X - X D - A X + B = 0`` of Guo, Lin & Xu, with
+    ``X = Psi``, ``A = -T++``, ``B = T+-``, ``C = T-+`` and ``D = -T--``, the
+    doubling iterates ``H_k`` converge to ``Psi``, the error roughly squaring
+    at each step.  When return is certain, the matrix ``[[D, -C], [B, -A]]``
+    has the null vector ``1`` inside its invariant subspace ``[I; Psi]``;
+    adding ``(eta/p) 1 1^T`` moves that zero eigenvalue to ``eta`` and leaves
+    ``Psi`` a solution (Guo, Iannazzo & Meini).  The solver stops when the
+    sup-norm increment of ``H_k`` drops to :data:`DOUBLING_ROUNDING`.
+
+    Returns ``(matrix, info)``.  ``matrix`` is clipped to ``[0, 1]`` with row
+    sums at most one.  ``info`` holds the step count, the increment history,
+    whether the shift applied, the Riccati residual of ``matrix`` and
+    ``tail_estimate``: the last increment, floored at
+    :data:`DOUBLING_ROUNDING`.
+    """
+    if theta1 < 0 or theta2 < 0:
+        raise ValueError("transform arguments must be nonnegative")
+    T = _rate_scaled_generator(model, theta1, theta2)
+    ip, im = model.s_plus, model.s_minus
+    Tpp, Tpm = T[np.ix_(ip, ip)], T[np.ix_(ip, im)]
+    Tmp, Tmm = T[np.ix_(im, ip)], T[np.ix_(im, im)]
+    A, B, C, D = -Tpp, Tpm, Tmp, -Tmm
+    shifted = _return_is_certain(model, T)
+    if shifted:
+        # (eta/p) 1 1^T is the same constant in every block of the matrix.
+        eta = max(np.diag(A).max(), np.diag(D).max()) / model.p
+        A, B, C, D = A - eta, B + eta, C - eta, D + eta
+
+    m, n = ip.size, im.size
+    gamma = max(np.diag(A).max(), np.diag(D).max())
+    A_g, D_g = A + gamma * np.eye(m), D + gamma * np.eye(n)
+    DC = np.linalg.solve(D_g, C)
+    W = A_g - B @ DC
+    V = D_g - C @ np.linalg.solve(A_g, B)
+    E = np.eye(n) - 2.0 * gamma * np.linalg.inv(V)
+    F = np.eye(m) - 2.0 * gamma * np.linalg.inv(W)
+    G = 2.0 * gamma * _right_solve(DC, W)
+    H = 2.0 * gamma * _right_solve(np.linalg.solve(W, B), D_g)
+    increments = []
+    for _ in range(_MAX_DOUBLING_STEPS):
+        EI = _right_solve(E, np.eye(n) - G @ H)
+        FI = _right_solve(F, np.eye(m) - H @ G)
+        H_next = H + FI @ H @ E
+        G = G + EI @ G @ F
+        E, F = EI @ E, FI @ F
+        increments.append(float(np.abs(H_next - H).max(initial=0.0)))
+        H = H_next
+        if increments[-1] <= DOUBLING_ROUNDING:
+            break
+
+    X = _substochastic(H)
+    residual = Tpp @ X + X @ Tmm + Tpm + X @ Tmp @ X
+    info = {
+        "engine": "doubling",
+        "steps": len(increments),
+        "increments": np.array(increments),
+        "shifted": shifted,
+        "residual": float(np.abs(residual).max(initial=0.0)),
+        "tail_estimate": max(increments[-1], DOUBLING_ROUNDING),
+    }
+    return X, info
+
+
+# ---------------------------------------------------------------------------
+# Duration-free kernels: per-order split recursion
 # ---------------------------------------------------------------------------
 
 
@@ -66,8 +189,7 @@ class _Plans:
 
     All level data — fields and line kernels alike — live on the centered
     level lattice (index ``m0`` is level zero), so every spectral product is
-    sliced at the same window ``[0:ns, m0:m0+L)``.  The level engine does not
-    use it: its factors are half-supported (:class:`_LevelConstants`).
+    sliced at the same window ``[0:ns, m0:m0+L)``.
     """
 
     def __init__(self, ns: int, L: int, m0: int):
@@ -99,19 +221,10 @@ def _halve_first_row(field: np.ndarray) -> np.ndarray:
 def _rate_class_blocks(model: FluidModel, theta2: float):
     """Rate-class blocks of the uniformized kernel ``Cbar`` and of the
     cost-tilted arrival kernel ``exp(-theta2 k) * Dbar`` of a duration-free model."""
-    if not model.kernel.is_constant:
-        raise StructureError(
-            "the duration-free engines require a duration-free kernel; "
-            "duration-dependent kernels need the generic duration-level recursion"
-        )
+    _require_duration_free(model)
     Cbar, Dbar = uniformized_kernel(model.kernel, 0.0)
     kD = np.exp(-theta2 * model.k_cost) * Dbar
     return BlockView.split(Cbar, model.space), BlockView.split(kD, model.space)
-
-
-# ---------------------------------------------------------------------------
-# Duration-free kernels: arrival-free / arrival split
-# ---------------------------------------------------------------------------
 
 
 class _SplitConstants:
@@ -282,21 +395,18 @@ def run_split_recursion(model, grid, theta1, theta2, n_max, diagnostics):
 
 
 # ---------------------------------------------------------------------------
-# Duration-free kernels: level-only (duration-integrated) engine
+# Level lattice (kept for callers; no engine reads it)
 # ---------------------------------------------------------------------------
-#
-# First-return descriptors integrate the bridge density over the final
-# duration, and for duration-free kernels every recursion operator commutes
-# with that integral: holding-time factors turn into closed-form exponential
-# kernels along the fluid displacement, and the recursion closes on fields of
-# the level alone.  This removes the duration axis — and with it the
-# duration-window truncation, which dominates the error near criticality
-# where first-return times are heavy-tailed.
 
 
 @dataclass(frozen=True)
 class LevelGrid:
-    """Centered uniform level lattice ``[-l_max, l_max]`` with spacing ``dl``."""
+    """Centered uniform level lattice ``[-l_max, l_max]`` with spacing ``dl``.
+
+    No engine uses it since the first-return matrix is solved exactly:
+    :func:`~fluidrisk.descriptors.psi` accepts one on a duration-free kernel
+    and ignores it, so that callers which still build one keep working.
+    """
 
     l_max: float
     dl: float
@@ -336,128 +446,3 @@ class LevelGrid:
             l_max = 512.0 * r_max / model.gamma
         l_max = round(l_max / dl) * dl
         return cls(l_max=float(l_max), dl=float(dl))
-
-
-def _level_kernels(model: FluidModel, grid: LevelGrid, theta1: float):
-    """Closed-form displacement kernels of single uniformized segments.
-
-    Ascending state ``i``: holding time ``Exp(gamma)`` tilted by the dividend
-    weight gives density ``(gamma/r_i) exp(-(gamma + theta1 sigma_i) l / r_i)``
-    on ``l >= 0``.  Descending state ``j``: ``(gamma/|r_j|) exp(-gamma l/r_j)``
-    on ``l <= 0``.  The jump node at zero carries the midpoint value.
-    """
-    lev = grid.levels
-    m0 = grid.zero_index
-    gamma = model.gamma
-    K1 = np.zeros((model.s_plus.size, grid.n_levels))
-    for a_i, i in enumerate(model.s_plus):
-        r = model.rates[i]
-        rate = (gamma + theta1 * model.sigma[i]) / r
-        K1[a_i, m0:] = (gamma / r) * np.exp(-rate * lev[m0:])
-        K1[a_i, m0] *= 0.5
-    K3 = np.zeros((model.s_minus.size, grid.n_levels))
-    for b_j, j in enumerate(model.s_minus):
-        r = model.rates[j]
-        K3[b_j, : m0 + 1] = (gamma / -r) * np.exp(-(gamma / r) * lev[: m0 + 1])
-        K3[b_j, m0] *= 0.5
-    return K1, K3
-
-
-class _LevelConstants:
-    """Rate-class blocks of the branch sum ``Cbar + exp(-theta2 k) Dbar`` and
-    half-support kernel spectra for the duration-integrated recursion.
-
-    Every level product pairs a factor on ``l >= 0`` with one on ``l <= 0``,
-    so each factor is kept as its ``m0 + 1`` long half: the nonnegative half
-    from level zero up, the nonpositive half from ``-l_max`` up to zero.
-    Their linear convolution is ``L`` long and its index ``n`` is level
-    ``(n - m0) dl``: the whole window with no origin offset, so transforms of
-    length ``next_fast_len(L)`` never wrap.
-    """
-
-    def __init__(self, model: FluidModel, grid: LevelGrid, theta1: float, theta2: float):
-        C, D = _rate_class_blocks(model, theta2)
-        self.pp, self.mp, self.mm = C.pp + D.pp, C.mp + D.mp, C.mm + D.mm
-        self.pm = (C.pm + D.pm)[..., None]
-        self.m0 = m0 = grid.zero_index
-        self.L, self.dl = grid.n_levels, grid.dl
-        self.nfft = next_fast_len(self.L, real=True)
-        K1, K3 = _level_kernels(model, grid, theta1)
-        self.F1 = rfft(K1[:, m0:], n=self.nfft, axis=-1)  # (|S+|, freq)
-        self.F3 = rfft(K3[:, : m0 + 1], n=self.nfft, axis=-1)  # (|S-|, freq)
-        self.kernel_tail = float(max(K1[:, -1].max(initial=0.0), K3[:, 0].max(initial=0.0)))
-        self.w_mass = _trapezoid_weights(m0 + 1) * grid.dl
-
-    def fields(self, spec: np.ndarray) -> np.ndarray:
-        """Level fields of product spectra, times the level step."""
-        return irfft(spec, n=self.nfft, axis=-1)[..., : self.L] * self.dl
-
-    def base(self) -> np.ndarray:
-        """Duration-integrated two-epoch field: one ascending and one
-        descending segment glued by the summed kernel."""
-        conv = self.fields(self.F1[:, None, :] * self.F3[None, :, :])  # (|S+|, |S-|, L)
-        return conv * self.pm
-
-    def mass(self, field: np.ndarray) -> np.ndarray:
-        """Integral over nonpositive displacements, per state pair."""
-        return np.einsum("ijl,l->ij", field[..., : self.m0 + 1], self.w_mass)
-
-
-def _real_blocks(subscripts: str, blocks: np.ndarray, spec: np.ndarray) -> np.ndarray:
-    """Real state blocks applied to complex spectra through their float view."""
-    return np.einsum(subscripts, blocks, spec.view(np.float64)).view(np.complex128)
-
-
-def _level_sweep(field: np.ndarray, c: _LevelConstants) -> np.ndarray:
-    """One fixed-point sweep without the two-epoch field: the first and last
-    operators on the field and the middle operator gluing it to itself.
-
-    The two masked halves are transformed once; the state-block products
-    commute with the transform and act on their spectra.
-    """
-    # Spectra of the field on l >= 0 and on l <= 0.
-    left, right = rfft(_level_halves(field, c.m0), n=c.nfft, axis=-1)
-    first = _real_blocks("ik,kjf->ijf", c.pp, right)
-    last = _real_blocks("xj,ixf->ijf", c.mm, left)
-    middle = np.einsum("ixf,xjf->ijf", left, _real_blocks("xk,kjf->xjf", c.mp, right))
-    return c.fields(c.F1[:, None] * first + c.F3 * last + middle)
-
-
-def level_fixed_point(
-    model: FluidModel,
-    grid: LevelGrid,
-    theta1: float = 0.0,
-    theta2: float = 0.0,
-    eps: float = 1e-9,
-    max_iter: int = 2000,
-    diagnostics: dict | None = None,
-):
-    """Whole-series duration-integrated bridge sum (first-return field).
-
-    Iterates the series fixed-point equation from the two-epoch field.  The
-    iteration is monotone from below, so the stopping rule watches the total
-    mass increment.  Returns ``(field, mass, info)``: the series sum on the
-    level lattice and its first-return mass per state pair.
-    """
-    if theta1 < 0 or theta2 < 0:
-        raise ValueError("transform arguments must be nonnegative")
-    diagnostics = {} if diagnostics is None else diagnostics
-    c = _LevelConstants(model, grid, theta1, theta2)
-    base = field = c.base()
-    history = [c.mass(field)]
-    converged = False
-    for _ in range(max_iter):
-        field = _clamp_and_flag(_level_sweep(field, c) + base, diagnostics)
-        history.append(c.mass(field))
-        if float(np.max(np.abs(history[-1] - history[-2]))) < eps:
-            converged = True
-            break
-    info = {
-        "iterations": len(history) - 1,
-        "converged": converged,
-        "mass_history": np.array(history),
-        "level_edge_max_density": _level_edge_max([field]),
-        "kernel_window_tail": c.kernel_tail,
-    }
-    info.update(diagnostics)
-    return field, history[-1], info

@@ -85,12 +85,40 @@ def test_ruin_convergence_study_reports_the_descriptor_grid_values(two_state_con
     code = main(["convergence-study", str(two_state_config), "--out", str(out)] + args)
     with open(out / "convergence_study.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
-    raw = ruin_descriptor(two_state_model(), 1.0, 1, 0.3, 0.2, i0=0).info["raw_values"]
-    assert float(row["analytic_raw"]) == raw[0]
-    assert float(row["analytic_refined"]) == raw[1]
+    res = ruin_descriptor(two_state_model(), 1.0, 1, 0.3, 0.2, i0=0)
+    # One exact solve: nothing to refine, and the numeric error is the
+    # solver's own figure, never zero.
+    assert float(row["analytic_raw"]) == float(row["analytic_refined"]) == res.value
+    assert float(row["analytic"]) == res.value
+    assert float(row["refinement_shift"]) == 0.0
+    assert float(row["numeric_error_estimate"]) == res.info["tail_estimate"] > 0.0
     # The Monte Carlo side samples the same Erlang-randomized capital.
     assert code == EXIT_OK
     assert row["inside"] == "True"
+
+
+@pytest.mark.parametrize("theta", [("0", "0"), ("0.3", "0.2")], ids=["theta0", "theta_03_02"])
+def test_first_return_convergence_study_solves_once(two_state_config, tmp_path, theta):
+    out = tmp_path / "study"
+    args = ["--quantity", "first-return", "--n-paths", "2000", "--theta1", theta[0], "--theta2", theta[1]]
+    code = main(["convergence-study", str(two_state_config), "--out", str(out)] + args)
+    with open(out / "convergence_study.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert code == EXIT_OK
+    assert row["inside"] == "True"
+    assert row["analytic_raw"] == row["analytic_refined"] == row["analytic"]
+    assert float(row["refinement_shift"]) == 0.0
+    assert float(row["numeric_error_estimate"]) > 0.0
+
+
+def test_certain_first_return_mass_stays_a_probability(two_state_config, tmp_path):
+    # two_state drifts down at theta = 0, so return is certain.
+    out = tmp_path / "out"
+    assert main(["first-return", str(two_state_config), "--out", str(out)]) == EXIT_OK
+    with open(out / "first_return.csv", newline="") as fh:
+        mass = sum(float(row["value"]) for row in csv.DictReader(fh))
+    assert mass <= 1.0
+    assert abs(mass - 1.0) <= 1e-12
 
 
 def test_ruin_convergence_study_at_the_default_stage_count(two_state_config, tmp_path):

@@ -32,11 +32,18 @@ from _oracles import (
 )
 
 
+THETAS = [(0.0, 0.0), (0.1, 0.2), (0.3, 0.2), (1.0, 0.2)]
+
+
 def test_psi_on_the_default_level_grid_matches_the_riccati_value():
-    res = psi(two_state_model(), 0.3, 0.2)
-    assert res.info["engine"] == "level"
-    assert res.converged
-    assert res.matrix[0, 0] == pytest.approx(TWO_STATE_PSI_03_02, abs=2e-3)
+    # A LevelGrid is accepted on a duration-free kernel and ignored.
+    model = two_state_model()
+    res = psi(model, 0.3, 0.2, grid=LevelGrid.for_model(model))
+    assert res.info["engine"] == "doubling"
+    assert res.converged and res.n_used == res.info["steps"]
+    assert res.info["residual"] < 1e-15
+    assert res.matrix[0, 0] == pytest.approx(TWO_STATE_PSI_03_02, abs=1e-14)
+    np.testing.assert_array_equal(res.matrix, psi(model, 0.3, 0.2).matrix)
 
 
 @pytest.mark.parametrize("thetas", [(-0.5, 0.0), (0.0, -0.5)])
@@ -45,42 +52,40 @@ def test_psi_rejects_negative_transform_arguments(thetas):
         psi(two_state_model(), *thetas)
 
 
-@pytest.mark.parametrize("make_model", [mmpp_model, renewal_ph_model, cross_arrival_model])
+@pytest.mark.parametrize(
+    "make_model", [two_state_model, mmpp_model, renewal_ph_model, cross_arrival_model]
+)
 def test_psi_matches_the_riccati_descriptor(make_model):
     model = make_model()
-    res = psi(model, 1.0, 0.2)
-    assert res.converged
-    np.testing.assert_allclose(res.matrix, riccati_descriptor(model, 1.0, 0.2), atol=2e-3)
+    for theta in THETAS:
+        res = psi(model, *theta)
+        assert res.converged
+        np.testing.assert_allclose(res.matrix, riccati_descriptor(model, *theta), rtol=0.0, atol=1e-10)
 
 
-def test_ruin_extrapolation_cancels_the_level_quadrature_error():
-    # One ramp stage makes the ruin value a first return of a three-state
-    # model; its exact Erlang(1) value is the oracle.  The raw grid value
-    # carries the second-order quadrature error, which the Richardson step
-    # over the spacing-halved grid removes.
-    exact = TWO_STATE_ERLANG_RUIN_U1[1]
-    res = ruin_descriptor(two_state_model(), 1.0, 1, 0.3, 0.2, i0=0)
-    assert res.converged and res.info["extrapolated"]
-    assert len(res.info["raw_values"]) == 2
-    assert len(res.info["iterations"]) == 2
-    err = abs(res.value - exact)
-    assert err < 1e-5
-    assert abs(res.info["raw_values"][0] - exact) >= 100.0 * err
+@pytest.mark.parametrize(
+    "make_model", [two_state_model, mmpp_model, renewal_ph_model, cross_arrival_model]
+)
+@pytest.mark.parametrize("n_stages", [1, 4, 16])
+def test_ladder_ruin_matches_the_erlang_oracle(make_model, n_stages):
+    model = make_model()
+    i0 = int(model.s_plus[0])
+    for theta in THETAS:
+        res = ruin_descriptor(model, 1.0, n_stages, *theta, i0=i0)
+        assert res.converged and res.info["engine"] == "doubling"
+        exact = erlang_ruin_exact(model, 1.0, n_stages, *theta)[0]
+        np.testing.assert_allclose(res.by_state, exact, rtol=0.0, atol=1e-10)
 
 
 def test_ladder_ruin_matches_the_first_return_of_the_erlangized_model():
     # The paper's construction, solved independently of the ladder formula:
     # ruin is the first return of the ramp-augmented model from ramp stage
-    # one, extrapolated over its own default grid and the half-spacing one.
+    # one, here by doubling on that model.
     aug = erlangize(two_state_model(), 1.0, 1, 0).model
-    coarse = LevelGrid.for_model(aug)
-    fine = LevelGrid(l_max=coarse.l_max, dl=coarse.dl / 2.0)
-    rows = [psi(aug, 0.3, 0.2, grid=g, eps=1e-9).matrix[0].sum() for g in (coarse, fine)]
-    construction = (4.0 * rows[1] - rows[0]) / 3.0
+    construction = psi(aug, 0.3, 0.2, eps=1e-9).matrix[0].sum()
     res = ruin_descriptor(two_state_model(), 1.0, 1, 0.3, 0.2, i0=0)
-    assert res.info["engine"] == "level-ladder"
-    assert isinstance(res.info["grid"], LevelGrid)
-    assert abs(res.value - construction) < 2e-6
+    assert res.info["engine"] == "doubling"
+    assert abs(res.value - construction) < 1e-12
 
 
 def test_ladder_ruin_matches_the_erlang_oracle_on_cross_arrival():
@@ -88,14 +93,14 @@ def test_ladder_ruin_matches_the_erlang_oracle_on_cross_arrival():
     exact = erlang_ruin_exact(model, 1.0, 4, 0.3, 0.2)[0].sum()
     res = ruin_descriptor(model, 1.0, 4, 0.3, 0.2, i0=0)
     assert res.converged
-    assert abs(res.value - exact) < 1e-6
+    assert abs(res.value - exact) < 1e-10
 
 
 def test_ladder_ruin_sweeps_do_not_depend_on_the_stage_count():
     runs = [ruin_descriptor(two_state_model(), 1.0, n, 0.3, 0.2, i0=0) for n in (1, 16)]
-    assert runs[0].info["iterations"] == runs[1].info["iterations"]
+    assert runs[0].info["steps"] == runs[1].info["steps"]
     assert runs[1].converged
-    assert abs(runs[1].value - TWO_STATE_ERLANG_RUIN_U1[16]) < 1e-6
+    assert abs(runs[1].value - TWO_STATE_ERLANG_RUIN_U1[16]) < 1e-12
 
 
 @pytest.mark.parametrize("make_model", [two_state_model, cross_arrival_model])

@@ -7,7 +7,7 @@ import pytest
 
 import fluidrisk
 import fluidrisk.homogeneous as homogeneous
-from fluidrisk import LevelDurationGrid, LevelGrid, bridge_recursion, level_fixed_point
+from fluidrisk import LevelDurationGrid, bridge_recursion
 from fluidrisk.gallery import pareto_renewal_model, two_state_model
 
 MODULES = [fluidrisk] + [
@@ -37,16 +37,15 @@ def _counted(name, fn, calls):
     return wrapper
 
 
-def test_level_sweeps_transform_through_the_module_names(monkeypatch):
+def test_split_engine_transforms_through_the_module_names(monkeypatch):
+    names = ("rfft", "irfft", "rfft2", "irfft2")
     calls = []
-    for name in ("rfft", "irfft"):
+    for name in names:
         monkeypatch.setattr(homogeneous, name, _counted(name, getattr(homogeneous, name), calls))
-    result = level_fixed_point(two_state_model(), LevelGrid(l_max=2.0, dl=0.125), max_iter=3)
-    # Two kernel spectra and the two-epoch inverse, then one forward and one
-    # inverse call per sweep.
-    assert calls == ["rfft", "rfft", "irfft"] + ["rfft", "irfft"] * 3
-    # The benchmark tracer reads the sweep count at this position.
-    assert result[2]["iterations"] == 3
+    grid = LevelDurationGrid(u_max=2.0, du=0.25, l_max=2.0, dl=0.25)
+    bridge_recursion(two_state_model(), grid, n_max=4, method="split")
+    # Every transform of the split engine goes through a module attribute.
+    assert set(calls) == set(names)
 
 
 @pytest.mark.filterwarnings("ignore:bridge density at the level-window edge")

@@ -1,32 +1,44 @@
-"""Duration-free engines: per-order split recursion and whole-series level fixed point."""
+"""Duration-free engines: the doubling solver for Psi and the per-order split recursion."""
 
 import numpy as np
 import pytest
 
 from fluidrisk import (
+    FluidModel,
     LevelDurationGrid,
     LevelGrid,
+    StateSpace,
     StructureError,
     bridge_recursion,
-    level_fixed_point,
-    uniformized_kernel,
+    constant_kernel,
+    doubling_psi,
 )
 from fluidrisk.gallery import (
-    cross_arrival_model,
+    gallery_models,
     mmpp_model,
     pareto_renewal_model,
     two_state_model,
 )
 
-from _oracles import (
-    TWO_STATE_BRIDGE2_MASS,
-    TWO_STATE_PSI_03_02,
-    two_state_psi_scalar,
-)
+from _oracles import riccati_descriptor, two_state_psi_scalar
 
 
-def _level_grid(l_max=48.0, dl=1.0 / 32):
-    return LevelGrid(l_max=l_max, dl=dl)
+def _zero_drift_model(c=0.8):
+    """Rates (+1, -1), C = [[-1, 0.8], [c, -1]], D = diag(0.2, 1 - c).
+
+    Q = C + D has stationary law (c, 0.8) / (0.8 + c), so the mean drift is
+    (c - 0.8) / (0.8 + c): zero at c = 0.8.  The Riccati equation is the
+    quadratic c Psi^2 - (0.8 + c) Psi + 0.8 = 0, with roots 1 and
+    T01 / T10 = 0.8 / c, so Psi = min(1, 0.8 / c).
+    """
+    kernel = constant_kernel(C=[[-1.0, 0.8], [c, -1.0]], D=[[0.2, 0.0], [0.0, 1.0 - c]], gamma=1.0)
+    return FluidModel(
+        space=StateSpace(rates=np.array([1.0, -1.0])),
+        kernel=kernel,
+        alpha=np.array([1.0, 0.0]),
+        sigma=np.zeros(2),
+        k_cost=np.zeros((2, 2)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -60,23 +72,95 @@ def test_level_grid_model_defaults_resolve_holding_scale():
 
 
 # ---------------------------------------------------------------------------
-# Level fixed point diagnostics and per-order split masses
+# The doubling solver
 # ---------------------------------------------------------------------------
 
 
 def test_level_masses_match_hand_values():
-    # The fixed point starts from the two-epoch fields, so its first recorded
-    # mass is the order-2 first-return mass.
-    info = level_fixed_point(two_state_model(), _level_grid(), max_iter=1)[2]
-    assert info["mass_history"][0].shape == (1, 1)
-    assert info["mass_history"][0][0, 0] == pytest.approx(TWO_STATE_BRIDGE2_MASS, abs=5e-4)
+    # two_state's Riccati equation is a scalar quadratic, solved by hand in
+    # the oracle module.
+    for theta in [(0.0, 0.0), (0.1, 0.2), (0.3, 0.2), (1.0, 1.0)]:
+        matrix, info = doubling_psi(two_state_model(), *theta)
+        assert matrix[0, 0] == pytest.approx(two_state_psi_scalar(*theta), abs=1e-14)
+        assert info["engine"] == "doubling"
+        assert info["residual"] < 1e-15
+
+
+def test_level_series_reaches_certain_return():
+    # Mean drift -1/17: return is certain and the shift applies.
+    matrix, info = doubling_psi(two_state_model())
+    assert info["shifted"]
+    assert 1.0 - 1e-14 <= matrix[0, 0] <= 1.0
+    assert info["increments"][-1] <= info["tail_estimate"]
+    assert info["tail_estimate"] > 0.0
+
+
+def test_zero_drift_psi_is_one():
+    matrix, info = doubling_psi(_zero_drift_model())
+    assert info["shifted"]
+    assert abs(matrix[0, 0] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("c, shifted, tol", [(0.8 - 1e-6, True, 1e-12), (0.8 + 1e-6, False, 1e-9)])
+def test_near_critical_psi_matches_the_closed_form(c, shifted, tol):
+    # Drift about -6e-7 (certain return, shifted) and +6e-7 (no shift).
+    matrix, info = doubling_psi(_zero_drift_model(c))
+    assert info["shifted"] == shifted
+    assert abs(matrix[0, 0] - min(1.0, 0.8 / c)) < tol
+
+
+def test_positive_drift_is_not_shifted():
+    # mmpp drifts upward at theta = 0: return is not certain, and a shift
+    # along 1 would force the rows of Psi to sum to one.
+    model = mmpp_model()
+    matrix, info = doubling_psi(model)
+    assert not info["shifted"]
+    np.testing.assert_allclose(matrix, riccati_descriptor(model), rtol=0.0, atol=1e-10)
+    assert matrix.sum(axis=1).max() < 0.99
+
+
+@pytest.mark.parametrize("name", ["two_state", "mmpp", "renewal_ph", "cross_arrival"])
+def test_probabilities_never_exceed_one(name):
+    matrix, _ = doubling_psi(gallery_models()[name])
+    assert matrix.min() >= 0.0
+    assert matrix.max() <= 1.0
+    assert matrix.sum(axis=1).max() <= 1.0
+
+
+def test_transform_arguments_damp_the_series_mass():
+    model = two_state_model()
+    masses = {th: doubling_psi(model, *th)[0][0, 0] for th in [(0.0, 0.0), (0.3, 0.2), (1.0, 1.0)]}
+    assert masses[(1.0, 1.0)] < masses[(0.3, 0.2)] < masses[(0.0, 0.0)]
+
+
+def test_costless_model_ignores_transform_arguments():
+    # With no dividend rates and no arrival costs both weights are
+    # identically one, so the computation is bit-for-bit unchanged.
+    model = two_state_model(sigma=(0.0, 0.0), k_cost=((0.0, 0.0), (0.0, 0.0)))
+    np.testing.assert_array_equal(doubling_psi(model)[0], doubling_psi(model, 0.7, 1.3)[0])
+
+
+def test_doubling_outruns_the_duration_window_near_criticality():
+    # Near-critical first-return times are heavy tailed, so a finite duration
+    # window loses visible series mass; the Riccati solve has no window.
+    model = two_state_model()
+    grid = LevelDurationGrid(u_max=16.0, du=1.0 / 8, l_max=16.0, dl=1.0 / 8)
+    tensor = bridge_recursion(model, grid, n_max=16, method="split")
+    series = sum(tensor.mass(n)[0, 0] for n in tensor.orders)
+    assert series < 0.95
+    assert abs(1.0 - doubling_psi(model)[0][0, 0]) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# The split recursion
+# ---------------------------------------------------------------------------
 
 
 def test_level_window_edges_stay_negligible():
-    info = level_fixed_point(two_state_model(), _level_grid())[2]
-    assert info["converged"]
-    assert info["level_edge_max_density"] < 1e-12
-    assert info["kernel_window_tail"] < 1e-15
+    model = two_state_model()
+    tensor = bridge_recursion(model, LevelDurationGrid.for_model(model), n_max=6, method="split")
+    assert tensor.diagnostics["level_edge_max_density"] < 1e-12
+    assert tensor.diagnostics["kernel_window_loss"] < 1e-12
 
 
 def test_arrival_cost_weight_skips_the_arrival_free_order():
@@ -94,129 +178,10 @@ def test_arrival_cost_weight_skips_the_arrival_free_order():
     assert tilted.mass(3)[0, 0] == pytest.approx(blend, abs=5e-5)
 
 
-def _direct_first_sweep(model, grid, theta1, theta2):
-    """The two-epoch fields and one fixed-point sweep, by ``np.convolve`` on
-    the whole centered lattice, with no transform and no half layout."""
-    m0, L, dl, lev = grid.zero_index, grid.n_levels, grid.dl, grid.levels
-    ip, im, gamma, r = model.s_plus, model.s_minus, model.gamma, model.rates
-    Cbar, Dbar = uniformized_kernel(model.kernel, 0.0)
-    kD = np.exp(-theta2 * model.k_cost) * Dbar
-    classes = {"p": ip, "m": im}
-    C, D = (
-        {a + b: M[np.ix_(classes[a], classes[b])] for a in "pm" for b in "pm"} for M in (Cbar, kD)
-    )
-    up, down = lev >= 0, lev <= 0
-    tilt = gamma + theta1 * model.sigma
-    K1 = [np.where(up, gamma / r[i] * np.exp(-tilt[i] * lev / r[i]), 0) for i in ip]
-    K3 = [np.where(down, gamma / -r[j] * np.exp(-gamma * lev / r[j]), 0) for j in im]
-    for k in K1 + K3:
-        k[m0] *= 0.5
-
-    def conv(x, y):
-        return np.convolve(x, y)[m0 : m0 + L] * dl
-
-    def masked(f, keep):
-        out = np.where(keep, f, 0.0)
-        out[..., m0] *= 0.5
-        return out
-
-    def block_times(M, f):  # per level
-        return np.einsum("xk,kjl->xjl", M, f)
-
-    def times_block(f, M):
-        return np.einsum("ixl,xj->ijl", f, M)
-
-    P, Q = ip.size, im.size
-    a0 = np.array([[conv(K1[i], K3[j]) * C["pm"][i, j] for j in range(Q)] for i in range(P)])
-    b0 = np.array([[conv(K1[i], K3[j]) * D["pm"][i, j] for j in range(Q)] for i in range(P)])
-    LA, LB, RA, RB = masked(a0, up), masked(b0, up), masked(a0, down), masked(b0, down)
-    first_a = block_times(C["pp"], RA)
-    first_b = block_times(C["pp"], RB) + block_times(D["pp"], RA + RB)
-    last_a = times_block(LA, C["mm"])
-    last_b = times_block(LB, C["mm"]) + times_block(LA + LB, D["mm"])
-    right_a = block_times(C["mp"], RA)
-    right_b = block_times(C["mp"], RB) + block_times(D["mp"], RA + RB)
-    a1, b1 = a0.copy(), b0.copy()
-    for i in range(P):
-        for j in range(Q):
-            a1[i, j] += conv(K1[i], first_a[i, j]) + conv(last_a[i, j], K3[j])
-            b1[i, j] += conv(K1[i], first_b[i, j]) + conv(last_b[i, j], K3[j])
-            for x in range(Q):
-                a1[i, j] += conv(LA[i, x], right_a[x, j])
-                b1[i, j] += conv(LB[i, x], right_a[x, j]) + conv(LA[i, x] + LB[i, x], right_b[x, j])
-    return np.maximum(a1, 0.0), np.maximum(b1, 0.0)
-
-
-@pytest.mark.parametrize("make_model", [two_state_model, mmpp_model, cross_arrival_model])
-def test_half_length_sweep_matches_direct_convolution_at_every_level(make_model):
-    # A window of a few holding scales keeps the fields far from zero at both
-    # edges, so a circular wrap or a shifted origin in the half-support
-    # layout would show at the first or last index.
-    model = make_model()
-    grid = LevelGrid(l_max=2.0, dl=0.125)
-    field, _, info = level_fixed_point(model, grid, 0.3, 0.2, max_iter=1)
-    assert info["iterations"] == 1
-    # The reference keeps the arrival-free and arrival parts apart, so this
-    # also checks that their sum closes on itself with the summed blocks.
-    a_ref, b_ref = _direct_first_sweep(model, grid, 0.3, 0.2)
-    assert field.shape == a_ref.shape == (model.s_plus.size, model.s_minus.size, grid.n_levels)
-    assert min(a_ref[..., 0].min(), a_ref[..., -1].min()) > 1e-6
-    np.testing.assert_allclose(field, a_ref + b_ref, rtol=0.0, atol=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# Whole-series fixed points
-# ---------------------------------------------------------------------------
-
-
-def test_level_series_reaches_certain_return():
-    # Mean drift is negative, so the first-return mass is exactly one; the
-    # lattice value lands within discretization error and the error is
-    # second order in the spacing.
-    _, mass, info = level_fixed_point(two_state_model(), _level_grid())
-    assert info["converged"] and info["iterations"] > 10
-    gap = abs(1.0 - mass[0, 0])
-    assert gap < 5e-2
-    hist = info["mass_history"][:, 0, 0]
-    assert np.all(np.diff(hist) >= -1e-12)
-    _, fine, _ = level_fixed_point(two_state_model(), _level_grid(dl=1.0 / 64))
-    assert abs(1.0 - fine[0, 0]) < 0.6 * gap
-
-
-def test_transform_arguments_damp_the_series_mass():
-    model = two_state_model()
-    grid = _level_grid()
-    masses = {}
-    for th in [(0.0, 0.0), (0.3, 0.2), (1.0, 1.0)]:
-        masses[th] = level_fixed_point(model, grid, theta1=th[0], theta2=th[1])[1][0, 0]
-    assert masses[(0.3, 0.2)] == pytest.approx(TWO_STATE_PSI_03_02, abs=2e-3)
-    assert masses[(1.0, 1.0)] == pytest.approx(two_state_psi_scalar(1.0, 1.0), abs=2e-3)
-    assert masses[(1.0, 1.0)] < masses[(0.3, 0.2)] < masses[(0.0, 0.0)]
-
-
-def test_costless_model_ignores_transform_arguments():
-    # With no dividend rates and no arrival costs both weights are
-    # identically one, so the computation is bit-for-bit unchanged.
-    model = two_state_model(sigma=(0.0, 0.0), k_cost=((0.0, 0.0), (0.0, 0.0)))
-    grid = _level_grid()
-    field0, _, _ = level_fixed_point(model, grid)
-    field1, _, _ = level_fixed_point(model, grid, theta1=0.7, theta2=1.3)
-    np.testing.assert_array_equal(field0, field1)
-
-
-def test_level_engine_outruns_the_duration_window_near_criticality():
-    # Near-critical first-return times are heavy tailed, so any finite
-    # duration window loses visible series mass; integrating the duration
-    # out analytically removes that truncation entirely.
-    model = two_state_model()
-    level_mass = level_fixed_point(model, LevelGrid(l_max=32.0, dl=1.0 / 16))[1][0, 0]
-    assert abs(1.0 - level_mass) < 1e-2
-
-
 def test_duration_free_engines_reject_duration_dependent_kernels():
     model = pareto_renewal_model()
     with pytest.raises(StructureError):
-        level_fixed_point(model, LevelGrid(l_max=4.0, dl=1.0 / 8))
+        doubling_psi(model)
     with pytest.raises(StructureError):
         bridge_recursion(
             model,
