@@ -147,65 +147,47 @@ class LevelDurationGrid:
 
 
 def _add_shifted(out: np.ndarray, scale, field_arr: np.ndarray, cells: float) -> None:
-    """Accumulate ``out[..., m] += scale * field[..., m - cells]`` in place.
+    """Accumulate ``out[..., k + cells] += scale * field[..., k]`` in place.
 
-    The shifted field is linearly interpolated between its two neighboring
-    cells, with zero fill outside the level window: the one level-shift rule
-    of the grid engines.  ``scale`` is a scalar or broadcasts against ``out``.
+    A fractional ``cells`` splits each value between its two neighboring
+    cells (linear interpolation), and whatever falls outside ``out`` is
+    dropped: the one level-shift rule of the grid engines.  ``field`` may be
+    shorter than ``out``; a level half (:func:`_level_halves`) is placed by
+    its offset, the ``l >= 0`` half at ``zero_index + cells``.  ``scale`` is a
+    scalar or broadcasts against ``out``.
     """
     base = math.floor(cells)
     frac = cells - base
-    L = field_arr.shape[-1]
+    n_out, n_in = out.shape[-1], field_arr.shape[-1]
     for shift, weight in ((base, 1.0 - frac), (base + 1, frac)):
-        if weight == 0.0 or abs(shift) >= L:
+        lo, hi = max(0, -shift), min(n_in, n_out - shift)
+        if weight == 0.0 or lo >= hi:
             continue
-        if shift >= 0:
-            out[..., shift:] += (scale * weight) * field_arr[..., : L - shift]
-        else:
-            out[..., :shift] += (scale * weight) * field_arr[..., -shift:]
+        out[..., lo + shift : hi + shift] += (scale * weight) * field_arr[..., lo:hi]
 
 
-def _sweep_level(field_arr: np.ndarray, cells: float, weights: np.ndarray) -> np.ndarray:
-    """Sweep ``field`` along a line of ``cells`` level cells per duration cell.
+def _sweep_level(out: np.ndarray, field_arr: np.ndarray, offset: float, cells: float, weights):
+    """Sweep ``field`` from ``offset`` along a line of ``cells`` level cells
+    per duration cell.
 
-    Returns ``out[..., k, :] = weights[k] * field[..., m - k * cells]`` (by
-    :func:`_add_shifted`): a new duration axis, second to last, with one
-    weighted shift per entry of ``weights``.
+    Accumulates ``weights[k] * field`` placed at ``offset + k * cells`` (by
+    :func:`_add_shifted`) into ``out[..., k, :]``: ``out``'s second to last
+    axis is the duration of the line.
     """
-
-    def shifted(c):
-        out = np.zeros_like(field_arr)
-        _add_shifted(out, 1.0, field_arr, c)
-        return out
-
-    return np.stack([w * shifted(k * cells) for k, w in enumerate(weights)], axis=-2)
-
-
-def _mask_level_nonneg(field_arr: np.ndarray, zero_index: int) -> np.ndarray:
-    """Restrict to levels >= 0 (trapezoid half-weight at the closed edge)."""
-    out = field_arr.copy()
-    out[..., :zero_index] = 0.0
-    out[..., zero_index] *= 0.5
-    return out
-
-
-def _mask_level_nonpos(field_arr: np.ndarray, zero_index: int) -> np.ndarray:
-    """Restrict to levels <= 0 (trapezoid half-weight at the closed edge)."""
-    out = field_arr.copy()
-    out[..., zero_index + 1 :] = 0.0
-    out[..., zero_index] *= 0.5
-    return out
+    for k, w in enumerate(weights):
+        _add_shifted(out[..., k, :], w, field_arr, offset + k * cells)
 
 
 def _level_halves(field_arr: np.ndarray, zero_index: int) -> np.ndarray:
-    """The ``l >= 0`` half of the nonnegative mask and the ``l <= 0`` half of
-    the nonpositive mask, stacked on a new first axis.
+    """The ``l >= 0`` and ``l <= 0`` halves of a field, stacked on a new first axis.
 
-    The first half runs from level zero up, the second from ``-l_max`` up to
-    zero; both are ``m0 + 1`` long, with the trapezoid half-weight at level
-    zero.  The linear convolution of two such halves is ``L`` long and its
-    index ``m`` is level ``(m - m0) dl``, so level transforms of length
-    ``next_fast_len(L, real=True)`` never wrap.
+    The one rule by which the grid engines restrict a sub-bridge to one side
+    of level zero.  Both halves are ``m0 + 1`` long with the trapezoid
+    half-weight at level zero; index ``k`` is level ``k dl`` in the first and
+    ``(k - m0) dl`` in the second, so they shift onto the lattice at offsets
+    ``m0`` and ``0``.  The linear convolution of one half with the other is
+    ``L`` long with index ``m`` at level ``(m - m0) dl``: level transforms of
+    length ``next_fast_len(L, real=True)`` never wrap.
     """
     m0 = zero_index
     halves = np.stack([field_arr[..., m0:], field_arr[..., : m0 + 1]])
@@ -340,19 +322,23 @@ def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
 #
 # Generic tensors have shape (nz, |S+|, |S-|, n_durations, n_levels) with the
 # initial duration z on the duration grid (nz = n_durations).  These operators
-# are direct quadratures of the decomposition.  A level shift is linear and
-# blind to the state it carries, so gamma_first and gamma_last contract the
-# kernel's state axis before they shift: gamma_first then makes one shift per
-# (holding-time node, ascending state) and gamma_last one per (holding-time
-# node, descending state), plus one line sweep for its arrival branch.  Each
-# shift covers a block of z values (_z_block), small enough that its slab
-# stays in cache.  gamma_middle sums every interior split of an order on
-# half-length level spectra (_level_halves) and inverts that sum once; it
-# transforms each lower order once per call rather than keeping the spectra
-# of every order, which would take twice the memory of the tensors.  The
-# shifts still cost O(nz * ns) slabs per order, so the operators serve
-# duration-dependent kernels at moderate n (the dispatcher uses the split
-# engine of :mod:`.homogeneous` whenever the kernel is duration-free).
+# are direct quadratures of the decomposition.  Each sub-bridge is restricted
+# to one side of level zero, and every operator takes that side as a level
+# half (_level_halves): gamma_first works on the l <= 0 half, gamma_last on
+# the l >= 0 half, and gamma_middle pairs one with the other.  A level shift
+# is linear and blind to the state it carries, so gamma_first and gamma_last
+# contract the kernel's state axis on the half before they shift it onto the
+# full lattice (_add_shifted): gamma_first makes one shift per (holding-time
+# node, ascending state) and gamma_last one per (holding-time node,
+# descending state), plus one line sweep for its arrival branch.  Each shift
+# covers a block of z values (_z_block), small enough that its slab stays in
+# cache.  gamma_middle sums every interior split of an order on the halves'
+# level spectra and inverts that sum once; it transforms each lower order
+# once per call rather than keeping the spectra of every order, which would
+# take twice the memory of the tensors.  The shifts still cost O(nz * ns)
+# slabs per order, so the operators serve duration-dependent kernels at
+# moderate n (the dispatcher uses the split engine of :mod:`.homogeneous`
+# whenever the kernel is duration-free).
 
 
 def _z_block(row: np.ndarray) -> int:
@@ -393,11 +379,12 @@ def gamma_first(
     Cpp = Cbar[:, ip][:, :, ip]
     kDpp = kappa * Dbar[:, ip][:, :, ip]
 
-    masked = _mask_level_nonpos(bridge_prev, grid.zero_index)
-    # cont[p, i] = sum_k Cpp[p, i, k] masked[p, k] + kappa Dpp[p, i, k] masked[0, k]:
-    # the (n-1)-bridge entered after the first epoch at duration p = z + u.
-    cont = np.einsum("pik,pkjsl->pijsl", Cpp, masked)
-    cont += np.einsum("pik,kjsl->pijsl", kDpp, masked[0])
+    below = _level_halves(bridge_prev, grid.zero_index)[1]
+    # cont[p, i] = sum_k Cpp[p, i, k] below[p, k] + kappa Dpp[p, i, k] below[0, k]:
+    # the l <= 0 half of the (n-1)-bridge entered at duration p = z + u.
+    cont = np.einsum("pik,pkjsl->pijsl", Cpp, below)
+    cont += np.einsum("pik,kjsl->pijsl", kDpp, below[0])
+    del below
     out = np.zeros_like(bridge_prev)
     tilt = gamma + theta1 * model.sigma[ip]
     decay = gamma * np.exp(-np.outer(grid.durations, tilt)) * du  # (a, i)
@@ -509,20 +496,21 @@ def gamma_last(
     Cmm = Cbar[:, im][:, :, im]
     kDmm = kappa * Dbar[:, im][:, :, im]
 
-    masked = _mask_level_nonneg(bridge_prev, grid.zero_index)
+    m0 = grid.zero_index
+    above = _level_halves(bridge_prev, m0)[0]
     # Arrival closing segment: final duration = s exactly; integrate the
-    # sub-bridge over its own final duration with the arrival kernel.  The
-    # switch-level restriction is applied before the level shift, with the
-    # midpoint value at the boundary node.
+    # l >= 0 half of the sub-bridge over its own final duration with the
+    # arrival kernel, before the level shift (the boundary node carries the
+    # midpoint value).  Index k of the half is level k dl, lattice index m0 + k.
     w_u = _trapezoid_weights(ns) * du
-    arrival = np.einsum("zixsl,sxj,s->zijl", masked, kDmm, w_u)
+    arrival = np.einsum("zixsl,sxj,s->zijl", above, kDmm, w_u)
     # No-arrival closing segment: the sub-bridge at final duration s - u,
     # weighted by the kernel at that pre-switch duration.  Trapezoid in u:
     # half weight at u = 0 by the node weight and at u = s by halving the
     # sub-bridge row s = 0.
-    masked[..., 0, :] *= 0.5
-    reduced = np.einsum("zixsl,sxj->zijsl", masked, Cmm)
-    del masked
+    above[..., 0, :] *= 0.5
+    reduced = np.einsum("zixsl,sxj->zijsl", above, Cmm)
+    del above
 
     out = np.zeros_like(bridge_prev)
     closing = gamma * np.exp(-gamma * grid.durations)
@@ -537,8 +525,8 @@ def gamma_last(
             for a in range(ns):
                 lo = max(a, 1)  # a zero-length segment adds nothing at s = 0
                 sub = field_j[..., lo - a : ns - a, :]
-                _add_shifted(target[..., lo:, :], decay[a], sub, a * cells)
-        out[:, :, bj] += _sweep_level(arrival[:, :, bj], cells, closing)
+                _add_shifted(target[..., lo:, :], decay[a], sub, m0 + a * cells)
+        _sweep_level(out[:, :, bj], arrival[:, :, bj], m0, cells, closing)
     return out
 
 

@@ -421,23 +421,6 @@ def erlangize(model: FluidModel, u: float, n_stages: int, i0: int | None = None)
     )
 
 
-def _refine_and_extrapolate(solve):
-    """One refinement of the default duration-level grid.
-
-    ``solve(g)`` returns ``(value, info)`` for grid ``g`` (``None`` selects
-    the solver's default :class:`LevelDurationGrid`) and records the grid it
-    used in ``info['grid']``.  The step solves again on the same window at
-    half the spacing and returns ``(coarse, fine, best)``: both runs and the
-    best value they support.  The generic duration-level engine is only first
-    order at its support edges, so no extrapolation applies and ``best`` is
-    the refined value itself.
-    """
-    coarse = solve(None)
-    g = coarse[1]["grid"]
-    fine = solve(LevelDurationGrid(u_max=g.u_max, du=g.du / 2.0, l_max=g.l_max, dl=g.dl / 2.0))
-    return coarse, fine, fine[0]
-
-
 @dataclass(frozen=True)
 class RuinDescriptor:
     """Ruin transform from Erlang-randomized capital, with its ramp model.

@@ -9,11 +9,9 @@ nonnegative solution of the Riccati equation
 
 (Ramaswami 1999; Bean, O'Reilly & Taylor 2005).  :func:`doubling_psi` solves
 it by the structure-preserving doubling algorithm (Guo, Lin & Xu 2006), which
-converges quadratically.  At zero mean drift that rate degrades to linear,
-and the shift of Guo, Iannazzo & Meini (2007) along the null vector ``1``
-restores it; the shift applies whenever return is certain (no tilt acting
-and mean drift ``<= 0``), because only then does ``Psi 1 = 1`` keep the
-shifted equation's solution unchanged.
+converges quadratically.  At zero mean drift that rate degrades to linear;
+when no tilt acts, a shift of Guo, Iannazzo & Meini (2007) along a null
+vector restores it and keeps ``Psi`` the shifted equation's solution.
 
 Per-order bridge densities come from the split recursion.  The bridge splits
 exactly into an arrival-free part ``A`` — a function of the elapsed time
@@ -24,7 +22,9 @@ with no initial-duration axis at all and builds the bridge densities order by
 order.  Every recursion term is a convolution along the elapsed-time and
 level axes with either another field or a line-supported kernel (a
 holding-time density swept along its fluid displacement), so the engine runs
-on FFTs.  Its fields and kernels share one centered level lattice
+on FFTs.  Every level product pairs an ``l >= 0`` half with an ``l <= 0``
+half (:func:`~fluidrisk.bridge._level_halves`), each holding-time line lives
+on the half it sweeps, and the products land on the grid's own level indices
 (:class:`_Plans`).
 """
 
@@ -42,8 +42,7 @@ from .bridge import (
     _clamp_and_flag,
     _integrate_field,
     _level_edge_max,
-    _mask_level_nonneg,
-    _mask_level_nonpos,
+    _level_halves,
     _sweep_level,
     _trapezoid_weights,
 )
@@ -86,15 +85,18 @@ def _rate_scaled_generator(model: FluidModel, theta1: float, theta2: float) -> n
     return Q / np.abs(model.rates)[:, None]
 
 
-def _return_is_certain(model: FluidModel, T: np.ndarray) -> bool:
-    """Whether ``Psi 1 = 1``: no tilt acts (``T 1 = 0``) and the mean drift
-    ``pi . r`` of the stationary law is at most zero, up to rounding."""
+def _null_shift(model: FluidModel, T: np.ndarray):
+    """``(side, pi)``: the null vector the doubling shift runs along, and the
+    stationary law.  ``(None, None)`` when a tilt acts (``T 1 != 0``);
+    ``"right"`` when the mean drift ``pi . r`` is at most zero up to rounding
+    (``Psi 1 = 1``), ``"left"`` when it is positive."""
     if np.abs(T.sum(axis=1)).max() > 1e-12 * np.abs(T).max():
-        return False
+        return None, None
     Q = T * np.abs(model.rates)[:, None]
     lhs = np.vstack([Q.T, np.ones(model.p)])
     pi = np.linalg.lstsq(lhs, np.eye(model.p + 1)[-1], rcond=None)[0]
-    return float(pi @ model.rates) <= 1e-12 * float(pi @ np.abs(model.rates))
+    certain = float(pi @ model.rates) <= 1e-12 * float(pi @ np.abs(model.rates))
+    return ("right" if certain else "left"), pi
 
 
 def _substochastic(X: np.ndarray) -> np.ndarray:
@@ -119,17 +121,22 @@ def doubling_psi(model: FluidModel, theta1: float = 0.0, theta2: float = 0.0):
     In the M-matrix form ``X C X - X D - A X + B = 0`` of Guo, Lin & Xu, with
     ``X = Psi``, ``A = -T++``, ``B = T+-``, ``C = T-+`` and ``D = -T--``, the
     doubling iterates ``H_k`` converge to ``Psi``, the error roughly squaring
-    at each step.  When return is certain, the matrix ``[[D, -C], [B, -A]]``
-    has the null vector ``1`` inside its invariant subspace ``[I; Psi]``;
-    adding ``(eta/p) 1 1^T`` moves that zero eigenvalue to ``eta`` and leaves
-    ``Psi`` a solution (Guo, Iannazzo & Meini).  The solver stops when the
-    sup-norm increment of ``H_k`` drops to :data:`DOUBLING_ROUNDING`.
+    at each step.  ``M = [[D, -C], [B, -A]]`` (``(S-, S+)`` order) has the
+    invariant subspace ``[I; Psi]`` and, when no tilt acts, a zero eigenvalue
+    that slows doubling near zero drift.  With ``eta = max diag(A, D)`` the
+    shift of Guo, Iannazzo & Meini moves it away and leaves ``Psi`` a
+    solution: when return is certain, the right null vector ``1`` lies in
+    ``[I; Psi]`` and ``M + (eta/p) 1 1^T`` moves it to ``eta``; at positive
+    drift, the left null vector ``v = -(pi o r)`` is orthogonal to
+    ``[I; Psi]`` and ``M - (eta/|v|^2) v v^T`` moves it to ``-eta``.  The
+    solver stops when the sup-norm increment of ``H_k`` drops to
+    :data:`DOUBLING_ROUNDING`.
 
     Returns ``(matrix, info)``.  ``matrix`` is clipped to ``[0, 1]`` with row
     sums at most one.  ``info`` holds the step count, the increment history,
-    whether the shift applied, the Riccati residual of ``matrix`` and
-    ``tail_estimate``: the last increment, floored at
-    :data:`DOUBLING_ROUNDING`.
+    the shift that applied (``"right"``, ``"left"`` or ``None``), the
+    Riccati residual of ``matrix`` and ``tail_estimate``: the last
+    increment, floored at :data:`DOUBLING_ROUNDING`.
     """
     if theta1 < 0 or theta2 < 0:
         raise ValueError("transform arguments must be nonnegative")
@@ -138,11 +145,18 @@ def doubling_psi(model: FluidModel, theta1: float = 0.0, theta2: float = 0.0):
     Tpp, Tpm = T[np.ix_(ip, ip)], T[np.ix_(ip, im)]
     Tmp, Tmm = T[np.ix_(im, ip)], T[np.ix_(im, im)]
     A, B, C, D = -Tpp, Tpm, Tmp, -Tmm
-    shifted = _return_is_certain(model, T)
-    if shifted:
-        # (eta/p) 1 1^T is the same constant in every block of the matrix.
-        eta = max(np.diag(A).max(), np.diag(D).max()) / model.p
-        A, B, C, D = A - eta, B + eta, C - eta, D + eta
+    shifted, pi = _null_shift(model, T)
+    eta = max(np.diag(A).max(), np.diag(D).max())
+    if shifted == "right":
+        # (eta/p) 1 1^T is the same constant in every block of M.
+        k = eta / model.p
+        A, B, C, D = A - k, B + k, C - k, D + k
+    elif shifted == "left":
+        v = -(pi * model.rates)
+        k = eta / float(v @ v)
+        vp, vm = v[ip], v[im]
+        A, B = A + k * np.outer(vp, vp), B - k * np.outer(vp, vm)
+        C, D = C + k * np.outer(vm, vp), D - k * np.outer(vm, vm)
 
     m, n = ip.size, im.size
     gamma = max(np.diag(A).max(), np.diag(D).max())
@@ -185,31 +199,29 @@ def doubling_psi(model: FluidModel, theta1: float = 0.0, theta2: float = 0.0):
 
 
 class _Plans:
-    """Zero-padded FFT shapes with a common level origin, for the split engine.
+    """Zero-padded FFT shapes of the split engine.
 
-    All level data — fields and line kernels alike — live on the centered
-    level lattice (index ``m0`` is level zero), so every spectral product is
-    sliced at the same window ``[0:ns, m0:m0+L)``.
+    Each level product convolves two ``m0 + 1`` long halves, so it is ``L``
+    long and its index ``m`` is lattice index ``m``: level transforms of
+    length ``next_fast_len(L, real=True)`` never wrap and need no origin
+    slicing.  The elapsed-time axis is padded to ``2 ns - 1``.
     """
 
-    def __init__(self, ns: int, L: int, m0: int):
-        self.ns, self.L, self.m0 = ns, L, m0
-        self.shape2 = (next_fast_len(2 * ns - 1), next_fast_len(2 * L - 1))
-        self.pad1 = next_fast_len(2 * L - 1)
+    def __init__(self, ns: int, L: int):
+        self.ns, self.L = ns, L
+        self.shape2 = (next_fast_len(2 * ns - 1), next_fast_len(L, real=True))
 
     def f2(self, field: np.ndarray) -> np.ndarray:
         return rfft2(field, s=self.shape2)
 
     def i2(self, spec: np.ndarray) -> np.ndarray:
-        full = irfft2(spec, s=self.shape2)
-        return full[..., : self.ns, self.m0 : self.m0 + self.L]
+        return irfft2(spec, s=self.shape2)[..., : self.ns, : self.L]
 
     def f1(self, arr: np.ndarray) -> np.ndarray:
-        return rfft(arr, n=self.pad1, axis=-1)
+        return rfft(arr, n=self.shape2[1], axis=-1)
 
     def i1(self, spec: np.ndarray) -> np.ndarray:
-        full = irfft(spec, n=self.pad1, axis=-1)
-        return full[..., self.m0 : self.m0 + self.L]
+        return irfft(spec, n=self.shape2[1], axis=-1)[..., : self.L]
 
 
 def _halve_first_row(field: np.ndarray) -> np.ndarray:
@@ -236,86 +248,84 @@ class _SplitConstants:
         ip, im = model.s_plus, model.s_minus
         gamma = model.gamma
 
-        ns, L, m0 = grid.n_durations, grid.n_levels, grid.zero_index
-        self.plans = _Plans(ns, L, m0)
+        ns, m0 = grid.n_durations, grid.zero_index
+        self.plans = _Plans(ns, grid.n_levels)
         du = grid.du
         t = grid.durations
         w_tr = _trapezoid_weights(ns)
         self.w_s = w_tr * du
         self.kernel_loss = 0.0
-        impulse = np.zeros(L)
-        impulse[m0] = 1.0
 
-        def line(weights, rate):
-            # Holding-time line: the level-zero impulse swept at slope `rate`;
-            # whatever weight leaves the level window is recorded as lost.
-            K = _sweep_level(impulse, grid.level_cells(rate), weights)
+        def line(weights, rate, origin):
+            # Holding-time line on one level half: a unit impulse at level
+            # zero (index `origin`) swept at slope `rate`; whatever weight
+            # leaves the half is recorded as lost.
+            K = np.zeros((ns, m0 + 1))
+            _sweep_level(K, np.ones(1), origin, grid.level_cells(rate), weights)
             self.kernel_loss = max(self.kernel_loss, float(weights.sum() - K.sum()))
             return K
 
-        # First-epoch holding-time lines per ascending state (slope r_i).
+        # First-epoch holding-time lines per ascending state (slope r_i),
+        # on the l >= 0 half.
         self.K1_hat, self.K1L_hat = [], []
         for i in ip:
             g = gamma * np.exp(-(gamma + theta1 * model.sigma[i]) * t) * du * w_tr
-            K = line(g, model.rates[i])
+            K = line(g, model.rates[i], 0)
             self.K1_hat.append(self.plans.f2(K))
             self.K1L_hat.append(self.plans.f1(K.sum(axis=0)))
 
-        # Closing-segment lines per descending state (slope r_j).
+        # Closing-segment lines per descending state (slope r_j), on the
+        # l <= 0 half.
         g3 = gamma * np.exp(-gamma * t) * du * w_tr
-        self.K3_hat = [self.plans.f2(line(g3, model.rates[j])) for j in im]
+        self.K3_hat = [self.plans.f2(line(g3, model.rates[j], m0)) for j in im]
 
         self.exp_s = gamma * np.exp(-gamma * t)  # closing-arrival prefactor
         self.delta_minus = [grid.level_cells(model.rates[j]) for j in im]
 
 
 class _SplitLevel:
-    """Masked variants, reductions, and spectra of one order's ``(A, B)`` pair."""
+    """Level halves, reductions and spectra of one order's ``(A, B)`` pair.
 
-    __slots__ = ("SL_A", "SL_B", "SRt_A", "ab_hat", "SR1", "chat")
+    ``halves`` holds the ``l >= 0`` and ``l <= 0`` halves of ``A`` and of
+    ``B``: every level product of the next order pairs one with the other.
+    """
+
+    __slots__ = ("halves", "SL_A", "SL_B", "SRt_A", "ab_hat", "SR1", "chat")
 
     def __init__(self, A: np.ndarray, B: np.ndarray, c: _SplitConstants):
         p, m0 = c.plans, c.grid.zero_index
-        ML_A = _mask_level_nonneg(A, m0)
-        ML_B = _mask_level_nonneg(B, m0)
-        MR_A = _mask_level_nonpos(A, m0)
-        MR_B = _mask_level_nonpos(B, m0)
-        self.SL_A = p.f2(_halve_first_row(ML_A))
-        self.SL_B = p.f2(_halve_first_row(ML_B))
-        self.SRt_A = p.f2(np.einsum("xk,kjtl->xjtl", c.C.mp, _halve_first_row(MR_A)))
-        ahat = np.einsum("ixtl,t->ixl", ML_A, c.w_s)
-        bhat = np.einsum("ixtl,t->ixl", ML_B, c.w_s)
-        self.ab_hat = p.f1(ahat + bhat)
+        self.halves = (*_level_halves(A, m0), *_level_halves(B, m0))
+        up_A, dn_A, up_B, dn_B = self.halves
+        self.SL_A = p.f2(_halve_first_row(up_A))
+        self.SL_B = p.f2(_halve_first_row(up_B))
+        self.SRt_A = p.f2(np.einsum("xk,kjtl->xjtl", c.C.mp, _halve_first_row(dn_A)))
+        self.chat = np.einsum("ixtl,t->ixl", up_A + up_B, c.w_s)
+        self.ab_hat = p.f1(self.chat)
         self.SR1 = p.f1(
-            np.einsum("xk,kjtl->xjtl", c.C.mp, MR_B)
-            + np.einsum("xk,kjtl->xjtl", c.D.mp, MR_A + MR_B)
+            np.einsum("xk,kjtl->xjtl", c.C.mp, dn_B)
+            + np.einsum("xk,kjtl->xjtl", c.D.mp, dn_A + dn_B)
         )
-        self.chat = np.einsum("ixtl,t->ixl", _mask_level_nonneg(A + B, m0), c.w_s)
 
 
-def _split_step(prev_level: _SplitLevel, pair_sums, c: _SplitConstants, prev_fields):
-    """Assemble one order's ``(A, B)`` from the previous order's fields and
+def _split_step(prev: _SplitLevel, pair_sums, c: _SplitConstants):
+    """Assemble one order's ``(A, B)`` from the previous order's halves and
     the accumulated interior-split spectra ``pair_sums``."""
     p, m0 = c.plans, c.grid.zero_index
-    A_prev, B_prev = prev_fields
-    MR_A = _mask_level_nonpos(A_prev, m0)
-    MR_B = _mask_level_nonpos(B_prev, m0)
-    ML_A = _mask_level_nonneg(A_prev, m0)
-    ML_B = _mask_level_nonneg(B_prev, m0)
+    up_A, dn_A, up_B, dn_B = prev.halves
 
     K1 = np.stack(c.K1_hat)  # (p+, ft, fl)
     K3 = np.stack(c.K3_hat)  # (p-, ft, fl)
 
     # Arrival-free target: first-epoch line, interior split, closing line.
-    freq_A = K1[:, None] * p.f2(np.einsum("ik,kjtl->ijtl", c.C.pp, _halve_first_row(MR_A)))
-    freq_A += K3[None, :] * p.f2(np.einsum("ixtl,xj->ijtl", _halve_first_row(ML_A), c.C.mm))
+    freq_A = K1[:, None] * p.f2(np.einsum("ik,kjtl->ijtl", c.C.pp, _halve_first_row(dn_A)))
+    freq_A += K3[None, :] * p.f2(np.einsum("ixtl,xj->ijtl", _halve_first_row(up_A), c.C.mm))
     if pair_sums is not None:
         freq_A += pair_sums[0]
     A_new = p.i2(freq_A)
 
     # Arrival target, 2-D pieces: interior splits whose right factor is
     # arrival-free, and the no-arrival closing line over the arrival part.
-    freq_B2 = K3[None, :] * p.f2(np.einsum("ixtl,xj->ijtl", _halve_first_row(ML_B), c.C.mm))
+    freq_B2 = K3[None, :] * p.f2(np.einsum("ixtl,xj->ijtl", _halve_first_row(up_B), c.C.mm))
     if pair_sums is not None:
         freq_B2 += pair_sums[1]
     B_new = p.i2(freq_B2)
@@ -323,8 +333,8 @@ def _split_step(prev_level: _SplitLevel, pair_sums, c: _SplitConstants, prev_fie
     # Arrival target, level-only pieces: first epoch over a later-arrival
     # bridge (no-arrival step continues on B; arrival step restarts on A+B),
     # plus interior splits whose right factor carries the arrival.
-    YB = np.einsum("ik,kjtl->ijtl", c.C.pp, MR_B) + np.einsum(
-        "ik,kjtl->ijtl", c.D.pp, MR_A + MR_B
+    YB = np.einsum("ik,kjtl->ijtl", c.C.pp, dn_B) + np.einsum(
+        "ik,kjtl->ijtl", c.D.pp, dn_A + dn_B
     )
     K1L = np.stack(c.K1L_hat)  # (p+, fl)
     freq_B1 = K1L[:, None, None, :] * p.f1(YB)
@@ -333,11 +343,11 @@ def _split_step(prev_level: _SplitLevel, pair_sums, c: _SplitConstants, prev_fie
     B_new += p.i1(freq_B1)
 
     # Closing arrival: pointwise in the final duration, looking up the
-    # duration-integrated sub-bridge at the switch level (masked before the
-    # shift; the boundary node carries the midpoint value).
-    cc = np.einsum("ixl,xj->ijl", prev_level.chat, c.D.mm)
+    # duration-integrated l >= 0 half at the switch level (restricted before
+    # the shift; the boundary node carries the midpoint value).
+    cc = np.einsum("ixl,xj->ijl", prev.chat, c.D.mm)
     for b_j, cells in enumerate(c.delta_minus):
-        B_new[:, b_j] += _sweep_level(cc[:, b_j], cells, c.exp_s)
+        _sweep_level(B_new[:, b_j], cc[:, b_j], m0, cells, c.exp_s)
     return A_new, B_new
 
 
@@ -378,7 +388,7 @@ def run_split_recursion(model, grid, theta1, theta2, n_max, diagnostics):
     masses = {2: _integrate_field(A + B, grid, m0)}
     for n in range(3, n_max + 1):
         pair = _pair_spectra(levels, n, grid.du, grid.dl)
-        A_n, B_n = _split_step(levels[n - 1], pair, c, slices[n - 1])
+        A_n, B_n = _split_step(levels[n - 1], pair, c)
         _clamp_and_flag(A_n, diagnostics)
         _clamp_and_flag(B_n, diagnostics)
         slices[n] = (A_n, B_n)

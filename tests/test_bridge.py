@@ -272,6 +272,24 @@ def _ref_shift(field, cells):
     return out
 
 
+@pytest.mark.parametrize(
+    "offset, cells",
+    [(0, 1.25), (0, -1.75), (4, 2.5), (4, -3.25), (4, -0.5), (0, 0.0), (4, 5.5), (0, -5.0)],
+    ids=["up", "off_left_edge", "off_right_edge", "down", "half_cell", "in_place", "all_right", "all_left"],
+)
+def test_a_level_half_shifts_like_its_zero_padded_field(offset, cells):
+    # A half of m0 + 1 levels placed at `offset` on a 2 m0 + 1 lattice.
+    m0 = 4
+    rng = np.random.default_rng(3)
+    half = rng.random((2, 3, m0 + 1))
+    padded = np.zeros((2, 3, 2 * m0 + 1))
+    padded[..., offset : offset + m0 + 1] = half
+    out = rng.random(padded.shape)
+    expected = out + 0.7 * _ref_shift(padded, cells)
+    bridge._add_shifted(out, 0.7, half, offset + cells)
+    np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)
+
+
 def _ref_nonneg(field, m0):
     out = field.copy()
     out[..., :m0] = 0.0

@@ -23,8 +23,8 @@ def test_all_names_resolve(module):
 
 
 def test_homogeneous_binds_its_fft_names_at_module_level():
-    # Tracing wraps these module attributes to count the level and split
-    # engines' transforms.
+    # Tracing wraps these module attributes to count the split engine's
+    # transforms.
     for name in ("rfft", "irfft", "rfft2", "irfft2"):
         assert callable(getattr(homogeneous, name))
 

@@ -101,20 +101,26 @@ def test_zero_drift_psi_is_one():
     assert abs(matrix[0, 0] - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("c, shifted, tol", [(0.8 - 1e-6, True, 1e-12), (0.8 + 1e-6, False, 1e-9)])
-def test_near_critical_psi_matches_the_closed_form(c, shifted, tol):
-    # Drift about -6e-7 (certain return, shifted) and +6e-7 (no shift).
+@pytest.mark.parametrize(
+    "c, shifted",
+    [(0.8 - 1e-6, "right"), (0.8 + 1e-6, "left")],
+    ids=["drift_below_zero", "drift_above_zero"],
+)
+def test_near_critical_psi_matches_the_closed_form(c, shifted):
+    # Drift about -6e-7 (certain return, shifted along 1) and +6e-7 (shifted
+    # along the left null vector pi o r).
     matrix, info = doubling_psi(_zero_drift_model(c))
     assert info["shifted"] == shifted
-    assert abs(matrix[0, 0] - min(1.0, 0.8 / c)) < tol
+    assert abs(matrix[0, 0] - min(1.0, 0.8 / c)) < 1e-12
 
 
-def test_positive_drift_is_not_shifted():
-    # mmpp drifts upward at theta = 0: return is not certain, and a shift
-    # along 1 would force the rows of Psi to sum to one.
+def test_positive_drift_shifts_along_the_left_null_vector():
+    # mmpp drifts upward at theta = 0: return is not certain, so the shift
+    # runs along the left null vector, which leaves the rows of Psi free to
+    # sum to less than one.
     model = mmpp_model()
     matrix, info = doubling_psi(model)
-    assert not info["shifted"]
+    assert info["shifted"] == "left"
     np.testing.assert_allclose(matrix, riccati_descriptor(model), rtol=0.0, atol=1e-10)
     assert matrix.sum(axis=1).max() < 0.99
 
@@ -176,6 +182,31 @@ def test_arrival_cost_weight_skips_the_arrival_free_order():
     np.testing.assert_array_equal(plain.mass(2), tilted.mass(2))
     blend = 0.0225 * np.exp(-5.0 * 0.5) + 0.045 * np.exp(-5.0 * 0.4)
     assert tilted.mass(3)[0, 0] == pytest.approx(blend, abs=5e-5)
+
+
+def test_split_engine_level_transforms_span_one_grid_length(monkeypatch):
+    # Every level product pairs two level halves, so its convolution is one
+    # grid long and needs no zero padding beyond the fast length.
+    import fluidrisk.homogeneous as homogeneous
+    from scipy.fft import next_fast_len
+
+    lengths = []
+    rfft, rfft2 = homogeneous.rfft, homogeneous.rfft2
+
+    def rfft_recorded(x, n=None, **kwargs):
+        lengths.append(n)
+        return rfft(x, n=n, **kwargs)
+
+    def rfft2_recorded(x, s=None, **kwargs):
+        lengths.append(s[-1])
+        return rfft2(x, s=s, **kwargs)
+
+    monkeypatch.setattr(homogeneous, "rfft", rfft_recorded)
+    monkeypatch.setattr(homogeneous, "rfft2", rfft2_recorded)
+    grid = LevelDurationGrid(u_max=2.0, du=0.25, l_max=2.0, dl=0.25)
+    bridge_recursion(mmpp_model(), grid, n_max=5, method="split")
+    assert len(lengths) > 0
+    assert set(lengths) == {next_fast_len(grid.n_levels, real=True)}
 
 
 def test_duration_free_engines_reject_duration_dependent_kernels():
