@@ -5,9 +5,17 @@ The survival matrix ``G(s, t)`` has entries
 chain that jumps with the no-arrival kernel ``C(u)`` while the duration clock
 runs.  It is the product integral of ``C`` over ``(s, t]`` and solves the
 linear system ``dG(s, x)/dx = G(s, x) C(x)`` with ``G(s, s) = I``.  One
-fixed-step classical 4th-order sweep, its mesh aligned on kernel breakpoints
-and ``C`` taken from batched kernel evaluations, integrates that system for
+fixed-step classical 4th-order sweep integrates that system for
 :func:`survival_matrix`, :func:`survival_profile` and :func:`renewal_operator`.
+Its mesh is aligned on kernel breakpoints.  On a linear system an RK4 step of
+width ``h`` is a right factor, ``G <- G P_k``, with
+
+    A2 = (I + h/2 C(x)) C(x + h/2),   A3 = C(x + h/2) + h/2 A2 C(x + h/2),
+    A4 = C(x + h) + h A3 C(x + h),    P_k = I + h/6 (C(x) + 2 A2 + 2 A3 + A4),
+
+so the sweep builds the step matrices of a block of steps as batched matrix
+products from one batched kernel evaluation, and takes ``G`` at every step of
+the block from a prefix-product scan over them.
 """
 
 from __future__ import annotations
@@ -54,9 +62,12 @@ class SurvivalMatrix:
         The ``p x p`` survival matrix; entrywise nonnegative with row sums
         at most one (mass leaks to "an arrival occurred").
     error_estimate : float
-        A-posteriori sup-norm estimate obtained by halving the step.
+        A-posteriori bound on the sup-norm error of ``matrix``: twice its
+        sup-norm gap to the half-step result, which bounds the error as soon
+        as halving the step halves it, plus a rounding term of a few ulps of
+        ``||G||`` per step.
     step : float
-        Step size actually used.
+        Width of the widest RK4 step taken (0 on an empty interval).
     """
 
     s: float
@@ -66,18 +77,20 @@ class SurvivalMatrix:
     step: float
 
 
-#: RK4 steps whose kernel nodes one batch evaluation covers; bounds the
-#: memory of a sweep whatever its length.
+#: RK4 steps per block: one batch evaluation covers the block's kernel nodes,
+#: and one prefix scan over its step matrices replaces the step loop.  Bounds
+#: the memory of a sweep whatever its length.
 _STEP_CHUNK = 1024
 
 
-def _sweep(kernel: DurationKernel, G: np.ndarray, nodes, steps) -> np.ndarray:
-    """Carry ``G`` through increasing ``nodes`` by RK4; ``G`` at each of ``nodes[1:]``.
+def _sweep(kernel: DurationKernel, G: np.ndarray, nodes, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Carry ``G`` through increasing ``nodes`` by RK4.
 
-    Gap ``i`` is split at the kernel breakpoints inside it, and each piece
-    ``[a, b)`` is crossed in equal steps no wider than ``steps[i]``, its RK4
-    nodes clamped below ``b`` so that a right-continuous jump at ``b`` does
-    not bleed into it.
+    Returns ``G`` at each of ``nodes[1:]`` and the widths of the RK4 steps
+    taken.  Gap ``i`` is split at the kernel breakpoints inside it, and each
+    piece ``[a, b)`` is crossed in equal steps no wider than ``steps[i]``, its
+    RK4 nodes clamped below ``b`` so that a right-continuous jump at ``b``
+    does not bleed into it.
     """
     nodes = np.asarray(nodes, dtype=float)
     cuts = np.asarray(kernel.breakpoints, dtype=float)
@@ -96,28 +109,34 @@ def _sweep(kernel: DurationKernel, G: np.ndarray, nodes, steps) -> np.ndarray:
     # Step starts accumulate sequentially within a piece, x_{k+1} = x_k + h.
     for j in np.flatnonzero(n > 1):
         x[first[j] : first[j] + n[j]] = np.add.accumulate(np.r_[a[j], width[first[j] + 1 : first[j] + n[j]]])
+    # Steps taken before G is read at each of nodes[1:].
     gap_ends = np.cumsum(n)[~np.isin(b, cuts)]
     p = kernel.p
     out = np.empty((nodes.size - 1, p, p))
-    k = 0
-    for i, end in enumerate(gap_ends.tolist()):
-        while k < end:
-            j = k % _STEP_CHUNK
-            if j == 0:
-                c = slice(k, k + _STEP_CHUNK)
-                xc, wc = x[c], width[c]
-                at = np.minimum(np.concatenate([xc, xc + 0.5 * wc, xc + wc]), np.tile(clamp[c], 3))
-                C0, Ch, C1 = eval_kernel_batch(kernel, at)[0].reshape(3, xc.size, p, p)
-                hs = wc.tolist()
-            h = hs[j]
-            k1 = G @ C0[j]
-            k2 = (G + 0.5 * h * k1) @ Ch[j]
-            k3 = (G + 0.5 * h * k2) @ Ch[j]
-            k4 = (G + h * k3) @ C1[j]
-            G = G + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            k += 1
-        out[i] = G
-    return out
+    out[gap_ends == 0] = G
+    for lo in range(0, x.size, _STEP_CHUNK):
+        c = slice(lo, lo + _STEP_CHUNK)
+        xc, wc = x[c], width[c]
+        at = np.minimum(np.concatenate([xc, xc + 0.5 * wc, xc + wc]), np.tile(clamp[c], 3))
+        C0, Ch, C1 = eval_kernel_batch(kernel, at)[0].reshape(3, xc.size, p, p)
+        # RK4 on G' = G C(x) is one step matrix per step, G <- G (I + E_k).
+        h = wc[:, None, None]
+        A2 = Ch + (0.5 * h) * (C0 @ Ch)
+        A3 = Ch + (0.5 * h) * (A2 @ Ch)
+        A4 = C1 + h * (A3 @ C1)
+        E = (h / 6.0) * (C0 + 2.0 * A2 + 2.0 * A3 + A4)
+        # Inclusive prefix products (I + E_1) ... (I + E_k) within the block
+        # by a Hillis-Steele scan, kept as I + E: (I + E)(I + F) = I + (E + F
+        # + EF).  Rounding then scales with E rather than with I, so a run of
+        # equal steps does not repeat one rounding of I + E_k.
+        d = 1
+        while d < E.shape[0]:
+            E[d:] = E[:-d] + E[d:] + E[:-d] @ E[d:]
+            d *= 2
+        hit = (gap_ends > lo) & (gap_ends <= lo + E.shape[0])
+        out[hit] = G + G @ E[gap_ends[hit] - lo - 1]
+        G = G + G @ E[-1]
+    return out, width
 
 
 def _default_step(kernel: DurationKernel, span: float) -> float:
@@ -139,12 +158,13 @@ def survival_matrix(
     s, t : float
         Interval with ``0 <= s <= t``.
     step : float, optional
-        Mesh width; intervals that are not an exact multiple use a remainder
-        substep.  Defaults to a width resolving both the interval and the
-        uniformization scale.
+        Widest RK4 step: each piece of ``(s, t]`` between kernel breakpoints
+        is crossed in equal steps no wider than this.  Defaults to a width
+        resolving both the interval and the uniformization scale.
     error_estimate : bool
-        When true (default), also integrate at half the step and report the
-        sup-norm difference as an a-posteriori error estimate.
+        When true (default), also integrate at half the step and report a
+        sup-norm error bound for the returned matrix (see
+        :class:`SurvivalMatrix`).
 
     Returns
     -------
@@ -155,14 +175,20 @@ def survival_matrix(
     if step is not None and step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
     if t == s:
-        return SurvivalMatrix(s=s, t=t, matrix=np.eye(kernel.p), error_estimate=0.0, step=step or 0.0)
+        return SurvivalMatrix(s=s, t=t, matrix=np.eye(kernel.p), error_estimate=0.0, step=0.0)
     h = step if step is not None else _default_step(kernel, t - s)
-    G = _sweep(kernel, np.eye(kernel.p), (s, t), (h,))[0]
+    (G,), width = _sweep(kernel, np.eye(kernel.p), (s, t), (h,))
     err = 0.0
     if error_estimate:
-        G_half = _sweep(kernel, np.eye(kernel.p), (s, t), (h / 2.0,))[0]
-        err = float(np.max(np.abs(G - G_half)))
-    return SurvivalMatrix(s=float(s), t=float(t), matrix=G, error_estimate=err, step=float(h))
+        (G_half,), _ = _sweep(kernel, np.eye(kernel.p), (s, t), (h / 2.0,))
+        # If halving the step at least halves the error e_h (4th order
+        # divides it by 16), e_h <= |G_h - G_{h/2}| + e_h / 2, so
+        # e_h <= 2 |G_h - G_{h/2}|.  A step rounds at about one ulp of ||G||;
+        # the n steps of G_h and the 2n of G_{h/2} blur the gap, and G_h's
+        # own rounding adds to its error: 2 (n + 2n) + n = 7n ulps.
+        ulp = np.finfo(float).eps * np.max(np.abs(G).sum(axis=1))
+        err = float(2.0 * np.max(np.abs(G - G_half)) + 7.0 * width.size * ulp)
+    return SurvivalMatrix(s=float(s), t=float(t), matrix=G, error_estimate=err, step=float(width.max()))
 
 
 def survival_profile(kernel: DurationKernel, t_grid, step: float | None = None) -> np.ndarray:
@@ -178,7 +204,7 @@ def survival_profile(kernel: DurationKernel, t_grid, step: float | None = None) 
     if step is not None and step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
     h = step if step is not None else _default_step(kernel, max(float(t_grid[-1]), 1e-12))
-    return _sweep(kernel, np.eye(kernel.p), np.r_[0.0, t_grid], np.full(t_grid.size, h))
+    return _sweep(kernel, np.eye(kernel.p), np.r_[0.0, t_grid], np.full(t_grid.size, h))[0]
 
 
 def interarrival_density(model: FluidModel, y_list, step: float | None = None) -> float:
@@ -280,21 +306,21 @@ def renewal_operator(
     # matches the accuracy of the RK4 survival sweep.  Grid nodes sit on every
     # kernel jump, so interval interiors are smooth; at a jump node the
     # interval is closed with the left limit of D (the value in force on it)
-    # and the right-continuous value opens the next interval.
+    # and the right-continuous value opens the next interval.  Each window's
+    # intervals are summed in one contraction of the G D products at their
+    # starts, midpoints and ends.
     G = np.eye(model.p)
     N = np.zeros((model.p, model.p))
     lo = 0
     for hi in window_ends.tolist():
-        G_at = _sweep(kernel, G, nodes[2 * lo : 2 * hi + 1], rk4_steps[2 * lo : 2 * hi])
+        G_at, _ = _sweep(kernel, G, nodes[2 * lo : 2 * hi + 1], rk4_steps[2 * lo : 2 * hi])
+        G_at = np.concatenate([G[None], G_at])
         D = eval_kernel_batch(kernel, np.r_[nodes[2 * lo : 2 * hi + 1], left[lo:hi][jump[lo:hi]]])[1]
-        D_left = iter(D[2 * (hi - lo) + 1 :])
-        prev_GD = G @ D[0]
-        for i in range(hi - lo):
-            G = G_at[2 * i + 1]
-            GD = G @ D[2 * i + 2]
-            GD_end = G @ next(D_left) if jump[lo + i] else GD
-            N += (span[lo + i] / 6.0) * (prev_GD + 4.0 * (G_at[2 * i] @ D[2 * i + 1]) + GD_end)
-            prev_GD = GD
+        GD = G_at @ D[: 2 * (hi - lo) + 1]
+        end = GD[2::2].copy()
+        end[jump[lo:hi]] = G_at[2::2][jump[lo:hi]] @ D[2 * (hi - lo) + 1 :]
+        N += np.tensordot(span[lo:hi] / 6.0, GD[0:-1:2] + 4.0 * GD[1::2] + end, axes=1)
+        G = G_at[-1]
         lo = hi
         tail = float(np.max(G.sum(axis=1)))
         if tail < tail_tol:

@@ -1,6 +1,7 @@
 """Product-integral survival, interarrival densities, and the arrival operator."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from fluidrisk import (
     StateSpace,
     TruncationWarning,
     constant_kernel,
+    erlangize,
     eval_kernel,
+    eval_kernel_batch,
     interarrival_density,
     iph_marginal,
     piecewise_constant_kernel,
@@ -23,11 +26,14 @@ from fluidrisk import (
 )
 from fluidrisk.gallery import (
     calendar_switch_model,
+    gallery_models,
+    mmpp_model,
     pareto_renewal_model,
     renewal_ph_model,
     two_state_model,
 )
 from fluidrisk.montecarlo import arrival_time_samples
+from fluidrisk.survival import RENEWAL_UMAX_CEILING, _default_step, _renewal_grid
 
 from _oracles import TWO_STATE_RENEWAL, pareto_survival
 
@@ -105,6 +111,32 @@ def test_error_estimate_shrinks_at_fourth_order():
     assert 12.0 <= ratio <= 20.0  # fourth-order integrator: halving gains ~16x
 
 
+_EXACT_SURVIVAL = {
+    "two_state": lambda t: expm(np.array([[-1.0, 0.9], [0.8, -1.0]]) * t),
+    "mmpp": lambda t: expm(eval_kernel(mmpp_model().kernel, 0.0)[0] * t),
+    "pareto_renewal": lambda t: np.diag(pareto_survival(np.array([2.5, 1.8]), np.array([1.0, 2.0]), t)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_SURVIVAL))
+def test_error_estimate_bounds_the_actual_error(name):
+    kernel = gallery_models()[name].kernel
+    for t in (0.1, 0.5, 2.0, 5.0, 20.0, 50.0):
+        for step in (None, 0.05, 0.01):
+            got = survival_matrix(kernel, 0.0, t, step=step)
+            err = np.max(np.abs(got.matrix - _EXACT_SURVIVAL[name](t)))
+            assert err <= got.error_estimate, (t, step, err, got.error_estimate)
+
+
+def test_step_reports_the_widest_step_taken():
+    assert survival_matrix(two_state_model().kernel, 0.0, 1.0, step=0.3).step == 0.25
+    # Pieces (0, 1], (1, 3], (3, 4] between the jumps at 1 and 3 take 4, 7
+    # and 4 steps.
+    got = survival_matrix(calendar_switch_model().kernel, 0.0, 4.0, step=0.3)
+    assert got.step == pytest.approx(2.0 / 7.0, rel=1e-15)
+    assert survival_matrix(two_state_model().kernel, 1.3, 1.3, step=0.3).step == 0.0
+
+
 def test_survival_profile_matches_pointwise_calls():
     kernel = two_state_model().kernel
     t_grid = np.array([0.0, 0.5, 1.25, 3.0])
@@ -112,6 +144,103 @@ def test_survival_profile_matches_pointwise_calls():
     for k, t in enumerate(t_grid):
         ref = survival_matrix(kernel, 0.0, float(t), step=1 / 128).matrix
         np.testing.assert_allclose(prof[k], ref, atol=1e-10)
+
+
+def _reference_sweep(kernel, nodes, steps):
+    """``G(nodes[0], x)`` at each of ``nodes[1:]``, one RK4 step at a time.
+
+    Each gap is split at the kernel jumps inside it and each piece crossed in
+    equal steps no wider than the gap's step, its RK4 nodes kept below the
+    piece's right end.
+    """
+    pieces, reads = [], []
+    for a0, b0, h in zip(nodes[:-1], nodes[1:], steps):
+        ends = [c for c in kernel.breakpoints if a0 < c < b0] + [b0]
+        for a, b in zip([a0] + ends[:-1], ends):
+            n = max(1, int(np.ceil((b - a) / h - 1e-12))) if b > a else 0
+            x, w = a, (b - a) / max(n, 1)
+            for _ in range(n):
+                pieces.append((x, w, np.nextafter(b, a)))
+                x += w
+        reads.append(len(pieces))
+    x, w, clamp = np.array(pieces).reshape(-1, 3).T
+    at = np.minimum(np.concatenate([x, x + 0.5 * w, x + w]), np.tile(clamp, 3))
+    C0, Ch, C1 = eval_kernel_batch(kernel, at)[0].reshape(3, x.size, kernel.p, kernel.p)
+    G, out, k = np.eye(kernel.p), [], 0
+    for end in reads:
+        while k < end:
+            h = w[k]
+            k1 = G @ C0[k]
+            k2 = (G + 0.5 * h * k1) @ Ch[k]
+            k3 = (G + 0.5 * h * k2) @ Ch[k]
+            k4 = (G + h * k3) @ C1[k]
+            G = G + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k += 1
+        out.append(G)
+    return np.array(out)
+
+
+def _reference_renewal(model, u_max, top):
+    """Per-interval Simpson sums of ``G(0, s) D(s)`` on the renewal grid up to ``u_max``.
+
+    ``top`` is the largest truncation point tried, which sets the grid.
+    """
+    kernel = model.kernel
+    grid = _renewal_grid(kernel, top, 0.5 * _default_step(kernel, top))
+    grid = grid[grid <= u_max]
+    span = np.diff(grid)
+    nodes = np.empty(2 * grid.size - 1)
+    nodes[0::2], nodes[1::2] = grid, grid[:-1] + 0.5 * span
+    steps = np.repeat(np.maximum(np.minimum(span, 0.5 / kernel.gamma), 1e-12), 2)
+    G = np.concatenate([np.eye(model.p)[None], _reference_sweep(kernel, nodes, steps)])
+    D = eval_kernel_batch(kernel, nodes)[1]
+    D_left = eval_kernel_batch(kernel, np.nextafter(grid[1:], grid[:-1]))[1]
+    N = np.zeros((model.p, model.p))
+    for i, h in enumerate(span):
+        D_end = D_left[i] if grid[i + 1] in kernel.breakpoints else D[2 * i + 2]
+        N += (h / 6.0) * (G[2 * i] @ D[2 * i] + 4.0 * (G[2 * i + 1] @ D[2 * i + 1]) + G[2 * i + 2] @ D_end)
+    return N, float(np.max(G[-1].sum(axis=1)))
+
+
+_SWEEP_MODELS = {
+    **gallery_models(),
+    "erlang_pareto": erlangize(pareto_renewal_model(), 1.0, 4, 0).model,
+    "erlang_calendar": erlangize(calendar_switch_model(), 1.0, 4, 0).model,
+}
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_MODELS))
+def test_survival_profile_matches_the_sequential_sweep(name):
+    kernel = _SWEEP_MODELS[name].kernel
+    # Starts at 0 and repeats nodes.
+    t_grid = np.array([0.0, 0.0, 0.3, 0.3, 1.0, 1.7, 2.5, 2.5, 3.0, 4.0])
+    ref = _reference_sweep(kernel, np.r_[0.0, t_grid], np.full(t_grid.size, _default_step(kernel, 4.0)))
+    np.testing.assert_allclose(survival_profile(kernel, t_grid), ref, rtol=0.0, atol=1e-13)
+    # Crosses calendar_switch's jumps at 1 and 3 and stops on one.
+    t_grid = np.array([0.5, 2.0, 3.0, 3.5, 5.0])
+    ref = _reference_sweep(kernel, np.r_[0.0, t_grid], np.full(t_grid.size, 0.3))
+    np.testing.assert_allclose(survival_profile(kernel, t_grid, step=0.3), ref, rtol=0.0, atol=1e-13)
+    got = survival_matrix(kernel, 0.5, 5.0, step=0.3).matrix
+    np.testing.assert_allclose(got, _reference_sweep(kernel, [0.5, 5.0], [0.3])[0], rtol=0.0, atol=1e-13)
+    # Sweeps of 1023, 1024 and 1025 steps, read on both sides of the block end.
+    h = 1.0 / 256.0
+    for total in (1023, 1024, 1025):
+        t_grid = h * np.array([k for k in (1, 1022, 1023, 1024, 1025) if k <= total])
+        ref = _reference_sweep(kernel, np.r_[0.0, t_grid], np.full(t_grid.size, h))
+        np.testing.assert_allclose(survival_profile(kernel, t_grid, step=h), ref, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_MODELS))
+def test_arrival_operator_matches_the_sequential_sweep(name):
+    model = _SWEEP_MODELS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        windowed = renewal_operator(model, u_max=4.0)
+        default = renewal_operator(model)
+    for got, top in ((windowed, 4.0), (default, RENEWAL_UMAX_CEILING / model.kernel.gamma)):
+        N, tail = _reference_renewal(model, got.u_max, top)
+        np.testing.assert_allclose(got.matrix, N, rtol=0.0, atol=1e-13)
+        assert got.tail_bound == pytest.approx(tail, rel=0.0, abs=1e-13)
 
 
 def test_invalid_intervals_rejected():
