@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import pdtrc
 
 from .bridge import LevelDurationGrid, bridge_recursion
 from .homogeneous import LevelGrid, _rate_scaled_generator, doubling_psi
@@ -244,11 +244,11 @@ def finite_time_return(
     nothing beyond the horizon itself.
 
     The series stops at the smallest order ``n >= 2`` whose epoch-time tail
-    ``P(T_{n+1} <= t) = poisson.sf(n, gamma t)`` drops below ``eps`` — that
-    bounds every omitted order — or at ``m_max`` with a warning when the cap
-    bites first.  Each computed increment is checked against the Poisson
-    bound ``P(T_m <= t)`` on the m-th epoch time, and ``tail_estimate`` is
-    that bound at the first omitted order.
+    ``P(T_{n+1} <= t) = P(Poisson(gamma t) > n) = pdtrc(n, gamma t)`` drops
+    below ``eps`` — that bounds every omitted order — or at ``m_max`` with a
+    warning when the cap bites first.  Each computed increment is checked
+    against the Poisson bound ``P(T_m <= t)`` on the m-th epoch time, and
+    ``tail_estimate`` is that bound at the first omitted order.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -273,11 +273,11 @@ def finite_time_return(
 
     gamma_t = model.gamma * horizon
     stop = 2
-    while poisson.sf(stop, gamma_t) >= eps:
+    while pdtrc(stop, gamma_t) >= eps:
         stop += 1
     capped = m_max is not None and m_max < stop
     n_top = m_max if capped else stop
-    tail = float(poisson.sf(n_top, gamma_t))
+    tail = float(pdtrc(n_top, gamma_t))
     if capped:
         warnings.warn(
             f"finite-horizon series capped at m_max={m_max} before the epoch-time "
@@ -289,7 +289,7 @@ def finite_time_return(
     tensor = bridge_recursion(model, grid, theta1, theta2, n_max=n_top, **kwargs)
     orders = np.array(tensor.orders)
     increments = np.stack([tensor.mass(n, None if z == 0.0 else z) for n in orders])
-    epoch_bounds = poisson.sf(orders - 1, gamma_t)
+    epoch_bounds = pdtrc(orders - 1, gamma_t)
     worst = float((increments.max(axis=(1, 2)) - epoch_bounds).max())
     if worst > 1e-9:
         warnings.warn(

@@ -1,9 +1,10 @@
 """Vectorized Monte Carlo reference engines.
 
-The samplers run many paths of the uniformized chain in lockstep on the
-stepper of :mod:`fluidrisk.simulate`, chunked to bound memory, with one RNG
-stream per chunk derived from ``SeedSequence((seed, chunk_index))``.  Results
-are reproducible and independent of ``n_threads``; they depend on
+Each sampler splits its paths into chunks, to bound memory, and walks each
+chunk in lockstep on the walker of :mod:`fluidrisk.simulate`, which resolves
+every epoch on the one stepper there.  One chunk runner gives chunk ``b`` its
+own RNG stream, derived from ``SeedSequence((seed, b))``.  Results are
+reproducible and independent of ``n_threads``; they depend on
 ``chunk_size``, which fixes how paths are split among the streams.  Censored
 paths (no event by ``max_epochs``) contribute weight zero, which biases
 weighted estimates downward; the censored fraction is always reported so
@@ -18,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FluidModel
-from .simulate import (
-    _check_start,
-    _epoch_transition,
-    _first_passage_model,
-    _first_return_chunk,
-    _start_states,
-)
+from .simulate import _check_start, _first_passage_model, _first_return_chunk, _Walk
 
 __all__ = [
     "McEstimate",
@@ -104,16 +99,20 @@ class BridgeHistogram:
         return self.n_hits == 0
 
 
-def _chunk_sizes(n_paths: int, chunk_size: int) -> list[int]:
+def _run_chunks(chunk, n_paths: int, chunk_size: int, seed: int, n_threads: int) -> list:
+    """Split ``n_paths`` into chunks of ``chunk_size`` and return, in chunk
+    order, ``chunk(m, rng)`` of chunk ``b``: its ``m`` paths and its stream
+    ``default_rng(SeedSequence((seed, b)))``."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
     full, rem = divmod(n_paths, chunk_size)
-    return [chunk_size] * full + ([rem] if rem else [])
+    sizes = [chunk_size] * full + ([rem] if rem else [])
 
+    def worker(b: int):
+        return chunk(sizes[b], np.random.default_rng(np.random.SeedSequence((seed, b))))
 
-def _run_chunks(worker, sizes, n_threads: int):
     if n_threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             return list(pool.map(worker, range(len(sizes))))
@@ -144,15 +143,13 @@ def first_return_samples(
     base_model = _first_passage_model(
         model, z, theta1, theta2, max_epochs, start_state, barrier_offset
     )
-    sizes = _chunk_sizes(n_paths, chunk_size)
 
-    def worker(b: int):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+    def chunk(m: int, rng: np.random.Generator):
         return _first_return_chunk(
-            base_model, z, theta1, theta2, sizes[b], max_epochs, rng, start_state, barrier_offset
+            base_model, z, theta1, theta2, m, max_epochs, rng, start_state, barrier_offset
         )
 
-    parts = _run_chunks(worker, sizes, n_threads)
+    parts = _run_chunks(chunk, n_paths, chunk_size, seed, n_threads)
     return ReturnSamples(
         n_epoch=np.concatenate([p[0] for p in parts]),
         exit_state=np.concatenate([p[1] for p in parts]),
@@ -218,6 +215,8 @@ def mc_ruin(
     """
     if u < 0.0:
         raise ValueError(f"initial capital must be nonnegative, got {u!r}")
+    if horizon is not None and not horizon > 0.0:
+        raise ValueError(f"horizon must be positive, got {horizon!r}")
     if n_paths < 100:
         raise ValueError(f"n_paths must be at least 100 for a meaningful estimate, got {n_paths}")
     samples = first_return_samples(
@@ -228,51 +227,6 @@ def mc_ruin(
     if horizon is not None:
         values = np.where(samples.crossing_time <= horizon, values, 0.0)
     return _estimate(values, samples.censored_fraction, seed)
-
-
-def _bridge_chunk(
-    model: FluidModel,
-    z: float,
-    n_epochs: int,
-    m: int,
-    seed_key: tuple,
-    start_state,
-    s_edges: np.ndarray,
-    l_edges: np.ndarray,
-):
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    states = _start_states(model, rng, m, start_state)
-    step = _epoch_transition(model)
-    rates = model.rates
-
-    level = np.zeros(m)
-    dur = np.full(m, float(z))
-    min_interior = np.full(m, np.inf)
-    final_dur = np.zeros(m)
-    pre_final = states.copy()
-
-    for k in range(1, n_epochs + 1):
-        dt = rng.exponential(1.0 / model.gamma, size=m)
-        u_arg = dur + dt
-        level = level + rates[states] * dt
-        if k == n_epochs:
-            final_dur = u_arg
-            pre_final = states.copy()
-            break
-        min_interior = np.minimum(min_interior, level)
-        new_s, arrived = step(states, u_arg, rng)
-        dur = np.where(arrived, 0.0, u_arg)
-        states = new_s
-
-    qualifies = (rates[pre_final] < 0.0) & (min_interior >= np.maximum(0.0, level))
-    counts = np.zeros((model.p, s_edges.size - 1, l_edges.size - 1), dtype=np.int64)
-    hits = np.zeros(model.p, dtype=np.int64)
-    for j in np.flatnonzero(np.bincount(pre_final[qualifies], minlength=model.p)):
-        sel = qualifies & (pre_final == j)
-        hits[j] = int(sel.sum())
-        h, _, _ = np.histogram2d(final_dur[sel], level[sel], bins=[s_edges, l_edges])
-        counts[j] = h.astype(np.int64)
-    return counts, hits
 
 
 def mc_bridge_histogram(
@@ -304,12 +258,26 @@ def mc_bridge_histogram(
     if l_edges.ndim != 1 or l_edges.size < 2 or np.any(np.diff(l_edges) <= 0):
         raise ValueError("l_edges must be strictly increasing with at least two entries")
 
-    sizes = _chunk_sizes(n_paths, chunk_size)
+    def chunk(m: int, rng: np.random.Generator):
+        walk = _Walk(model, z, m, start_state, rng)
+        min_interior = np.full(m, np.inf)
+        for _ in range(n - 1):
+            walk.segment()
+            min_interior = np.minimum(min_interior, walk.level_end)
+            walk.jump()
+        walk.segment()
+        final, level = walk.state, walk.level_end
+        qualifies = (model.rates[final] < 0.0) & (min_interior >= np.maximum(0.0, level))
+        counts = np.zeros((model.p, s_edges.size - 1, l_edges.size - 1), dtype=np.int64)
+        hits = np.zeros(model.p, dtype=np.int64)
+        for j in np.flatnonzero(np.bincount(final[qualifies], minlength=model.p)):
+            sel = qualifies & (final == j)
+            hits[j] = int(sel.sum())
+            h, _, _ = np.histogram2d(walk.u_arg[sel], level[sel], bins=[s_edges, l_edges])
+            counts[j] = h.astype(np.int64)
+        return counts, hits
 
-    def worker(b: int):
-        return _bridge_chunk(model, z, n, sizes[b], (seed, b), start_state, s_edges, l_edges)
-
-    parts = _run_chunks(worker, sizes, n_threads)
+    parts = _run_chunks(chunk, n_paths, chunk_size, seed, n_threads)
     counts = sum(p[0] for p in parts)
     hits = sum(p[1] for p in parts)
     return BridgeHistogram(
@@ -321,42 +289,6 @@ def mc_bridge_histogram(
         n_epochs=n,
         seed=seed,
     )
-
-
-def _arrival_chunk(
-    model: FluidModel,
-    z: float,
-    n_arrivals: int,
-    m: int,
-    max_epochs: int,
-    seed_key: tuple,
-    start_state,
-):
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    states = _start_states(model, rng, m, start_state)
-    step = _epoch_transition(model)
-    times = np.full((m, n_arrivals), np.nan)
-    n_seen = np.zeros(m, dtype=np.int64)
-    t_now = np.zeros(m)
-    dur = np.full(m, float(z))
-    active = np.arange(m)
-
-    for _ in range(max_epochs):
-        if active.size == 0:
-            break
-        dt = rng.exponential(1.0 / model.gamma, size=active.size)
-        u_arg = dur[active] + dt
-        t_now[active] += dt
-        new_s, arrived = step(states[active], u_arg, rng)
-        states[active] = new_s
-        dur[active] = np.where(arrived, 0.0, u_arg)
-        if np.any(arrived):
-            idx = active[arrived]
-            times[idx, n_seen[idx]] = t_now[idx]
-            n_seen[idx] += 1
-        active = active[n_seen[active] < n_arrivals]
-
-    return times
 
 
 def arrival_time_samples(
@@ -379,11 +311,24 @@ def arrival_time_samples(
     _check_start(model, z, start_state)
     if n_arrivals < 1:
         raise ValueError("n_arrivals must be positive")
-    sizes = _chunk_sizes(n_paths, chunk_size)
+    if max_epochs < 1:
+        raise ValueError(f"max_epochs must be at least 1, got {max_epochs!r}")
 
-    def worker(b: int):
-        return _arrival_chunk(model, z, n_arrivals, sizes[b], max_epochs, (seed, b), start_state)
+    def chunk(m: int, rng: np.random.Generator):
+        walk = _Walk(model, z, m, start_state, rng)
+        times = np.full((m, n_arrivals), np.nan)
+        n_seen = np.zeros(m, dtype=np.int64)
+        for _ in range(max_epochs):
+            if walk.idx.size == 0:
+                break
+            walk.segment()
+            arrived = walk.jump()
+            if np.any(arrived):
+                idx = walk.idx[arrived]
+                times[idx, n_seen[idx]] = walk.t[arrived]
+                n_seen[idx] += 1
+            walk.keep(n_seen[walk.idx] < n_arrivals)
+        return times
 
-    parts = _run_chunks(worker, sizes, n_threads)
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(_run_chunks(chunk, n_paths, chunk_size, seed, n_threads), axis=0)
 

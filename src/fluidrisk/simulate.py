@@ -12,10 +12,15 @@ The construction supports an initial duration ``z >= 0`` ("delayed" start):
 until the first arrival the kernel argument is ``z`` plus the elapsed time,
 afterwards it is the time since the last arrival.
 
-One stepper, built once per run, resolves every epoch of every path here and
-in :mod:`fluidrisk.montecarlo`.  For a duration-free kernel it builds the
-cumulative ``[Cbar | Dbar]`` rows of all states once and then only gathers
-rows by state; a duration-dependent kernel is evaluated at every epoch.
+Every sampler here and in :mod:`fluidrisk.montecarlo` walks its paths with
+one walker, ``_Walk``: a batch of paths moved in lockstep on one RNG stream,
+one epoch at a time.  The walker draws the holding times, accumulates the
+level, dividends and costs, resets durations at arrivals and retires the
+paths a sampler is done with; each sampler only reads its event off the
+walk.  The walker resolves every epoch on one stepper, built once per walk:
+for a duration-free kernel it builds the cumulative ``[Cbar | Dbar]`` rows of
+all states once and then only gathers rows by state; a duration-dependent
+kernel is evaluated at every epoch.
 """
 
 from __future__ import annotations
@@ -144,10 +149,52 @@ def _epoch_transition(model: FluidModel):
     return step
 
 
-def _start_states(model: FluidModel, rng: np.random.Generator, m: int, start_state) -> np.ndarray:
-    if start_state is not None:
-        return np.full(m, int(start_state), dtype=np.int64)
-    return rng.choice(model.p, size=m, p=model.alpha).astype(np.int64)
+class _Walk:
+    """``m`` paths walked in lockstep across the Poisson epochs on one RNG stream.
+
+    The live paths' arrays are ``idx`` (the path's index in the walk),
+    ``state``, ``dur`` (duration at the last epoch), ``level``, ``div``
+    (dividend integral), ``cost`` (arrival costs) and ``t`` (time of the last
+    epoch).  An epoch is ``segment()``, which draws the holding times, then
+    ``jump()``; ``keep(mask)`` retires paths between the two or after the
+    jump, never before the first ``segment()``.  The start states come from
+    ``model.alpha`` unless ``start_state`` pins one; the random numbers are
+    drawn in the order of these calls.
+    """
+
+    _ARRAYS = ("idx", "state", "dur", "level", "div", "cost", "t", "dt", "u_arg", "level_end", "div_end")
+
+    def __init__(self, model: FluidModel, z: float, m: int, start_state, rng: np.random.Generator):
+        self.model, self.rng = model, rng
+        if start_state is not None:
+            self.state = np.full(m, int(start_state), dtype=np.int64)
+        else:
+            self.state = rng.choice(model.p, size=m, p=model.alpha).astype(np.int64)
+        self._step = _epoch_transition(model)
+        self.idx = np.arange(m)
+        self.dur = np.full(m, float(z))
+        self.level, self.div, self.cost, self.t = (np.zeros(m) for _ in range(4))
+
+    def segment(self) -> None:
+        """Draw each live path's holding time and the segment up to its next epoch."""
+        self.dt = self.rng.exponential(1.0 / self.model.gamma, size=self.idx.size)
+        self.u_arg = self.dur + self.dt
+        self.level_end = self.level + self.model.rates[self.state] * self.dt
+        self.div_end = self.div + self.model.sigma[self.state] * self.dt
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Retire the live paths outside ``mask``."""
+        for name in self._ARRAYS:
+            setattr(self, name, getattr(self, name)[mask])
+
+    def jump(self) -> np.ndarray:
+        """Resolve the epoch ending the segment; return the arrival mask."""
+        new_state, arrived = self._step(self.state, self.u_arg, self.rng)
+        self.cost = self.cost + np.where(arrived, self.model.k_cost[self.state, new_state], 0.0)
+        self.dur = np.where(arrived, 0.0, self.u_arg)
+        self.state, self.level, self.div = new_state, self.level_end, self.div_end
+        self.t = self.t + self.dt
+        return arrived
 
 
 def _check_start(model: FluidModel, z: float, start_state) -> None:
@@ -201,57 +248,30 @@ def _first_return_chunk(
     start_state,
     barrier_offset: float,
 ):
-    """Walk ``m`` paths in lockstep to their first grid level at or below
+    """Walk ``m`` paths to their first grid level at or below
     ``-barrier_offset``, returning the per-path arrays of ``ReturnSamples``."""
-    states0 = _start_states(model, rng, m, start_state)
-    step = _epoch_transition(model)
-    rates = model.rates
-    sigma = model.sigma
-
-    active = np.arange(m)
-    states = states0.copy()
-    level = np.zeros(m)
-    div_int = np.zeros(m)
-    costs = np.zeros(m)
-    dur = np.full(m, float(z))
-    t_now = np.zeros(m)
-
+    walk = _Walk(model, z, m, start_state, rng)
+    start = walk.state
     n_epoch = np.zeros(m, dtype=np.int64)
     exit_state = np.full(m, -1, dtype=np.int64)
     weight = np.zeros(m)
     t_cross = np.full(m, np.inf)
 
     for n in range(1, max_epochs + 1):
-        dt = rng.exponential(1.0 / model.gamma, size=active.size)
-        s = states[active]
-        u_arg = dur[active] + dt
-        lvl_next = level[active] + rates[s] * dt
-        div_next = div_int[active] + sigma[s] * dt
-        hit = lvl_next <= -barrier_offset
-
+        walk.segment()
+        hit = walk.level_end <= -barrier_offset
         if np.any(hit):
-            hit_idx = active[hit]
-            s_hit = s[hit]
-            n_epoch[hit_idx] = n
-            exit_state[hit_idx] = s_hit
-            weight[hit_idx] = np.exp(-theta1 * div_next[hit] - theta2 * costs[hit_idx])
-            t_cross[hit_idx] = t_now[hit_idx] + (-barrier_offset - level[hit_idx]) / rates[s_hit]
-            keep = ~hit
-            active, s, dt, u_arg, lvl_next, div_next = (
-                x[keep] for x in (active, s, dt, u_arg, lvl_next, div_next)
-            )
-            if active.size == 0:
+            idx, s = walk.idx[hit], walk.state[hit]
+            n_epoch[idx] = n
+            exit_state[idx] = s
+            weight[idx] = np.exp(-theta1 * walk.div_end[hit] - theta2 * walk.cost[hit])
+            t_cross[idx] = walk.t[hit] + (-barrier_offset - walk.level[hit]) / model.rates[s]
+            walk.keep(~hit)
+            if walk.idx.size == 0:
                 break
+        walk.jump()
 
-        new_s, arrived = step(s, u_arg, rng)
-        costs[active] += np.where(arrived, model.k_cost[s, new_s], 0.0)
-        dur[active] = np.where(arrived, 0.0, u_arg)
-        states[active] = new_s
-        level[active] = lvl_next
-        div_int[active] = div_next
-        t_now[active] += dt
-
-    return n_epoch, exit_state, weight, t_cross, states0
+    return n_epoch, exit_state, weight, t_cross, start
 
 
 def simulate_path(
@@ -281,51 +301,26 @@ def simulate_path(
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     _check_start(model, z, start_state)
-    rng = np.random.default_rng(seed)
-    state = int(_start_states(model, rng, 1, start_state)[0])
-    step = _epoch_transition(model)
-    gamma = model.gamma
-    rates = model.rates
-
-    times = [0.0]
-    states = [state]
-    arrivals = [0.0]
-    durations = [float(z)]
-    fluid = [0.0]
-    dividends = [0.0]
-    costs = [0.0]
-
-    t = 0.0
-    cur_dur = float(z)
+    walk = _Walk(model, z, 1, start_state, np.random.default_rng(seed))
+    # One row per epoch: time, state, pre-epoch duration, level, dividends,
+    # costs and the arrival flag (the conventional S_0 = 0 is an arrival).
+    rows = [(walk.t, walk.state, walk.dur, walk.level, walk.div, walk.cost, np.ones(1, bool))]
     while True:
-        dt = rng.exponential(1.0 / gamma)
-        t_next = t + dt
-        if t_next >= horizon:
+        walk.segment()
+        if walk.t[0] + walk.dt[0] >= horizon:
             break
-        u_arg = cur_dur + dt
-        (new_state,), (is_arrival,) = step(np.array([state]), np.array([u_arg]), rng)
-        times.append(t_next)
-        durations.append(u_arg)
-        fluid.append(fluid[-1] + rates[state] * dt)
-        dividends.append(dividends[-1] + model.sigma[state] * dt)
-        costs.append(costs[-1] + (model.k_cost[state, new_state] if is_arrival else 0.0))
-        if is_arrival:
-            arrivals.append(t_next)
-            cur_dur = 0.0
-        else:
-            cur_dur = u_arg
-        state = new_state
-        states.append(state)
-        t = t_next
+        arrived = walk.jump()
+        rows.append((walk.t, walk.state, walk.u_arg, walk.level, walk.div, walk.cost, arrived))
 
+    times, states, durations, fluid, dividends, costs, arrived = map(np.concatenate, zip(*rows))
     return PathRecord(
-        poisson_epochs=np.asarray(times),
-        states=np.asarray(states, dtype=int),
-        arrival_epochs=np.asarray(arrivals),
-        durations=np.asarray(durations),
-        fluid=np.asarray(fluid),
-        dividend_integral=np.asarray(dividends),
-        jump_costs=np.asarray(costs),
+        poisson_epochs=times,
+        states=states.astype(int),
+        arrival_epochs=times[arrived],
+        durations=durations,
+        fluid=fluid,
+        dividend_integral=dividends,
+        jump_costs=costs,
         seed=seed,
     )
 

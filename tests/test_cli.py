@@ -46,13 +46,15 @@ def two_state_config(tmp_path):
     [
         (["ruin", "--u", "1", "--n-stages", "1", "--i0", "0"] + THETA, "ruin.csv"),
         (["bridge", "--n-max", "4"], "bridge.csv"),
+        (["simulate", "--horizon", "5", "--n-paths", "3"], "paths.csv"),
+        (["mc", "ruin", "--u", "1", "--n-paths", "1000"], "mc_ruin.csv"),
     ],
 )
 def test_reruns_write_byte_identical_csv(two_state_config, tmp_path, args, artifact):
     outputs = []
     for run in ("first", "second"):
         out = tmp_path / run
-        assert main([args[0], str(two_state_config), "--out", str(out)] + args[1:]) == EXIT_OK
+        assert main(args + [str(two_state_config), "--out", str(out)]) == EXIT_OK
         outputs.append((out / artifact).read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -71,6 +73,7 @@ def test_malformed_config_exits_invalid(tmp_path):
         ["mc", "bridge", "--z", "-0.000001"],
         ["mc", "bridge", "--n-paths", "100", "--start-state", "5"],
         ["mc", "ruin", "--u", "1", "--n-paths", "100", "--start-state", "-1"],
+        ["mc", "ruin", "--u", "1", "--horizon", "-1"],
         ["first-return", "--theta1", "-0.5"],
         ["mc", "first-return", "--theta1", "-0.5"],
         ["ruin", "--u", "1", "--n-stages", "1", "--i0", "5"],
@@ -81,6 +84,7 @@ def test_malformed_config_exits_invalid(tmp_path):
         "mc_bridge_negative_z",
         "mc_bridge_start_state_too_large",
         "mc_ruin_negative_start_state",
+        "mc_ruin_negative_horizon",
         "first_return_negative_theta1",
         "mc_first_return_negative_theta1",
         "ruin_entry_state_too_large",

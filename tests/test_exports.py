@@ -1,7 +1,10 @@
 """Every exported name resolves."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +23,15 @@ MODULES = [fluidrisk] + [
 def test_all_names_resolve(module):
     missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone would take over half of the package's import time.
+    src = os.path.dirname(os.path.dirname(fluidrisk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fluidrisk, fluidrisk.cli; print('scipy.stats' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_homogeneous_binds_its_fft_names_at_module_level():

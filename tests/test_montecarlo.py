@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fluidrisk import simulate_path, simulate_until_return
-from fluidrisk.gallery import two_state_model
+from fluidrisk.gallery import gallery_models, two_state_model
 from fluidrisk.montecarlo import (
     arrival_time_samples,
     first_return_samples,
@@ -12,6 +12,7 @@ from fluidrisk.montecarlo import (
     mc_first_return,
     mc_ruin,
 )
+from fluidrisk.simulate import _epoch_transition
 
 from _oracles import TWO_STATE_PSI_03_02, TWO_STATE_RUIN_EXACT_U1
 
@@ -113,3 +114,174 @@ def test_samplers_reject_negative_transform_arguments(sample, theta):
     # without bound; the samplers refuse it as the analytic engines do.
     with pytest.raises(ValueError, match="transform arguments must be nonnegative"):
         sample(two_state_model(), *theta)
+
+
+@pytest.mark.parametrize(
+    "sample, message",
+    [
+        (lambda m: arrival_time_samples(m, 0.0, 1, 10, 1, max_epochs=0), "max_epochs must be at least 1"),
+        (lambda m: arrival_time_samples(m, 0.0, 1, 10, 1, max_epochs=-5), "max_epochs must be at least 1"),
+        (lambda m: first_return_samples(m, 0.0, 0.0, 0.0, 10, 1, 1), "max_epochs must be at least 2"),
+        (lambda m: mc_ruin(m, 1.0, 0.0, 1000, 1000, 1, horizon=-1.0), "horizon must be positive"),
+        (lambda m: mc_ruin(m, 1.0, 0.0, 1000, 1000, 1, horizon=0.0), "horizon must be positive"),
+        (lambda m: mc_ruin(m, 1.0, 0.0, 1000, 1000, 1, horizon=float("nan")), "horizon must be positive"),
+    ],
+    ids=["arrival_time_zero", "arrival_time_negative", "first_return_one", "ruin_negative", "ruin_zero", "ruin_nan"],
+)
+def test_samplers_reject_runs_too_short_to_sample(sample, message):
+    with pytest.raises(ValueError, match=message):
+        sample(two_state_model())
+
+
+# A sequential reference for the walker: each sampler's epoch loop written out
+# on its own, on the shared per-epoch stepper, drawing the same random numbers
+# in the same order.  The samplers must reproduce it bit for bit.
+
+GALLERY = gallery_models()
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def _ref_chunks(n_paths, chunk_size, seed):
+    for b, lo in enumerate(range(0, n_paths, chunk_size)):
+        yield min(chunk_size, n_paths - lo), np.random.default_rng(np.random.SeedSequence((seed, b)))
+
+
+def _ref_start(model, rng, m):
+    return rng.choice(model.p, size=m, p=model.alpha).astype(np.int64)
+
+
+def _ref_path(model, z, horizon, seed):
+    rng = np.random.default_rng(seed)
+    step = _epoch_transition(model)
+    state, t, dur = int(_ref_start(model, rng, 1)[0]), 0.0, float(z)
+    rows, arrivals = [(0.0, state, dur, 0.0, 0.0, 0.0)], [0.0]
+    while t + (dt := rng.exponential(1.0 / model.gamma)) < horizon:
+        t, u = t + dt, dur + dt
+        (new,), (arrived,) = step(np.array([state]), np.array([u]), rng)
+        _, _, _, level, div, cost = rows[-1]
+        cost = cost + (model.k_cost[state, new] if arrived else 0.0)
+        rows.append((t, new, u, level + model.rates[state] * dt, div + model.sigma[state] * dt, cost))
+        arrivals += [t] if arrived else []
+        state, dur = new, 0.0 if arrived else u
+    cols = [np.asarray(c) for c in zip(*rows)]
+    return cols[:1] + [cols[1].astype(int)] + cols[2:] + [np.asarray(arrivals)]
+
+
+def _ref_first_return(model, z, theta, m, max_epochs, rng, barrier):
+    step = _epoch_transition(model)
+    states0 = _ref_start(model, rng, m)
+    active, states, dur = np.arange(m), states0.copy(), np.full(m, float(z))
+    level, div, costs, t = (np.zeros(m) for _ in range(4))
+    out = np.zeros(m, np.int64), np.full(m, -1, np.int64), np.zeros(m), np.full(m, np.inf)
+    for n in range(1, max_epochs + 1):
+        dt = rng.exponential(1.0 / model.gamma, size=active.size)
+        s = states[active]
+        u = dur[active] + dt
+        lvl, dv = level[active] + model.rates[s] * dt, div[active] + model.sigma[s] * dt
+        hit = lvl <= -barrier
+        i = active[hit]
+        out[0][i], out[1][i] = n, s[hit]
+        out[2][i] = np.exp(-theta[0] * dv[hit] - theta[1] * costs[i])
+        out[3][i] = t[i] + (-barrier - level[i]) / model.rates[s[hit]]
+        active, s, dt, u, lvl, dv = (x[~hit] for x in (active, s, dt, u, lvl, dv))
+        if active.size == 0:
+            break
+        new, arrived = step(s, u, rng)
+        costs[active] += np.where(arrived, model.k_cost[s, new], 0.0)
+        dur[active], states[active] = np.where(arrived, 0.0, u), new
+        level[active], div[active] = lvl, dv
+        t[active] += dt
+    return (*out, states0)
+
+
+def _ref_bridge(model, z, n, m, rng, s_edges, l_edges):
+    step = _epoch_transition(model)
+    states = _ref_start(model, rng, m)
+    level, dur, low = np.zeros(m), np.full(m, float(z)), np.full(m, np.inf)
+    for k in range(1, n + 1):
+        dt = rng.exponential(1.0 / model.gamma, size=m)
+        u, level = dur + dt, level + model.rates[states] * dt
+        if k == n:
+            break
+        low = np.minimum(low, level)
+        states, arrived = step(states, u, rng)
+        dur = np.where(arrived, 0.0, u)
+    ok = (model.rates[states] < 0.0) & (low >= np.maximum(0.0, level))
+    sel = [ok & (states == j) for j in range(model.p)]
+    counts = np.stack([np.histogram2d(u[s], level[s], [s_edges, l_edges])[0] for s in sel])
+    return counts.astype(np.int64), np.bincount(states[ok], minlength=model.p)
+
+
+def _ref_arrivals(model, z, n_arrivals, m, max_epochs, rng):
+    step = _epoch_transition(model)
+    states = _ref_start(model, rng, m)
+    times, n_seen = np.full((m, n_arrivals), np.nan), np.zeros(m, np.int64)
+    t, dur, active = np.zeros(m), np.full(m, float(z)), np.arange(m)
+    for _ in range(max_epochs):
+        if active.size == 0:
+            break
+        dt = rng.exponential(1.0 / model.gamma, size=active.size)
+        u = dur[active] + dt
+        t[active] += dt
+        states[active], arrived = step(states[active], u, rng)
+        dur[active] = np.where(arrived, 0.0, u)
+        i = active[arrived]
+        times[i, n_seen[i]] = t[i]
+        n_seen[i] += 1
+        active = active[n_seen[active] < n_arrivals]
+    return times
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_simulate_path_matches_the_sequential_reference(name):
+    model = GALLERY[name]
+    for z in (0.0, 0.7):
+        for seed in range(3):
+            path = simulate_path(model, z, 10.0, seed)
+            fields = (path.poisson_epochs, path.states, path.durations, path.fluid,
+                      path.dividend_integral, path.jump_costs, path.arrival_epochs)
+            for got, want in zip(fields, _ref_path(model, z, 10.0, seed)):
+                _same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_first_return_samples_match_the_sequential_reference(name):
+    model, theta = GALLERY[name], (0.3, 0.2)
+    plus = np.where(model.rates > 0.0, model.alpha, 0.0)
+    ascending = model.with_alpha(plus / plus.sum())
+    for barrier, start_model in ((0.0, ascending), (0.7, model)):
+        got = first_return_samples(model, 0.7, *theta, 300, 100, 4, barrier_offset=barrier, chunk_size=128)
+        parts = [_ref_first_return(start_model, 0.7, theta, m, 100, rng, barrier)
+                 for m, rng in _ref_chunks(300, 128, 4)]
+        fields = ("n_epoch", "exit_state", "weight", "crossing_time", "start_state")
+        for k, field in enumerate(fields):
+            _same_bits(getattr(got, field), np.concatenate([p[k] for p in parts]))
+    one = simulate_until_return(model, 0.7, *theta, 100, seed=5)
+    n_epoch, exit_state, weight, _, _ = _ref_first_return(
+        ascending, 0.7, theta, 1, 100, np.random.default_rng(5), 0.0
+    )
+    assert (one.returned, one.exit_state, one.n_used) == (n_epoch[0] > 0, exit_state[0], n_epoch[0] or 100)
+    _same_bits(one.weight, weight[0])
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_bridge_histogram_matches_the_sequential_reference(name):
+    model = GALLERY[name]
+    s_edges, l_edges = np.linspace(0.0, 4.0, 9), np.linspace(-3.0, 3.0, 13)
+    got = mc_bridge_histogram(model, 0.7, 3, s_edges, l_edges, 300, 6, chunk_size=128)
+    parts = [_ref_bridge(model, 0.7, 3, m, rng, s_edges, l_edges) for m, rng in _ref_chunks(300, 128, 6)]
+    _same_bits(got.counts, sum(p[0] for p in parts))
+    _same_bits(got.n_hits, sum(p[1] for p in parts))
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_arrival_times_match_the_sequential_reference(name):
+    model = GALLERY[name]
+    got = arrival_time_samples(model, 0.7, 3, 300, 7, max_epochs=6, chunk_size=128)
+    want = np.concatenate([_ref_arrivals(model, 0.7, 3, m, 6, rng) for m, rng in _ref_chunks(300, 128, 7)])
+    _same_bits(got, want)
