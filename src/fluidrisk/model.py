@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -486,6 +487,13 @@ class FluidModel:
     @property
     def is_homogeneous(self) -> bool:
         return self.kernel.is_constant
+
+    @cached_property
+    def _epoch(self):
+        """The epoch stepper and tables of :mod:`fluidrisk.simulate`, built once per model."""
+        from .simulate import _Epoch
+
+        return _Epoch(self)
 
     def with_alpha(self, alpha) -> "FluidModel":
         """Copy of the model with a different initial distribution."""

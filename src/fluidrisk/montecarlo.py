@@ -1,10 +1,15 @@
 """Vectorized Monte Carlo reference engines.
 
-Each sampler splits its paths into chunks, to bound memory, and walks each
-chunk in lockstep on the walker of :mod:`fluidrisk.simulate`, which resolves
-every epoch on the one stepper there.  One chunk runner gives chunk ``b`` its
-own RNG stream, derived from ``SeedSequence((seed, b))``.  Results are
-reproducible and independent of ``n_threads``; they depend on
+Each sampler splits its paths into streams of ``chunk_size`` paths.  Stream
+``b`` draws every random number of its paths from its own RNG,
+``default_rng(SeedSequence((seed, b)))``, and walks them on the one refilled
+walker of :mod:`fluidrisk.simulate`: streams are admitted in order whenever
+the live set falls to ``chunk_size // 8`` paths, so the long tail of one
+stream walks in the same epochs as the bulk of the next, and the live set
+stays below ``chunk_size + chunk_size // 8`` paths.  With ``n_threads > 1``
+each thread walks a round-robin share of the streams.  Results are written
+in place at each path's number; they are reproducible and independent of
+``n_threads`` and of when a stream was admitted, but depend on
 ``chunk_size``, which fixes how paths are split among the streams.  Censored
 paths (no event by ``max_epochs``) contribute weight zero, which biases
 weighted estimates downward; the censored fraction is always reported so
@@ -13,13 +18,14 @@ callers can bracket the bias.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import FluidModel
-from .simulate import _check_start, _first_passage_model, _first_return_chunk, _Walk
+from .simulate import DUR, LEVEL, TIME, _check_start, _first_passage_alpha, _Walk, _walk_to_barrier
 
 __all__ = [
     "McEstimate",
@@ -32,8 +38,9 @@ __all__ = [
     "arrival_time_samples",
 ]
 
-#: Paths per chunk.  Each chunk draws from its own stream, so for a fixed seed
-#: a different ``chunk_size`` gives different samples.
+#: Paths per stream.  Each stream draws from its own RNG, so for a fixed seed
+#: a different ``chunk_size`` gives different samples; it also bounds the
+#: live set of a walk at ``chunk_size + chunk_size // 8`` paths.
 _DEFAULT_CHUNK = 1 << 14
 
 
@@ -99,24 +106,35 @@ class BridgeHistogram:
         return self.n_hits == 0
 
 
-def _run_chunks(chunk, n_paths: int, chunk_size: int, seed: int, n_threads: int) -> list:
-    """Split ``n_paths`` into chunks of ``chunk_size`` and return, in chunk
-    order, ``chunk(m, rng)`` of chunk ``b``: its ``m`` paths and its stream
-    ``default_rng(SeedSequence((seed, b)))``."""
+def _shares(n_paths: int, chunk_size: int, seed: int, n_threads: int) -> list:
+    """Split ``n_paths`` into streams of ``chunk_size`` and deal them
+    round-robin into at most ``n_threads`` shares.
+
+    A share lazily yields its streams ``(offset, m, rng)`` in order; stream
+    ``b`` covers paths ``b * chunk_size`` onward and draws from
+    ``default_rng(SeedSequence((seed, b)))``.
+    """
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
-    full, rem = divmod(n_paths, chunk_size)
-    sizes = [chunk_size] * full + ([rem] if rem else [])
+    n_streams = -(-n_paths // chunk_size)
+    n_shares = max(1, min(n_threads, n_streams))
 
-    def worker(b: int):
-        return chunk(sizes[b], np.random.default_rng(np.random.SeedSequence((seed, b))))
+    def share(first: int):
+        for b in range(first, n_streams, n_shares):
+            lo = b * chunk_size
+            yield lo, min(chunk_size, n_paths - lo), np.random.default_rng(np.random.SeedSequence((seed, b)))
 
-    if n_threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(worker, range(len(sizes))))
-    return [worker(b) for b in range(len(sizes))]
+    return [share(k) for k in range(n_shares)]
+
+
+def _walk_shares(sample, shares: list) -> list:
+    """``sample(share)`` for each share, on one thread per share; the results in share order."""
+    if len(shares) == 1:
+        return [sample(shares[0])]
+    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+        return list(pool.map(sample, shares))
 
 
 def first_return_samples(
@@ -139,23 +157,35 @@ def first_return_samples(
     ruin from capital ``barrier_offset`` otherwise).  Starting states are
     drawn from ``model.alpha`` restricted to the positive-rate class unless
     ``start_state`` pins one.
+
+    The paths are split into streams of ``chunk_size``, each with its own
+    RNG, so for a fixed seed ``chunk_size`` fixes the samples; it also
+    bounds the walk's live set at ``chunk_size + chunk_size // 8`` paths.
+    ``n_threads`` walks the streams on that many threads and changes no
+    sample.
     """
-    base_model = _first_passage_model(
-        model, z, theta1, theta2, max_epochs, start_state, barrier_offset
+    alpha = _first_passage_alpha(model, z, theta1, theta2, max_epochs, start_state, barrier_offset)
+    shares = _shares(n_paths, chunk_size, seed, n_threads)
+    out = (
+        np.zeros(n_paths, dtype=np.int64),
+        np.full(n_paths, -1, dtype=np.int64),
+        np.zeros(n_paths),
+        np.full(n_paths, np.inf),
     )
+    starts = np.empty(n_paths, dtype=np.int64)
 
-    def chunk(m: int, rng: np.random.Generator):
-        return _first_return_chunk(
-            base_model, z, theta1, theta2, m, max_epochs, rng, start_state, barrier_offset
-        )
+    def sample(streams) -> None:
+        walk = _Walk(model, z, streams, start_state, alpha, chunk_size // 8, starts)
+        _walk_to_barrier(walk, model.rates, theta1, theta2, max_epochs, barrier_offset, out)
 
-    parts = _run_chunks(chunk, n_paths, chunk_size, seed, n_threads)
+    _walk_shares(sample, shares)
+    n_epoch, exit_state, weight, crossing_time = out
     return ReturnSamples(
-        n_epoch=np.concatenate([p[0] for p in parts]),
-        exit_state=np.concatenate([p[1] for p in parts]),
-        weight=np.concatenate([p[2] for p in parts]),
-        crossing_time=np.concatenate([p[3] for p in parts]),
-        start_state=np.concatenate([p[4] for p in parts]),
+        n_epoch=n_epoch,
+        exit_state=exit_state,
+        weight=weight,
+        crossing_time=crossing_time,
+        start_state=starts,
         n_paths=n_paths,
         max_epochs=max_epochs,
         seed=seed,
@@ -213,7 +243,7 @@ def mc_ruin(
     crossing times are exact within segments, so an optional continuous-time
     ``horizon`` restricts to ruin before that time.
     """
-    if u < 0.0:
+    if not u >= 0.0:
         raise ValueError(f"initial capital must be nonnegative, got {u!r}")
     if horizon is not None and not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -246,10 +276,11 @@ def mc_bridge_histogram(
     A path qualifies when its state on segment ``(T_{n-1}, T_n)`` has
     negative rate and every intermediate grid level stays at or above
     ``max(0, F(T_n) - F(0))``; qualifying paths are binned over
-    ``(U(T_n-), F(T_n) - F(0))`` per final-segment state.
+    ``(U(T_n-), F(T_n) - F(0))`` per final-segment state.  ``chunk_size``
+    and ``n_threads`` act as in :func:`first_return_samples`.
     """
     _check_start(model, z, start_state)
-    if n < 2:
+    if operator.index(n) < 2:
         raise ValueError(f"bridge histograms need at least 2 epochs, got {n!r}")
     s_edges = np.asarray(s_edges, dtype=float)
     l_edges = np.asarray(l_edges, dtype=float)
@@ -258,26 +289,31 @@ def mc_bridge_histogram(
     if l_edges.ndim != 1 or l_edges.size < 2 or np.any(np.diff(l_edges) <= 0):
         raise ValueError("l_edges must be strictly increasing with at least two entries")
 
-    def chunk(m: int, rng: np.random.Generator):
-        walk = _Walk(model, z, m, start_state, rng)
-        min_interior = np.full(m, np.inf)
-        for _ in range(n - 1):
-            walk.segment()
-            min_interior = np.minimum(min_interior, walk.level_end)
-            walk.jump()
-        walk.segment()
-        final, level = walk.state, walk.level_end
-        qualifies = (model.rates[final] < 0.0) & (min_interior >= np.maximum(0.0, level))
+    shares = _shares(n_paths, chunk_size, seed, n_threads)
+    low = np.full(n_paths, np.inf)  # lowest intermediate grid level per path
+
+    def sample(streams):
+        walk = _Walk(model, z, streams, start_state, refill_at=chunk_size // 8)
         counts = np.zeros((model.p, s_edges.size - 1, l_edges.size - 1), dtype=np.int64)
         hits = np.zeros(model.p, dtype=np.int64)
-        for j in np.flatnonzero(np.bincount(final[qualifies], minlength=model.p)):
-            sel = qualifies & (final == j)
-            hits[j] = int(sel.sum())
-            h, _, _ = np.histogram2d(walk.u_arg[sel], level[sel], bins=[s_edges, l_edges])
-            counts[j] = h.astype(np.int64)
+        while walk.refill():
+            walk.segment()
+            k = walk.done(n)  # the leading paths on their final segment
+            if k:
+                final, end = walk.state[:k], walk.x_end[:, :k]
+                level = end[LEVEL]
+                qualifies = (model.rates[final] < 0.0) & (low[walk.idx[:k]] >= np.maximum(0.0, level))
+                for j in np.flatnonzero(np.bincount(final[qualifies], minlength=model.p)):
+                    sel = qualifies & (final == j)
+                    hits[j] += int(sel.sum())
+                    h, _, _ = np.histogram2d(end[DUR, sel], level[sel], bins=[s_edges, l_edges])
+                    counts[j] += h.astype(np.int64)
+                walk.drop(k)
+            low[walk.idx] = np.minimum(low[walk.idx], walk.x_end[LEVEL])
+            walk.jump()
         return counts, hits
 
-    parts = _run_chunks(chunk, n_paths, chunk_size, seed, n_threads)
+    parts = _walk_shares(sample, shares)
     counts = sum(p[0] for p in parts)
     hits = sum(p[1] for p in parts)
     return BridgeHistogram(
@@ -306,29 +342,32 @@ def arrival_time_samples(
 
     Returns an ``(n_paths, n_arrivals)`` array; entries are NaN for arrivals
     not observed within ``max_epochs`` (report and bound this censoring when
-    comparing distributions).
+    comparing distributions).  ``chunk_size`` and ``n_threads`` act as in
+    :func:`first_return_samples`.
     """
     _check_start(model, z, start_state)
     if n_arrivals < 1:
         raise ValueError("n_arrivals must be positive")
-    if max_epochs < 1:
+    if operator.index(max_epochs) < 1:
         raise ValueError(f"max_epochs must be at least 1, got {max_epochs!r}")
 
-    def chunk(m: int, rng: np.random.Generator):
-        walk = _Walk(model, z, m, start_state, rng)
-        times = np.full((m, n_arrivals), np.nan)
-        n_seen = np.zeros(m, dtype=np.int64)
-        for _ in range(max_epochs):
-            if walk.idx.size == 0:
-                break
+    shares = _shares(n_paths, chunk_size, seed, n_threads)
+    times = np.full((n_paths, n_arrivals), np.nan)
+    n_seen = np.zeros(n_paths, dtype=np.int64)
+
+    def sample(streams) -> None:
+        walk = _Walk(model, z, streams, start_state, refill_at=chunk_size // 8)
+        while walk.refill():
             walk.segment()
             arrived = walk.jump()
-            if np.any(arrived):
-                idx = walk.idx[arrived]
-                times[idx, n_seen[idx]] = walk.t[arrived]
-                n_seen[idx] += 1
-            walk.keep(n_seen[walk.idx] < n_arrivals)
-        return times
+            if arrived.any():
+                i = walk.idx[arrived]
+                times[i, n_seen[i]] = walk.x[TIME, arrived]
+                n_seen[i] += 1
+                more = n_seen[walk.idx] < n_arrivals
+                if not more.all():
+                    walk.keep(more)
+            walk.drop(walk.done(max_epochs))
 
-    return np.concatenate(_run_chunks(chunk, n_paths, chunk_size, seed, n_threads), axis=0)
-
+    _walk_shares(sample, shares)
+    return times

@@ -13,18 +13,26 @@ until the first arrival the kernel argument is ``z`` plus the elapsed time,
 afterwards it is the time since the last arrival.
 
 Every sampler here and in :mod:`fluidrisk.montecarlo` walks its paths with
-one walker, ``_Walk``: a batch of paths moved in lockstep on one RNG stream,
-one epoch at a time.  The walker draws the holding times, accumulates the
-level, dividends and costs, resets durations at arrivals and retires the
-paths a sampler is done with; each sampler only reads its event off the
-walk.  The walker resolves every epoch on one stepper, built once per walk:
-for a duration-free kernel it builds the cumulative ``[Cbar | Dbar]`` rows of
-all states once and then only gathers rows by state; a duration-dependent
-kernel is evaluated at every epoch.
+one walker, ``_Walk``.  Paths come in streams: a stream is a block of paths
+whose random numbers all come from one RNG, in a fixed order (the start
+states, then per epoch the holding times and the epoch uniforms).  The walker
+moves every live path of every admitted stream in lockstep, one epoch at a
+time, and admits the next queued stream whenever the live set falls to its
+refill threshold, so the long tail of one stream shares its epochs with the
+bulk of the next.  Each stream sees exactly the draws it would see walked on
+its own, and counts its own epochs, so a sample does not depend on when its
+stream was admitted.  The walker draws the holding times, accumulates the
+level, dividends, clock and costs as one block per path, resets durations at
+arrivals and retires the paths a sampler is done with; each sampler only
+reads its event off the walk.  Every epoch is resolved on one stepper,
+``_Epoch``, built once per model: for a duration-free kernel it builds the
+cumulative ``[Cbar | Dbar]`` rows of all states once and then only gathers
+rows by state; a duration-dependent kernel is evaluated at every epoch.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +52,11 @@ __all__ = [
     "simulate_path",
     "simulate_until_return",
 ]
+
+#: Rows of the walker's ``(5, n)`` block, one column per live path: fluid
+#: level, dividend integral, clock (time of the path's last epoch), duration
+#: and arrival costs.
+LEVEL, DIV, TIME, DUR, COST = range(5)
 
 
 class KernelConsistencyError(FluidModelError):
@@ -102,24 +115,50 @@ class FirstReturnSample:
     n_used: int
 
 
-def _epoch_transition(model: FluidModel):
-    """Build a run's one epoch resolver, ``step(states, u_args, rng)``.
+class _Epoch:
+    """A model's epoch stepper and the tables a walk reads at every epoch.
 
-    ``step`` moves a batch of paths in ``states`` at kernel arguments
-    ``u_args`` across one epoch and returns the new states and an arrival
-    indicator per path.  A duration-free kernel's rows are built and checked
-    here, once, for every state.
+    Built once per model, as ``FluidModel._epoch``.  ``step(states, u_args,
+    uniforms)`` resolves the epoch ending the segment of each path in
+    ``states``, at kernel arguments ``u_args``, from one uniform per path.
+    It returns the index ``k`` of the picked entry of the path's row of
+    ``[Cbar | Dbar]``: ``k >= p`` is an arrival.  ``k`` is ``2p`` when
+    rounding puts the pick past the row's last cumulative entry; it then
+    stands for ``2p - 1``.  A duration-free kernel's rows are built and
+    checked here, once, for every state; a duration-dependent kernel is
+    evaluated at every step.
+
+    A segment of length ``dt`` moves a path's column of the walk's block by
+    ``slopes[:, state] * dt``.  ``k`` gives the new state (``next_state``),
+    the arrival flag (``arrives``), the factor that resets the duration at
+    an arrival (``runs``; a masked store is slower on large walks) and, at
+    ``k + (2p + 1) * state``, the arrival cost (``costs``).
     """
-    p, gamma = model.p, model.gamma
 
-    def rows(states, u_args):
-        C, D = eval_kernel_batch(model.kernel, u_args)
-        ar = np.arange(states.size)
-        c_rows = C[ar, states, :] / gamma
-        d_rows = D[ar, states, :] / gamma
-        c_rows[ar, states] += 1.0
-        self_prob = c_rows[ar, states]
-        if np.any(self_prob < -1e-12):
+    def __init__(self, model: FluidModel):
+        p = model.p
+        self.kernel, self.gamma, self.p = model.kernel, model.gamma, p
+        self.table = np.vstack(self.rows(np.arange(p), np.zeros(p))) if model.kernel.is_constant else None
+        self.slopes = np.array([model.rates, model.sigma, np.ones(p), np.ones(p), np.zeros(p)])
+        self.next_state = np.concatenate([np.arange(p), np.arange(p), [p - 1]])
+        self.arrives = np.arange(2 * p + 1) >= p
+        self.runs = np.where(self.arrives, 0.0, 1.0)
+        self.costs = np.concatenate([np.zeros((p, p)), model.k_cost, model.k_cost[:, -1:]], axis=1).ravel()
+
+    def rows(self, states, u_args):
+        """Each path's cumulative ``[Cbar | Dbar]`` row, as one column of a
+        ``(2p, m)`` array, and the row totals."""
+        p, m, gamma = self.p, states.size, self.gamma
+        C, D = eval_kernel_batch(self.kernel, u_args)
+        base = np.arange(m) * p
+        at = base + states  # each path's row of the (m * p, p) stacks
+        probs = np.concatenate([C.reshape(-1, p).take(at, axis=0), D.reshape(-1, p).take(at, axis=0)], axis=1)
+        probs /= gamma
+        diag = at + base  # each path's Cbar diagonal entry in probs.ravel()
+        flat = probs.reshape(-1)
+        flat[diag] += 1.0
+        self_prob = flat.take(diag)
+        if np.count_nonzero(self_prob < -1e-12):
             k = int(np.argmin(self_prob))
             raise UniformizationBoundError(
                 u=float(u_args[k]),
@@ -127,85 +166,167 @@ def _epoch_transition(model: FluidModel):
                 total_rate=float((1.0 - self_prob[k]) * gamma),
                 gamma=gamma,
             )
-        probs = np.concatenate([c_rows, d_rows], axis=1)
         totals = probs.sum(axis=1)
         err = np.abs(totals - 1.0)
-        if np.any(err > EPOCH_PROB_TOL):
+        if np.count_nonzero(err > EPOCH_PROB_TOL):
             k = int(np.argmax(err))
             raise KernelConsistencyError(
                 f"per-epoch transition probabilities sum to {totals[k]!r} "
                 f"(state {int(states[k])}, duration {float(u_args[k])!r}); kernel is inconsistent"
             )
-        return np.cumsum(probs, axis=1), totals
+        return np.cumsum(probs.T, axis=0, out=np.empty((2 * p, m))), totals
 
-    table = rows(np.arange(p), np.zeros(p)) if model.kernel.is_constant else None
-
-    def step(states, u_args, rng):
-        cum, totals = rows(states, u_args) if table is None else [t[states] for t in table]
-        pick = rng.random(states.size) * totals
-        idx = np.minimum((cum < pick[:, None]).sum(axis=1), 2 * p - 1)
-        return idx % p, idx >= p
-
-    return step
+    def step(self, states, u_args, uniforms):
+        if self.table is None:
+            cum, totals = self.rows(states, u_args)
+        else:
+            r = self.table.take(states, axis=1)
+            cum, totals = r[:-1], r[-1]
+        return np.add.reduce(cum < uniforms * totals, axis=0)
 
 
 class _Walk:
-    """``m`` paths walked in lockstep across the Poisson epochs on one RNG stream.
+    """Paths walked in lockstep across the Poisson epochs, refilled from a queue of streams.
 
-    The live paths' arrays are ``idx`` (the path's index in the walk),
-    ``state``, ``dur`` (duration at the last epoch), ``level``, ``div``
-    (dividend integral), ``cost`` (arrival costs) and ``t`` (time of the last
-    epoch).  An epoch is ``segment()``, which draws the holding times, then
-    ``jump()``; ``keep(mask)`` retires paths between the two or after the
-    jump, never before the first ``segment()``.  The start states come from
-    ``model.alpha`` unless ``start_state`` pins one; the random numbers are
-    drawn in the order of these calls.
+    ``streams`` yields ``(offset, m, rng)``: ``m`` paths, numbered ``offset``
+    to ``offset + m - 1``, whose random numbers all come from ``rng``.  The
+    walk admits the next stream whenever ``refill()`` finds at most
+    ``refill_at`` live paths, so the live set stays below ``refill_at`` plus
+    one stream.  The live paths' arrays are ``idx`` (the path's number),
+    ``state`` and the ``(5, n)`` float block ``x`` with rows ``LEVEL``,
+    ``DIV``, ``TIME``, ``DUR`` and ``COST``; they are grouped by stream, in
+    admission order.  An epoch is ``segment()``, which draws the holding
+    times and leaves the block at the segment's end in ``x_end``, then
+    ``jump()``; ``keep(mask)`` and ``drop(n)`` retire paths between the two
+    or after the jump.  A stream's start states come from ``alpha``
+    (``model.alpha`` when omitted) unless ``start_state`` pins one, and are
+    written into ``starts`` at the paths' numbers when it is given.
     """
 
-    _ARRAYS = ("idx", "state", "dur", "level", "div", "cost", "t", "dt", "u_arg", "level_end", "div_end")
+    def __init__(
+        self,
+        model: FluidModel,
+        z: float,
+        streams,
+        start_state=None,
+        alpha=None,
+        refill_at: int = 0,
+        starts=None,
+    ):
+        self._epoch = model._epoch
+        self._scale = 1.0 / model.gamma
+        self._p, self._z = model.p, float(z)
+        self._start_state, self._starts, self._refill_at = start_state, starts, refill_at
+        self._alpha = model.alpha if alpha is None else alpha
+        self._pending = iter(streams)
+        self._queued = next(self._pending, None)
+        # Per live stream, in admission order: its RNG, live paths and the
+        # clock reading at its admission (its epochs walked are clock - born).
+        self._rngs, self._sizes, self._born = [], [], []
+        self.clock = 0
+        self.idx = np.empty(0, dtype=np.int64)
+        self.state = np.empty(0, dtype=np.int64)
+        self.x = self.x_end = np.empty((5, 0))
 
-    def __init__(self, model: FluidModel, z: float, m: int, start_state, rng: np.random.Generator):
-        self.model, self.rng = model, rng
-        if start_state is not None:
-            self.state = np.full(m, int(start_state), dtype=np.int64)
-        else:
-            self.state = rng.choice(model.p, size=m, p=model.alpha).astype(np.int64)
-        self._step = _epoch_transition(model)
-        self.idx = np.arange(m)
-        self.dur = np.full(m, float(z))
-        self.level, self.div, self.cost, self.t = (np.zeros(m) for _ in range(4))
+    def refill(self) -> bool:
+        """Admit queued streams while the live set is at most ``refill_at``
+        paths; return whether any path is live."""
+        while self._queued is not None and self.idx.size <= self._refill_at:
+            offset, m, rng = self._queued
+            self._queued = next(self._pending, None)
+            if self._start_state is None:
+                states = rng.choice(self._p, size=m, p=self._alpha).astype(np.int64)
+            else:
+                states = np.full(m, int(self._start_state), dtype=np.int64)
+            if self._starts is not None:
+                self._starts[offset:offset + m] = states
+            x = np.zeros((5, m))
+            x[DUR] = self._z
+            self.idx = np.concatenate([self.idx, np.arange(offset, offset + m)])
+            self.state = np.concatenate([self.state, states])
+            self.x = self.x_end = np.concatenate([self.x, x], axis=1)
+            self._rngs.append(rng)
+            self._sizes.append(m)
+            self._born.append(self.clock)
+        return self.idx.size > 0
+
+    def _draw(self, draw) -> np.ndarray:
+        """``draw(rng, k)`` for each live stream, concatenated in stream order."""
+        if len(self._rngs) == 1:
+            return draw(self._rngs[0], self._sizes[0])
+        return np.concatenate([draw(rng, k) for rng, k in zip(self._rngs, self._sizes)])
 
     def segment(self) -> None:
-        """Draw each live path's holding time and the segment up to its next epoch."""
-        self.dt = self.rng.exponential(1.0 / self.model.gamma, size=self.idx.size)
-        self.u_arg = self.dur + self.dt
-        self.level_end = self.level + self.model.rates[self.state] * self.dt
-        self.div_end = self.div + self.model.sigma[self.state] * self.dt
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Retire the live paths outside ``mask``."""
-        for name in self._ARRAYS:
-            setattr(self, name, getattr(self, name)[mask])
+        """Draw each live path's holding time and the block at its next epoch."""
+        self.clock += 1
+        scale = self._scale
+        dt = self._draw(lambda rng, k: rng.exponential(scale, size=k))
+        self.x_end = self.x + self._epoch.slopes.take(self.state, axis=1) * dt
 
     def jump(self) -> np.ndarray:
         """Resolve the epoch ending the segment; return the arrival mask."""
-        new_state, arrived = self._step(self.state, self.u_arg, self.rng)
-        self.cost = self.cost + np.where(arrived, self.model.k_cost[self.state, new_state], 0.0)
-        self.dur = np.where(arrived, 0.0, self.u_arg)
-        self.state, self.level, self.div = new_state, self.level_end, self.div_end
-        self.t = self.t + self.dt
-        return arrived
+        if not self._sizes:
+            return np.zeros(0, dtype=bool)
+        e, x, state = self._epoch, self.x_end, self.state
+        k = e.step(state, x[DUR], self._draw(lambda rng, n: rng.random(n)))
+        x[COST] += e.costs.take(k + (2 * e.p + 1) * state)
+        x[DUR] *= e.runs.take(k)
+        self.state, self.x = e.next_state.take(k), x
+        return e.arrives.take(k)
+
+    def path_epochs(self, mask: np.ndarray):
+        """Epochs walked by the stream of each live path in ``mask`` (one
+        number when one stream is live)."""
+        if len(self._born) == 1:
+            return self.clock - self._born[0]
+        return np.repeat([self.clock - b for b in self._born], self._sizes)[mask]
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Retire the live paths outside ``mask``."""
+        if len(self._sizes) == 1:
+            sizes = [int(np.count_nonzero(mask))]
+        else:
+            starts = np.cumsum([0] + self._sizes[:-1])
+            sizes = np.add.reduceat(mask, starts, dtype=np.intp).tolist()
+        live = [s for s, size in enumerate(sizes) if size]
+        self._rngs = [self._rngs[s] for s in live]
+        self._sizes = [sizes[s] for s in live]
+        self._born = [self._born[s] for s in live]
+        same = self.x_end is self.x
+        at = np.flatnonzero(mask)
+        self.idx, self.state, self.x = self.idx.take(at), self.state.take(at), self.x.take(at, axis=1)
+        self.x_end = self.x if same else self.x_end.take(at, axis=1)
+
+    def done(self, n_epochs: int) -> int:
+        """Number of leading live paths whose streams have walked ``n_epochs`` epochs."""
+        count = 0
+        for size, born in zip(self._sizes, self._born):
+            if self.clock - born < n_epochs:
+                break
+            count += size
+        return count
+
+    def drop(self, count: int) -> None:
+        """Retire the first ``count`` live paths, which make up whole streams."""
+        if not count:
+            return
+        same = self.x_end is self.x
+        self.idx, self.state, self.x = self.idx[count:], self.state[count:], self.x[:, count:]
+        self.x_end = self.x if same else self.x_end[:, count:]
+        while count:
+            count -= self._sizes.pop(0)
+            del self._rngs[0], self._born[0]
 
 
 def _check_start(model: FluidModel, z: float, start_state) -> None:
-    """Reject a negative initial duration and a start state outside the state space."""
-    if z < 0.0:
+    """Reject a negative or NaN initial duration and a start state outside the state space."""
+    if not z >= 0.0:
         raise ValueError(f"initial duration must be nonnegative, got {z!r}")
     if start_state is not None and not 0 <= start_state < model.p:
         raise ValueError(f"start state must lie in 0..{model.p - 1}, got {start_state!r}")
 
 
-def _first_passage_model(
+def _first_passage_alpha(
     model: FluidModel,
     z: float,
     theta1: float,
@@ -213,65 +334,52 @@ def _first_passage_model(
     max_epochs: int,
     start_state,
     barrier_offset: float = 0.0,
-) -> FluidModel:
-    """Check a first-passage run's arguments; return the model whose ``alpha``
+) -> np.ndarray:
+    """Check a first-passage run's arguments; return the distribution that
     draws its start states (for a first return, ``alpha`` restricted to the
     ascending states unless ``start_state`` pins an ascending one)."""
     _check_start(model, z, start_state)
-    if theta1 < 0 or theta2 < 0:
+    if not (theta1 >= 0.0 and theta2 >= 0.0):
         raise ValueError("transform arguments must be nonnegative")
-    if max_epochs < 2:
+    if operator.index(max_epochs) < 2:
         raise ValueError(f"max_epochs must be at least 2, got {max_epochs!r}")
-    if barrier_offset < 0.0:
+    if not barrier_offset >= 0.0:
         raise ValueError(f"barrier offset must be nonnegative, got {barrier_offset!r}")
     if start_state is not None and barrier_offset == 0.0 and model.rates[int(start_state)] <= 0.0:
         raise ValueError(
             f"start state {start_state} has nonpositive fluid rate; first return is degenerate"
         )
     if start_state is not None or barrier_offset > 0.0:
-        return model
+        return model.alpha
     alpha_plus = np.zeros(model.p)
     alpha_plus[model.s_plus] = model.alpha[model.s_plus]
     if alpha_plus.sum() <= 0.0:
         raise ValueError("alpha has no mass on positive-rate states; specify start_state")
-    return model.with_alpha(alpha_plus / alpha_plus.sum())
+    return alpha_plus / alpha_plus.sum()
 
 
-def _first_return_chunk(
-    model: FluidModel,
-    z: float,
-    theta1: float,
-    theta2: float,
-    m: int,
-    max_epochs: int,
-    rng: np.random.Generator,
-    start_state,
-    barrier_offset: float,
-):
-    """Walk ``m`` paths to their first grid level at or below
-    ``-barrier_offset``, returning the per-path arrays of ``ReturnSamples``."""
-    walk = _Walk(model, z, m, start_state, rng)
-    start = walk.state
-    n_epoch = np.zeros(m, dtype=np.int64)
-    exit_state = np.full(m, -1, dtype=np.int64)
-    weight = np.zeros(m)
-    t_cross = np.full(m, np.inf)
+def _walk_to_barrier(walk: _Walk, rates, theta1, theta2, max_epochs, barrier_offset, out) -> None:
+    """Walk every path to its first grid level at or below ``-barrier_offset``.
 
-    for n in range(1, max_epochs + 1):
+    ``out`` holds the ``ReturnSamples`` arrays ``n_epoch``, ``exit_state``,
+    ``weight`` and ``crossing_time``, indexed by path number; a returning
+    path's entries are written in place, a path censored at ``max_epochs``
+    keeps the ones it has.
+    """
+    n_epoch, exit_state, weight, t_cross = out
+    while walk.refill():
         walk.segment()
-        hit = walk.level_end <= -barrier_offset
-        if np.any(hit):
-            idx, s = walk.idx[hit], walk.state[hit]
-            n_epoch[idx] = n
-            exit_state[idx] = s
-            weight[idx] = np.exp(-theta1 * walk.div_end[hit] - theta2 * walk.cost[hit])
-            t_cross[idx] = walk.t[hit] + (-barrier_offset - walk.level[hit]) / model.rates[s]
+        hit = walk.x_end[LEVEL] <= -barrier_offset
+        if np.count_nonzero(hit):
+            i, s = walk.idx[hit], walk.state[hit]
+            start, end = walk.x[:, hit], walk.x_end[:, hit]
+            n_epoch[i] = walk.path_epochs(hit)
+            exit_state[i] = s
+            weight[i] = np.exp(-theta1 * end[DIV] - theta2 * end[COST])
+            t_cross[i] = start[TIME] + (-barrier_offset - start[LEVEL]) / rates[s]
             walk.keep(~hit)
-            if walk.idx.size == 0:
-                break
+        walk.drop(walk.done(max_epochs))
         walk.jump()
-
-    return n_epoch, exit_state, weight, t_cross, start
 
 
 def simulate_path(
@@ -298,29 +406,34 @@ def simulate_path(
     start_state : int, optional
         Fixed initial state; drawn from ``model.alpha`` when omitted.
     """
-    if horizon <= 0.0:
+    if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     _check_start(model, z, start_state)
-    walk = _Walk(model, z, 1, start_state, np.random.default_rng(seed))
-    # One row per epoch: time, state, pre-epoch duration, level, dividends,
-    # costs and the arrival flag (the conventional S_0 = 0 is an arrival).
-    rows = [(walk.t, walk.state, walk.dur, walk.level, walk.div, walk.cost, np.ones(1, bool))]
+    walk = _Walk(model, z, [(0, 1, np.random.default_rng(seed))], start_state)
+    walk.refill()
+    # One entry per epoch: the block after the epoch, the state entered, the
+    # pre-epoch duration and the arrival flag (the conventional S_0 = 0 is an
+    # arrival).
+    blocks, states, durations, arrived = [walk.x[:, 0]], [walk.state[0]], [float(z)], [True]
     while True:
         walk.segment()
-        if walk.t[0] + walk.dt[0] >= horizon:
+        if walk.x_end[TIME, 0] >= horizon:
             break
-        arrived = walk.jump()
-        rows.append((walk.t, walk.state, walk.u_arg, walk.level, walk.div, walk.cost, arrived))
+        durations.append(walk.x_end[DUR, 0])
+        arrived.append(walk.jump()[0])
+        blocks.append(walk.x[:, 0])
+        states.append(walk.state[0])
 
-    times, states, durations, fluid, dividends, costs, arrived = map(np.concatenate, zip(*rows))
+    x = np.array(blocks).T.copy()
+    times = x[TIME]
     return PathRecord(
         poisson_epochs=times,
-        states=states.astype(int),
-        arrival_epochs=times[arrived],
-        durations=durations,
-        fluid=fluid,
-        dividend_integral=dividends,
-        jump_costs=costs,
+        states=np.array(states, dtype=int),
+        arrival_epochs=times[np.array(arrived)],
+        durations=np.array(durations),
+        fluid=x[LEVEL],
+        dividend_integral=x[DIV],
+        jump_costs=x[COST],
         seed=seed,
     )
 
@@ -352,10 +465,11 @@ def simulate_until_return(
         return immediately and degenerately); drawn from ``model.alpha``
         restricted to that class when omitted.
     """
-    base = _first_passage_model(model, z, theta1, theta2, max_epochs, start_state)
-    n_epoch, exit_state, weight, _, _ = _first_return_chunk(
-        base, z, theta1, theta2, 1, max_epochs, np.random.default_rng(seed), start_state, 0.0
-    )
+    alpha = _first_passage_alpha(model, z, theta1, theta2, max_epochs, start_state)
+    out = (np.zeros(1, dtype=np.int64), np.full(1, -1, dtype=np.int64), np.zeros(1), np.full(1, np.inf))
+    walk = _Walk(model, z, [(0, 1, np.random.default_rng(seed))], start_state, alpha)
+    _walk_to_barrier(walk, model.rates, theta1, theta2, max_epochs, 0.0, out)
+    n_epoch, exit_state, weight, _ = out
     n = int(n_epoch[0])
     return FirstReturnSample(
         returned=n > 0,

@@ -77,6 +77,8 @@ def test_malformed_config_exits_invalid(tmp_path):
         ["first-return", "--theta1", "-0.5"],
         ["mc", "first-return", "--theta1", "-0.5"],
         ["ruin", "--u", "1", "--n-stages", "1", "--i0", "5"],
+        ["mc", "ruin", "--u", "nan", "--n-paths", "100"],
+        ["mc", "first-return", "--z", "nan", "--n-paths", "100"],
     ],
     ids=[
         "simulate_negative_z",
@@ -88,6 +90,8 @@ def test_malformed_config_exits_invalid(tmp_path):
         "first_return_negative_theta1",
         "mc_first_return_negative_theta1",
         "ruin_entry_state_too_large",
+        "mc_ruin_nan_capital",
+        "mc_first_return_nan_z",
     ],
 )
 def test_invalid_arguments_exit_invalid(two_state_config, tmp_path, args):

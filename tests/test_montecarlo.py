@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fluidrisk import simulate_path, simulate_until_return
+from fluidrisk import simulate, simulate_path, simulate_until_return
 from fluidrisk.gallery import gallery_models, two_state_model
 from fluidrisk.montecarlo import (
     arrival_time_samples,
@@ -12,7 +12,6 @@ from fluidrisk.montecarlo import (
     mc_first_return,
     mc_ruin,
 )
-from fluidrisk.simulate import _epoch_transition
 
 from _oracles import TWO_STATE_PSI_03_02, TWO_STATE_RUIN_EXACT_U1
 
@@ -133,6 +132,65 @@ def test_samplers_reject_runs_too_short_to_sample(sample, message):
         sample(two_state_model())
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "sample, message",
+    [
+        (lambda m: simulate_path(m, NAN, 1.0, seed=1), "initial duration"),
+        (lambda m: simulate_path(m, 0.0, NAN, seed=1), "horizon must be positive"),
+        (lambda m: simulate_until_return(m, NAN, 0.0, 0.0, 10, seed=1), "initial duration"),
+        (lambda m: first_return_samples(m, NAN, 0.0, 0.0, 10, 10, seed=1), "initial duration"),
+        (lambda m: mc_bridge_histogram(m, NAN, 2, [0.0, 1.0], [-1.0, 1.0], 10, seed=1), "initial duration"),
+        (lambda m: arrival_time_samples(m, NAN, 1, 10, seed=1), "initial duration"),
+        (lambda m: first_return_samples(m, 0.0, 0.0, 0.0, 10, 10, seed=1, barrier_offset=NAN), "barrier offset"),
+        (lambda m: mc_ruin(m, NAN, 0.0, 100, 10, seed=1, start_state=0), "initial capital"),
+        (lambda m: simulate_until_return(m, 0.0, NAN, 0.0, 10, seed=1), "transform arguments"),
+        (lambda m: first_return_samples(m, 0.0, 0.0, NAN, 10, 10, seed=1), "transform arguments"),
+        (lambda m: mc_first_return(m, 0.0, NAN, 0.0, 100, 10, seed=1), "transform arguments"),
+        (lambda m: mc_ruin(m, 1.0, 0.0, 100, 10, seed=1, theta2=NAN), "transform arguments"),
+    ],
+    ids=[
+        "simulate_path_z",
+        "simulate_path_horizon",
+        "simulate_until_return_z",
+        "first_return_z",
+        "bridge_histogram_z",
+        "arrival_time_z",
+        "first_return_barrier",
+        "mc_ruin_capital",
+        "simulate_until_return_theta1",
+        "first_return_theta2",
+        "mc_first_return_theta1",
+        "mc_ruin_theta2",
+    ],
+)
+def test_samplers_reject_nan_arguments(sample, message):
+    # A NaN compares false both ways: a NaN capital or barrier is never
+    # reached, so every path would be censored and the estimate read 0 ± 0.
+    with pytest.raises(ValueError, match=message):
+        sample(two_state_model())
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda m, k: first_return_samples(m, 0.0, 0.0, 0.0, 10, k, seed=1),
+        lambda m, k: simulate_until_return(m, 0.0, 0.0, 0.0, k, seed=1),
+        lambda m, k: arrival_time_samples(m, 0.0, 1, 10, seed=1, max_epochs=k),
+        lambda m, k: mc_bridge_histogram(m, 0.0, k, [0.0, 1.0], [-1.0, 1.0], 10, seed=1),
+    ],
+    ids=["first_return", "simulate_until_return", "arrival_time", "bridge_histogram"],
+)
+@pytest.mark.parametrize("count", [2.5, NAN], ids=["fraction", "nan"])
+def test_samplers_reject_epoch_counts_that_are_not_integers(sample, count):
+    # A stream's epochs are counted in whole epochs; a NaN cap would censor
+    # every path after its first epoch.
+    with pytest.raises(TypeError):
+        sample(two_state_model(), count)
+
+
 # A sequential reference for the walker: each sampler's epoch loop written out
 # on its own, on the shared per-epoch stepper, drawing the same random numbers
 # in the same order.  The samplers must reproduce it bit for bit.
@@ -151,13 +209,23 @@ def _ref_chunks(n_paths, chunk_size, seed):
         yield min(chunk_size, n_paths - lo), np.random.default_rng(np.random.SeedSequence((seed, b)))
 
 
+def _ref_step(model):
+    """The shared stepper, drawing its uniforms from ``rng`` and returning the
+    new states and the arrival flags."""
+    def resolve(states, u, rng):
+        k = np.minimum(model._epoch.step(states, u, rng.random(states.size)), 2 * model.p - 1)
+        return k % model.p, k >= model.p
+
+    return resolve
+
+
 def _ref_start(model, rng, m):
     return rng.choice(model.p, size=m, p=model.alpha).astype(np.int64)
 
 
 def _ref_path(model, z, horizon, seed):
     rng = np.random.default_rng(seed)
-    step = _epoch_transition(model)
+    step = _ref_step(model)
     state, t, dur = int(_ref_start(model, rng, 1)[0]), 0.0, float(z)
     rows, arrivals = [(0.0, state, dur, 0.0, 0.0, 0.0)], [0.0]
     while t + (dt := rng.exponential(1.0 / model.gamma)) < horizon:
@@ -173,7 +241,7 @@ def _ref_path(model, z, horizon, seed):
 
 
 def _ref_first_return(model, z, theta, m, max_epochs, rng, barrier):
-    step = _epoch_transition(model)
+    step = _ref_step(model)
     states0 = _ref_start(model, rng, m)
     active, states, dur = np.arange(m), states0.copy(), np.full(m, float(z))
     level, div, costs, t = (np.zeros(m) for _ in range(4))
@@ -200,7 +268,7 @@ def _ref_first_return(model, z, theta, m, max_epochs, rng, barrier):
 
 
 def _ref_bridge(model, z, n, m, rng, s_edges, l_edges):
-    step = _epoch_transition(model)
+    step = _ref_step(model)
     states = _ref_start(model, rng, m)
     level, dur, low = np.zeros(m), np.full(m, float(z)), np.full(m, np.inf)
     for k in range(1, n + 1):
@@ -218,7 +286,7 @@ def _ref_bridge(model, z, n, m, rng, s_edges, l_edges):
 
 
 def _ref_arrivals(model, z, n_arrivals, m, max_epochs, rng):
-    step = _epoch_transition(model)
+    step = _ref_step(model)
     states = _ref_start(model, rng, m)
     times, n_seen = np.full((m, n_arrivals), np.nan), np.zeros(m, np.int64)
     t, dur, active = np.zeros(m), np.full(m, float(z)), np.arange(m)
@@ -249,11 +317,15 @@ def test_simulate_path_matches_the_sequential_reference(name):
                 _same_bits(got, want)
 
 
+def _ascending(model):
+    plus = np.where(model.rates > 0.0, model.alpha, 0.0)
+    return model.with_alpha(plus / plus.sum())
+
+
 @pytest.mark.parametrize("name", GALLERY)
 def test_first_return_samples_match_the_sequential_reference(name):
     model, theta = GALLERY[name], (0.3, 0.2)
-    plus = np.where(model.rates > 0.0, model.alpha, 0.0)
-    ascending = model.with_alpha(plus / plus.sum())
+    ascending = _ascending(model)
     for barrier, start_model in ((0.0, ascending), (0.7, model)):
         got = first_return_samples(model, 0.7, *theta, 300, 100, 4, barrier_offset=barrier, chunk_size=128)
         parts = [_ref_first_return(start_model, 0.7, theta, m, 100, rng, barrier)
@@ -285,3 +357,76 @@ def test_arrival_times_match_the_sequential_reference(name):
     got = arrival_time_samples(model, 0.7, 3, 300, 7, max_epochs=6, chunk_size=128)
     want = np.concatenate([_ref_arrivals(model, 0.7, 3, m, 6, rng) for m, rng in _ref_chunks(300, 128, 7)])
     _same_bits(got, want)
+
+
+# Many small streams: 300 paths in streams of 16 are 19 streams, admitted
+# whenever the live set falls to 16 // 8 = 2 paths, so most are admitted
+# while others are in mid-walk and each must count its own epochs.
+
+SMALL = 16
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("max_epochs", [5, 100])
+@pytest.mark.parametrize("name", GALLERY)
+def test_refilled_first_passage_matches_the_sequential_reference(name, max_epochs, n_threads):
+    model, theta = GALLERY[name], (0.3, 0.2)
+    for barrier, start_model in ((0.0, _ascending(model)), (0.7, model)):
+        got = first_return_samples(
+            model, 0.7, *theta, 300, max_epochs, 4, barrier_offset=barrier, chunk_size=SMALL, n_threads=n_threads
+        )
+        parts = [_ref_first_return(start_model, 0.7, theta, m, max_epochs, rng, barrier)
+                 for m, rng in _ref_chunks(300, SMALL, 4)]
+        fields = ("n_epoch", "exit_state", "weight", "crossing_time", "start_state")
+        for k, field in enumerate(fields):
+            _same_bits(getattr(got, field), np.concatenate([p[k] for p in parts]))
+    # mc_ruin walks one stream of its default size; the horizon only filters.
+    est = mc_ruin(model, 0.7, 0.7, 300, max_epochs, 9, theta1=0.3, theta2=0.2, horizon=5.0, n_threads=n_threads)
+    (_, rng), = _ref_chunks(300, 1 << 14, 9)
+    _, _, weight, t_cross, _ = _ref_first_return(model, 0.7, theta, 300, max_epochs, rng, 0.7)
+    values = np.where(t_cross <= 5.0, weight, 0.0)
+    _same_bits(est.value, values.mean())
+    _same_bits(est.std_error, values.std(ddof=1) / np.sqrt(300))
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("max_epochs", [5, 100])
+@pytest.mark.parametrize("name", GALLERY)
+def test_refilled_arrival_times_match_the_sequential_reference(name, max_epochs, n_threads):
+    model = GALLERY[name]
+    got = arrival_time_samples(model, 0.7, 3, 300, 7, max_epochs=max_epochs, chunk_size=SMALL, n_threads=n_threads)
+    want = [_ref_arrivals(model, 0.7, 3, m, max_epochs, rng) for m, rng in _ref_chunks(300, SMALL, 7)]
+    _same_bits(got, np.concatenate(want))
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("name", GALLERY)
+def test_refilled_bridge_histogram_matches_the_sequential_reference(name, n, n_threads):
+    model = GALLERY[name]
+    s_edges, l_edges = np.linspace(0.0, 4.0, 9), np.linspace(-3.0, 3.0, 13)
+    got = mc_bridge_histogram(model, 0.7, n, s_edges, l_edges, 300, 6, chunk_size=SMALL, n_threads=n_threads)
+    parts = [_ref_bridge(model, 0.7, n, m, rng, s_edges, l_edges) for m, rng in _ref_chunks(300, SMALL, 6)]
+    _same_bits(got.counts, sum(p[0] for p in parts))
+    _same_bits(got.n_hits, sum(p[1] for p in parts))
+
+
+def test_the_live_set_is_refilled_and_stays_bounded(monkeypatch):
+    # Record the live paths and streams at every epoch of one walk.
+    seen = []
+    segment = simulate._Walk.segment
+
+    def recording(walk):
+        seen.append((walk.idx.size, len(walk._sizes)))
+        segment(walk)
+
+    monkeypatch.setattr(simulate._Walk, "segment", recording)
+    got = first_return_samples(two_state_model(), 0.0, 0.3, 0.2, 2000, 1000, 3, chunk_size=64)
+    live, streams = np.array(seen).T
+    assert live.max() <= 64 + 64 // 8
+    assert streams.max() > 1  # a stream was admitted while another was walking
+    # Walked one after another, each stream would take as many epochs as its
+    # last path to return (or all 1000 when one is censored).
+    epochs = np.where(got.n_epoch > 0, got.n_epoch, 1000)
+    one_by_one = sum(epochs[lo:lo + 64].max() for lo in range(0, 2000, 64))
+    assert len(seen) < one_by_one / 2
