@@ -573,7 +573,8 @@ def _cmd_convergence_study(args) -> int:
 
     gap = abs(analytic - est.value)
     # The analytic side carries numerical error of its own: the solver's error
-    # figure, or on a duration-level grid the shift that one refinement makes.
+    # figure, plus the duration lift's discretization term for ruin, or on a
+    # duration-level grid the shift that one refinement makes.
     # Without it, a zero-variance Monte Carlo sample (e.g. certain return at
     # theta = 0) would demand exactness.
     band = 3.0 * est.std_error + numeric_est

@@ -15,25 +15,24 @@ Three quantities built on the bridge machinery:
   axis coincides with elapsed time and the horizon becomes an exact duration
   window.
 * :func:`erlangize` / :func:`ruin_descriptor` — ruin from Erlang-randomized
-  initial capital with mean ``u``.  Duration-free kernels take it from the
-  original model's exact first-return matrix by the ladder formula
-  ``Psi (I - (u/n) Khat)^-n``; duration-dependent kernels prepend an Erlang
-  ramp of artificial ascending states, which converts the problem into a
-  plain first return of an augmented model.
+  initial capital with mean ``u``, by one ladder formula on a duration-free
+  model: the model itself, or the duration lift of a duration-dependent one.
+  The lift stands in a phase-type clock on duration cells of width
+  ``h = 1/(4 gamma)`` for the duration; it is solved at ``h`` and ``h/2`` and
+  extrapolated, with ``|fine - coarse|`` as the discretization error.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import pdtrc
 
-from .bridge import LevelDurationGrid, bridge_recursion
+from .bridge import BridgeMemoryError, LevelDurationGrid, bridge_recursion
 from .homogeneous import LevelGrid, _rate_scaled_generator, doubling_psi
-from .model import DurationKernel, FluidModel, StateSpace, StructureError, eval_kernel_batch
+from .model import DurationKernel, FluidModel, StateSpace, StructureError, constant_kernel, eval_kernel_batch
 
 __all__ = [
     "FirstReturnDescriptor",
@@ -48,13 +47,6 @@ __all__ = [
 
 #: Largest |D(u)| accepted when a computation requires an arrival-free model.
 ARRIVAL_FREE_TOL = 1e-12
-
-
-def _embed(matrix: np.ndarray, model: FluidModel) -> np.ndarray:
-    """Expand an ``(|S+|, |S-|)`` block to a full ``(p, p)`` matrix."""
-    full = np.zeros((model.p, model.p))
-    full[model.s_plus[:, None], model.s_minus[None, :]] = matrix
-    return full
 
 
 @dataclass(frozen=True)
@@ -79,11 +71,6 @@ class FirstReturnDescriptor:
     tail_estimate: float
     converged: bool
     info: dict
-
-    def full(self) -> np.ndarray:
-        full = np.zeros((self.s_plus.size + self.s_minus.size,) * 2)
-        full[self.s_plus[:, None], self.s_minus[None, :]] = self.matrix
-        return full
 
 
 def psi(
@@ -218,10 +205,6 @@ class FiniteTimeReturn:
     tail_estimate: float
     info: dict
 
-    @property
-    def increment_totals(self) -> np.ndarray:
-        return self.increments.sum(axis=(1, 2))
-
 
 def finite_time_return(
     model: FluidModel,
@@ -232,9 +215,7 @@ def finite_time_return(
     z: float = 0.0,
     m_max: int | None = None,
     eps: float = 1e-8,
-    grid: LevelDurationGrid | None = None,
     du: float | None = None,
-    memory_budget: int | None = None,
 ) -> FiniteTimeReturn:
     """Return-within-horizon masses for arrival-free models.
 
@@ -256,20 +237,12 @@ def finite_time_return(
         raise ValueError(f"initial duration must be nonnegative, got {z!r}")
     u_max = z + horizon
     _require_arrival_free(model, u_max)
-    if grid is None:
-        if du is None:
-            du = u_max / 64
-        n_cells = max(int(round(u_max / du)), 2)
-        du = u_max / n_cells
-        r_max = float(np.max(np.abs(model.rates)))
-        dl = du * r_max
-        l_max = (n_cells + 1) * dl
-        grid = LevelDurationGrid(u_max=u_max, du=du, l_max=l_max, dl=dl)
-    elif abs(grid.u_max - u_max) > 1e-9 * max(u_max, 1.0):
-        raise ValueError(
-            f"grid window u_max={grid.u_max!r} must equal z + horizon = {u_max!r}: "
-            "the duration window is what enforces the horizon"
-        )
+    if du is None:
+        du = u_max / 64
+    n_cells = max(int(round(u_max / du)), 2)
+    du = u_max / n_cells
+    dl = du * float(np.max(np.abs(model.rates)))
+    grid = LevelDurationGrid(u_max=u_max, du=du, l_max=(n_cells + 1) * dl, dl=dl)
 
     gamma_t = model.gamma * horizon
     stop = 2
@@ -285,8 +258,7 @@ def finite_time_return(
             stacklevel=2,
         )
 
-    kwargs = {} if memory_budget is None else {"memory_budget": memory_budget}
-    tensor = bridge_recursion(model, grid, theta1, theta2, n_max=n_top, **kwargs)
+    tensor = bridge_recursion(model, grid, theta1, theta2, n_max=n_top)
     orders = np.array(tensor.orders)
     increments = np.stack([tensor.mass(n, None if z == 0.0 else z) for n in orders])
     epoch_bounds = pdtrc(orders - 1, gamma_t)
@@ -421,6 +393,82 @@ def erlangize(model: FluidModel, u: float, n_stages: int, i0: int | None = None)
     )
 
 
+# ---------------------------------------------------------------------------
+# Ruin by the ladder formula, on the model or on its duration lift
+# ---------------------------------------------------------------------------
+
+#: Most phases a duration lift may have: doubling on it is dense and cubic.
+_MAX_LIFT_PHASES = 1024
+
+
+def _duration_lift(model: FluidModel, h: float) -> FluidModel:
+    """Duration-free model on ``p K`` phases whose clock stands in for the duration.
+
+    Phase ``(i, k)``, at index ``i K + k``, is state ``i`` with its duration
+    in cell ``k``, ``[e_k, e_{k+1})``.  Cells have width at most ``h`` on
+    ``[0, max(8/gamma, last breakpoint)]``, with every breakpoint an edge;
+    beyond, widths grow by a factor ``1 + gamma h`` until an edge passes
+    ``4096/gamma``, and the last cell ``[e_{K-1}, inf)`` absorbs.  A C-type
+    clock moves ``(i, k)`` to ``(i, k+1)`` at rate ``1/(e_{k+1} - e_k)``;
+    ``C(u_k)`` acts within cell ``k`` and ``D(u_k)`` jumps to ``(j, 0)`` with
+    cost ``k(i, j)``, where ``u_k`` is the cell midpoint (``e_{K-1}`` in the
+    last cell).  Rates, dividend rates and the start law repeat in every
+    cell, with the start in cell 0.  A lift of more than
+    :data:`_MAX_LIFT_PHASES` phases raises
+    :class:`~fluidrisk.bridge.BridgeMemoryError` before it is built.
+    """
+    gamma, p = model.gamma, model.p
+    breaks = model.kernel.breakpoints
+    anchors = np.unique([0.0, *breaks, max((8.0 / gamma, *breaks))])
+    counts = np.maximum(np.ceil(np.diff(anchors) / h - 1e-9), 1.0)
+    tail, edge, width = [], anchors[-1], h
+    while edge <= 4096.0 / gamma:
+        width *= 1.0 + gamma * h
+        edge += width
+        tail.append(edge)
+    n_phases = p * (counts.sum() + 1 + len(tail))
+    if n_phases > _MAX_LIFT_PHASES:
+        raise BridgeMemoryError(
+            f"the duration lift at cell width {h:.3g} needs {n_phases:.0f} phases, "
+            f"above the cap of {_MAX_LIFT_PHASES}"
+        )
+    cells = [np.linspace(a, b, int(n), endpoint=False) for a, b, n in zip(anchors, anchors[1:], counts)]
+    edges = np.concatenate([*cells, anchors[-1:], tail])
+    K = edges.size
+    rate = 1.0 / np.diff(edges)
+    C, D = eval_kernel_batch(model.kernel, np.append(edges[:-1] + 0.5 / rate, edges[-1]))
+
+    # In phase order (i, k) a Kronecker product acts on the state, then the cell.
+    clock = np.diag(rate, 1) - np.diag(np.append(rate, 0.0))
+    C_cells = np.einsum("kij,km->ikjm", C, np.eye(K)).reshape(p * K, -1)
+    cell0 = np.eye(K)[0]
+    return FluidModel(
+        space=StateSpace(rates=np.repeat(model.rates, K)),
+        kernel=constant_kernel(
+            C_cells + np.kron(np.eye(p), clock),
+            np.einsum("kij,m->ikjm", D, cell0).reshape(p * K, -1),
+        ),
+        alpha=np.kron(model.alpha, cell0),
+        sigma=np.repeat(model.sigma, K),
+        k_cost=np.kron(model.k_cost, np.ones((K, K))),
+    )
+
+
+def _ladder(model: FluidModel, solved: FluidModel, i0: int, u: float, n_stages: int, theta1, theta2, eps):
+    """``(by_state, res)``: the ladder formula on ``solved``, the model itself
+    or its lift on ``K`` cells, from phase ``(i0, 0)`` and summed over each
+    descending state's cells; ``res`` is the :func:`psi` solve behind it."""
+    K = solved.p // model.p
+    ip, im = solved.s_plus, solved.s_minus
+    res = psi(solved, theta1, theta2, eps=eps)
+    T = _rate_scaled_generator(solved, theta1, theta2)
+    khat = T[np.ix_(im, im)] + T[np.ix_(im, ip)] @ res.matrix
+    step = np.linalg.inv(np.eye(im.size) - (u / n_stages) * khat)
+    row = int(np.flatnonzero(ip == i0 * K)[0])
+    by_state = res.matrix[row] @ np.linalg.matrix_power(step, n_stages)
+    return by_state.reshape(-1, K).sum(axis=1), res
+
+
 @dataclass(frozen=True)
 class RuinDescriptor:
     """Ruin transform from Erlang-randomized capital, with its ramp model.
@@ -449,55 +497,51 @@ def ruin_descriptor(
     theta2: float = 0.0,
     *,
     i0: int | None = None,
-    grid: LevelDurationGrid | None = None,
     eps: float = 1e-9,
 ) -> RuinDescriptor:
     """Ruin transform from Erlang(``n_stages``, ``n_stages/u``) capital.
 
     As ``n_stages`` grows the capital concentrates at ``u`` and the value
-    approaches the exact ruin quantity at ``O(1/n_stages)``.
+    approaches the exact ruin quantity at ``O(1/n_stages)``.  The value is
+    row ``i0`` of the ladder formula ``Psi (I - (u/n_stages) Khat)^-n_stages``
+    with ``Khat = T-- + T-+ Psi`` and ``T = Q_theta / |r|``, where ``Psi`` is
+    the first-return matrix of a duration-free model by doubling, so the cost
+    depends on neither ``u`` nor ``n_stages``.
 
-    Duration-free kernels use the ladder formula: row ``i0`` of
-    ``Psi (I - (u/n_stages) Khat)^-n_stages`` with ``Khat = T-- + T-+ Psi``
-    and ``T = Q_theta / |r|``, where ``Psi`` is the original model's exact
-    first-return matrix from one doubling solve.  The value is exact to
-    rounding for every ``n_stages``, its cost depends on neither ``u`` nor
-    ``n_stages``, and ``grid`` does not apply.  ``info`` is the solver's,
-    with ``tail_estimate`` its error figure for ``Psi``.
-
-    Duration-dependent kernels sum the duration-level bridge series of the
-    erlangized model from its first ramp state on ``grid``; the default
-    duration window covers the ramp transit time (mean ``u``) on top of the
-    inter-arrival scale.  ``info['tail_estimate']`` is the series tail.
+    A duration-free kernel takes the formula on the model itself, exact to
+    rounding; ``info`` is the solver's, with ``tail_estimate`` its error
+    figure.  A duration-dependent kernel takes it on the duration lift
+    (:func:`_duration_lift`) at cell widths ``h = 1/(4 gamma)`` and ``h/2``:
+    cells of that width up to ``max(8/gamma, last breakpoint)``, with the
+    breakpoints as edges, then growing by ``1 + gamma h`` up to
+    ``4096/gamma``.  ``Psi`` and ``Khat`` run over ``|S+| K`` and ``|S-| K``
+    phases, the entry is phase ``(i0, 0)`` and ``by_state`` sums each
+    descending state's cells.  The error is first order in the cell width,
+    so the value is ``2 fine - coarse``; ``info['discretization']`` is
+    ``|fine - coarse|`` and ``info['tail_estimate']`` adds the solvers' error
+    figure to it.
     """
     erl = erlangize(model, u, n_stages, i0)
-    if not model.kernel.is_constant:
-        if grid is None:
-            r_max = float(np.abs(model.rates).max())
-            excursion = 512.0 * r_max / model.gamma
-            kappa = theta1 * float(model.sigma[model.s_plus].min()) / r_max
-            if kappa > 0.0:
-                excursion = min(excursion, 24.0 / kappa)
-            l_max = u * (1.0 + 24.0 / n_stages) + excursion
-            u_max = 3.0 * u + 8.0 / model.gamma
-            du = u_max / 256.0
-            dl = du * max(r_max, 1.0)
-            grid = LevelDurationGrid(
-                u_max=u_max, du=du, l_max=math.ceil(l_max / dl) * dl, dl=dl
-            )
-        psi_aug = psi(erl.model, theta1, theta2, grid=grid, eps=eps, n_max=max(64, 4 * n_stages))
-        # Ramp stage one is the augmented model's first ascending state.
-        by_state, converged = psi_aug.matrix[0], psi_aug.converged
-        info = dict(psi_aug.info, tail_estimate=psi_aug.tail_estimate)
-    else:
-        ip, im = model.s_plus, model.s_minus
-        res = psi(model, theta1, theta2, eps=eps)
-        T = _rate_scaled_generator(model, theta1, theta2)
-        khat = T[np.ix_(im, im)] + T[np.ix_(im, ip)] @ res.matrix
-        step = np.linalg.inv(np.eye(im.size) - (u / n_stages) * khat)
-        row = int(np.flatnonzero(ip == erl.entry_state)[0])
-        by_state = res.matrix[row] @ np.linalg.matrix_power(step, n_stages)
+    if model.kernel.is_constant:
+        by_state, res = _ladder(model, model, erl.entry_state, u, n_stages, theta1, theta2, eps)
         converged, info = res.converged, res.info
+    else:
+        h = 0.25 / model.gamma
+        # Building the finer, larger lift first checks the cap before any solve.
+        lifts = [_duration_lift(model, width) for width in (h / 2.0, h)]
+        (fine, res), (coarse, res_coarse) = (
+            _ladder(model, lift, erl.entry_state, u, n_stages, theta1, theta2, eps) for lift in lifts
+        )
+        by_state = 2.0 * fine - coarse
+        discretization = abs(float(fine.sum() - coarse.sum()))
+        converged = res.converged and res_coarse.converged
+        info = dict(
+            res.info,
+            cells=[lift.p // model.p for lift in lifts],
+            cell_width=h,
+            discretization=discretization,
+            tail_estimate=discretization + max(res.tail_estimate, res_coarse.tail_estimate),
+        )
     return RuinDescriptor(
         value=float(by_state.sum()),
         by_state=by_state,

@@ -377,8 +377,7 @@ class BlockView:
     """The four rate-class blocks of a ``p x p`` matrix.
 
     Attributes ``pp``, ``pm``, ``mp``, ``mm`` are the sub-matrices indexed by
-    (``s_plus``, ``s_minus``) row/column classes.  :meth:`reassemble` puts the
-    blocks back bit-exactly.
+    (``s_plus``, ``s_minus``) row/column classes.
     """
 
     pp: np.ndarray
@@ -400,15 +399,6 @@ class BlockView:
             s_plus=ip,
             s_minus=im,
         )
-
-    def reassemble(self) -> np.ndarray:
-        p = self.s_plus.size + self.s_minus.size
-        out = np.empty((p, p), dtype=float)
-        out[np.ix_(self.s_plus, self.s_plus)] = self.pp
-        out[np.ix_(self.s_plus, self.s_minus)] = self.pm
-        out[np.ix_(self.s_minus, self.s_plus)] = self.mp
-        out[np.ix_(self.s_minus, self.s_minus)] = self.mm
-        return out
 
 
 @dataclass(frozen=True)
@@ -483,10 +473,6 @@ class FluidModel:
     @property
     def gamma(self) -> float:
         return self.kernel.gamma
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.kernel.is_constant
 
     @cached_property
     def _epoch(self):

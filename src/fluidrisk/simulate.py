@@ -319,10 +319,10 @@ class _Walk:
 
 
 def _check_start(model: FluidModel, z: float, start_state) -> None:
-    """Reject a negative or NaN initial duration and a start state outside the state space."""
+    """Reject a negative or NaN initial duration and a start state that is not a state index."""
     if not z >= 0.0:
         raise ValueError(f"initial duration must be nonnegative, got {z!r}")
-    if start_state is not None and not 0 <= start_state < model.p:
+    if start_state is not None and not 0 <= operator.index(start_state) < model.p:
         raise ValueError(f"start state must lie in 0..{model.p - 1}, got {start_state!r}")
 
 

@@ -4,8 +4,9 @@ Everything here is derived by routes disjoint from the recursion and
 quadrature engines under test: dense matrix algebra on the duration-free
 generator blocks (Sylvester iterations for the first-passage Riccati
 equation, matrix exponentials for level passage), closed-form distribution
-functions, and hand-derived constants for the two-state benchmark whose
-arithmetic is reproduced in comments.
+functions, hand-derived constants for the two-state benchmark whose
+arithmetic is reproduced in comments, and Monte Carlo references committed
+with the call, seed and path count that produced them.
 """
 
 from __future__ import annotations
@@ -220,3 +221,26 @@ def pareto_survival(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Survival (b / (b + x))^a of the first event under hazard a / (b + u)."""
     x = np.asarray(x, dtype=float)
     return (b / (b + x)) ** a
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo references, sampled once with the calls shown
+# ---------------------------------------------------------------------------
+
+# Ruin from Erlang(n, n)-distributed capital (mean u = 1) entering state 0, at
+# (theta1, theta2) = (0.3, 0.2), on the duration-dependent gallery models.  It
+# is the first return of the erlangized model from its first ramp stage, and
+# each entry is (value, std_error, n_paths) of
+#   mc_first_return(erlangize(model, 1.0, n, 0).model, 0.0, 0.3, 0.2,
+#                   n_paths, 10_000, seed=11, start_state=0).
+# About 31% of calendar_switch paths reach max_epochs.  They count as no
+# return: they escape upward in the last regime (t >= 3), whose drift is
+# positive.
+ERLANG_RUIN_MC = {
+    ("pareto_renewal", 1): (0.7466976144002218, 0.00033752601584449216, 400_000),
+    ("pareto_renewal", 4): (0.7422386391427017, 0.00033288070295676346, 400_000),
+    ("pareto_renewal", 16): (0.7409170147147578, 0.00033154192935976756, 400_000),
+    ("calendar_switch", 1): (0.68959, 0.0014630713327713205, 100_000),
+    ("calendar_switch", 4): (0.69383, 0.0014575049070948412, 100_000),
+    ("calendar_switch", 16): (0.69801, 0.0014518751593765849, 100_000),
+}

@@ -25,8 +25,7 @@ from fluidrisk.gallery import (
     two_state_model,
 )
 
-# Positive transform arguments cap the ruin level window, which keeps each
-# ruin solve well under a second.
+# The transform arguments of the ruin cases.
 THETA = ["--theta1", "0.3", "--theta2", "0.2"]
 
 
@@ -199,6 +198,45 @@ def test_ruin_convergence_study_at_the_default_stage_count(two_state_config, tmp
     code = main(["convergence-study", str(two_state_config), "--out", str(out)] + args)
     with open(out / "convergence_study.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
+    assert code == EXIT_OK
+    assert row["inside"] == "True"
+
+
+@pytest.mark.parametrize("name", ["pareto_renewal", "calendar_switch"])
+def test_ruin_on_a_duration_dependent_model_exits_ok(tmp_path, name):
+    args = ["ruin", str(_config(tmp_path, name)), "--out", str(tmp_path / "out")]
+    assert main(args + "--u 1 --n-stages 4 --i0 0".split() + THETA) == EXIT_OK
+
+
+def test_ruin_past_the_lift_phase_cap_exits_invalid(tmp_path, capsys):
+    config = gallery_configs()["two_state"]
+    kernel = config["kernel"]
+    config["kernel"] = {
+        "type": "piecewise_constant",
+        "breakpoints": [1e4 / kernel["gamma"]],
+        "C_pieces": [kernel["C"]] * 2,
+        "D_pieces": [kernel["D"]] * 2,
+        "gamma": kernel["gamma"],
+    }
+    path = tmp_path / "far_breakpoint.json"
+    path.write_text(json.dumps(config))
+    args = ["ruin", str(path), "--out", str(tmp_path / "out"), "--u", "1", "--n-stages", "4"]
+    assert main(args + ["--i0", "0"] + THETA) == EXIT_INVALID
+    assert "phases, above the cap" in capsys.readouterr().err
+
+
+def test_ruin_convergence_study_on_a_duration_dependent_model(tmp_path):
+    out = tmp_path / "study"
+    config = _config(tmp_path, "pareto_renewal")
+    args = "--quantity ruin --n-stages 4 --i0 0 --n-paths 4000".split() + THETA
+    code = main(["convergence-study", str(config), "--out", str(out)] + args)
+    with open(out / "convergence_study.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    res = ruin_descriptor(pareto_renewal_model(), 1.0, 4, 0.3, 0.2, i0=0)
+    assert float(row["analytic"]) == res.value
+    # The band carries the lift's discretization term.
+    assert float(row["numeric_error_estimate"]) == res.info["tail_estimate"]
+    assert res.info["tail_estimate"] >= res.info["discretization"] > 0.0
     assert code == EXIT_OK
     assert row["inside"] == "True"
 

@@ -6,17 +6,22 @@ import warnings
 import numpy as np
 import pytest
 
+import fluidrisk.descriptors as descriptors
 from fluidrisk import (
     LevelGrid,
+    doubling_psi,
     erlangize,
     eval_kernel_batch,
     finite_time_return,
+    piecewise_constant_kernel,
     psi,
     ruin_descriptor,
 )
+from fluidrisk.descriptors import _duration_lift, _ladder
 from fluidrisk.gallery import (
     calendar_switch_model,
     cross_arrival_model,
+    gallery_models,
     mmpp_model,
     pareto_renewal_model,
     renewal_ph_model,
@@ -24,6 +29,7 @@ from fluidrisk.gallery import (
 )
 
 from _oracles import (
+    ERLANG_RUIN_MC,
     TWO_STATE_ERLANG_RUIN_U1,
     TWO_STATE_PSI_03_02,
     erlang_ruin_exact,
@@ -114,6 +120,63 @@ def test_erlang_ruin_approaches_fixed_capital_ruin_like_one_over_n(make_model):
     ]
     for coarse, fine in zip(gaps, gaps[1:]):
         assert coarse >= 3.5 * fine
+
+
+def _in_equal_pieces(model, breakpoint):
+    """The model with its constant kernel written as two equal pieces."""
+    C, D = model.kernel.constant
+    kernel = piecewise_constant_kernel([breakpoint], [C, C], [D, D], gamma=model.gamma)
+    return dataclasses.replace(model, kernel=kernel)
+
+
+@pytest.mark.parametrize(
+    "make_model", [two_state_model, mmpp_model, renewal_ph_model, cross_arrival_model]
+)
+def test_the_lift_of_a_duration_free_model_keeps_its_first_return_matrix(make_model):
+    # With no duration dependence the clock carries no information: from cell
+    # 0, and summed over each descending state's cells, the lift's Psi is the
+    # model's own at any cell width.
+    model = make_model()
+    for h in (0.25 / model.gamma, 0.7):
+        lift = _duration_lift(model, h)
+        K = lift.p // model.p
+        for theta in THETAS:
+            from_cell0 = doubling_psi(lift, *theta)[0][::K]
+            summed = from_cell0.reshape(model.s_plus.size, model.s_minus.size, K).sum(axis=2)
+            np.testing.assert_allclose(summed, doubling_psi(model, *theta)[0], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("make_model", [two_state_model, cross_arrival_model])
+@pytest.mark.parametrize("n_stages", [1, 16])
+def test_a_constant_kernel_in_equal_pieces_takes_the_lift_to_the_same_ruin(make_model, n_stages):
+    model = make_model()
+    pieces = _in_equal_pieces(model, 2.0)
+    for theta in THETAS:
+        lifted = ruin_descriptor(pieces, 1.0, n_stages, *theta, i0=0)
+        assert lifted.converged and lifted.info["discretization"] < 1e-14
+        exact = ruin_descriptor(model, 1.0, n_stages, *theta, i0=0).by_state
+        np.testing.assert_allclose(lifted.by_state, exact, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name, n_stages", sorted(ERLANG_RUIN_MC))
+def test_lifted_ruin_agrees_with_monte_carlo_on_the_erlangized_model(name, n_stages):
+    value, std_error, _ = ERLANG_RUIN_MC[name, n_stages]
+    res = ruin_descriptor(gallery_models()[name], 1.0, n_stages, 0.3, 0.2, i0=0)
+    assert res.converged
+    assert res.info["tail_estimate"] >= res.info["discretization"] > 0.0
+    assert abs(res.value - value) <= res.info["discretization"] + 3.0 * std_error
+
+
+def test_the_discretization_term_covers_the_error_against_an_eighth_of_the_cell_width(
+    monkeypatch,
+):
+    model = calendar_switch_model()
+    res = ruin_descriptor(model, 1.0, 4, 0.3, 0.2, i0=0)
+    # The finer lift is just past the cap, which guards the default solves.
+    monkeypatch.setattr(descriptors, "_MAX_LIFT_PHASES", 2048)
+    lift = _duration_lift(model, res.info["cell_width"] / 8.0)
+    by_state, _ = _ladder(model, lift, 0, 1.0, 4, 0.3, 0.2, 1e-9)
+    assert abs(res.value - by_state.sum()) <= res.info["discretization"]
 
 
 @pytest.mark.parametrize("i0", [-1, 3])

@@ -1,5 +1,7 @@
 """Monte Carlo samplers: argument validation, closed forms and reproducibility."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,8 @@ def test_samplers_reject_a_negative_initial_duration(sample):
         sample(two_state_model(), -1e-9)
 
 
-@pytest.mark.parametrize(
+#: Every sampler that takes a pinned start state.
+PINNED_SAMPLERS = pytest.mark.parametrize(
     "sample",
     [
         lambda m, i: simulate_path(m, 0.0, 1.0, seed=1, start_state=i),
@@ -91,10 +94,30 @@ def test_samplers_reject_a_negative_initial_duration(sample):
         "arrival_time",
     ],
 )
+
+
+@PINNED_SAMPLERS
 @pytest.mark.parametrize("start_state", [-1, 2])
 def test_samplers_reject_a_start_state_outside_the_state_space(sample, start_state):
     with pytest.raises(ValueError, match="start state must lie in 0..1"):
         sample(two_state_model(), start_state)
+
+
+@PINNED_SAMPLERS
+def test_samplers_reject_a_fractional_start_state(sample):
+    # A float is not truncated to state 0: it is not an index at all.
+    with pytest.raises(TypeError):
+        sample(two_state_model(), 0.5)
+
+
+@PINNED_SAMPLERS
+def test_a_numpy_integer_start_state_gives_the_same_samples(sample):
+    def fields(result):
+        return vars(result) if dataclasses.is_dataclass(result) else {"samples": result}
+
+    plain, numpy_int = (fields(sample(two_state_model(), i)) for i in (0, np.int64(0)))
+    for name, value in plain.items():
+        np.testing.assert_array_equal(value, numpy_int[name])
 
 
 @pytest.mark.parametrize(
