@@ -55,7 +55,7 @@ __all__ = [
 #: Entries more negative than this trigger the contamination flag.
 NEGATIVE_FLAG_TOL = -1e-10
 
-#: Default memory budget for tensor builds (bytes).
+#: Memory budget for tensor builds (bytes).
 DEFAULT_MEMORY_BUDGET = 2 << 30
 
 
@@ -653,17 +653,17 @@ def bridge_recursion(
     theta2: float = 0.0,
     n_max: int = 8,
     method: str = "auto",
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> BridgeTensor:
     """Build bridge densities for all orders ``2..n_max``.
 
     ``method`` selects the engine: ``"split"`` (duration-free kernels,
     arrival-free/arrival decomposition — valid at every initial duration),
     ``"z"`` (generic, explicit initial-duration axis), or ``"auto"``.  A
-    sizing check runs before any allocation.  Both engines build one order
-    at a time; the whole-series first-return matrix of a duration-free kernel
-    comes from :func:`~fluidrisk.homogeneous.doubling_psi`, which solves its
-    Riccati equation exactly, with no window to truncate.
+    sizing check against :data:`DEFAULT_MEMORY_BUDGET` runs before any
+    allocation.  Both engines build one order at a time; the whole-series
+    first-return matrix of a duration-free kernel comes from
+    :func:`~fluidrisk.homogeneous.doubling_psi`, which solves its Riccati
+    equation exactly, with no window to truncate.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max!r}")
@@ -674,12 +674,12 @@ def bridge_recursion(
     if method not in ("split", "z"):
         raise ValueError(f"unknown bridge method {method!r}")
     needed = _estimate_bytes(grid, model, n_max, method)
-    if needed > memory_budget:
+    if needed > DEFAULT_MEMORY_BUDGET:
         raise BridgeMemoryError(
             f"bridge build needs ~{needed / 1e9:.2f} GB "
             f"({method} storage, n_max={n_max}, grid {grid.n_durations}x{grid.n_levels}) "
-            f"exceeding the budget {memory_budget / 1e9:.2f} GB; shrink the grid, "
-            "lower n_max, or raise memory_budget"
+            f"exceeding the budget {DEFAULT_MEMORY_BUDGET / 1e9:.2f} GB; shrink the grid "
+            "or lower n_max"
         )
 
     diagnostics = {"engine": method, "negative_min": 0.0, "negative_flagged": False}

@@ -26,7 +26,8 @@ first-return       first-return descriptor matrix Psi
 finite-time        horizon-limited return descriptor (arrival-free models)
 ruin               ruin descriptor from Erlang-randomized capital
 mc                 Monte Carlo estimates (first-return | ruin | bridge)
-convergence-study  analytic vs Monte Carlo 3-SE cross-check
+convergence-study  analytic vs Monte Carlo 3-SE cross-check (a first-return
+                   study needs a duration-free kernel; ruin takes any)
 
 Binary bridge dump layout (all little-endian)
 ---------------------------------------------
@@ -511,36 +512,21 @@ def _cmd_convergence_study(args) -> int:
     threads = _resolve_threads(args)
 
     if args.quantity == "first-return":
+        if not model.kernel.is_constant:
+            raise FluidModelError(
+                "a first-return convergence-study needs a duration-free kernel; "
+                "cross-check a duration-dependent one with --quantity ruin"
+            )
         alpha_plus = model.alpha[model.s_plus]
         if alpha_plus.sum() <= 0.0:
             raise FluidModelError(
                 "convergence-study needs initial mass on ascending states"
             )
         alpha_plus = alpha_plus / alpha_plus.sum()
-
-        def solve(grid):
-            res = psi(model, args.theta1, args.theta2, z=args.z, grid=grid)
-            return float(alpha_plus @ res.matrix.sum(axis=1)), res.info
-
-        if model.kernel.is_constant:
-            # The doubling solve is exact to its error figure: nothing to refine.
-            analytic, info = solve(None)
-            raw = refined = analytic
-            numeric_est = info["tail_estimate"]
-        else:
-            # One refinement of the default grid at half the spacing.  The
-            # generic engine is first order at its support edges, so the
-            # refined value is the best one and the shift is its error
-            # figure.  The refined build is the larger: solving it first
-            # stops a grid past the memory budget before the coarse solve.
-            coarse = LevelDurationGrid.for_model(model)
-            fine = LevelDurationGrid(
-                u_max=coarse.u_max, du=coarse.du / 2.0, l_max=coarse.l_max, dl=coarse.dl / 2.0
-            )
-            refined, _ = solve(fine)
-            raw, _ = solve(coarse)
-            analytic = refined
-            numeric_est = abs(refined - raw)
+        # The doubling solve is exact to its error figure: nothing to refine.
+        res = psi(model, args.theta1, args.theta2, z=args.z)
+        analytic = float(alpha_plus @ res.matrix.sum(axis=1))
+        numeric_est = res.info["tail_estimate"]
         est = mc_first_return(
             model,
             args.z,
@@ -555,7 +541,7 @@ def _cmd_convergence_study(args) -> int:
         res = ruin_descriptor(
             model, args.u, args.n_stages, args.theta1, args.theta2, i0=args.i0
         )
-        analytic = raw = refined = res.value
+        analytic = res.value
         numeric_est = res.info["tail_estimate"]
         # The descriptor is ruin from Erlang(n_stages)-randomized capital, the
         # first return of the ramp-augmented model; sample that same model.
@@ -573,8 +559,7 @@ def _cmd_convergence_study(args) -> int:
 
     gap = abs(analytic - est.value)
     # The analytic side carries numerical error of its own: the solver's error
-    # figure, plus the duration lift's discretization term for ruin, or on a
-    # duration-level grid the shift that one refinement makes.
+    # figure, plus the duration lift's discretization term for ruin.
     # Without it, a zero-variance Monte Carlo sample (e.g. certain return at
     # theta = 0) would demand exactness.
     band = 3.0 * est.std_error + numeric_est
@@ -597,9 +582,10 @@ def _cmd_convergence_study(args) -> int:
         [
             [
                 args.quantity,
-                _fmt(raw),
-                _fmt(refined),
-                _fmt(abs(refined - raw)),
+                # analytic_raw and analytic_refined: one solve, with no shift.
+                _fmt(analytic),
+                _fmt(analytic),
+                _fmt(0.0),
                 _fmt(analytic),
                 _fmt(numeric_est),
                 _fmt(est.value),
@@ -750,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quantity",
         choices=["first-return", "ruin"],
         default="first-return",
-        help="quantity to cross-check (default first-return)",
+        help="quantity to cross-check (default first-return: duration-free kernels only)",
     )
     s.add_argument(
         "--z", type=float, default=0.0, help="initial duration (default 0; first-return only)"

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import pdtrc
 
 from .bridge import BridgeMemoryError, LevelDurationGrid, bridge_recursion
-from .homogeneous import LevelGrid, _rate_scaled_generator, doubling_psi
+from .homogeneous import LevelGrid, _rate_scaled_generator, _substochastic, doubling_psi
 from .model import DurationKernel, FluidModel, StateSpace, StructureError, constant_kernel, eval_kernel_batch
 
 __all__ = [
@@ -519,7 +519,8 @@ def ruin_descriptor(
     descending state's cells.  The error is first order in the cell width,
     so the value is ``2 fine - coarse``; ``info['discretization']`` is
     ``|fine - coarse|`` and ``info['tail_estimate']`` adds the solvers' error
-    figure to it.
+    figure to it.  Either way ``by_state`` is clipped at zero and scaled back
+    to a total of at most one.
     """
     erl = erlangize(model, u, n_stages, i0)
     if model.kernel.is_constant:
@@ -542,6 +543,8 @@ def ruin_descriptor(
             discretization=discretization,
             tail_estimate=discretization + max(res.tail_estimate, res_coarse.tail_estimate),
         )
+    # Rounding, or the extrapolation, can step just outside [0, 1].
+    by_state = _substochastic(by_state[None])[0]
     return RuinDescriptor(
         value=float(by_state.sum()),
         by_state=by_state,

@@ -1,16 +1,14 @@
-"""Ready-made models used across the tests and the command-line examples."""
+"""Ready-made models used across the tests and the command-line examples.
+
+Each model has one source: its JSON-ready config in :func:`gallery_configs`.
+The builders load that config through
+:func:`~fluidrisk.model.model_config_from_dict`, so a gallery model is
+validated on load exactly as a user config is.
+"""
 
 from __future__ import annotations
 
-import numpy as np
-
-from .model import (
-    FluidModel,
-    StateSpace,
-    constant_kernel,
-    pareto_renewal_kernel,
-    piecewise_constant_kernel,
-)
+from .model import FluidModel, model_config_from_dict
 
 __all__ = [
     "two_state_model",
@@ -24,11 +22,11 @@ __all__ = [
 ]
 
 
-def two_state_model(
-    sigma=(1.0, 0.0),
-    k_cost=((0.5, 0.7), (0.3, 0.4)),
-    alpha=(1.0, 0.0),
-) -> FluidModel:
+def _load(name: str) -> FluidModel:
+    return model_config_from_dict(gallery_configs()[name])
+
+
+def two_state_model() -> FluidModel:
     """Two-state homogeneous benchmark with slightly negative mean drift.
 
     Rates ``(+1, -1)``, ``C = [[-1, 0.9], [0.8, -1]]``, ``D = diag(0.1, 0.2)``
@@ -36,44 +34,18 @@ def two_state_model(
     ``(8, 9)/17``, so the mean drift is ``-1/17`` and first return below the
     initial level is certain but slow — a demanding reference case.
     """
-    kernel = constant_kernel(
-        C=[[-1.0, 0.9], [0.8, -1.0]],
-        D=[[0.1, 0.0], [0.0, 0.2]],
-        gamma=1.0,
-    )
-    return FluidModel(
-        space=StateSpace(rates=np.array([1.0, -1.0])),
-        kernel=kernel,
-        alpha=np.asarray(alpha, dtype=float),
-        sigma=np.asarray(sigma, dtype=float),
-        k_cost=np.asarray(k_cost, dtype=float),
-    )
+    return _load("two_state")
 
 
 def mmpp_model() -> FluidModel:
     """Markov-modulated Poisson process: phase changes in ``C``, arrivals in ``D = diag(v)``.
 
-    Three phases with arrival intensities ``v = (2, 0.5, 1)`` riding on an
-    irreducible phase generator; fluid rates ``(+1, -1, +0.5)``.
+    Three phases with arrival intensities ``v = (2, 0.5, 1)`` riding on the
+    irreducible phase generator
+    ``Q_phase = [[-1, 0.7, 0.3], [0.4, -1.2, 0.8], [0.5, 0.5, -1]]``, so
+    ``C = Q_phase - diag(v)``; fluid rates ``(+1, -1, +0.5)``.
     """
-    Q_phase = np.array(
-        [
-            [-1.0, 0.7, 0.3],
-            [0.4, -1.2, 0.8],
-            [0.5, 0.5, -1.0],
-        ]
-    )
-    v = np.array([2.0, 0.5, 1.0])
-    C = Q_phase - np.diag(v)
-    D = np.diag(v)
-    kernel = constant_kernel(C, D, gamma=float(np.max(-np.diag(C))))
-    return FluidModel(
-        space=StateSpace(rates=np.array([1.0, -1.0, 0.5])),
-        kernel=kernel,
-        alpha=np.array([1.0, 0.0, 0.0]),
-        sigma=np.array([0.5, 0.0, 0.2]),
-        k_cost=np.full((3, 3), 0.1),
-    )
+    return _load("mmpp")
 
 
 def renewal_ph_model() -> FluidModel:
@@ -83,19 +55,7 @@ def renewal_ph_model() -> FluidModel:
     ``T = [[-2, 1], [0.5, -1.5]]``; every arrival restarts the phase from
     ``pi``, so consecutive interarrival times are independent.
     """
-    pi = np.array([0.6, 0.4])
-    T = np.array([[-2.0, 1.0], [0.5, -1.5]])
-    exit_rates = -T.sum(axis=1)
-    C = T
-    D = np.outer(exit_rates, pi)
-    kernel = constant_kernel(C, D, gamma=float(np.max(-np.diag(C))))
-    return FluidModel(
-        space=StateSpace(rates=np.array([1.0, -1.0])),
-        kernel=kernel,
-        alpha=pi.copy(),
-        sigma=np.array([0.3, 0.0]),
-        k_cost=np.zeros((2, 2)),
-    )
+    return _load("renewal_ph")
 
 
 def pareto_renewal_model() -> FluidModel:
@@ -105,17 +65,7 @@ def pareto_renewal_model() -> FluidModel:
     inter-arrival laws with power tails; arrivals route by a fixed stochastic
     matrix.
     """
-    a = np.array([2.5, 1.8])
-    b = np.array([1.0, 2.0])
-    routing = np.array([[0.3, 0.7], [0.6, 0.4]])
-    kernel = pareto_renewal_kernel(a, b, routing)
-    return FluidModel(
-        space=StateSpace(rates=np.array([1.0, -1.0])),
-        kernel=kernel,
-        alpha=np.array([1.0, 0.0]),
-        sigma=np.array([0.2, 0.0]),
-        k_cost=np.full((2, 2), 0.25),
-    )
+    return _load("pareto_renewal")
 
 
 def calendar_switch_model() -> FluidModel:
@@ -126,23 +76,7 @@ def calendar_switch_model() -> FluidModel:
     time-inhomogeneous Markov jump process with piecewise-constant generator,
     switching regimes at times 1 and 3.
     """
-    C0 = np.array([[-0.8, 0.8], [0.6, -0.6]])
-    C1 = np.array([[-1.5, 1.5], [0.2, -0.2]])
-    C2 = np.array([[-0.4, 0.4], [1.0, -1.0]])
-    Z = np.zeros((2, 2))
-    kernel = piecewise_constant_kernel(
-        breakpoints=[1.0, 3.0],
-        C_pieces=[C0, C1, C2],
-        D_pieces=[Z, Z, Z],
-        gamma=1.5,
-    )
-    return FluidModel(
-        space=StateSpace(rates=np.array([1.0, -1.0])),
-        kernel=kernel,
-        alpha=np.array([1.0, 0.0]),
-        sigma=np.array([0.0, 0.0]),
-        k_cost=np.zeros((2, 2)),
-    )
+    return _load("calendar_switch")
 
 
 def cross_arrival_model() -> FluidModel:
@@ -152,39 +86,20 @@ def cross_arrival_model() -> FluidModel:
     mass, so arrivals themselves can carry the state from the up class to the
     down class — exercising the arrival branch of bridge decompositions.
     """
-    kernel = constant_kernel(
-        C=[[-2.0, 0.5], [0.3, -1.0]],
-        D=[[0.5, 1.0], [0.2, 0.5]],
-        gamma=2.0,
-    )
-    return FluidModel(
-        space=StateSpace(rates=np.array([1.0, -1.0])),
-        kernel=kernel,
-        alpha=np.array([0.5, 0.5]),
-        sigma=np.array([0.4, 0.0]),
-        k_cost=np.array([[0.1, 0.6], [0.2, 0.3]]),
-    )
+    return _load("cross_arrival")
 
 
 def gallery_models() -> dict[str, FluidModel]:
     """All gallery models keyed by name."""
-    return {
-        "two_state": two_state_model(),
-        "mmpp": mmpp_model(),
-        "renewal_ph": renewal_ph_model(),
-        "pareto_renewal": pareto_renewal_model(),
-        "calendar_switch": calendar_switch_model(),
-        "cross_arrival": cross_arrival_model(),
-    }
+    return {name: model_config_from_dict(conf) for name, conf in gallery_configs().items()}
 
 
 def gallery_configs() -> dict[str, dict]:
-    """JSON-ready configuration mappings equivalent to the gallery builders.
+    """JSON-ready configuration mappings of the gallery models.
 
-    Each entry round-trips through :func:`~fluidrisk.model.model_config_from_dict`
-    to the same model its builder constructs; a unit test keeps the two in
-    sync.  Useful for exercising the command-line loader and as templates for
-    user configs.
+    These are the models' only definition: every builder above loads its
+    entry.  Each call returns fresh mappings, which serve as templates for
+    user configs and for exercising the command-line loader.
     """
     return {
         "two_state": {

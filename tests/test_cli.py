@@ -3,7 +3,6 @@
 import csv
 import json
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,13 +12,11 @@ from fluidrisk import (
     __version__,
     bridge_recursion,
     config_hash,
-    psi,
     ruin_descriptor,
 )
 import fluidrisk.cli as cli
 from fluidrisk.cli import EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_OK, build_parser, main
 from fluidrisk.gallery import (
-    calendar_switch_model,
     gallery_configs,
     pareto_renewal_model,
     two_state_model,
@@ -136,50 +133,22 @@ def test_first_return_convergence_study_solves_once(two_state_config, tmp_path, 
     assert float(row["numeric_error_estimate"]) > 0.0
 
 
-def test_convergence_study_stops_before_the_coarse_solve_when_refinement_is_too_large(
-    tmp_path, monkeypatch
+@pytest.mark.parametrize("name", ["pareto_renewal", "calendar_switch"])
+def test_first_return_convergence_study_refuses_a_duration_dependent_kernel(
+    tmp_path, monkeypatch, capsys, name
 ):
-    grids = []
+    def never(*args, **kwargs):
+        raise AssertionError("solved or sampled a duration-dependent first return")
 
-    def recording_psi(*args, grid=None, **kwargs):
-        grids.append(grid)
-        return psi(*args, grid=grid, **kwargs)
-
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the analytic side was solved")
-
-    monkeypatch.setattr(cli, "psi", recording_psi)
-    monkeypatch.setattr(cli, "mc_first_return", no_sampling)
-    config = _config(tmp_path, "calendar_switch")
+    monkeypatch.setattr(cli, "psi", never)
+    monkeypatch.setattr(cli, "mc_first_return", never)
+    config = _config(tmp_path, name)
     args = ["convergence-study", str(config), "--out", str(tmp_path / "out"), "--n-paths", "100"]
     assert main(args) == EXIT_INVALID
-    # Only the refined grid was tried: it is past the memory budget.
-    default = LevelDurationGrid.for_model(calendar_switch_model())
-    assert [(g.du, g.dl) for g in grids] == [(default.du / 2, default.dl / 2)]
-
-
-def test_convergence_study_error_figure_is_the_refinement_shift(tmp_path, monkeypatch):
-    model = pareto_renewal_model()
-    default = LevelDurationGrid.for_model(model)
-
-    def grid_psi(m, theta1, theta2, z=0.0, grid=None):
-        # A first-order grid error: the mass moves by du on refinement.
-        mass = 0.8 + grid.du / default.du * 1e-3
-        return SimpleNamespace(matrix=np.array([[mass]]), info={"grid": grid})
-
-    def sample(*args, **kwargs):
-        return SimpleNamespace(value=0.8, std_error=1e-3, censored_fraction=0.0)
-
-    monkeypatch.setattr(cli, "psi", grid_psi)
-    monkeypatch.setattr(cli, "mc_first_return", sample)
-    out = tmp_path / "study"
-    args = ["convergence-study", str(_config(tmp_path, "pareto_renewal")), "--out", str(out)]
-    assert main(args + ["--n-paths", "100"]) == EXIT_OK
-    with open(out / "convergence_study.csv", newline="") as fh:
-        (row,) = csv.DictReader(fh)
-    assert float(row["analytic_raw"]) == pytest.approx(0.801)
-    assert float(row["analytic_refined"]) == float(row["analytic"]) == pytest.approx(0.8005)
-    assert float(row["numeric_error_estimate"]) == float(row["refinement_shift"]) > 0.0
+    err = capsys.readouterr().err
+    assert "duration-free kernel" in err
+    assert "--quantity ruin" in err
+    assert not (tmp_path / "out" / "convergence_study.csv").exists()
 
 
 def test_certain_first_return_mass_stays_a_probability(two_state_config, tmp_path):

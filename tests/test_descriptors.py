@@ -167,6 +167,15 @@ def test_lifted_ruin_agrees_with_monte_carlo_on_the_erlangized_model(name, n_sta
     assert abs(res.value - value) <= res.info["discretization"] + 3.0 * std_error
 
 
+@pytest.mark.parametrize("n_stages", [4, 16])
+def test_certain_lifted_ruin_stays_a_probability(n_stages):
+    # pareto_renewal drifts down, so ruin is certain at theta = 0; the
+    # Richardson step must not carry it past one.
+    res = ruin_descriptor(pareto_renewal_model(), 1.0, n_stages, 0.0, 0.0, i0=0)
+    assert res.value <= 1.0
+    assert abs(res.value - 1.0) <= 1e-12
+
+
 def test_the_discretization_term_covers_the_error_against_an_eighth_of_the_cell_width(
     monkeypatch,
 ):

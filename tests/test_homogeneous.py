@@ -1,5 +1,7 @@
 """Duration-free engines: the doubling solver for Psi and the per-order split recursion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,7 @@ def test_transform_arguments_damp_the_series_mass():
 def test_costless_model_ignores_transform_arguments():
     # With no dividend rates and no arrival costs both weights are
     # identically one, so the computation is bit-for-bit unchanged.
-    model = two_state_model(sigma=(0.0, 0.0), k_cost=((0.0, 0.0), (0.0, 0.0)))
+    model = dataclasses.replace(two_state_model(), sigma=np.zeros(2), k_cost=np.zeros((2, 2)))
     np.testing.assert_array_equal(doubling_psi(model)[0], doubling_psi(model, 0.7, 1.3)[0])
 
 

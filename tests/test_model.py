@@ -382,22 +382,34 @@ def test_cost_weights_reject_negative_argument():
 # ---------------------------------------------------------------------------
 
 
-def test_gallery_configs_round_trip_to_builders():
+def test_gallery_models_have_their_documented_structure():
     models = gallery_models()
-    for name, conf in gallery_configs().items():
-        built = model_config_from_dict(conf)
-        ref = models[name]
-        np.testing.assert_array_equal(built.rates, ref.rates)
-        np.testing.assert_array_equal(built.alpha, ref.alpha)
-        np.testing.assert_array_equal(built.sigma, ref.sigma)
-        np.testing.assert_array_equal(built.k_cost, ref.k_cost)
-        assert built.gamma == ref.gamma
-        assert built.kernel.breakpoints == ref.kernel.breakpoints
-        for u in (0.0, 0.4, 1.0, 2.0, 3.0, 6.5):
-            Cb, Db = eval_kernel(built.kernel, u)
-            Cr, Dr = eval_kernel(ref.kernel, u)
-            np.testing.assert_allclose(Cb, Cr, atol=1e-14, err_msg=f"{name} u={u}")
-            np.testing.assert_allclose(Db, Dr, atol=1e-14, err_msg=f"{name} u={u}")
+    durations = (0.0, 0.4, 1.0, 2.0, 3.0, 6.5)
+
+    two_state = models["two_state"]
+    C, D = eval_kernel(two_state.kernel, 0.0)
+    stationary = np.array([8.0, 9.0]) / 17.0
+    np.testing.assert_allclose(stationary @ (C + D), 0.0, atol=1e-15)
+    assert stationary @ two_state.rates == pytest.approx(-1.0 / 17.0, abs=1e-15)
+
+    C, D = eval_kernel(models["mmpp"].kernel, 0.0)
+    q_phase = [[-1.0, 0.7, 0.3], [0.4, -1.2, 0.8], [0.5, 0.5, -1.0]]
+    np.testing.assert_array_equal(D, np.diag([2.0, 0.5, 1.0]))
+    np.testing.assert_allclose(C + D, q_phase, rtol=0.0, atol=1e-15)
+
+    C, D = eval_kernel(models["renewal_ph"].kernel, 0.0)
+    np.testing.assert_allclose(D, np.outer(-C.sum(axis=1), [0.6, 0.4]), rtol=0.0, atol=1e-15)
+
+    calendar = models["calendar_switch"]
+    assert calendar.kernel.breakpoints == (1.0, 3.0)
+    for u in durations + (np.nextafter(1.0, 0.0), np.nextafter(3.0, 0.0)):
+        np.testing.assert_array_equal(eval_kernel(calendar.kernel, u)[1], 0.0)
+
+    a, b = np.array([2.5, 1.8]), np.array([1.0, 2.0])
+    for u in durations:
+        C, D = eval_kernel(models["pareto_renewal"].kernel, u)
+        np.testing.assert_allclose(-np.diag(C), a / (b + u), rtol=1e-15)
+        np.testing.assert_allclose(D.sum(axis=1), a / (b + u), rtol=1e-15)
 
 
 def test_config_rejects_unknown_field():
