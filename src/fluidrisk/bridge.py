@@ -22,7 +22,9 @@ The recursion is evaluated on uniform grids; this module holds the grid and
 tensor containers, the closed-form base case, the generic (duration-kernel)
 contribution operators with an explicit initial-duration axis, and the
 dispatcher that selects a fast path (see :mod:`.homogeneous`) when the model
-allows one.
+allows one.  The base case takes every initial duration in one call: its
+z-free factors are built once, and the kernel is evaluated once per distinct
+argument and gathered onto the ``(z, s, l)`` lattice.
 """
 
 from __future__ import annotations
@@ -212,19 +214,24 @@ def _level_edge_max(fields) -> float:
 def _uniformized_nodes(model: FluidModel, u) -> tuple[np.ndarray, np.ndarray]:
     """Uniformized kernels ``(Cbar, Dbar)`` as ``(m, p, p)`` stacks on quadrature nodes.
 
-    This is the grid engines' jump rule: a node that equals a kernel
-    breakpoint gets the mean of the two one-sided values, which keeps
-    quadrature through the jump second-order accurate when a node lands on
-    it.  Every other node gets the kernel's right-continuous value.
+    This is the grid engines' jump rule: a node within
+    ``1e-12 * max(1, |b|)`` of a kernel breakpoint ``b`` gets the mean of the
+    two one-sided values at ``b``, which keeps quadrature through the jump
+    second-order accurate when a node lands on it, whichever way the node's
+    own arithmetic rounded.  Every other node gets the kernel's
+    right-continuous value.
     """
     u = np.asarray(u, dtype=float).ravel()
+    hit = np.zeros(u.shape, dtype=bool)
+    for b in model.kernel.breakpoints:
+        near = np.abs(u - b) <= 1e-12 * max(1.0, abs(b))
+        u = np.where(near, b, u)
+        hit |= near
     Cbar, Dbar = uniformized_kernel(model.kernel, u)
-    if model.kernel.breakpoints:
-        hit = np.isin(u, model.kernel.breakpoints)
-        if hit.any():
-            C_left, D_left = uniformized_kernel(model.kernel, np.nextafter(u[hit], -np.inf))
-            Cbar[hit] = 0.5 * (Cbar[hit] + C_left)
-            Dbar[hit] = 0.5 * (Dbar[hit] + D_left)
+    if hit.any():
+        C_left, D_left = uniformized_kernel(model.kernel, np.nextafter(u[hit], -np.inf))
+        Cbar[hit] = 0.5 * (Cbar[hit] + C_left)
+        Dbar[hit] = 0.5 * (Dbar[hit] + D_left)
     return Cbar, Dbar
 
 
@@ -236,18 +243,19 @@ def _uniformized_nodes(model: FluidModel, u) -> tuple[np.ndarray, np.ndarray]:
 def bridge2_slice(
     model: FluidModel,
     grid: LevelDurationGrid,
-    z: float,
+    z,
     theta1: float = 0.0,
     theta2: float = 0.0,
     edge_weights: bool = False,
 ) -> np.ndarray:
-    """Closed-form 2-bridge density at one initial duration.
+    """Closed-form 2-bridge density at one or more initial durations.
 
-    Returns an array of shape ``(|S+|, |S-|, n_durations, n_levels)``.  The
-    no-arrival branch pins the middle jump by the final duration
-    ``s = z + h1 + h2``; the arrival branch resets the duration, so the final
-    segment length equals ``s`` outright and values for ``s < z`` can be
-    nonzero.
+    ``z`` is a duration-grid point, giving an array of shape
+    ``(|S+|, |S-|, n_durations, n_levels)``, or a 1-D array of them, giving
+    ``(len(z), |S+|, |S-|, n_durations, n_levels)``.  The no-arrival branch
+    pins the middle jump by the final duration ``s = z + h1 + h2``; the
+    arrival branch resets the duration, so the final segment length equals
+    ``s`` outright and values for ``s < z`` can be nonzero.
 
     With ``edge_weights`` the nodes lying exactly on a support boundary carry
     half the one-sided limit (the recursion engines use this internally: it
@@ -255,19 +263,37 @@ def bridge2_slice(
     Without it boundary nodes carry the full closed-region limit.
     """
     no_arrival, arrival = _bridge2_branches(model, grid, z, theta1, theta2, edge_weights)
-    return no_arrival + arrival
+    no_arrival += arrival
+    return no_arrival
 
 
 def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
-    """The two kernel branches of :func:`bridge2_slice`, as ``(no_arrival, arrival)``."""
+    """The two kernel branches of :func:`bridge2_slice`, as ``(no_arrival, arrival)``.
+
+    Each branch is a z-free factor times one kernel entry per node.  The
+    no-arrival factor depends on ``z`` only through the lag ``s - z`` and the
+    arrival factor not at all, so both are built once, on (lag, level) and
+    on (s, level).  The kernel arguments ``z + h1`` and ``z + t1`` are
+    ``(l + o) / c`` with ``o = r_i z - r_j s`` and ``c`` one of
+    ``r_i - r_j``, ``r_i``: the kernel is evaluated on a table of the
+    distinct offsets by the level axis (:func:`_kernel_tables`).  Both are
+    gathered onto the ``(z, s, l)`` lattice a block of ``z`` values at a time.
+    """
     gamma = model.gamma
     ip, im = model.s_plus, model.s_minus
+    q = np.array([grid.z_index(float(v)) for v in np.ravel(z)])
+    ns, L = grid.n_durations, grid.n_levels
     s = grid.durations[:, None]
     lvl = grid.levels[None, :]
     kappa = np.exp(-theta2 * model.k_cost)
     tol = 1e-9 * grid.du if edge_weights else 0.0
-    no_arrival = np.zeros((ip.size, im.size, grid.n_durations, grid.n_levels))
-    arrival = np.zeros_like(no_arrival)
+    no_arrival = np.empty((q.size, ip.size, im.size, ns, L))
+    arrival = np.empty_like(no_arrival)
+    # Lag k - q of each final duration behind the initial one; a negative
+    # lag reads row ns of the no-arrival factor, which stays zero.
+    k = np.arange(ns)
+    lag = np.where(k >= q[:, None], k - q[:, None], ns)
+    block = _z_block(no_arrival[0, 0, 0])
 
     def _edge(h):
         if not edge_weights:
@@ -280,40 +306,70 @@ def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
         for b, j in enumerate(im):
             rj = model.rates[j]
             # No-arrival middle jump: time h1 ascending at rate ri, then
-            # h2 descending at rate rj, with s - z = h1 + h2.
-            span = s - z
+            # h2 descending at rate rj, with s - z = h1 + h2.  Its factor
+            # is built on the lags s - z >= 0, which are the grid's durations.
+            span = s
             h1 = (lvl - rj * span) / (ri - rj)
             h2 = (ri * span - lvl) / (ri - rj)
-            sup_c = (h1 >= -tol) & (h2 >= -tol) & (span >= -tol)
-            u_arg_c = np.where(sup_c, z + np.maximum(h1, 0.0), 0.0)
-            cbar_ij = _uniformized_nodes(model, u_arg_c)[0][:, i, j].reshape(u_arg_c.shape)
-            val_c = (
+            sup_c = (h1 >= -tol) & (h2 >= -tol)
+            fac_c = np.zeros((ns + 1, L))
+            fac_c[:ns] = np.where(
+                sup_c,
                 gamma**2
-                * np.exp(-gamma * np.maximum(span, 0.0))
+                * np.exp(-gamma * span)
                 * np.exp(-theta1 * si * np.maximum(h1, 0.0))
-                * cbar_ij
                 * _edge(h1)
                 * _edge(h2)
-                / (ri - rj)
+                / (ri - rj),
+                0.0,
             )
             # Arrival middle jump: duration resets, so the final segment
             # length is s and the first segment is t1 = (l - rj s)/ri.
             t1 = (lvl - rj * s) / ri
-            sup_d = (t1 >= -tol) & (s >= 0.0)
-            u_arg_d = np.where(sup_d, z + np.maximum(t1, 0.0), 0.0)
-            dbar_ij = _uniformized_nodes(model, u_arg_d)[1][:, i, j].reshape(u_arg_d.shape)
-            val_d = (
+            sup_d = t1 >= -tol
+            fac_d = np.where(
+                sup_d,
                 gamma**2
                 * np.exp(-gamma * (np.maximum(t1, 0.0) + s))
                 * np.exp(-theta1 * si * np.maximum(t1, 0.0))
                 * kappa[i, j]
-                * dbar_ij
                 * _edge(t1)
-                / ri
+                / ri,
+                0.0,
             )
-            no_arrival[a, b] = np.where(sup_c, val_c, 0.0)
-            arrival[a, b] = np.where(sup_d, val_d, 0.0)
+            # Offsets in duration cells, so that equal offsets compare equal.
+            offsets, row = np.unique(ri * q[:, None] - rj * k, return_inverse=True)
+            row = row.reshape(q.size, ns)
+            cbar_ij, dbar_ij = _kernel_tables(model, grid, offsets * grid.du, ri, rj, i, j)
+            for z0 in range(0, q.size, block):
+                zs = slice(z0, z0 + block)
+                np.multiply(fac_c[lag[zs]], cbar_ij[row[zs]], out=no_arrival[zs, a, b])
+                np.multiply(fac_d, dbar_ij[row[zs]], out=arrival[zs, a, b])
+    if np.ndim(z) == 0:
+        return no_arrival[0], arrival[0]
     return no_arrival, arrival
+
+
+def _kernel_tables(model, grid, offsets, ri, rj, i, j):
+    """Entry ``(i, j)`` of ``Cbar`` at ``(l + o)/(ri - rj)`` and of ``Dbar`` at
+    ``(l + o)/ri``, as two ``(offsets, levels)`` tables.
+
+    Arguments below zero lie off the support and are evaluated at zero; none
+    exceeds the largest arrival argument on the lattice.  The table is
+    evaluated in chunks of offsets of about ``n_durations * n_levels``
+    arguments, the size of one initial duration's lattice.
+    """
+    c = np.array([ri - rj, ri])[:, None, None]
+    args = np.maximum((grid.levels + offsets[:, None]) / c, 0.0)
+    tables = np.empty_like(args)
+    rows = max(1, grid.n_durations // 2)
+    for r0 in range(0, offsets.size, rows):
+        chunk = args[:, r0 : r0 + rows]
+        Cbar, Dbar = _uniformized_nodes(model, chunk)
+        half = chunk[0].size
+        tables[0, r0 : r0 + rows] = Cbar[:half, i, j].reshape(chunk[0].shape)
+        tables[1, r0 : r0 + rows] = Dbar[half:, i, j].reshape(chunk[1].shape)
+    return tables[0], tables[1]
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +388,11 @@ def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
 # node, ascending state) and gamma_last one per (holding-time node,
 # descending state), plus one line sweep for its arrival branch.  Each shift
 # covers a block of z values (_z_block), small enough that its slab stays in
-# cache.  gamma_middle sums every interior split of an order on the halves'
-# level spectra and inverts that sum once; it transforms each lower order
-# once per call rather than keeping the spectra of every order, which would
-# take twice the memory of the tensors.  The shifts still cost O(nz * ns)
+# cache; the order-2 base (bridge2_slice) fills its tensor in the same blocks.
+# gamma_middle sums every interior split of an order on the halves' level
+# spectra and inverts that sum once; it transforms each lower order once per
+# call rather than keeping the spectra of every order, which would take twice
+# the memory of the tensors.  The shifts still cost O(nz * ns)
 # slabs per order, so the operators serve duration-dependent kernels at
 # moderate n (the dispatcher uses the split engine of :mod:`.homogeneous`
 # whenever the kernel is duration-free).
@@ -704,13 +761,7 @@ def bridge_recursion(
 
 
 def _run_z_recursion(model, grid, theta1, theta2, n_max, diagnostics):
-    nz = grid.n_durations
-    base = np.stack(
-        [
-            bridge2_slice(model, grid, float(z), theta1, theta2, edge_weights=True)
-            for z in grid.durations
-        ]
-    )
+    base = bridge2_slice(model, grid, grid.durations, theta1, theta2, edge_weights=True)
     _clamp_and_flag(base, diagnostics)
     slices = {2: base}
     m_hi = grid.zero_index

@@ -21,6 +21,7 @@ from fluidrisk.gallery import (
     cross_arrival_model,
     mmpp_model,
     pareto_renewal_model,
+    renewal_ph_model,
     two_state_model,
 )
 
@@ -380,13 +381,44 @@ def _ref_middle(model, grid, bridge_w, bridge_rest, theta2):
     return np.fft.irfft(out_f, n=pad, axis=-1)[..., m0 : m0 + L] * grid.dl
 
 
+def _ref_bridge2(model, grid, z, theta1, theta2):
+    """The edge-weighted 2-bridge at one initial duration, with the kernel
+    evaluated at every (s, l) node's own argument."""
+    gamma, tol = model.gamma, 1e-9 * grid.du
+    s, lvl = grid.durations[:, None], grid.levels[None, :]
+    kappa = np.exp(-theta2 * model.k_cost)
+    out = np.zeros((model.s_plus.size, model.s_minus.size, grid.n_durations, grid.n_levels))
+
+    def edge(h):
+        return np.where(np.abs(h) <= tol, 0.5, 1.0)
+
+    def kernel(on, u, which, i, j):
+        u = np.where(on, u, 0.0)
+        return _uniformized_nodes(model, u)[which][:, i, j].reshape(u.shape)
+
+    for a, i in enumerate(model.s_plus):
+        ri, si = model.rates[i], model.sigma[i]
+        for b, j in enumerate(model.s_minus):
+            rj = model.rates[j]
+            span = s - z
+            h1 = (lvl - rj * span) / (ri - rj)
+            h2 = (ri * span - lvl) / (ri - rj)
+            on = (h1 >= -tol) & (h2 >= -tol) & (span >= -tol)
+            h1 = np.maximum(h1, 0.0)
+            val = gamma**2 * np.exp(-gamma * np.maximum(span, 0.0) - theta1 * si * h1)
+            val *= kernel(on, z + h1, 0, i, j) * edge(h1) * edge(h2) / (ri - rj)
+            out[a, b] += np.where(on, val, 0.0)
+            t1 = (lvl - rj * s) / ri
+            on = t1 >= -tol
+            t1 = np.maximum(t1, 0.0)
+            val = gamma**2 * np.exp(-(gamma + theta1 * si) * t1 - gamma * s) * kappa[i, j]
+            val *= kernel(on, z + t1, 1, i, j) * edge(t1) / ri
+            out[a, b] += np.where(on, val, 0.0)
+    return out
+
+
 def _ref_z_recursion(model, grid, theta1, theta2, n_max):
-    base = np.stack(
-        [
-            bridge2_slice(model, grid, float(z), theta1, theta2, edge_weights=True)
-            for z in grid.durations
-        ]
-    )
+    base = np.stack([_ref_bridge2(model, grid, z, theta1, theta2) for z in grid.durations])
     slices = {2: np.maximum(base, 0.0)}
     for n in range(3, n_max + 1):
         total = _ref_first(model, grid, slices[n - 1], theta1, theta2)
@@ -440,6 +472,90 @@ def test_z_engine_matches_the_reference_loops(make_model, monkeypatch):
             np.testing.assert_allclose(
                 tensor.slices[n], expected, rtol=0.0, atol=1e-14, err_msg=f"n={n} block={block}"
             )
+
+
+_BASE_MODELS = {
+    "two_state": two_state_model,
+    "mmpp": mmpp_model,
+    "renewal_ph": renewal_ph_model,
+    "pareto_renewal": pareto_renewal_model,
+    "calendar_switch": calendar_switch_model,
+    "cross_arrival": cross_arrival_model,
+    "dense": _dense_four_state_model,
+}
+
+
+@pytest.mark.parametrize("theta", [(0.0, 0.0), (0.3, 0.2)], ids=["theta0", "theta"])
+@pytest.mark.parametrize("dyadic", [False, True], ids=["default_grid", "du_eighth"])
+@pytest.mark.parametrize("name", list(_BASE_MODELS))
+def test_batched_base_equals_the_one_duration_calls(name, dyadic, theta):
+    # Default grids have du = 1/8, 1/24, 1/16, 1/20, 1/12, 1/20 and 1/24: most
+    # kernel arguments round differently from the per-node reference, and
+    # calendar_switch's land within rounding of its breakpoints.
+    model = _BASE_MODELS[name]()
+    grid = LevelDurationGrid(3.0, 1 / 8, 4.0, 1 / 8) if dyadic else LevelDurationGrid.for_model(model)
+    base = bridge2_slice(model, grid, grid.durations, *theta, edge_weights=True)
+    ns = grid.n_durations
+    assert base.shape == (ns, model.s_plus.size, model.s_minus.size, ns, grid.n_levels)
+    stacked = np.stack(
+        [bridge2_slice(model, grid, float(z), *theta, edge_weights=True) for z in grid.durations]
+    )
+    np.testing.assert_allclose(base, stacked, rtol=0.0, atol=1e-14)
+    for q in (0, 1, ns // 2, ns - 1):
+        expected = _ref_bridge2(model, grid, grid.durations[q], *theta)
+        np.testing.assert_allclose(base[q], expected, rtol=0.0, atol=1e-14, err_msg=f"q={q}")
+
+
+@pytest.mark.filterwarnings("ignore:bridge density at the level-window edge")
+def test_z_recursion_builds_its_base_in_one_call(monkeypatch):
+    calls = []
+    batched = bridge.bridge2_slice
+
+    def counted(model, grid, z, *args, **kwargs):
+        calls.append(np.shape(z))
+        return batched(model, grid, z, *args, **kwargs)
+
+    monkeypatch.setattr(bridge, "bridge2_slice", counted)
+    grid = LevelDurationGrid(3.0, 1 / 8, 4.0, 1 / 8)
+    bridge_recursion(pareto_renewal_model(), grid, n_max=4, method="z")
+    assert calls == [(grid.n_durations,)]
+
+
+def test_base_rejects_initial_durations_off_the_grid():
+    grid = LevelDurationGrid(3.0, 1 / 8, 4.0, 1 / 8)
+    with pytest.raises(ValueError, match="duration-grid point"):
+        bridge2_slice(two_state_model(), grid, [0.0, 0.3])
+
+
+def _base_kernel_points(model, monkeypatch):
+    from fluidrisk import model as model_module
+
+    points = []
+    evaluate = model_module._evaluate
+
+    def counted(kernel, u):
+        points.append(u.size)
+        return evaluate(kernel, u)
+
+    monkeypatch.setattr(model_module, "_evaluate", counted)
+    grid = LevelDurationGrid.for_model(model)
+    bridge2_slice(model, grid, grid.durations, 0.3, 0.2, edge_weights=True)
+    pairs = model.s_plus.size * model.s_minus.size
+    # Each branch once per (z, s, l) node and state pair: one kernel per node.
+    lattice = 2 * pairs * grid.n_durations**2 * grid.n_levels
+    return sum(points), lattice
+
+
+def test_base_evaluates_the_kernel_on_distinct_arguments_only(monkeypatch):
+    points, lattice = _base_kernel_points(pareto_renewal_model(), monkeypatch)
+    assert lattice == 2_171_650
+    assert points < lattice / 10
+
+
+def test_base_kernel_points_never_exceed_the_lattice(monkeypatch):
+    # Rates 1, 0.5, -1 and -0.5 give each state pair its own offset table.
+    points, lattice = _base_kernel_points(_dense_four_state_model(), monkeypatch)
+    assert points <= lattice
 
 
 @pytest.mark.filterwarnings("ignore:bridge density at the level-window edge")
@@ -519,6 +635,19 @@ def test_mass_refines_at_second_order():
     assert err_coarse / err_fine >= 3.0  # second-order: halving gains ~4x
 
 
+def test_mass_refines_at_second_order_through_kernel_jumps():
+    # calendar_switch jumps at durations 1 and 3; with du = 1/6, 1/12 and
+    # 1/24 the grid nodes meet them only up to rounding.
+    model = calendar_switch_model()
+    vals = []
+    for cells in (32, 64, 128):
+        tensor = bridge_recursion(model, _grid(u_max=8.0 / model.gamma, cells=cells), n_max=2)
+        vals.append(tensor.mass(2)[0, 0])
+    err_coarse = abs(vals[0] - vals[1])
+    err_fine = abs(vals[1] - vals[2])
+    assert err_coarse / err_fine >= 3.0
+
+
 # ---------------------------------------------------------------------------
 # Guards
 # ---------------------------------------------------------------------------
@@ -550,21 +679,24 @@ def test_uncomputed_order_raises():
 
 def test_grid_nodes_on_a_jump_take_the_mean_of_both_sides():
     # The kernel is right-continuous; the grid quadrature helper averages the
-    # two one-sided values where a node lands exactly on a breakpoint, also
-    # for the original block of an Erlang-lifted kernel.
+    # two one-sided values where a node lands on a breakpoint, or within
+    # rounding of it on either side, also for the original block of an
+    # Erlang-lifted kernel.
     cal = calendar_switch_model()
     lifted = erlangize(cal, 1.0, 2, i0=0).model
     for model, first in ((cal, 0), (lifted, 2)):
         gamma = model.gamma
-        Cbar, Dbar = _uniformized_nodes(model, [0.5, 1.0, 2.0])
-        assert Cbar[1][first, first] == pytest.approx(1.0 + 0.5 * (-0.8 - 1.5) / gamma)
+        nodes = [0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.0]
+        Cbar, Dbar = _uniformized_nodes(model, nodes)
         left = uniformized_kernel(model.kernel, np.nextafter(1.0, 0.0))
         right = uniformized_kernel(model.kernel, 1.0)
-        np.testing.assert_allclose(Cbar[1], 0.5 * (left[0] + right[0]), rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(Dbar[1], 0.5 * (left[1] + right[1]), rtol=0.0, atol=1e-15)
+        for k in (1, 2, 3):
+            assert Cbar[k][first, first] == pytest.approx(1.0 + 0.5 * (-0.8 - 1.5) / gamma)
+            np.testing.assert_allclose(Cbar[k], 0.5 * (left[0] + right[0]), rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(Dbar[k], 0.5 * (left[1] + right[1]), rtol=0.0, atol=1e-15)
         off = uniformized_kernel(model.kernel, [0.5, 2.0])
-        np.testing.assert_array_equal(Cbar[[0, 2]], off[0])
-        np.testing.assert_array_equal(Dbar[[0, 2]], off[1])
+        np.testing.assert_array_equal(Cbar[[0, 4]], off[0])
+        np.testing.assert_array_equal(Dbar[[0, 4]], off[1])
 
 
 def test_z_engine_reports_both_level_window_edges():
