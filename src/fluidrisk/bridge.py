@@ -24,7 +24,11 @@ contribution operators with an explicit initial-duration axis, and the
 dispatcher that selects a fast path (see :mod:`.homogeneous`) when the model
 allows one.  The base case takes every initial duration in one call: its
 z-free factors are built once, and the kernel is evaluated once per distinct
-argument and gathered onto the ``(z, s, l)`` lattice.
+argument and gathered onto the ``(z, s, l)`` lattice.  The ``w = 1`` and
+``w = n-1`` classes integrate over one holding time, along which the level
+moves linearly: a shear of the (duration, level) plane, so each is a few
+matrix products in sheared level coordinates (:func:`_sheared_quadrature`)
+rather than one level shift per holding-time node.
 """
 
 from __future__ import annotations
@@ -384,27 +388,112 @@ def _kernel_tables(model, grid, offsets, ri, rj, i, j):
 # the l >= 0 half, and gamma_middle pairs one with the other.  A level shift
 # is linear and blind to the state it carries, so gamma_first and gamma_last
 # contract the kernel's state axis on the half before they shift it onto the
-# full lattice (_add_shifted): gamma_first makes one shift per (holding-time
-# node, ascending state) and gamma_last one per (holding-time node,
-# descending state), plus one line sweep for its arrival branch.  Each shift
-# covers a block of z values (_z_block), small enough that its slab stays in
-# cache; the order-2 base (bridge2_slice) fills its tensor in the same blocks.
-# gamma_middle sums every interior split of an order on the halves' level
-# spectra and inverts that sum once; it transforms each lower order once per
-# call rather than keeping the spectra of every order, which would take twice
-# the memory of the tensors.  The shifts still cost O(nz * ns)
-# slabs per order, so the operators serve duration-dependent kernels at
-# moderate n (the dispatcher uses the split engine of :mod:`.homogeneous`
-# whenever the kernel is duration-free).
+# full lattice.  Their holding-time quadratures, out[q] += sum_p W[q, p]
+# shift(field[p], offset + (q - p) cells), run through _sheared_quadrature:
+# in level coordinates sheared by floor(p cells) per row, every shift of
+# _add_shifted's two-tap rule lands on one of a few fixed offsets, so the
+# quadrature is one matrix product per block of passive columns (gamma_first
+# integrates over the initial duration z + u, gamma_last over the final
+# duration s - u), with each tap weight the number _add_shifted would use.
+# gamma_last's arrival branch stays one line sweep (_sweep_level) per
+# descending state.  The order-2 base (bridge2_slice) fills its tensor in
+# blocks of z values (_z_block).  gamma_middle sums every interior split of
+# an order on the halves' level spectra and inverts that sum once; it
+# transforms each lower order once per call rather than keeping the spectra
+# of every order, which would take twice the memory of the tensors.  Each
+# operator still costs O(nz * ns) slabs per order, so the operators serve
+# duration-dependent kernels at moderate n (the dispatcher uses the split
+# engine of :mod:`.homogeneous` whenever the kernel is duration-free).
 
 
 def _z_block(row: np.ndarray) -> int:
-    """Initial durations per block of the shift loops, for slabs of ``row``'s size.
+    """Initial durations per block of the base's gather, for slabs of ``row``'s size.
 
-    Blocks of about 2**16 values keep a shifted slab, its scaled copy and its
+    Blocks of about 2**16 values keep a gathered slab, its factor and its
     target in a core's cache; a whole-grid slab runs through memory.
     """
     return max(1, (1 << 16) // row.size)
+
+
+#: Passive values per block of the sheared products, about 2 MiB of float64.
+_STEP_CHUNK = 1 << 18
+
+
+def _lags(n: int) -> np.ndarray:
+    """``p - q`` on an ``(n, n)`` grid of output rows ``q`` and input rows ``p``."""
+    k = np.arange(n)
+    return k[None, :] - k[:, None]
+
+
+def _columns(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as ``(rows, columns, levels)``, a view so that writes reach ``arr``."""
+    return np.reshape(arr, (arr.shape[0], -1, arr.shape[-1]), copy=False)
+
+
+def _sheared_quadrature(out, field_arr, weights, offset, cells) -> None:
+    """Accumulate ``out[q] += sum_p weights[q, p] * field[p]`` shifted by
+    ``offset + (q - p) * cells`` level cells, by :func:`_add_shifted`'s rule.
+
+    ``out`` is ``(n, columns, L_out)``, ``field`` ``(n, columns, L_in)`` and
+    ``weights`` ``(n, n)``.  The shift is a shear of the (row, level) plane:
+    with ``A_q = floor(offset + q cells)`` and ``B_p = floor(p cells)``, field
+    level ``k`` lands at ``A_q + (k - B_p) + t`` for a tap ``t`` taking few
+    values (one for integer ``cells``, at most three in exact arithmetic).
+    So the field is copied once per tap into sheared coordinates
+    ``y = k - B_p + t``, the quadrature is one matrix product over (tap, p)
+    for every column and sheared level, and row ``q`` of the product is added
+    back at ``A_q + y``.  Each tap weight is ``weights[q, p]`` times the split
+    of ``_add_shifted``; only the summation order differs from shifting one
+    row at a time.  Columns go in blocks of about :data:`_STEP_CHUNK` values
+    of the product.
+    """
+    n, n_cols, n_out = out.shape
+    n_in = field_arr.shape[-1]
+    pos = offset + -_lags(n) * cells
+    base = np.floor(pos)
+    frac = pos - base
+    row_q = np.floor(offset + np.arange(n) * cells).astype(int)
+    row_p = np.floor(np.arange(n) * cells).astype(int)
+    lower = base.astype(int) - row_q[:, None] + row_p
+    tap = np.stack([lower, lower + 1])
+    tap_w = np.stack([weights * (1.0 - frac), weights * frac])
+    live = np.nonzero(tap_w)
+    taps = np.unique(tap[live])
+    U = np.zeros((n, taps.size, n))
+    U[live[1], np.searchsorted(taps, tap[live]), live[2]] = tap_w[live]
+    # Sheared levels that some field row reaches inside some output row.
+    y_lo = int(max(-row_q.max(), taps[0] - row_p.max()))
+    width = int(min(n_out - row_q.min(), n_in + taps[-1] - row_p.min())) - y_lo
+    # (tap, p, sheared range, field level) of each copy that meets a nonzero
+    # weight, and (q, lattice range, sheared index) of each row that receives.
+    row_q, row_p = row_q.tolist(), row_p.tolist()
+    copies = []
+    for t_i, t in enumerate(taps.tolist()):
+        for p in np.flatnonzero(U[:, t_i].any(axis=0)).tolist():
+            start = y_lo - t + row_p[p]
+            k0, k1 = max(0, start), min(n_in, start + width)
+            if k0 < k1:
+                copies.append((t_i, p, k0 - start, k1 - start, k0))
+    rows = []
+    for q in np.flatnonzero(U.any(axis=(1, 2))).tolist():
+        start = row_q[q] + y_lo
+        x0, x1 = max(0, start), min(n_out, start + width)
+        if x0 < x1:
+            rows.append((q, x0, x1, x0 - start))
+    block = max(1, min(n_cols, _STEP_CHUNK // (n * width)))
+    sheared = np.zeros((taps.size, n, block, width))
+    product = np.empty(n * block * width)
+    U = U.reshape(n, -1)
+    for c0 in range(0, n_cols, block):
+        c1 = min(c0 + block, n_cols)
+        x = sheared[:, :, : c1 - c0]
+        for t_i, p, y0, y1, k0 in copies:
+            x[t_i, p, :, y0:y1] = field_arr[p, c0:c1, k0 : k0 + y1 - y0]
+        y = product[: n * (c1 - c0) * width].reshape(n, -1)
+        np.matmul(U, x.reshape(taps.size * n, -1), out=y)
+        y = y.reshape(n, c1 - c0, width)
+        for q, x0, x1, y0 in rows:
+            out[q, c0:c1, x0:x1] += y[q, :, y0 : y0 + x1 - x0]
 
 
 def gamma_first(
@@ -424,8 +513,10 @@ def gamma_first(
     duration ``z+u``; arrival factors restart at ``0``.
 
     Both factors are summed over the new state into one continuation field
-    per duration ``z+u``.  Each holding-time node then shifts that field once
-    per ascending state and block of ``z`` values.
+    per duration ``p = z+u``.  For each ascending state the quadrature over
+    ``u`` is one sheared product (:func:`_sheared_quadrature`) with
+    ``W[z, p] = decay(p - z)`` and shift ``(p - z) r_i du/dl``; the
+    trapezoid halves at ``u = 0`` and at ``p = ns - 1`` are entries of ``W``.
     """
     gamma = model.gamma
     ip = model.s_plus
@@ -437,30 +528,23 @@ def gamma_first(
     kDpp = kappa * Dbar[:, ip][:, :, ip]
 
     below = _level_halves(bridge_prev, grid.zero_index)[1]
-    # cont[p, i] = sum_k Cpp[p, i, k] below[p, k] + kappa Dpp[p, i, k] below[0, k]:
+    # cont[i, p] = sum_k Cpp[p, i, k] below[p, k] + kappa Dpp[p, i, k] below[0, k]:
     # the l <= 0 half of the (n-1)-bridge entered at duration p = z + u.
-    cont = np.einsum("pik,pkjsl->pijsl", Cpp, below)
-    cont += np.einsum("pik,kjsl->pijsl", kDpp, below[0])
+    cont = np.einsum("pik,pkjsl->ipjsl", Cpp, below)
+    cont += np.einsum("pik,kjsl->ipjsl", kDpp, below[0])
     del below
     out = np.zeros_like(bridge_prev)
     tilt = gamma + theta1 * model.sigma[ip]
     decay = gamma * np.exp(-np.outer(grid.durations, tilt)) * du  # (a, i)
-    block = _z_block(cont[0, 0])
-    for q0 in range(0, ns, block):
-        for a in range(ns - q0):
-            q1 = min(q0 + block, ns - a)
-            # Trapezoid in u over [0, (ns - 1 - z) du]: half weight at u = 0
-            # and at the last node z + u = ns - 1, never both.
-            w_z = np.full(q1 - q0, 0.5 if a == 0 else 1.0)
-            if q1 == ns - a:
-                w_z[-1] = 0.5
-            for ai, i in enumerate(ip):
-                _add_shifted(
-                    out[q0:q1, ai],
-                    (decay[a, ai] * w_z)[:, None, None, None],
-                    cont[q0 + a : q1 + a, ai],
-                    a * grid.level_cells(model.rates[i]),
-                )
+    # Holding time a = p - z cells.  Trapezoid in u over [0, (ns - 1 - z) du]:
+    # half weight at u = 0 and at the last node z + u = ns - 1, never both.
+    a = _lags(ns)
+    w_z = np.where((a == 0) | (np.arange(ns) == ns - 1), 0.5, 1.0)
+    for ai, i in enumerate(ip):
+        weights = np.where(a >= 0, decay[np.maximum(a, 0), ai] * w_z, 0.0)
+        # A shift of (p - z) cells is (q - p) times -cells.
+        cells = -grid.level_cells(model.rates[i])
+        _sheared_quadrature(_columns(out[:, ai]), _columns(cont[ai]), weights, 0, cells)
     return out
 
 
@@ -539,10 +623,13 @@ def gamma_last(
     final segment length to ``s``, integrating the ``(n-1)``-bridge over its
     final duration.  Sub-bridge displacements are restricted to ``>= 0``.
 
-    Both branches contract the pre-switch state first.  Each holding-time
-    node then shifts the reduced no-arrival field once per descending state
-    and block of ``z`` values, and the arrival branch is one line sweep per
-    descending state.
+    Both branches contract the pre-switch state first.  For each descending
+    state the no-arrival quadrature is one sheared product
+    (:func:`_sheared_quadrature`) over the sub-bridge's final duration
+    ``s' = s - u``, with ``W[s, s'] = decay(s - s')`` for ``s >= 1`` (row
+    ``s = 0`` is zero) and shift ``m0 + (s - s') r_j du/dl``; the trapezoid
+    half at ``u = s`` is the halved sub-bridge row ``s' = 0``.  The arrival
+    branch is one line sweep per descending state.
     """
     gamma = model.gamma
     im = model.s_minus
@@ -573,16 +660,18 @@ def gamma_last(
     closing = gamma * np.exp(-gamma * grid.durations)
     decay = closing * du
     decay[0] *= 0.5  # trapezoid half weight at u = 0
-    block = _z_block(reduced[0, :, 0])
+    # Segment length a = s - s' cells; a zero-length segment adds nothing at s = 0.
+    a = -_lags(ns)
+    weights = np.where((a >= 0) & (np.arange(ns)[:, None] >= 1), decay[np.maximum(a, 0)], 0.0)
     for bj, j in enumerate(im):
         cells = grid.level_cells(model.rates[j])
-        for z0 in range(0, reduced.shape[0], block):
-            target = out[z0 : z0 + block, :, bj]
-            field_j = reduced[z0 : z0 + block, :, bj]
-            for a in range(ns):
-                lo = max(a, 1)  # a zero-length segment adds nothing at s = 0
-                sub = field_j[..., lo - a : ns - a, :]
-                _add_shifted(target[..., lo:, :], decay[a], sub, m0 + a * cells)
+        _sheared_quadrature(
+            _columns(np.moveaxis(out[:, :, bj], 2, 0)),
+            _columns(np.moveaxis(reduced[:, :, bj], 2, 0)),
+            weights,
+            m0,
+            cells,
+        )
         _sweep_level(out[:, :, bj], arrival[:, :, bj], m0, cells, closing)
     return out
 
@@ -724,7 +813,7 @@ def bridge_recursion(
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max!r}")
-    if theta1 < 0 or theta2 < 0:
+    if not (theta1 >= 0.0 and theta2 >= 0.0):
         raise ValueError("transform arguments must be nonnegative")
     if method == "auto":
         method = "split" if model.kernel.is_constant else "z"

@@ -231,9 +231,9 @@ def finite_time_return(
     against the Poisson bound ``P(T_m <= t)`` on the m-th epoch time, and
     ``tail_estimate`` is that bound at the first omitted order.
     """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
-    if z < 0.0:
+    if not 0.0 < horizon < np.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+    if not z >= 0.0:
         raise ValueError(f"initial duration must be nonnegative, got {z!r}")
     u_max = z + horizon
     _require_arrival_free(model, u_max)

@@ -138,7 +138,7 @@ def doubling_psi(model: FluidModel, theta1: float = 0.0, theta2: float = 0.0):
     Riccati residual of ``matrix`` and ``tail_estimate``: the last
     increment, floored at :data:`DOUBLING_ROUNDING`.
     """
-    if theta1 < 0 or theta2 < 0:
+    if not (theta1 >= 0.0 and theta2 >= 0.0):
         raise ValueError("transform arguments must be nonnegative")
     T = _rate_scaled_generator(model, theta1, theta2)
     ip, im = model.s_plus, model.s_minus

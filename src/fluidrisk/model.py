@@ -494,8 +494,8 @@ class FluidModel:
 
 def cost_weights(model: FluidModel, theta2: float) -> BlockView:
     """Entrywise arrival-cost weights ``exp(-theta2 * k(i, j))`` in ``(0, 1]``."""
-    if theta2 < 0:
-        raise ValueError(f"theta2 must be nonnegative, got {theta2!r}")
+    if not theta2 >= 0.0:
+        raise ValueError("transform arguments must be nonnegative")
     return BlockView.split(np.exp(-theta2 * model.k_cost), model.space)
 
 

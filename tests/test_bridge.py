@@ -429,7 +429,7 @@ def _ref_z_recursion(model, grid, theta1, theta2, n_max):
     return slices
 
 
-def _dense_four_state_model():
+def _dense_four_state_model(rates=(1.0, 0.5, -1.0, -0.5)):
     """Two ascending and two descending states with every kernel block dense."""
     C = np.array(
         [[-3.0, 0.5, 0.7, 0.3], [0.4, -2.5, 0.6, 0.5], [0.5, 0.4, -2.6, 0.6], [0.3, 0.6, 0.5, -2.4]]
@@ -438,7 +438,7 @@ def _dense_four_state_model():
         [[0.5, 0.4, 0.3, 0.3], [0.2, 0.3, 0.3, 0.2], [0.3, 0.2, 0.4, 0.2], [0.25, 0.25, 0.25, 0.25]]
     )
     return FluidModel(
-        space=StateSpace(rates=np.array([1.0, 0.5, -1.0, -0.5])),
+        space=StateSpace(rates=np.array(rates)),
         kernel=constant_kernel(C, D, gamma=3.0),
         alpha=np.array([0.5, 0.5, 0.0, 0.0]),
         sigma=np.array([1.0, 0.5, 0.0, 0.0]),
@@ -446,31 +446,62 @@ def _dense_four_state_model():
     )
 
 
+def _fractional_rate_model():
+    return _dense_four_state_model(rates=(1.0, 0.3, -1.0, -0.7))
+
+
+_REFERENCE_GRID = (3.0, 1 / 8, 4.0, 1 / 8)
+
+
 @pytest.mark.filterwarnings("ignore:bridge density at the level-window edge")
 @pytest.mark.parametrize(
-    "make_model",
+    "make_model, grid_args",
     # mmpp: two ascending states and half-cell shifts; calendar_switch: grid
     # nodes on kernel breakpoints; pareto_renewal: a duration-dependent
     # arrival kernel; dense: no state block is diagonal or 1x1, so a
-    # transposed block or a contraction over the wrong class shows.
-    [mmpp_model, calendar_switch_model, pareto_renewal_model, _dense_four_state_model],
-    ids=["mmpp", "calendar_switch", "pareto_renewal", "dense"],
+    # transposed block or a contraction over the wrong class shows.  On the
+    # narrow windows (l_max = 1) most shifts leave the level window; the
+    # fractional rates shift by 0.3 and 0.7 cells, and by 4/3, 0.4 and 14/15
+    # cells at dl = 3/32, neither integer nor half.
+    [
+        (mmpp_model, _REFERENCE_GRID),
+        (calendar_switch_model, _REFERENCE_GRID),
+        (pareto_renewal_model, _REFERENCE_GRID),
+        (_dense_four_state_model, _REFERENCE_GRID),
+        (pareto_renewal_model, (3.0, 1 / 8, 1.0, 1 / 8)),
+        (_dense_four_state_model, (3.0, 1 / 8, 1.0, 1 / 8)),
+        (_fractional_rate_model, _REFERENCE_GRID),
+        (_fractional_rate_model, (3.0, 1 / 8, 4.5, 3 / 32)),
+    ],
+    ids=[
+        "mmpp",
+        "calendar_switch",
+        "pareto_renewal",
+        "dense",
+        "pareto_renewal_narrow",
+        "dense_narrow",
+        "fractional_rates",
+        "fractional_cells",
+    ],
 )
-def test_z_engine_matches_the_reference_loops(make_model, monkeypatch):
+def test_z_engine_matches_the_reference_loops(make_model, grid_args, monkeypatch):
     model = make_model()
-    grid = LevelDurationGrid(3.0, 1 / 8, 4.0, 1 / 8)
+    grid = LevelDurationGrid(*grid_args)
     reference = _ref_z_recursion(model, grid, 0.3, 0.2, 6)
     assert max(float(np.abs(s).max()) for s in reference.values()) > 0.5
-    # This grid fits in one block of initial durations; blocks of 3 also
-    # cover the ragged last block of the shift loops.
-    for block in (None, 3):
-        if block is not None:
-            monkeypatch.setattr(bridge, "_z_block", lambda row: block)
+    # These grids fit in one block of initial durations and one block of
+    # sheared columns.  Small blocks (3 initial durations; 3 to 6 columns of
+    # the sheared products) also cover the ragged last block of each loop.
+    ns = grid.n_durations
+    for small in (False, True):
+        if small:
+            monkeypatch.setattr(bridge, "_z_block", lambda row: 3)
+            monkeypatch.setattr(bridge, "_STEP_CHUNK", 3 * ns * (grid.n_levels + ns))
         tensor = bridge_recursion(model, grid, 0.3, 0.2, n_max=6, method="z")
         assert tensor.orders == sorted(reference)
         for n, expected in reference.items():
             np.testing.assert_allclose(
-                tensor.slices[n], expected, rtol=0.0, atol=1e-14, err_msg=f"n={n} block={block}"
+                tensor.slices[n], expected, rtol=0.0, atol=1e-14, err_msg=f"n={n} small={small}"
             )
 
 

@@ -61,20 +61,32 @@ def test_malformed_config_exits_invalid(tmp_path):
     assert main(["validate", str(bad), "--out", str(tmp_path / "out")]) == EXIT_INVALID
 
 
+# finite-time needs an arrival-free model: calendar_switch.  A NaN transform
+# argument runs the duration-dependent z engine on calendar_switch and the
+# Riccati solver on two_state unless it is rejected up front.
 @pytest.mark.parametrize(
-    "args",
+    "name, args",
     [
-        ["simulate", "--horizon", "2", "--z", "-1"],
-        ["mc", "first-return", "--n-paths", "50"],
-        ["mc", "bridge", "--z", "-0.000001"],
-        ["mc", "bridge", "--n-paths", "100", "--start-state", "5"],
-        ["mc", "ruin", "--u", "1", "--n-paths", "100", "--start-state", "-1"],
-        ["mc", "ruin", "--u", "1", "--horizon", "-1"],
-        ["first-return", "--theta1", "-0.5"],
-        ["mc", "first-return", "--theta1", "-0.5"],
-        ["ruin", "--u", "1", "--n-stages", "1", "--i0", "5"],
-        ["mc", "ruin", "--u", "nan", "--n-paths", "100"],
-        ["mc", "first-return", "--z", "nan", "--n-paths", "100"],
+        ("two_state", ["simulate", "--horizon", "2", "--z", "-1"]),
+        ("two_state", ["mc", "first-return", "--n-paths", "50"]),
+        ("two_state", ["mc", "bridge", "--z", "-0.000001"]),
+        ("two_state", ["mc", "bridge", "--n-paths", "100", "--start-state", "5"]),
+        ("two_state", ["mc", "ruin", "--u", "1", "--n-paths", "100", "--start-state", "-1"]),
+        ("two_state", ["mc", "ruin", "--u", "1", "--horizon", "-1"]),
+        ("two_state", ["first-return", "--theta1", "-0.5"]),
+        ("two_state", ["mc", "first-return", "--theta1", "-0.5"]),
+        ("two_state", ["ruin", "--u", "1", "--n-stages", "1", "--i0", "5"]),
+        ("two_state", ["mc", "ruin", "--u", "nan", "--n-paths", "100"]),
+        ("two_state", ["mc", "first-return", "--z", "nan", "--n-paths", "100"]),
+        ("calendar_switch", ["bridge", "--n-max", "3", "--theta1", "nan"]),
+        ("calendar_switch", ["finite-time", "--horizon", "2", "--theta1", "nan"]),
+        ("calendar_switch", ["first-return", "--theta1", "nan"]),
+        ("two_state", ["first-return", "--theta2", "nan"]),
+        ("calendar_switch", ["ruin", "--u", "1", "--n-stages", "1", "--i0", "0", "--theta2", "nan"]),
+        ("two_state", ["bridge", "--n-max", "3", "--theta2", "nan"]),
+        ("calendar_switch", ["finite-time", "--horizon", "nan"]),
+        ("calendar_switch", ["finite-time", "--horizon", "inf"]),
+        ("calendar_switch", ["finite-time", "--horizon", "2", "--z", "nan"]),
     ],
     ids=[
         "simulate_negative_z",
@@ -88,10 +100,19 @@ def test_malformed_config_exits_invalid(tmp_path):
         "ruin_entry_state_too_large",
         "mc_ruin_nan_capital",
         "mc_first_return_nan_z",
+        "bridge_nan_theta1",
+        "finite_time_nan_theta1",
+        "first_return_nan_theta1",
+        "first_return_nan_theta2",
+        "ruin_nan_theta2",
+        "split_bridge_nan_theta2",
+        "finite_time_nan_horizon",
+        "finite_time_infinite_horizon",
+        "finite_time_nan_z",
     ],
 )
-def test_invalid_arguments_exit_invalid(two_state_config, tmp_path, args):
-    assert main(args + [str(two_state_config), "--out", str(tmp_path)]) == EXIT_INVALID
+def test_invalid_arguments_exit_invalid(tmp_path, name, args):
+    assert main(args + [str(_config(tmp_path, name)), "--out", str(tmp_path)]) == EXIT_INVALID
 
 
 def test_simulate_without_paths_exits_invalid_and_writes_nothing(two_state_config, tmp_path):

@@ -8,7 +8,10 @@ import pytest
 
 import fluidrisk.descriptors as descriptors
 from fluidrisk import (
+    LevelDurationGrid,
     LevelGrid,
+    bridge_recursion,
+    cost_weights,
     doubling_psi,
     erlangize,
     eval_kernel_batch,
@@ -37,7 +40,7 @@ from _oracles import (
     ruin_exact,
 )
 
-
+NAN = float("nan")
 THETAS = [(0.0, 0.0), (0.1, 0.2), (0.3, 0.2), (1.0, 0.2)]
 
 
@@ -56,6 +59,19 @@ def test_psi_on_the_default_level_grid_matches_the_riccati_value():
 def test_psi_rejects_negative_transform_arguments(thetas):
     with pytest.raises(ValueError, match="nonnegative"):
         psi(two_state_model(), *thetas)
+
+
+@pytest.mark.parametrize("make_model", [two_state_model, calendar_switch_model])
+@pytest.mark.parametrize("thetas", [(NAN, 0.0), (0.0, NAN)], ids=["theta1", "theta2"])
+def test_analytic_engines_reject_nan_transform_arguments(make_model, thetas):
+    # Every comparison with NaN is false, so a `theta < 0` test lets it through.
+    model = make_model()
+    with pytest.raises(ValueError, match="transform arguments must be nonnegative"):
+        psi(model, *thetas)
+    with pytest.raises(ValueError, match="transform arguments must be nonnegative"):
+        bridge_recursion(model, LevelDurationGrid.for_model(model), *thetas, n_max=3)
+    with pytest.raises(ValueError, match="transform arguments must be nonnegative"):
+        cost_weights(model, NAN)
 
 
 @pytest.mark.parametrize(
@@ -245,6 +261,23 @@ def test_uncapped_finite_time_stops_at_the_first_epoch_tail_below_eps():
     assert res.n_used == 17
     assert list(res.orders) == list(range(2, 18))
     assert res.tail_estimate < 1e-8
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"horizon": 0.0}, "horizon must be finite and positive"),
+        ({"horizon": NAN}, "horizon must be finite and positive"),
+        ({"horizon": np.inf}, "horizon must be finite and positive"),
+        ({"horizon": 2.0, "z": NAN}, "initial duration must be nonnegative"),
+        ({"horizon": 2.0, "z": -0.5}, "initial duration must be nonnegative"),
+        ({"horizon": 2.0, "theta1": NAN}, "transform arguments must be nonnegative"),
+    ],
+    ids=["zero_horizon", "nan_horizon", "infinite_horizon", "nan_z", "negative_z", "nan_theta1"],
+)
+def test_finite_time_rejects_invalid_arguments_by_name(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        finite_time_return(calendar_switch_model(), **kwargs)
 
 
 def test_finite_time_value_grows_with_the_horizon(capped_finite_time):
