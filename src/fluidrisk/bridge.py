@@ -187,11 +187,11 @@ def _sweep_level(out: np.ndarray, field_arr: np.ndarray, offset: float, cells: f
 def _level_halves(field_arr: np.ndarray, zero_index: int) -> np.ndarray:
     """The ``l >= 0`` and ``l <= 0`` halves of a field, stacked on a new first axis.
 
-    The one rule by which the grid engines restrict a sub-bridge to one side
-    of level zero.  Both halves are ``m0 + 1`` long with the trapezoid
-    half-weight at level zero; index ``k`` is level ``k dl`` in the first and
-    ``(k - m0) dl`` in the second, so they shift onto the lattice at offsets
-    ``m0`` and ``0``.  The linear convolution of one half with the other is
+    The split engine's and :func:`gamma_middle`'s restriction of a sub-bridge
+    to one side of level zero.  Both halves are ``m0 + 1`` long with the
+    trapezoid half-weight at level zero; index ``k`` is level ``k dl`` in the
+    first and ``(k - m0) dl`` in the second, so they shift onto the lattice at
+    offsets ``m0`` and ``0``.  The linear convolution of one half with the other is
     ``L`` long with index ``m`` at level ``(m - m0) dl``: level transforms of
     length ``next_fast_len(L, real=True)`` never wrap.
     """
@@ -383,18 +383,19 @@ def _kernel_tables(model, grid, offsets, ri, rj, i, j):
 # Generic tensors have shape (nz, |S+|, |S-|, n_durations, n_levels) with the
 # initial duration z on the duration grid (nz = n_durations).  These operators
 # are direct quadratures of the decomposition.  Each sub-bridge is restricted
-# to one side of level zero, and every operator takes that side as a level
-# half (_level_halves): gamma_first works on the l <= 0 half, gamma_last on
-# the l >= 0 half, and gamma_middle pairs one with the other.  A level shift
-# is linear and blind to the state it carries, so gamma_first and gamma_last
-# contract the kernel's state axis on the half before they shift it onto the
-# full lattice.  Their holding-time quadratures, out[q] += sum_p W[q, p]
-# shift(field[p], offset + (q - p) cells), run through _sheared_quadrature:
-# in level coordinates sheared by floor(p cells) per row, every shift of
-# _add_shifted's two-tap rule lands on one of a few fixed offsets, so the
-# quadrature is one matrix product per block of passive columns (gamma_first
-# integrates over the initial duration z + u, gamma_last over the final
-# duration s - u), with each tap weight the number _add_shifted would use.
+# to one side of level zero, a level half with the trapezoid half-weight at
+# level zero: gamma_first works on the l <= 0 half, gamma_last on the l >= 0
+# half, and gamma_middle pairs one with the other (_level_halves).  A level
+# shift is linear and blind to the state it carries, so gamma_first and
+# gamma_last contract the kernel's state axis on a view of the half, halve
+# level zero of the contraction and then shift it onto the full lattice.
+# Their holding-time quadratures, out[q] += sum_p W[q, p] shift(field[p],
+# offset + (q - p) cells), run through _sheared_quadrature: in level
+# coordinates sheared by floor(p cells) per row, every shift of _add_shifted's
+# two-tap rule lands on one of a few fixed offsets, so the quadrature is one
+# matrix product per block of passive columns (gamma_first integrates over
+# the initial duration z + u, gamma_last over the final duration s - u), with
+# each tap weight the number _add_shifted would use.
 # gamma_last's arrival branch stays one line sweep (_sweep_level) per
 # descending state.  The order-2 base (bridge2_slice) fills its tensor in
 # blocks of z values (_z_block).  gamma_middle sums every interior split of
@@ -527,12 +528,13 @@ def gamma_first(
     Cpp = Cbar[:, ip][:, :, ip]
     kDpp = kappa * Dbar[:, ip][:, :, ip]
 
-    below = _level_halves(bridge_prev, grid.zero_index)[1]
+    below = bridge_prev[..., : grid.zero_index + 1]
     # cont[i, p] = sum_k Cpp[p, i, k] below[p, k] + kappa Dpp[p, i, k] below[0, k]:
-    # the l <= 0 half of the (n-1)-bridge entered at duration p = z + u.
+    # the l <= 0 half of the (n-1)-bridge entered at duration p = z + u, read
+    # as a view; the trapezoid half at level zero is applied to the result.
     cont = np.einsum("pik,pkjsl->ipjsl", Cpp, below)
     cont += np.einsum("pik,kjsl->ipjsl", kDpp, below[0])
-    del below
+    cont[..., -1] *= 0.5
     out = np.zeros_like(bridge_prev)
     tilt = gamma + theta1 * model.sigma[ip]
     decay = gamma * np.exp(-np.outer(grid.durations, tilt)) * du  # (a, i)
@@ -641,20 +643,23 @@ def gamma_last(
     kDmm = kappa * Dbar[:, im][:, :, im]
 
     m0 = grid.zero_index
-    above = _level_halves(bridge_prev, m0)[0]
-    # Arrival closing segment: final duration = s exactly; integrate the
-    # l >= 0 half of the sub-bridge over its own final duration with the
-    # arrival kernel, before the level shift (the boundary node carries the
-    # midpoint value).  Index k of the half is level k dl, lattice index m0 + k.
+    # The l >= 0 half of the sub-bridge, read as a view: index k is level
+    # k dl, lattice index m0 + k.  The trapezoid half at level zero is applied
+    # to each contraction.
+    above = bridge_prev[..., m0:]
+    # Arrival closing segment: final duration = s exactly; integrate the half
+    # over its own final duration with the arrival kernel, before the level
+    # shift (the boundary node carries the midpoint value).
     w_u = _trapezoid_weights(ns) * du
     arrival = np.einsum("zixsl,sxj,s->zijl", above, kDmm, w_u)
+    arrival[..., 0] *= 0.5
     # No-arrival closing segment: the sub-bridge at final duration s - u,
     # weighted by the kernel at that pre-switch duration.  Trapezoid in u:
     # half weight at u = 0 by the node weight and at u = s by halving the
-    # sub-bridge row s = 0.
-    above[..., 0, :] *= 0.5
+    # contracted row s = 0.
     reduced = np.einsum("zixsl,sxj->zijsl", above, Cmm)
-    del above
+    reduced[..., 0, :] *= 0.5
+    reduced[..., 0] *= 0.5
 
     out = np.zeros_like(bridge_prev)
     closing = gamma * np.exp(-gamma * grid.durations)

@@ -1,12 +1,15 @@
 """Command-line front end binding model configs to the library operations.
 
 Every subcommand takes a JSON model-config path as its first positional
-argument, writes machine-readable artifacts (CSV and/or JSON) into ``--out``
-(default: current directory), and drops a ``manifest.json`` alongside them
-recording the command, the SHA-256 of the raw config bytes, all numeric
-parameters, the seed, the library version, and the wall-clock time.  CSV
-files use ``.`` as the decimal separator and print floats with 17 significant
-digits, so identical invocations reproduce byte-identical output.
+argument and writes machine-readable artifacts (CSV and/or JSON) into
+``--out`` (default: current directory).  :func:`main` is the one runner: it
+loads the config, creates ``--out``, calls the subcommand's handler and then
+writes ``manifest.json`` alongside the artifacts, recording the command, the
+SHA-256 of the raw config bytes, all numeric parameters, the seed, the
+library version, the wall-clock time and any flag the handler returns
+(``converged``, ``inside_band``).  A run that exits 2 writes no manifest.
+CSV files use ``.`` as the decimal separator and print floats with 17
+significant digits, so identical invocations reproduce byte-identical output.
 
 Exit codes
 ----------
@@ -28,6 +31,10 @@ ruin               ruin descriptor from Erlang-randomized capital
 mc                 Monte Carlo estimates (first-return | ruin | bridge)
 convergence-study  analytic vs Monte Carlo 3-SE cross-check (a first-return
                    study needs a duration-free kernel; ruin takes any)
+
+``convergence_study.csv`` has one row with the columns ``quantity``,
+``analytic``, ``numeric_error_estimate``, ``mc_value``, ``mc_std_error``,
+``gap``, ``band`` (3 SE + the numeric error estimate) and ``inside``.
 
 Binary bridge dump layout (all little-endian)
 ---------------------------------------------
@@ -91,12 +98,6 @@ def _resolve_threads(args) -> int:
     return threads
 
 
-def _out_dir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -104,42 +105,37 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _write_manifest(args, out: str, started: float, extra: dict | None = None) -> None:
-    skip = {"func", "config", "out"}
-    params = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or callable(value):
-            continue
-        params[key] = value
+def _write_json(path: str, obj: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+
+
+def _write_manifest(args, out: str, started: float, extra: dict) -> None:
+    params = {
+        key: value
+        for key, value in sorted(vars(args).items())
+        if key not in {"func", "config", "out", "command"}
+    }
     manifest = {
-        "command": args.command if "command" not in params else params.pop("command"),
+        "command": args.command,
         "config_hash": config_hash(args.config),
         "parameters": params,
         "seed": params.get("seed"),
         "version": __version__,
         "wall_clock_seconds": time.perf_counter() - started,
     }
-    if extra:
-        manifest.update(extra)
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
-def _load(args) -> FluidModel:
-    return load_model_config(args.config)
+    manifest.update(extra)
+    _write_json(os.path.join(out, "manifest.json"), manifest)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: handler(args, model, out) -> (exit code, manifest extras)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    started = time.perf_counter()
-    model = _load(args)
+def _cmd_validate(args, model: FluidModel, out: str) -> tuple[int, dict]:
     report = validate_model(model)
-    out = _out_dir(args)
     summary = {
         "ok": report.ok,
         "n_samples": report.n_samples,
@@ -150,24 +146,18 @@ def _cmd_validate(args) -> int:
         "ascending_states": model.s_plus.tolist(),
         "descending_states": model.s_minus.tolist(),
     }
-    with open(os.path.join(out, "validate.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(args, out, started)
+    _write_json(os.path.join(out, "validate.json"), summary)
     print(
         f"config OK: {model.p} states ({model.s_plus.size} ascending, "
         f"{model.s_minus.size} descending), gamma={model.gamma:g}, "
         f"{report.n_samples} kernel samples checked"
     )
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def _cmd_simulate(args) -> int:
-    started = time.perf_counter()
+def _cmd_simulate(args, model: FluidModel, out: str) -> tuple[int, dict]:
     if args.n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {args.n_paths!r}")
-    model = _load(args)
-    out = _out_dir(args)
     rows = []
     for k in range(args.n_paths):
         path = simulate_path(model, args.z, args.horizon, seed=args.seed + k)
@@ -189,15 +179,11 @@ def _cmd_simulate(args) -> int:
         ["path", "epoch", "time", "state", "duration", "level", "dividends", "costs"],
         rows,
     )
-    _write_manifest(args, out, started)
     print(f"wrote {len(rows)} epochs over {args.n_paths} path(s) to {out}/paths.csv")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def _cmd_gmatrix(args) -> int:
-    started = time.perf_counter()
-    model = _load(args)
-    out = _out_dir(args)
+def _cmd_gmatrix(args, model: FluidModel, out: str) -> tuple[int, dict]:
     p = model.p
     header = ["s", "t"] + [f"G_{i}_{j}" for i in range(p) for j in range(p)] + ["error_estimate"]
     rows = []
@@ -211,15 +197,11 @@ def _cmd_gmatrix(args) -> int:
             + [_fmt(res.error_estimate)]
         )
     _write_csv(os.path.join(out, "gmatrix.csv"), header, rows)
-    _write_manifest(args, out, started)
     print(f"wrote {len(rows)} survival matrices to {out}/gmatrix.csv")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def _cmd_density(args) -> int:
-    started = time.perf_counter()
-    model = _load(args)
-    out = _out_dir(args)
+def _cmd_density(args, model: FluidModel, out: str) -> tuple[int, dict]:
     rows = []
     worst_tail = 0.0
     all_converged = True
@@ -241,12 +223,11 @@ def _cmd_density(args) -> int:
         ["n", "y", "density", "tail_bound", "initial_mass"],
         rows,
     )
-    _write_manifest(args, out, started)
     print(f"wrote {len(rows)} density values to {out}/density.csv")
     if not all_converged:
         print(f"non-convergence: duration-window tail bound {worst_tail:.3e}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+        return EXIT_NO_CONVERGENCE, {}
+    return EXIT_OK, {}
 
 
 def _bridge_grid(model: FluidModel, args) -> LevelDurationGrid:
@@ -258,10 +239,7 @@ def _bridge_grid(model: FluidModel, args) -> LevelDurationGrid:
     return LevelDurationGrid(u_max=u_max, du=du, l_max=l_max, dl=dl)
 
 
-def _cmd_bridge(args) -> int:
-    started = time.perf_counter()
-    model = _load(args)
-    out = _out_dir(args)
+def _cmd_bridge(args, model: FluidModel, out: str) -> tuple[int, dict]:
     grid = _bridge_grid(model, args)
     tensor = bridge_recursion(model, grid, args.theta1, args.theta2, n_max=args.n_max)
     diag = tensor.diagnostics
@@ -310,9 +288,8 @@ def _cmd_bridge(args) -> int:
             fh.write(struct.pack(f"<{len(orders)}Q", *orders))
             fh.write(np.ascontiguousarray(stack, dtype="<f8").tobytes())
 
-    _write_manifest(args, out, started)
     print(f"wrote bridge masses for orders {list(tensor.orders)} to {out}/bridge.csv")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
 def _descriptor_rows(model: FluidModel, matrix: np.ndarray, n_used: int, tail: float):
@@ -325,10 +302,7 @@ def _descriptor_rows(model: FluidModel, matrix: np.ndarray, n_used: int, tail: f
     return rows
 
 
-def _cmd_first_return(args) -> int:
-    started = time.perf_counter()
-    model = _load(args)
-    out = _out_dir(args)
+def _cmd_first_return(args, model: FluidModel, out: str) -> tuple[int, dict]:
     res = psi(
         model,
         args.theta1,
@@ -342,21 +316,18 @@ def _cmd_first_return(args) -> int:
         ["i", "j", "value", "n_used", "tail_estimate"],
         _descriptor_rows(model, res.matrix, res.n_used, res.tail_estimate),
     )
-    _write_manifest(args, out, started, extra={"converged": res.converged})
     print(
         f"first-return descriptor: total mass {res.matrix.sum():.6f}, "
         f"n_used={res.n_used}, tail={res.tail_estimate:.3e}"
     )
+    extra = {"converged": res.converged}
     if not res.converged:
         print("non-convergence: truncation tail above eps", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+        return EXIT_NO_CONVERGENCE, extra
+    return EXIT_OK, extra
 
 
-def _cmd_finite_time(args) -> int:
-    started = time.perf_counter()
-    model = _load(args)
-    out = _out_dir(args)
+def _cmd_finite_time(args, model: FluidModel, out: str) -> tuple[int, dict]:
     res = finite_time_return(
         model,
         args.horizon,
@@ -371,21 +342,17 @@ def _cmd_finite_time(args) -> int:
         ["i", "j", "value", "n_used", "tail_estimate"],
         _descriptor_rows(model, res.value, res.n_used, res.tail_estimate),
     )
-    _write_manifest(args, out, started)
     print(
         f"finite-time return by t={args.horizon:g}: total {res.value.sum():.6f}, "
         f"orders up to {res.n_used}, tail bound {res.tail_estimate:.3e}"
     )
     if res.tail_estimate > args.eps:
         print("non-convergence: epoch-count tail bound above eps", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+        return EXIT_NO_CONVERGENCE, {}
+    return EXIT_OK, {}
 
 
-def _cmd_ruin(args) -> int:
-    started = time.perf_counter()
-    model = _load(args)
-    out = _out_dir(args)
+def _cmd_ruin(args, model: FluidModel, out: str) -> tuple[int, dict]:
     res = ruin_descriptor(
         model,
         args.u,
@@ -407,110 +374,78 @@ def _cmd_ruin(args) -> int:
         "theta2": args.theta2,
         "converged": res.converged,
     }
-    with open(os.path.join(out, "ruin.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(args, out, started, extra={"converged": res.converged})
+    _write_json(os.path.join(out, "ruin.json"), summary)
     print(f"ruin descriptor from u={args.u:g} with {args.n_stages} stages: {res.value:.6f}")
+    extra = {"converged": res.converged}
     if not res.converged:
         print("non-convergence: first-return solve did not reach tolerance", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+        return EXIT_NO_CONVERGENCE, extra
+    return EXIT_OK, extra
 
 
-def _mc_estimate_rows(est) -> tuple[list[str], list[list[str]]]:
-    header = ["value", "std_error", "n_paths", "censored_fraction", "seed"]
-    row = [
-        _fmt(est.value),
-        _fmt(est.std_error),
-        str(est.n_paths),
-        _fmt(est.censored_fraction),
-        str(est.seed),
-    ]
-    return header, [row]
+def _cmd_mc(args, model: FluidModel, out: str) -> tuple[int, dict]:
+    sampling = dict(
+        n_paths=args.n_paths,
+        seed=args.seed,
+        start_state=args.start_state,
+        n_threads=_resolve_threads(args),
+    )
+    if args.mode == "bridge":
+        grid = LevelDurationGrid.for_model(model)
+        hist = mc_bridge_histogram(model, args.z, args.n, grid.durations, grid.levels, **sampling)
+        rows = []
+        for j in model.s_minus:
+            freq = hist.n_hits[int(j)] / hist.n_paths
+            se = float(np.sqrt(max(freq * (1.0 - freq), 0.0) / hist.n_paths))
+            rows.append([str(int(j)), _fmt(freq), _fmt(se), str(hist.n_paths), str(hist.seed)])
+        _write_csv(
+            os.path.join(out, "mc_bridge.csv"), ["j", "value", "std_error", "n_paths", "seed"], rows
+        )
+        print(f"mc bridge order {args.n}: {int(hist.n_hits.sum())} qualifying paths")
+        return EXIT_OK, {}
 
-
-def _cmd_mc(args) -> int:
-    started = time.perf_counter()
-    model = _load(args)
-    out = _out_dir(args)
-    threads = _resolve_threads(args)
     if args.mode == "first-return":
         est = mc_first_return(
-            model,
-            args.z,
-            args.theta1,
-            args.theta2,
-            n_paths=args.n_paths,
-            max_epochs=args.max_epochs,
-            seed=args.seed,
-            start_state=args.start_state,
-            n_threads=threads,
+            model, args.z, args.theta1, args.theta2, max_epochs=args.max_epochs, **sampling
         )
-        header, rows = _mc_estimate_rows(est)
-        name = "mc_first_return.csv"
-        censored = est.censored_fraction
-        summary = f"mc first-return: {est.value:.6f} ± {est.std_error:.2e}"
-    elif args.mode == "ruin":
+    else:  # ruin
         if args.u is None:
             raise FluidModelError("mc ruin requires --u")
         est = mc_ruin(
             model,
             args.u,
             args.z,
-            n_paths=args.n_paths,
             max_epochs=args.max_epochs,
-            seed=args.seed,
-            start_state=args.start_state,
             theta1=args.theta1,
             theta2=args.theta2,
             horizon=args.horizon,
-            n_threads=threads,
+            **sampling,
         )
-        header, rows = _mc_estimate_rows(est)
-        name = "mc_ruin.csv"
-        censored = est.censored_fraction
-        summary = f"mc ruin: {est.value:.6f} ± {est.std_error:.2e}"
-    else:  # bridge
-        grid = LevelDurationGrid.for_model(model)
-        hist = mc_bridge_histogram(
-            model,
-            args.z,
-            args.n,
-            grid.durations,
-            grid.levels,
-            n_paths=args.n_paths,
-            seed=args.seed,
-            start_state=args.start_state,
-            n_threads=threads,
-        )
-        header = ["j", "value", "std_error", "n_paths", "seed"]
-        rows = []
-        for j in model.s_minus:
-            freq = hist.n_hits[int(j)] / hist.n_paths
-            se = float(np.sqrt(max(freq * (1.0 - freq), 0.0) / hist.n_paths))
-            rows.append([str(int(j)), _fmt(freq), _fmt(se), str(hist.n_paths), str(hist.seed)])
-        name = "mc_bridge.csv"
-        censored = 0.0
-        summary = f"mc bridge order {args.n}: {int(hist.n_hits.sum())} qualifying paths"
-    _write_csv(os.path.join(out, name), header, rows)
-    _write_manifest(args, out, started)
-    print(summary)
-    if censored > 0.01:
+    _write_csv(
+        os.path.join(out, f"mc_{args.mode.replace('-', '_')}.csv"),
+        ["value", "std_error", "n_paths", "censored_fraction", "seed"],
+        [
+            [
+                _fmt(est.value),
+                _fmt(est.std_error),
+                str(est.n_paths),
+                _fmt(est.censored_fraction),
+                str(est.seed),
+            ]
+        ],
+    )
+    print(f"mc {args.mode}: {est.value:.6f} ± {est.std_error:.2e}")
+    if est.censored_fraction > 0.01:
         print(
-            f"warning: {censored:.1%} of paths censored at max_epochs={args.max_epochs}; "
-            "the estimate is biased low",
+            f"warning: {est.censored_fraction:.1%} of paths censored at "
+            f"max_epochs={args.max_epochs}; the estimate is biased low",
             file=sys.stderr,
         )
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def _cmd_convergence_study(args) -> int:
-    started = time.perf_counter()
-    model = _load(args)
-    out = _out_dir(args)
+def _cmd_convergence_study(args, model: FluidModel, out: str) -> tuple[int, dict]:
     threads = _resolve_threads(args)
-
     if args.quantity == "first-return":
         if not model.kernel.is_constant:
             raise FluidModelError(
@@ -568,9 +503,6 @@ def _cmd_convergence_study(args) -> int:
         os.path.join(out, "convergence_study.csv"),
         [
             "quantity",
-            "analytic_raw",
-            "analytic_refined",
-            "refinement_shift",
             "analytic",
             "numeric_error_estimate",
             "mc_value",
@@ -582,10 +514,6 @@ def _cmd_convergence_study(args) -> int:
         [
             [
                 args.quantity,
-                # analytic_raw and analytic_refined: one solve, with no shift.
-                _fmt(analytic),
-                _fmt(analytic),
-                _fmt(0.0),
                 _fmt(analytic),
                 _fmt(numeric_est),
                 _fmt(est.value),
@@ -596,7 +524,6 @@ def _cmd_convergence_study(args) -> int:
             ]
         ],
     )
-    _write_manifest(args, out, started, extra={"inside_band": inside})
     print(
         f"{args.quantity}: analytic {analytic:.6f} vs MC {est.value:.6f} ± "
         f"{est.std_error:.2e} → gap {gap:.2e} {'inside' if inside else 'OUTSIDE'} "
@@ -608,7 +535,7 @@ def _cmd_convergence_study(args) -> int:
             "widen --max-epochs before trusting the band",
             file=sys.stderr,
         )
-    return EXIT_OK if inside else EXIT_NO_CONVERGENCE
+    return (EXIT_OK if inside else EXIT_NO_CONVERGENCE), {"inside_band": inside}
 
 
 # ---------------------------------------------------------------------------
@@ -752,13 +679,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        model = load_model_config(args.config)
+        out = args.out or "."
+        os.makedirs(out, exist_ok=True)
+        code, extra = args.func(args, model, out)
+        _write_manifest(args, out, started, extra)
     except (FluidModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    return code
 
 
 if __name__ == "__main__":

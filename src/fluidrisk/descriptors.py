@@ -97,6 +97,8 @@ def psi(
     below ``eps``, capped at ``n_max`` with a warning; the duration window
     adds its own truncation (documented in ``info``).
     """
+    if not z >= 0.0:
+        raise ValueError(f"initial duration must be nonnegative, got {z!r}")
     if model.kernel.is_constant:
         if grid is not None and not isinstance(grid, LevelGrid):
             raise TypeError("duration-free kernels take no grid (a LevelGrid is ignored)")
@@ -324,7 +326,7 @@ def erlangize(model: FluidModel, u: float, n_stages: int, i0: int | None = None)
     dynamics start at duration zero.  ``i0`` may be omitted when the model's
     initial distribution pins a single ascending state.
     """
-    if u <= 0.0:
+    if not u > 0.0:
         raise ValueError(f"target level must be positive, got {u!r}")
     if n_stages < 1:
         raise ValueError(f"n_stages must be at least 1, got {n_stages!r}")

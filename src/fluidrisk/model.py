@@ -167,8 +167,9 @@ class DurationKernel:
         their meshes on these, and the grid engines apply their jump rule
         there.
     constant : tuple of ndarray or None
-        For duration-free kernels, the pair ``(C, D)``; enables exact
-        matrix-exponential fast paths.
+        For duration-free kernels, the pair ``(C, D)``.  Its presence selects
+        the doubling solver of ``psi`` and ``ruin_descriptor``, the split
+        bridge engine and the samplers' epoch table.
     """
 
     gamma: float

@@ -148,7 +148,6 @@ def survival_matrix(
     s: float,
     t: float,
     step: float | None = None,
-    error_estimate: bool = True,
 ) -> SurvivalMatrix:
     """Survival matrix ``G(s, t)`` by 4th-order product-integral integration.
 
@@ -161,10 +160,6 @@ def survival_matrix(
         Widest RK4 step: each piece of ``(s, t]`` between kernel breakpoints
         is crossed in equal steps no wider than this.  Defaults to a width
         resolving both the interval and the uniformization scale.
-    error_estimate : bool
-        When true (default), also integrate at half the step and report a
-        sup-norm error bound for the returned matrix (see
-        :class:`SurvivalMatrix`).
 
     Returns
     -------
@@ -178,16 +173,14 @@ def survival_matrix(
         return SurvivalMatrix(s=s, t=t, matrix=np.eye(kernel.p), error_estimate=0.0, step=0.0)
     h = step if step is not None else _default_step(kernel, t - s)
     (G,), width = _sweep(kernel, np.eye(kernel.p), (s, t), (h,))
-    err = 0.0
-    if error_estimate:
-        (G_half,), _ = _sweep(kernel, np.eye(kernel.p), (s, t), (h / 2.0,))
-        # If halving the step at least halves the error e_h (4th order
-        # divides it by 16), e_h <= |G_h - G_{h/2}| + e_h / 2, so
-        # e_h <= 2 |G_h - G_{h/2}|.  A step rounds at about one ulp of ||G||;
-        # the n steps of G_h and the 2n of G_{h/2} blur the gap, and G_h's
-        # own rounding adds to its error: 2 (n + 2n) + n = 7n ulps.
-        ulp = np.finfo(float).eps * np.max(np.abs(G).sum(axis=1))
-        err = float(2.0 * np.max(np.abs(G - G_half)) + 7.0 * width.size * ulp)
+    (G_half,), _ = _sweep(kernel, np.eye(kernel.p), (s, t), (h / 2.0,))
+    # If halving the step at least halves the error e_h (4th order divides it
+    # by 16), e_h <= |G_h - G_{h/2}| + e_h / 2, so e_h <= 2 |G_h - G_{h/2}|.
+    # A step rounds at about one ulp of ||G||; the n steps of G_h and the 2n
+    # of G_{h/2} blur the gap, and G_h's own rounding adds to its error:
+    # 2 (n + 2n) + n = 7n ulps.
+    ulp = np.finfo(float).eps * np.max(np.abs(G).sum(axis=1))
+    err = float(2.0 * np.max(np.abs(G - G_half)) + 7.0 * width.size * ulp)
     return SurvivalMatrix(s=float(s), t=float(t), matrix=G, error_estimate=err, step=float(width.max()))
 
 
@@ -219,7 +212,7 @@ def interarrival_density(model: FluidModel, y_list, step: float | None = None) -
         raise ValueError("interarrival durations must be nonnegative")
     vec = model.alpha.copy()
     for y, D in zip(y_arr, eval_kernel_batch(model.kernel, y_arr)[1]):
-        G = survival_matrix(model.kernel, 0.0, float(y), step=step, error_estimate=False).matrix
+        G = survival_profile(model.kernel, [y], step)[0]
         vec = vec @ G @ D
     return float(vec.sum())
 
@@ -376,7 +369,7 @@ def iph_marginal(
         ren = renewal_operator(model, u_max=u_max, step=step)
         init = model.alpha @ np.linalg.matrix_power(ren.matrix, n - 1)
         tail_bound, converged = ren.tail_bound, ren.converged
-    G = survival_matrix(model.kernel, 0.0, float(y), step=step, error_estimate=False).matrix
+    G = survival_profile(model.kernel, [y], step)[0]
     C = eval_kernel(model.kernel, float(y))[0]
     density = float(init @ G @ (-C.sum(axis=1)))
     return IphMarginal(

@@ -25,6 +25,17 @@ from fluidrisk.gallery import (
 # The transform arguments of the ruin cases.
 THETA = ["--theta1", "0.3", "--theta2", "0.2"]
 
+STUDY_COLUMNS = [
+    "quantity",
+    "analytic",
+    "numeric_error_estimate",
+    "mc_value",
+    "mc_std_error",
+    "gap",
+    "band",
+    "inside",
+]
+
 
 def _config(tmp_path, name):
     path = tmp_path / f"{name}.json"
@@ -58,7 +69,55 @@ def test_reruns_write_byte_identical_csv(two_state_config, tmp_path, args, artif
 def test_malformed_config_exits_invalid(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert main(["validate", str(bad), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+    out = tmp_path / "out"
+    assert main(["validate", str(bad), "--out", str(out)]) == EXIT_INVALID
+    assert not (out / "manifest.json").exists()
+
+
+# One small run of every subcommand; main writes each manifest.
+@pytest.mark.parametrize(
+    "name, args, artifact",
+    [
+        ("two_state", ["validate"], "validate.json"),
+        ("two_state", ["simulate", "--horizon", "2", "--n-paths", "2"], "paths.csv"),
+        ("two_state", ["gmatrix", "--t", "0.5", "--t", "1"], "gmatrix.csv"),
+        ("pareto_renewal", ["density", "--y", "0.5", "--y", "2"], "density.csv"),
+        ("two_state", ["bridge", "--n-max", "3"], "bridge.csv"),
+        ("two_state", ["first-return"] + THETA, "first_return.csv"),
+        ("calendar_switch", ["finite-time", "--horizon", "0.5"], "finite_time.csv"),
+        ("two_state", ["ruin", "--u", "1", "--n-stages", "4", "--i0", "0"] + THETA, "ruin.json"),
+        ("two_state", ["mc", "first-return", "--n-paths", "200"] + THETA, "mc_first_return.csv"),
+        ("two_state", ["mc", "ruin", "--u", "1", "--n-paths", "200"], "mc_ruin.csv"),
+        ("two_state", ["mc", "bridge", "--n-paths", "200"], "mc_bridge.csv"),
+        ("two_state", ["convergence-study", "--n-paths", "500"] + THETA, "convergence_study.csv"),
+    ],
+    ids=[
+        "validate",
+        "simulate",
+        "gmatrix",
+        "density",
+        "bridge",
+        "first_return",
+        "finite_time",
+        "ruin",
+        "mc_first_return",
+        "mc_ruin",
+        "mc_bridge",
+        "convergence_study",
+    ],
+)
+def test_every_subcommand_writes_its_manifest(tmp_path, name, args, artifact):
+    config = _config(tmp_path, name)
+    out = tmp_path / "out"
+    code = main(args + [str(config), "--out", str(out)])
+    assert code == EXIT_OK
+    assert (out / artifact).exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == args[0]
+    assert manifest["parameters"].get("mode") == (args[1] if args[0] == "mc" else None)
+    assert manifest["config_hash"] == config_hash(str(config))
+    assert manifest["version"] == __version__
+    assert "command" not in manifest["parameters"]
 
 
 # finite-time needs an arrival-free model: calendar_switch.  A NaN transform
@@ -67,6 +126,10 @@ def test_malformed_config_exits_invalid(tmp_path):
 @pytest.mark.parametrize(
     "name, args",
     [
+        ("two_state", ["ruin", "--u", "nan", "--n-stages", "4", "--i0", "0"]),
+        ("two_state", ["convergence-study", "--quantity", "ruin", "--u", "nan", "--i0", "0"]),
+        ("two_state", ["first-return", "--z", "nan"]),
+        ("two_state", ["first-return", "--z", "-1"]),
         ("two_state", ["simulate", "--horizon", "2", "--z", "-1"]),
         ("two_state", ["mc", "first-return", "--n-paths", "50"]),
         ("two_state", ["mc", "bridge", "--z", "-0.000001"]),
@@ -89,6 +152,10 @@ def test_malformed_config_exits_invalid(tmp_path):
         ("calendar_switch", ["finite-time", "--horizon", "2", "--z", "nan"]),
     ],
     ids=[
+        "ruin_nan_capital",
+        "convergence_study_nan_capital",
+        "first_return_nan_z",
+        "first_return_negative_z",
         "simulate_negative_z",
         "mc_too_few_paths",
         "mc_bridge_negative_z",
@@ -112,7 +179,9 @@ def test_malformed_config_exits_invalid(tmp_path):
     ],
 )
 def test_invalid_arguments_exit_invalid(tmp_path, name, args):
-    assert main(args + [str(_config(tmp_path, name)), "--out", str(tmp_path)]) == EXIT_INVALID
+    out = tmp_path / "out"
+    assert main(args + [str(_config(tmp_path, name)), "--out", str(out)]) == EXIT_INVALID
+    assert not (out / "manifest.json").exists()
 
 
 def test_simulate_without_paths_exits_invalid_and_writes_nothing(two_state_config, tmp_path):
@@ -129,11 +198,9 @@ def test_ruin_convergence_study_reports_the_descriptor_grid_values(two_state_con
     with open(out / "convergence_study.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     res = ruin_descriptor(two_state_model(), 1.0, 1, 0.3, 0.2, i0=0)
-    # One exact solve: nothing to refine, and the numeric error is the
-    # solver's own figure, never zero.
-    assert float(row["analytic_raw"]) == float(row["analytic_refined"]) == res.value
+    # One exact solve: the numeric error is the solver's own figure, never zero.
+    assert list(row) == STUDY_COLUMNS
     assert float(row["analytic"]) == res.value
-    assert float(row["refinement_shift"]) == 0.0
     assert float(row["numeric_error_estimate"]) == res.info["tail_estimate"] > 0.0
     # The Monte Carlo side samples the same Erlang-randomized capital.
     assert code == EXIT_OK
@@ -149,8 +216,7 @@ def test_first_return_convergence_study_solves_once(two_state_config, tmp_path, 
         (row,) = csv.DictReader(fh)
     assert code == EXIT_OK
     assert row["inside"] == "True"
-    assert row["analytic_raw"] == row["analytic_refined"] == row["analytic"]
-    assert float(row["refinement_shift"]) == 0.0
+    assert list(row) == STUDY_COLUMNS
     assert float(row["numeric_error_estimate"]) > 0.0
 
 
@@ -278,10 +344,15 @@ def test_manifest_records_the_command_and_config_hash(two_state_config, tmp_path
 def test_capped_finite_time_series_exits_no_convergence(tmp_path):
     path = tmp_path / "cal.json"
     path.write_text(json.dumps(gallery_configs()["calendar_switch"]))
-    args = ["finite-time", str(path), "--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    args = ["finite-time", str(path), "--out", str(out)]
     with pytest.warns(UserWarning, match="capped"):
         code = main(args + ["--horizon", "2", "--m-max", "3"])
     assert code == EXIT_NO_CONVERGENCE
+    # A run that does not converge still records itself.
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "finite-time"
+    assert manifest["parameters"]["m_max"] == 3
 
 
 @pytest.mark.parametrize(

@@ -211,6 +211,21 @@ def test_erlangize_rejects_an_entry_state_outside_the_state_space(i0):
         erlangize(mmpp_model(), 1.0, 2, i0)
 
 
+@pytest.mark.parametrize("u", [NAN, 0.0, -1.0], ids=["nan", "zero", "negative"])
+def test_erlangize_rejects_a_nonpositive_or_nan_capital(u):
+    with pytest.raises(ValueError, match="target level must be positive"):
+        erlangize(two_state_model(), u, 4, 0)
+
+
+# A duration-free kernel ignores z, so only the check rejects it there; on
+# pareto_renewal a NaN z would otherwise reach the duration grid.
+@pytest.mark.parametrize("make", [two_state_model, pareto_renewal_model], ids=["two_state", "pareto_renewal"])
+@pytest.mark.parametrize("z", [NAN, -1.0], ids=["nan_z", "negative_z"])
+def test_psi_rejects_a_negative_or_nan_initial_duration(make, z):
+    with pytest.raises(ValueError, match="initial duration must be nonnegative"):
+        psi(make(), z=z)
+
+
 def test_erlang_lift_calls_the_base_evaluator_once_per_array():
     model = pareto_renewal_model()
     calls = []
