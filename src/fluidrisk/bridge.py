@@ -399,9 +399,10 @@ def _kernel_tables(model, grid, offsets, ri, rj, i, j):
 # gamma_last's arrival branch stays one line sweep (_sweep_level) per
 # descending state.  The order-2 base (bridge2_slice) fills its tensor in
 # blocks of z values (_z_block).  gamma_middle sums every interior split of
-# an order on the halves' level spectra and inverts that sum once; it
-# transforms each lower order once per call rather than keeping the spectra
-# of every order, which would take twice the memory of the tensors.  Each
+# an order on the halves' level spectra, frequency first, so a split is one
+# batched matrix product (_MiddleFactors), and inverts that sum once.  The z
+# recursion holds the lowest orders' spectra while they take no more memory
+# than the tensors (_hold_cap); others are transformed once per call.  Each
 # operator still costs O(nz * ns) slabs per order, so the operators serve
 # duration-dependent kernels at moderate n (the dispatcher uses the split
 # engine of :mod:`.homogeneous` whenever the kernel is duration-free).
@@ -556,6 +557,7 @@ def gamma_middle(
     bridges,
     n: int,
     theta2: float = 0.0,
+    factors=None,
 ) -> np.ndarray:
     """Contribution of bridges glued at an interior minimal epoch, for order ``n``.
 
@@ -568,47 +570,70 @@ def gamma_middle(
     ``bridges`` maps each order ``2..n-2`` to its density tensor of shape
     ``(nz, |S+|, |S-|, ns, L)`` (the ``slices`` of a ``"z"``-mode
     :class:`BridgeTensor`).  Sums every split ``w = 2..n-2``.  The
-    ``v``-integral is a level correlation: a product of the factors'
-    half-length level spectra (:func:`_level_halves`).  Each order is
-    transformed once, together with its partner ``n - w``, so only two
-    orders' spectra are held at a time; the products are summed over the
-    splits and inverted once.
+    ``v``-integral is a level correlation: per level frequency, a split is one
+    matrix product ``G_w R_{n-w}`` of level spectra (``factors``, which may
+    hold orders across calls), summed in place and inverted once.
     """
-    from scipy.fft import irfft, next_fast_len, rfft
+    from scipy.fft import irfft
 
     if n < 4:
         raise ValueError(f"interior splits need order n >= 4, got {n!r}")
-    ip, im = model.s_plus, model.s_minus
-    ns, L = grid.n_durations, grid.n_levels
-    nfft = next_fast_len(L, real=True)
-    kappa = cost_weights(model, theta2).mp
-    Cbar, Dbar = _uniformized_nodes(model, grid.durations)
-    w_u = _trapezoid_weights(ns) * grid.du
-    cw = Cbar[:, im][:, :, ip] * w_u[:, None, None]
-    dw = kappa * Dbar[:, im][:, :, ip] * w_u[:, None, None]
-
-    def spectra(w):  # (left, right) of order w
-        return rfft(_level_halves(bridges[w], grid.zero_index), n=nfft, axis=-1)
-
-    def split(left, right):
-        # Both branches weight the left factor's final duration u and state j'
-        # by the switch kernel (u, j', i').  No-arrival switches meet the
-        # right factor started at u; arrival switches restart it at 0, so
-        # their weight, summed over u, joins the u = 0 slot.
-        glue = np.einsum("zixaf,axk->ziakf", left, cw)
-        glue[:, :, 0] += np.einsum("zixaf,axk->zikf", left, dw)
-        return np.einsum("ziakf,akjsf->zijsf", glue, right, optimize=True)
-
-    total = np.zeros((ns, ip.size, im.size, ns, nfft // 2 + 1), dtype=complex)
+    factors = _MiddleFactors(model, grid, bridges, theta2) if factors is None else factors
+    nz, P, M, ns, L = bridges[2].shape
+    total = np.zeros((factors.nfft // 2 + 1, nz * P, M * ns), dtype=complex)
+    tmp = np.empty_like(total)
     for w in range(2, n // 2 + 1):
-        spec_w = spectra(w)
-        spec_r = spec_w if 2 * w == n else spectra(n - w)
-        total += split(spec_w[0], spec_r[1])
+        ours = factors[w]
+        theirs = ours if 2 * w == n else factors[n - w]
+        total += np.matmul(ours[0], theirs[1], out=tmp)
         if 2 * w != n:
-            total += split(spec_r[0], spec_w[1])
-        del spec_w, spec_r  # before the next pair is transformed
-    out = irfft(total, n=nfft, axis=-1)[..., :L] * grid.dl
-    return np.ascontiguousarray(out)
+            total += np.matmul(theirs[0], ours[1], out=tmp)
+        del ours, theirs  # before the next pair is transformed
+    out = irfft(np.moveaxis(total, 0, -1), n=factors.nfft, axis=-1)[..., :L] * grid.dl
+    return out.reshape(nz, P, M, ns, L)
+
+
+class _MiddleFactors(dict):
+    """:func:`gamma_middle`'s factors ``(G_w, R_w)`` of ``bridges`` by order, built
+    at each lookup unless held; the switch kernel's weights are built once."""
+
+    def __init__(self, model, grid, bridges, theta2):
+        from scipy.fft import next_fast_len
+
+        ip, im = model.s_plus, model.s_minus
+        Cbar, Dbar = _uniformized_nodes(model, grid.durations)
+        w_u = _trapezoid_weights(grid.n_durations)[:, None, None] * grid.du
+        self.cw = Cbar[:, im][:, :, ip] * w_u
+        self.dw = cost_weights(model, theta2).mp * Dbar[:, im][:, :, ip] * w_u
+        self.nfft = next_fast_len(grid.n_levels, real=True)
+        self.bridges, self.zero_index = bridges, grid.zero_index
+
+    def hold(self, w: int) -> None:
+        self[w] = self[w]
+
+    def __missing__(self, w):
+        """Both level halves (:func:`_level_halves`) in one zero-padded buffer,
+        transformed in one call, frequency first.  ``G``, the ``l >= 0`` half,
+        is ``(F, nz |S+|, |S-| ns)`` over ``(z, i)`` and the switch ``(j', u)``;
+        ``R``, ``(F, |S-| ns, |S-| ns)`` over ``(j', u)`` and ``(j, s)``, is the
+        ``l <= 0`` half at ``(u, i')`` weighted by ``cw`` at ``(u, j', i')``
+        (no-arrival switches) plus at ``(0, i')`` weighted by ``dw``."""
+        from scipy.fft import rfft
+
+        field_arr, m0 = self.bridges[w], self.zero_index
+        nz, P, M, ns, _ = field_arr.shape
+        n_left, k = nz * P * M * ns, M * ns
+        buf = np.zeros((n_left + k * k, self.nfft))
+        above = buf[:n_left].reshape(nz, P, M, ns, -1)[..., : m0 + 1]
+        above[...] = field_arr[..., m0:]
+        above[..., 0] *= 0.5
+        below = field_arr[..., : m0 + 1]
+        glued = buf[n_left:].reshape(M, ns, M, ns, -1)[..., : m0 + 1]
+        np.einsum("uxk,ukjsl->xujsl", self.cw, below, out=glued)
+        glued += np.einsum("uxk,kjsl->xujsl", self.dw, below[0])
+        glued[..., m0] *= 0.5
+        spec = np.ascontiguousarray(rfft(buf, axis=-1).T)
+        return spec[:, :n_left].reshape(-1, nz * P, k), spec[:, n_left:].reshape(-1, k, k)
 
 
 def gamma_last(
@@ -770,21 +795,34 @@ def _integrate_field(field_arr: np.ndarray, grid: LevelDurationGrid, m_hi: int) 
 
 
 def _estimate_bytes(grid: LevelDurationGrid, model: FluidModel, n_max: int, mode: str) -> int:
-    ns, L = grid.n_durations, grid.n_levels
-    pairs = model.s_plus.size * model.s_minus.size
-    per_field = pairs * ns * L * 8
-    n_slots = max(n_max - 1, 1)
+    """Bytes a build takes, counted before any allocation (``"z"``: :func:`_z_sizes`)."""
+    tensors, order, working, n_held = _z_sizes(grid, model, n_max)
     if mode == "z":
-        # One tensor per order, plus gamma_middle's working set: the left and
-        # right half-length level spectra (complex) of two orders, the running
-        # sum over splits and one split's product.
-        from scipy.fft import next_fast_len
+        return tensors + working + n_held * order
+    # A and B fields (no initial-duration axis) plus spectra of like footprint.
+    return 5 * tensors // grid.n_durations
 
-        n_freq = next_fast_len(L, real=True) // 2 + 1
-        spectra = 6 * pairs * ns * n_freq * 16 if n_max >= 4 else 0
-        return ns * (n_slots * per_field + spectra)
-    # A and B fields plus cached spectra of comparable footprint.
-    return n_slots * per_field * 5
+
+def _z_sizes(grid, model, n_max):
+    """Bytes of the z recursion's tensors, of one order's :func:`gamma_middle`
+    factors and of its working set (two orders' factors, a build's transient,
+    the sum, a product, the inverse), and how many lowest orders it holds."""
+    from scipy.fft import next_fast_len
+
+    ns, L = grid.n_durations, grid.n_levels
+    P, M = model.s_plus.size, model.s_minus.size
+    tensors = max(n_max - 1, 1) * ns * P * M * ns * L * 8
+    n_freq = next_fast_len(L, real=True) // 2 + 1
+    product = n_freq * ns * P * M * ns * 16
+    order = product + n_freq * (M * ns) ** 2 * 16
+    working = 4 * order + 3 * product if n_max >= 4 else 0
+    n_held = max(0, min(n_max - 3, _hold_cap(tensors, working) // order))
+    return tensors, order, working, n_held
+
+
+def _hold_cap(tensors: int, working: int) -> int:
+    """Factor bytes the z recursion may hold: its tensors' bytes, within the budget."""
+    return min(tensors, DEFAULT_MEMORY_BUDGET - tensors - working)
 
 
 def _clamp_and_flag(arr: np.ndarray, diagnostics: dict) -> np.ndarray:
@@ -858,13 +896,17 @@ def _run_z_recursion(model, grid, theta1, theta2, n_max, diagnostics):
     base = bridge2_slice(model, grid, grid.durations, theta1, theta2, edge_weights=True)
     _clamp_and_flag(base, diagnostics)
     slices = {2: base}
+    factors = _MiddleFactors(model, grid, slices, theta2)
+    held = range(2, 2 + _z_sizes(grid, model, n_max)[3])
     m_hi = grid.zero_index
     masses = {2: _integrate_field(base[0], grid, m_hi)}
     for n in range(3, n_max + 1):
+        if n - 1 in held:  # transformed once, right after it was clamped
+            factors.hold(n - 1)
         total = gamma_first(model, grid, slices[n - 1], theta1, theta2)
         total += gamma_last(model, grid, slices[n - 1], theta2)
         if n >= 4:
-            total += gamma_middle(model, grid, slices, n, theta2)
+            total += gamma_middle(model, grid, slices, n, theta2, factors)
         _clamp_and_flag(total, diagnostics)
         slices[n] = total
         masses[n] = _integrate_field(total[0], grid, m_hi)

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import struct
@@ -409,8 +410,6 @@ def _cmd_mc(args, model: FluidModel, out: str) -> tuple[int, dict]:
             model, args.z, args.theta1, args.theta2, max_epochs=args.max_epochs, **sampling
         )
     else:  # ruin
-        if args.u is None:
-            raise FluidModelError("mc ruin requires --u")
         est = mc_ruin(
             model,
             args.u,
@@ -421,18 +420,11 @@ def _cmd_mc(args, model: FluidModel, out: str) -> tuple[int, dict]:
             horizon=args.horizon,
             **sampling,
         )
+    row = [_fmt(est.value), _fmt(est.std_error), str(est.n_paths), _fmt(est.censored_fraction)]
     _write_csv(
         os.path.join(out, f"mc_{args.mode.replace('-', '_')}.csv"),
         ["value", "std_error", "n_paths", "censored_fraction", "seed"],
-        [
-            [
-                _fmt(est.value),
-                _fmt(est.std_error),
-                str(est.n_paths),
-                _fmt(est.censored_fraction),
-                str(est.seed),
-            ]
-        ],
+        [row + [str(est.seed)]],
     )
     print(f"mc {args.mode}: {est.value:.6f} ± {est.std_error:.2e}")
     if est.censored_fraction > 0.01:
@@ -560,6 +552,8 @@ def _add_common(sub, theta: bool = True, seed: bool = False, threads: bool = Fal
         sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
 
+# Built once per process: building the parser is most of a short CLI call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluidrisk",
@@ -642,18 +636,22 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_ruin)
 
     s = subs.add_parser("mc", help="Monte Carlo estimates with standard errors")
-    s.add_argument(
-        "mode", choices=["first-return", "ruin", "bridge"], help="quantity to estimate"
-    )
-    _add_common(s, seed=True, threads=True)
-    s.add_argument("--n-paths", type=int, default=100_000, help="sample size (default 1e5)")
-    s.add_argument("--max-epochs", type=int, default=10_000, help="per-path epoch cap")
-    s.add_argument("--z", type=float, default=0.0, help="initial duration (default 0)")
-    s.add_argument("--u", type=float, default=None, help="initial capital (ruin mode)")
-    s.add_argument("--horizon", type=float, default=None, help="time horizon (ruin mode)")
-    s.add_argument("--n", type=int, default=2, help="bridge order (bridge mode)")
-    s.add_argument("--start-state", type=int, default=None, help="pin the starting state")
-    s.set_defaults(func=_cmd_mc)
+    # One parser per mode, so a flag of another mode is an error (exit 2).
+    modes = s.add_subparsers(dest="mode", required=True, help="quantity to estimate")
+    for mode in ("first-return", "ruin", "bridge"):
+        m = modes.add_parser(mode, allow_abbrev=False)
+        _add_common(m, theta=mode != "bridge", seed=True, threads=True)
+        m.add_argument("--n-paths", type=int, default=100_000, help="sample size (default 1e5)")
+        m.add_argument("--z", type=float, default=0.0, help="initial duration (default 0)")
+        m.add_argument("--start-state", type=int, default=None, help="pin the starting state")
+        if mode == "bridge":
+            m.add_argument("--n", type=int, default=2, help="bridge order")
+        else:
+            m.add_argument("--max-epochs", type=int, default=10_000, help="per-path epoch cap")
+        if mode == "ruin":
+            m.add_argument("--u", type=float, required=True, help="initial capital")
+            m.add_argument("--horizon", type=float, default=None, help="time horizon")
+        m.set_defaults(func=_cmd_mc)
 
     s = subs.add_parser(
         "convergence-study", help="analytic vs Monte Carlo 3-SE cross-check"

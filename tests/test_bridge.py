@@ -1,5 +1,8 @@
 """Duration-level bridge densities: closed form, recursion, integration."""
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -492,11 +495,15 @@ def test_z_engine_matches_the_reference_loops(make_model, grid_args, monkeypatch
     # These grids fit in one block of initial durations and one block of
     # sheared columns.  Small blocks (3 initial durations; 3 to 6 columns of
     # the sheared products) also cover the ragged last block of each loop.
+    # The default hold cap keeps gamma_middle's factors of orders 2 and 3 and
+    # builds order 4's per call; a cap of 0 builds every order per call.
     ns = grid.n_durations
+    assert 0 < bridge._z_sizes(grid, model, 6)[3] < 3
     for small in (False, True):
         if small:
             monkeypatch.setattr(bridge, "_z_block", lambda row: 3)
             monkeypatch.setattr(bridge, "_STEP_CHUNK", 3 * ns * (grid.n_levels + ns))
+            monkeypatch.setattr(bridge, "_hold_cap", lambda tensors, working: 0)
         tensor = bridge_recursion(model, grid, 0.3, 0.2, n_max=6, method="z")
         assert tensor.orders == sorted(reference)
         for n, expected in reference.items():
@@ -589,39 +596,71 @@ def test_base_kernel_points_never_exceed_the_lattice(monkeypatch):
     assert points <= lattice
 
 
+def _record_middle_factors(monkeypatch):
+    built = []
+    build = bridge._MiddleFactors.__missing__
+
+    def recorded(self, w):
+        factors = build(self, w)
+        built.append((w, sum(f.nbytes for f in factors)))
+        return factors
+
+    monkeypatch.setattr(bridge._MiddleFactors, "__missing__", recorded)
+    return built
+
+
 @pytest.mark.filterwarnings("ignore:bridge density at the level-window edge")
 def test_z_memory_estimate_counts_slices_and_held_spectra(monkeypatch):
-    import scipy.fft
-
     model = mmpp_model()
     grid = LevelDurationGrid(3.0, 1 / 8, 4.0, 1 / 8)
-    n_max = 6
-    forward, inverse = [], []
-    rfft, irfft = scipy.fft.rfft, scipy.fft.irfft
+    n_max = 10
+    tensors, order, working, n_held = bridge._z_sizes(grid, model, n_max)
+    held = range(2, 2 + n_held)
+    # Within the cap, orders 2..6 are held and orders 7 and 8 built per call.
+    assert list(held) == [2, 3, 4, 5, 6]
+    assert n_held * order <= bridge._hold_cap(tensors, working)
+    built = _record_middle_factors(monkeypatch)
+    tracemalloc.start()
+    try:
+        tensor = bridge_recursion(model, grid, n_max=n_max, method="z")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(s.nbytes for s in tensor.slices.values()) == tensors
+    # Every build takes one order's factor bytes.  A held order is built once;
+    # any other once per order n = w + 2..n_max whose splits use it.
+    assert {size for _, size in built} == {order}
+    counts = Counter(w for w, _ in built)
+    assert counts == {w: 1 if w in held else n_max - w - 1 for w in range(2, n_max - 1)}
+    # The estimate bounds everything the build allocated at once.
+    assert bridge._estimate_bytes(grid, model, n_max, "z") >= peak
 
-    def recorded_rfft(*args, **kwargs):
-        out = rfft(*args, **kwargs)
-        forward.append(out.nbytes)
-        return out
 
-    def recorded_irfft(spec, *args, **kwargs):
-        inverse.append(spec.nbytes)
-        return irfft(spec, *args, **kwargs)
+@pytest.mark.filterwarnings("ignore:bridge density at the level-window edge")
+def test_z_build_whose_factors_all_fit_transforms_each_order_once(monkeypatch):
+    import scipy.fft
 
-    monkeypatch.setattr(scipy.fft, "rfft", recorded_rfft)
-    monkeypatch.setattr(scipy.fft, "irfft", recorded_irfft)
-    tensor = bridge_recursion(model, grid, n_max=n_max, method="z")
+    calls = []
+    rfft = scipy.fft.rfft
 
-    ns = grid.n_durations
-    pairs = model.s_plus.size * model.s_minus.size
-    n_freq = scipy.fft.next_fast_len(grid.n_levels, real=True) // 2 + 1
-    # Left and right complex spectra of one order, every z at once.
-    order_spectra = 2 * ns * pairs * ns * n_freq * 16
-    assert set(forward) == {order_spectra}
-    # At most two orders' spectra, the running sum and one split's product.
-    held = 2 * order_spectra + 2 * max(inverse)
-    slice_bytes = sum(s.nbytes for s in tensor.slices.values())
-    assert bridge._estimate_bytes(grid, model, n_max, "z") >= slice_bytes + held
+    def counted(x, *args, **kwargs):
+        calls.append(x.shape)
+        return rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfft", counted)
+    monkeypatch.setattr(bridge, "_hold_cap", lambda tensors, working: tensors * 10)
+    built = _record_middle_factors(monkeypatch)
+    model = pareto_renewal_model()
+    grid = LevelDurationGrid(3.0, 1 / 8, 4.0, 1 / 8)
+    reference = bridge_recursion(model, grid, 0.3, 0.2, n_max=8, method="z")
+    assert [w for w, _ in built] == [2, 3, 4, 5, 6]
+    assert len(calls) == 5
+    # Holding changes no value beyond rounding: the same build with every
+    # order's factors built per call.
+    monkeypatch.setattr(bridge, "_hold_cap", lambda tensors, working: 0)
+    tensor = bridge_recursion(model, grid, 0.3, 0.2, n_max=8, method="z")
+    for n in reference.orders:
+        np.testing.assert_allclose(tensor.slices[n], reference.slices[n], rtol=0.0, atol=1e-15)
 
 
 def test_default_z_build_with_two_state_pairs_fits_the_budget(monkeypatch):

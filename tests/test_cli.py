@@ -184,6 +184,40 @@ def test_invalid_arguments_exit_invalid(tmp_path, name, args):
     assert not (out / "manifest.json").exists()
 
 
+# Each mc mode parses only its own flags: the bridge histogram takes no
+# transform argument, epoch cap, capital or horizon, and only it takes --n.
+@pytest.mark.parametrize(
+    "mode, flags",
+    [
+        ("bridge", ["--theta1", "0.3"]),
+        ("bridge", ["--theta2", "0.2"]),
+        ("bridge", ["--max-epochs", "1"]),
+        ("bridge", ["--u", "1"]),
+        ("bridge", ["--horizon", "2"]),
+        ("first-return", ["--n", "3"]),
+        ("first-return", ["--u", "1"]),
+        ("ruin", ["--u", "1", "--n", "3"]),
+    ],
+    ids=[
+        "mc_bridge_theta1",
+        "mc_bridge_theta2",
+        "mc_bridge_max_epochs",
+        "mc_bridge_capital",
+        "mc_bridge_horizon",
+        "mc_first_return_order",
+        "mc_first_return_capital",
+        "mc_ruin_order",
+    ],
+)
+def test_mc_rejects_the_flags_of_other_modes(two_state_config, tmp_path, mode, flags):
+    out = tmp_path / "out"
+    args = ["mc", mode, str(two_state_config), "--out", str(out), "--n-paths", "500"]
+    with pytest.raises(SystemExit) as err:
+        main(args + flags)
+    assert err.value.code == EXIT_INVALID
+    assert not out.exists()
+
+
 def test_simulate_without_paths_exits_invalid_and_writes_nothing(two_state_config, tmp_path):
     out = tmp_path / "out"
     args = ["simulate", str(two_state_config), "--out", str(out), "--horizon", "1", "--n-paths", "0"]

@@ -71,6 +71,7 @@ def test_z_engine_transforms_through_the_scipy_fft_names(monkeypatch):
         monkeypatch.setattr(scipy.fft, name, _counted(name, getattr(scipy.fft, name), calls))
     grid = LevelDurationGrid(u_max=2.0, du=0.25, l_max=2.0, dl=0.25)
     bridge_recursion(pareto_renewal_model(), grid, n_max=5, method="z")
-    # Order 4 transforms order 2 and inverts its interior sum; order 5
-    # transforms orders 2 and 3 and inverts once.
-    assert calls == ["rfft", "irfft", "rfft", "rfft", "irfft"]
+    # Order 2's factors fit under the hold cap and order 3's do not.  Order 4
+    # transforms order 2, which is then held, and inverts its interior sum;
+    # order 5 transforms order 3 and inverts once.
+    assert calls == ["rfft", "irfft", "rfft", "irfft"]
