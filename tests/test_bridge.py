@@ -661,6 +661,14 @@ def test_z_build_whose_factors_all_fit_transforms_each_order_once(monkeypatch):
     tensor = bridge_recursion(model, grid, 0.3, 0.2, n_max=8, method="z")
     for n in reference.orders:
         np.testing.assert_allclose(tensor.slices[n], reference.slices[n], rtol=0.0, atol=1e-15)
+    # Called on its own, gamma_middle builds its factors per call.
+    held = bridge._MiddleFactors(model, grid, reference.slices, 0.2)
+    for w in range(2, 7):
+        held.hold(w)
+    alone = bridge.gamma_middle(model, grid, reference.slices, 8, 0.2)
+    np.testing.assert_allclose(
+        alone, bridge.gamma_middle(model, grid, reference.slices, 8, 0.2, held), rtol=0.0, atol=1e-15
+    )
 
 
 def test_default_z_build_with_two_state_pairs_fits_the_budget(monkeypatch):
