@@ -12,22 +12,27 @@ The construction supports an initial duration ``z >= 0`` ("delayed" start):
 until the first arrival the kernel argument is ``z`` plus the elapsed time,
 afterwards it is the time since the last arrival.
 
-Every sampler here and in :mod:`fluidrisk.montecarlo` walks its paths with
-one walker, ``_Walk``.  Paths come in streams: a stream is a block of paths
-whose random numbers all come from one RNG, in a fixed order (the start
-states, then per epoch the holding times and the epoch uniforms).  The walker
-moves every live path of every admitted stream in lockstep, one epoch at a
-time, and admits the next queued stream whenever the live set falls to its
-refill threshold, so the long tail of one stream shares its epochs with the
-bulk of the next.  Each stream sees exactly the draws it would see walked on
-its own, and counts its own epochs, so a sample does not depend on when its
-stream was admitted.  The walker draws the holding times, accumulates the
-level, dividends, clock and costs as one block per path, resets durations at
-arrivals and retires the paths a sampler is done with; each sampler only
-reads its event off the walk.  Every epoch is resolved on one stepper,
-``_Epoch``, built once per model: for a duration-free kernel it builds the
-cumulative ``[Cbar | Dbar]`` rows of all states once and then only gathers
-rows by state; a duration-dependent kernel is evaluated at every epoch.
+A path is walked in one of two ways, on the same per-model stepper
+``_Epoch``, and with the same random numbers in the same order (the start
+state, then per epoch the holding time and the epoch uniform), so either way
+gives a path bit for bit:
+
+* the single-path samplers ``simulate_path`` and ``simulate_until_return``
+  walk their one path in Python floats with ``_walk_one``: an epoch is two
+  scalar draws and a few float operations, where one path walked as a
+  stream would make about 20 numpy calls on one-element arrays;
+* the multi-path samplers of :mod:`fluidrisk.montecarlo` walk streams of
+  paths with ``_Walk``.  A stream is a block of paths whose random numbers
+  all come from one RNG.  The walker moves every live path of every admitted
+  stream in lockstep, one epoch at a time, and admits the next queued stream
+  whenever the live set falls to its refill threshold, so the long tail of
+  one stream shares its epochs with the bulk of the next.  Each stream sees
+  exactly the draws it would see walked on its own, and counts its own
+  epochs, so a sample does not depend on when its stream was admitted.
+
+For a duration-free kernel ``_Epoch`` builds the cumulative ``[Cbar | Dbar]``
+rows of all states once and then only reads rows by state; a
+duration-dependent kernel is evaluated, and checked, at every epoch.
 """
 
 from __future__ import annotations
@@ -122,17 +127,22 @@ class _Epoch:
     uniforms)`` resolves the epoch ending the segment of each path in
     ``states``, at kernel arguments ``u_args``, from one uniform per path.
     It returns the index ``k`` of the picked entry of the path's row of
-    ``[Cbar | Dbar]``: ``k >= p`` is an arrival.  ``k`` is ``2p`` when
-    rounding puts the pick past the row's last cumulative entry; it then
-    stands for ``2p - 1``.  A duration-free kernel's rows are built and
-    checked here, once, for every state; a duration-dependent kernel is
-    evaluated at every step.
+    ``[Cbar | Dbar]``: the count of the row's cumulative entries below the
+    uniform times the row's total, so ``k >= p`` is an arrival.  ``k`` is
+    ``2p`` when rounding puts the pick past the row's last cumulative entry;
+    it then stands for ``2p - 1``.  A duration-free kernel's rows are built
+    and checked here, once, for every state, into ``table``; a
+    duration-dependent kernel is evaluated at every step.
 
-    A segment of length ``dt`` moves a path's column of the walk's block by
+    A segment of length ``dt`` moves a path's column of ``_Walk``'s block by
     ``slopes[:, state] * dt``.  ``k`` gives the new state (``next_state``),
     the arrival flag (``arrives``), the factor that resets the duration at
     an arrival (``runs``; a masked store is slower on large walks) and, at
-    ``k + (2p + 1) * state``, the arrival cost (``costs``).
+    ``k + (2p + 1) * state``, the arrival cost (``costs``).  ``lists`` holds
+    the same tables as Python lists for ``_walk_one``: per state its fluid
+    rate, dividend rate, cumulative row and row total (``None`` for a
+    duration-dependent kernel) and row of costs, then per ``k`` the new
+    state, arrival flag and duration factor.
     """
 
     def __init__(self, model: FluidModel):
@@ -144,6 +154,17 @@ class _Epoch:
         self.arrives = np.arange(2 * p + 1) >= p
         self.runs = np.where(self.arrives, 0.0, 1.0)
         self.costs = np.concatenate([np.zeros((p, p)), model.k_cost, model.k_cost[:, -1:]], axis=1).ravel()
+        cum, totals = (None, None) if self.table is None else (self.table[:-1].T.tolist(), self.table[-1].tolist())
+        self.lists = (
+            self.slopes[LEVEL].tolist(),
+            self.slopes[DIV].tolist(),
+            cum,
+            totals,
+            self.costs.reshape(p, -1).tolist(),
+            self.next_state.tolist(),
+            self.arrives.tolist(),
+            self.runs.tolist(),
+        )
 
     def rows(self, states, u_args):
         """Each path's cumulative ``[Cbar | Dbar]`` row, as one column of a
@@ -187,6 +208,9 @@ class _Epoch:
 
 class _Walk:
     """Paths walked in lockstep across the Poisson epochs, refilled from a queue of streams.
+
+    The walker of the multi-path samplers in :mod:`fluidrisk.montecarlo`; a
+    single path is walked by ``_walk_one``.
 
     ``streams`` yields ``(offset, m, rng)``: ``m`` paths, numbered ``offset``
     to ``offset + m - 1``, whose random numbers all come from ``rng``.  The
@@ -318,6 +342,48 @@ class _Walk:
             del self._rngs[0], self._born[0]
 
 
+def _walk_one(model: FluidModel, z: float, rng, alpha, start_state=None):
+    """Walk one path across the Poisson epochs in Python floats.
+
+    The path is the one ``_Walk`` would walk from a one-path stream on
+    ``rng``, bit for bit: the same draws in the same order (the start state
+    from ``alpha`` unless ``start_state`` pins it; then
+    per epoch ``rng.exponential`` and ``rng.random``) and the same float
+    operations.  At the end of each segment it yields ``(state, arrived,
+    level, div, time, dur, cost)``: the state the segment was spent in,
+    whether the epoch that began it was an arrival (the first segment begins
+    at the conventional arrival ``S_0 = 0``), and the level, dividends,
+    clock, duration and costs at its end.  Resuming resolves the epoch that
+    ends the segment; a caller that stops there draws no uniform for it.  A
+    duration-free kernel's epoch is read off ``_Epoch.lists``; a
+    duration-dependent kernel's goes through ``_Epoch.step``, which checks
+    the kernel at every epoch.
+    """
+    e = model._epoch
+    rates, sigmas, cum, totals, costs, next_state, arrives, runs = e.lists
+    if start_state is None:
+        state = int(rng.choice(e.p, size=1, p=alpha)[0])
+    else:
+        state = int(start_state)
+    scale = 1.0 / e.gamma
+    level = div = time = cost = 0.0
+    dur, arrived = float(z), True
+    while True:
+        dt = rng.exponential(scale)
+        level += rates[state] * dt
+        div += sigmas[state] * dt
+        time += dt
+        dur += dt
+        yield state, arrived, level, div, time, dur, cost
+        if cum is None:
+            k = int(e.step(np.array([state]), np.array([dur]), rng.random(1))[0])
+        else:
+            k = sum(map((rng.random() * totals[state]).__gt__, cum[state]))
+        cost += costs[state][k]
+        dur *= runs[k]
+        state, arrived = next_state[k], arrives[k]
+
+
 def _check_start(model: FluidModel, z: float, start_state) -> None:
     """Reject a negative or NaN initial duration and a start state that is not a state index."""
     if not z >= 0.0:
@@ -400,40 +466,42 @@ def simulate_path(
     z : float
         Initial duration (kernel argument offset before the first arrival).
     horizon : float
-        Positive time horizon.
+        Finite positive time horizon.
     seed : int or numpy seed-like
         Reproducibility key: identical arguments give bit-identical paths.
     start_state : int, optional
         Fixed initial state; drawn from ``model.alpha`` when omitted.
     """
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
+    if not 0.0 < horizon < np.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     _check_start(model, z, start_state)
-    walk = _Walk(model, z, [(0, 1, np.random.default_rng(seed))], start_state)
-    walk.refill()
-    # One entry per epoch: the block after the epoch, the state entered, the
-    # pre-epoch duration and the arrival flag (the conventional S_0 = 0 is an
-    # arrival).
-    blocks, states, durations, arrived = [walk.x[:, 0]], [walk.state[0]], [float(z)], [True]
-    while True:
-        walk.segment()
-        if walk.x_end[TIME, 0] >= horizon:
+    # Per epoch: the clock, level, dividends and pre-epoch duration at it, and
+    # the state it entered, its arrival flag and the costs after it (the
+    # epoch that begins a segment; the conventional S_0 = 0 begins the first).
+    times, levels, divs, durations = [0.0], [0.0], [0.0], [float(z)]
+    states, arrived, costs = [], [], []
+    for state, arrival, level, div, time, dur, cost in _walk_one(
+        model, z, np.random.default_rng(seed), model.alpha, start_state
+    ):
+        states.append(state)
+        arrived.append(arrival)
+        costs.append(cost)
+        if time >= horizon:
             break
-        durations.append(walk.x_end[DUR, 0])
-        arrived.append(walk.jump()[0])
-        blocks.append(walk.x[:, 0])
-        states.append(walk.state[0])
+        times.append(time)
+        levels.append(level)
+        divs.append(div)
+        durations.append(dur)
 
-    x = np.array(blocks).T.copy()
-    times = x[TIME]
+    times = np.array(times)
     return PathRecord(
         poisson_epochs=times,
         states=np.array(states, dtype=int),
         arrival_epochs=times[np.array(arrived)],
         durations=np.array(durations),
-        fluid=x[LEVEL],
-        dividend_integral=x[DIV],
-        jump_costs=x[COST],
+        fluid=np.array(levels),
+        dividend_integral=np.array(divs),
+        jump_costs=np.array(costs),
         seed=seed,
     )
 
@@ -466,14 +534,12 @@ def simulate_until_return(
         restricted to that class when omitted.
     """
     alpha = _first_passage_alpha(model, z, theta1, theta2, max_epochs, start_state)
-    out = (np.zeros(1, dtype=np.int64), np.full(1, -1, dtype=np.int64), np.zeros(1), np.full(1, np.inf))
-    walk = _Walk(model, z, [(0, 1, np.random.default_rng(seed))], start_state, alpha)
-    _walk_to_barrier(walk, model.rates, theta1, theta2, max_epochs, 0.0, out)
-    n_epoch, exit_state, weight, _ = out
-    n = int(n_epoch[0])
-    return FirstReturnSample(
-        returned=n > 0,
-        exit_state=int(exit_state[0]),
-        weight=float(weight[0]),
-        n_used=n or max_epochs,
-    )
+    # In float64, as the arrays of a walk would promote them.
+    theta1, theta2 = float(theta1), float(theta2)
+    walk = _walk_one(model, z, np.random.default_rng(seed), alpha, start_state)
+    for n, (state, _, level, div, _, _, cost) in enumerate(walk, 1):
+        if level <= 0.0:
+            weight = float(np.exp(-theta1 * div - theta2 * cost))
+            return FirstReturnSample(returned=True, exit_state=state, weight=weight, n_used=n)
+        if n == max_epochs:
+            return FirstReturnSample(returned=False, exit_state=-1, weight=0.0, n_used=max_epochs)

@@ -131,6 +131,7 @@ def test_every_subcommand_writes_its_manifest(tmp_path, name, args, artifact):
         ("two_state", ["first-return", "--z", "nan"]),
         ("two_state", ["first-return", "--z", "-1"]),
         ("two_state", ["simulate", "--horizon", "2", "--z", "-1"]),
+        ("two_state", ["simulate", "--horizon", "inf"]),
         ("two_state", ["mc", "first-return", "--n-paths", "50"]),
         ("two_state", ["mc", "bridge", "--z", "-0.000001"]),
         ("two_state", ["mc", "bridge", "--n-paths", "100", "--start-state", "5"]),
@@ -157,6 +158,7 @@ def test_every_subcommand_writes_its_manifest(tmp_path, name, args, artifact):
         "first_return_nan_z",
         "first_return_negative_z",
         "simulate_negative_z",
+        "simulate_infinite_horizon",
         "mc_too_few_paths",
         "mc_bridge_negative_z",
         "mc_bridge_start_state_too_large",

@@ -162,7 +162,8 @@ NAN = float("nan")
     "sample, message",
     [
         (lambda m: simulate_path(m, NAN, 1.0, seed=1), "initial duration"),
-        (lambda m: simulate_path(m, 0.0, NAN, seed=1), "horizon must be positive"),
+        (lambda m: simulate_path(m, 0.0, NAN, seed=1), "horizon must be finite and positive"),
+        (lambda m: simulate_path(m, 0.0, float("inf"), seed=1), "horizon must be finite and positive"),
         (lambda m: simulate_until_return(m, NAN, 0.0, 0.0, 10, seed=1), "initial duration"),
         (lambda m: first_return_samples(m, NAN, 0.0, 0.0, 10, 10, seed=1), "initial duration"),
         (lambda m: mc_bridge_histogram(m, NAN, 2, [0.0, 1.0], [-1.0, 1.0], 10, seed=1), "initial duration"),
@@ -177,6 +178,7 @@ NAN = float("nan")
     ids=[
         "simulate_path_z",
         "simulate_path_horizon",
+        "simulate_path_infinite_horizon",
         "simulate_until_return_z",
         "first_return_z",
         "bridge_histogram_z",
@@ -263,9 +265,9 @@ def _ref_path(model, z, horizon, seed):
     return cols[:1] + [cols[1].astype(int)] + cols[2:] + [np.asarray(arrivals)]
 
 
-def _ref_first_return(model, z, theta, m, max_epochs, rng, barrier):
+def _ref_first_return(model, z, theta, m, max_epochs, rng, barrier, start_state=None):
     step = _ref_step(model)
-    states0 = _ref_start(model, rng, m)
+    states0 = _ref_start(model, rng, m) if start_state is None else np.full(m, start_state, np.int64)
     active, states, dur = np.arange(m), states0.copy(), np.full(m, float(z))
     level, div, costs, t = (np.zeros(m) for _ in range(4))
     out = np.zeros(m, np.int64), np.full(m, -1, np.int64), np.zeros(m), np.full(m, np.inf)
@@ -356,12 +358,20 @@ def test_first_return_samples_match_the_sequential_reference(name):
         fields = ("n_epoch", "exit_state", "weight", "crossing_time", "start_state")
         for k, field in enumerate(fields):
             _same_bits(getattr(got, field), np.concatenate([p[k] for p in parts]))
-    one = simulate_until_return(model, 0.7, *theta, 100, seed=5)
-    n_epoch, exit_state, weight, _, _ = _ref_first_return(
-        ascending, 0.7, theta, 1, 100, np.random.default_rng(5), 0.0
-    )
-    assert (one.returned, one.exit_state, one.n_used) == (n_epoch[0] > 0, exit_state[0], n_epoch[0] or 100)
-    _same_bits(one.weight, weight[0])
+    # The single-path sampler, drawn and pinned starts, censored at the cap
+    # or not: a censored path draws its last holding time and no uniform.
+    for start_state in (None, int(model.s_plus[-1])):
+        for z in (0.0, 0.7):
+            for max_epochs in (2, 5, 100):
+                for seed in range(20):
+                    one = simulate_until_return(model, z, *theta, max_epochs, seed, start_state)
+                    n_epoch, exit_state, weight, _, _ = _ref_first_return(
+                        ascending, z, theta, 1, max_epochs, np.random.default_rng(seed), 0.0, start_state
+                    )
+                    assert (one.returned, one.exit_state, one.n_used) == (
+                        n_epoch[0] > 0, exit_state[0], n_epoch[0] or max_epochs
+                    )
+                    _same_bits(one.weight, weight[0])
 
 
 @pytest.mark.parametrize("name", GALLERY)

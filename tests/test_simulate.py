@@ -139,6 +139,8 @@ def test_inconsistent_kernel_raises():
             simulate_path(model, 0.0, 50.0, seed=1)
         with pytest.raises(KernelConsistencyError):
             first_return_samples(model, 0.0, 0.0, 0.0, 100, 1000, seed=1)
+        with pytest.raises(KernelConsistencyError):
+            simulate_until_return(model, 0.0, 0.0, 0.0, 1000, seed=1)
 
 
 # ---------------------------------------------------------------------------
