@@ -6,7 +6,15 @@ Each sampler splits its paths into streams of ``chunk_size`` paths.  Stream
 walker of :mod:`fluidrisk.simulate`: streams are admitted in order whenever
 the live set falls to ``chunk_size // 8`` paths, so the long tail of one
 stream walks in the same epochs as the bulk of the next, and the live set
-stays below ``chunk_size + chunk_size // 8`` paths.  With ``n_threads > 1``
+stays below ``chunk_size + chunk_size // 8`` paths.  The first-passage
+samplers (``first_return_samples``, ``mc_first_return``, ``mc_ruin``) finish
+in Python floats once every stream is admitted and at most
+``simulate.TAIL_PATHS`` paths are live: one numpy epoch costs about as much
+as a dozen paths' epochs in floats.  The tail keeps the streams in lockstep
+and each stream draws its holding times and uniforms in the order and batch
+sizes of the numpy epochs, on the same float operations, so its samples are
+bit for bit those of the numpy walk.  ``mc_bridge_histogram`` and
+``arrival_time_samples`` walk their tails in numpy.  With ``n_threads > 1``
 each thread walks a round-robin share of the streams.  Results are written
 in place at each path's number; they are reproducible and independent of
 ``n_threads`` and of when a stream was admitted, but depend on
@@ -164,7 +172,7 @@ def first_return_samples(
     ``n_threads`` walks the streams on that many threads and changes no
     sample.
     """
-    alpha = _first_passage_alpha(model, z, theta1, theta2, max_epochs, start_state, barrier_offset)
+    alpha, _ = _first_passage_alpha(model, z, theta1, theta2, max_epochs, start_state, barrier_offset)
     shares = _shares(n_paths, chunk_size, seed, n_threads)
     out = (
         np.zeros(n_paths, dtype=np.int64),

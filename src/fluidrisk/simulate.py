@@ -12,10 +12,11 @@ The construction supports an initial duration ``z >= 0`` ("delayed" start):
 until the first arrival the kernel argument is ``z`` plus the elapsed time,
 afterwards it is the time since the last arrival.
 
-A path is walked in one of two ways, on the same per-model stepper
-``_Epoch``, and with the same random numbers in the same order (the start
-state, then per epoch the holding time and the epoch uniform), so either way
-gives a path bit for bit:
+A path is walked in numpy arrays or in Python floats, on the same per-model
+stepper ``_Epoch``, with the same random numbers in the same order (the
+start state, then per epoch the holding time and the epoch uniform) and the
+same float operations (``_path_floats`` is one column of ``_Walk``'s block),
+so either way gives a path bit for bit:
 
 * the single-path samplers ``simulate_path`` and ``simulate_until_return``
   walk their one path in Python floats with ``_walk_one``: an epoch is two
@@ -28,7 +29,15 @@ gives a path bit for bit:
   whenever the live set falls to its refill threshold, so the long tail of
   one stream shares its epochs with the bulk of the next.  Each stream sees
   exactly the draws it would see walked on its own, and counts its own
-  epochs, so a sample does not depend on when its stream was admitted.
+  epochs, so a sample does not depend on when its stream was admitted;
+* the first-passage walk (``_walk_to_barrier``) hands its last paths to
+  Python floats once no stream is queued and at most ``TAIL_PATHS`` paths
+  are live (``_finish_in_floats``).  The streams stay in lockstep and each
+  still draws ``exponential(scale, size=k)`` and then ``random(k')`` for its
+  live paths in order, so it consumes its RNG exactly as in the numpy
+  epochs (which fill ``scale`` times ``standard_exponential``, the same
+  draws, in place), and the epoch is resolved by one ``_Epoch`` step for
+  all streams.
 
 For a duration-free kernel ``_Epoch`` builds the cumulative ``[Cbar | Dbar]``
 rows of all states once and then only reads rows by state; a
@@ -38,6 +47,7 @@ duration-dependent kernel is evaluated, and checked, at every epoch.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +72,16 @@ __all__ = [
 #: level, dividend integral, clock (time of the path's last epoch), duration
 #: and arrival costs.
 LEVEL, DIV, TIME, DUR, COST = range(5)
+
+#: ``_walk_to_barrier`` finishes in Python floats once no stream is queued
+#: and at most this many paths are live.  A numpy epoch costs about 20 µs
+#: however few paths are live (17-27 µs on two_state, 50-66 µs on
+#: pareto_renewal), a path's epoch in Python floats about 1.5-2 µs, and each
+#: live stream's two draws cost the same either way.  On 100k-path
+#: ``mc_first_return`` runs (2-CPU Xeon VM, one thread) 8, 16 and 32 ran
+#: alike within noise (12 alternating pairs each on two_state and
+#: pareto_renewal); 16 beat no handover on pareto_renewal in 15 of 20 pairs.
+TAIL_PATHS = 16
 
 
 class KernelConsistencyError(FluidModelError):
@@ -134,30 +154,34 @@ class _Epoch:
     and checked here, once, for every state, into ``table``; a
     duration-dependent kernel is evaluated at every step.
 
-    A segment of length ``dt`` moves a path's column of ``_Walk``'s block by
-    ``slopes[:, state] * dt``.  ``k`` gives the new state (``next_state``),
-    the arrival flag (``arrives``), the factor that resets the duration at
-    an arrival (``runs``; a masked store is slower on large walks) and, at
-    ``k + (2p + 1) * state``, the arrival cost (``costs``).  ``lists`` holds
-    the same tables as Python lists for ``_walk_one``: per state its fluid
-    rate, dividend rate, cumulative row and row total (``None`` for a
-    duration-dependent kernel) and row of costs, then per ``k`` the new
-    state, arrival flag and duration factor.
+    A segment of length ``dt`` moves a path's level and dividends by
+    ``drift[:, state] * dt`` and its clock and duration by ``dt``.  ``k``
+    gives the new state (``next_state``), the arrival flag (``arrives``), the
+    factor that resets the duration at an arrival (``runs``; a masked store
+    is slower on large walks) and, at ``k + (2p + 1) * state``, the arrival
+    cost (``costs``).  ``lists`` holds the same tables as Python lists for
+    the walks in Python floats: per state its fluid rate, dividend rate,
+    cumulative row and row total (``None`` for a duration-dependent kernel)
+    and row of costs, then per ``k`` the new state, arrival flag and
+    duration factor; ``picks`` is ``step`` on Python numbers.  ``start`` and
+    ``start_plus`` hold ``(alpha, cdf)`` for ``model.alpha`` and for it
+    restricted to the ascending states (``None`` when they have no mass),
+    ``cdf`` as a Python list built as ``Generator.choice`` builds it.
     """
 
     def __init__(self, model: FluidModel):
         p = model.p
         self.kernel, self.gamma, self.p = model.kernel, model.gamma, p
         self.table = np.vstack(self.rows(np.arange(p), np.zeros(p))) if model.kernel.is_constant else None
-        self.slopes = np.array([model.rates, model.sigma, np.ones(p), np.ones(p), np.zeros(p)])
+        self.drift = np.array([model.rates, model.sigma])
         self.next_state = np.concatenate([np.arange(p), np.arange(p), [p - 1]])
         self.arrives = np.arange(2 * p + 1) >= p
         self.runs = np.where(self.arrives, 0.0, 1.0)
         self.costs = np.concatenate([np.zeros((p, p)), model.k_cost, model.k_cost[:, -1:]], axis=1).ravel()
         cum, totals = (None, None) if self.table is None else (self.table[:-1].T.tolist(), self.table[-1].tolist())
         self.lists = (
-            self.slopes[LEVEL].tolist(),
-            self.slopes[DIV].tolist(),
+            self.drift[LEVEL].tolist(),
+            self.drift[DIV].tolist(),
             cum,
             totals,
             self.costs.reshape(p, -1).tolist(),
@@ -165,6 +189,13 @@ class _Epoch:
             self.arrives.tolist(),
             self.runs.tolist(),
         )
+        self.start = (model.alpha, _cdf(model.alpha))
+        plus = np.zeros(p)
+        plus[model.s_plus] = model.alpha[model.s_plus]
+        self.start_plus = None
+        if plus.sum() > 0.0:
+            plus /= plus.sum()
+            self.start_plus = (plus, _cdf(plus))
 
     def rows(self, states, u_args):
         """Each path's cumulative ``[Cbar | Dbar]`` row, as one column of a
@@ -205,12 +236,36 @@ class _Epoch:
             cum, totals = r[:-1], r[-1]
         return np.add.reduce(cum < uniforms * totals, axis=0)
 
+    def pick(self, state: int, u_arg: float, uniform: float) -> int:
+        """``step`` for one path, on Python numbers.  A duration-free
+        kernel's pick is read off ``lists``."""
+        if self.table is None:
+            return self.picks((state,), (u_arg,), (uniform,))[0]
+        return sum(map((uniform * self.lists[3][state]).__gt__, self.lists[2][state]))
+
+    def picks(self, states, u_args, uniforms) -> list:
+        """``step`` for many paths, on sequences of Python numbers, as a list.
+        A duration-dependent kernel makes one ``step`` for all of them."""
+        if self.table is None:
+            return self.step(np.array(states), np.array(u_args), np.array(uniforms)).tolist()
+        return list(map(self.pick, states, u_args, uniforms))
+
+
+def _cdf(alpha: np.ndarray) -> list:
+    """``alpha``'s cumulative distribution as ``Generator.choice`` builds it, so
+    that ``bisect_right(cdf, rng.random())`` draws what ``rng.choice(p, size=1,
+    p=alpha)`` draws."""
+    cdf = alpha.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
 
 class _Walk:
     """Paths walked in lockstep across the Poisson epochs, refilled from a queue of streams.
 
     The walker of the multi-path samplers in :mod:`fluidrisk.montecarlo`; a
-    single path is walked by ``_walk_one``.
+    single path is walked by ``_walk_one``, and a first-passage walk's last
+    paths by ``_finish_in_floats``.
 
     ``streams`` yields ``(offset, m, rng)``: ``m`` paths, numbered ``offset``
     to ``offset + m - 1``, whose random numbers all come from ``rng``.  The
@@ -222,7 +277,8 @@ class _Walk:
     admission order.  An epoch is ``segment()``, which draws the holding
     times and leaves the block at the segment's end in ``x_end``, then
     ``jump()``; ``keep(mask)`` and ``drop(n)`` retire paths between the two
-    or after the jump.  A stream's start states come from ``alpha``
+    or after the jump, and ``floats()`` retires every live path into Python
+    floats after it.  A stream's start states come from ``alpha``
     (``model.alpha`` when omitted) unless ``start_state`` pins one, and are
     written into ``starts`` at the paths' numbers when it is given.
     """
@@ -274,25 +330,33 @@ class _Walk:
             self._born.append(self.clock)
         return self.idx.size > 0
 
-    def _draw(self, draw) -> np.ndarray:
-        """``draw(rng, k)`` for each live stream, concatenated in stream order."""
-        if len(self._rngs) == 1:
-            return draw(self._rngs[0], self._sizes[0])
-        return np.concatenate([draw(rng, k) for rng, k in zip(self._rngs, self._sizes)])
+    def _draw(self, fill) -> np.ndarray:
+        """``fill(rng, out)`` for each live stream, into its paths' slice of one array."""
+        out, lo = np.empty(self.idx.size), 0
+        for rng, k in zip(self._rngs, self._sizes):
+            fill(rng, out[lo:lo + k])
+            lo += k
+        return out
 
     def segment(self) -> None:
         """Draw each live path's holding time and the block at its next epoch."""
         self.clock += 1
-        scale = self._scale
-        dt = self._draw(lambda rng, k: rng.exponential(scale, size=k))
-        self.x_end = self.x + self._epoch.slopes.take(self.state, axis=1) * dt
+        # exponential(scale) is scale times a standard exponential draw.
+        dt = self._draw(lambda rng, out: rng.standard_exponential(out=out))
+        dt *= self._scale
+        x, end = self.x, np.empty(self.x.shape)
+        np.multiply(self._epoch.drift.take(self.state, axis=1), dt, out=end[:TIME])
+        end[:TIME] += x[:TIME]
+        np.add(x[TIME:COST], dt, out=end[TIME:COST])
+        end[COST] = x[COST]
+        self.x_end = end
 
     def jump(self) -> np.ndarray:
         """Resolve the epoch ending the segment; return the arrival mask."""
         if not self._sizes:
             return np.zeros(0, dtype=bool)
         e, x, state = self._epoch, self.x_end, self.state
-        k = e.step(state, x[DUR], self._draw(lambda rng, n: rng.random(n)))
+        k = e.step(state, x[DUR], self._draw(lambda rng, out: rng.random(out=out)))
         x[COST] += e.costs.take(k + (2 * e.p + 1) * state)
         x[DUR] *= e.runs.take(k)
         self.state, self.x = e.next_state.take(k), x
@@ -303,23 +367,26 @@ class _Walk:
         number when one stream is live)."""
         if len(self._born) == 1:
             return self.clock - self._born[0]
-        return np.repeat([self.clock - b for b in self._born], self._sizes)[mask]
+        return np.array([self.clock - b for b in self._born]).repeat(self._sizes)[mask]
 
     def keep(self, mask: np.ndarray) -> None:
-        """Retire the live paths outside ``mask``."""
-        if len(self._sizes) == 1:
-            sizes = [int(np.count_nonzero(mask))]
-        else:
-            starts = np.cumsum([0] + self._sizes[:-1])
-            sizes = np.add.reduceat(mask, starts, dtype=np.intp).tolist()
+        """Retire the live paths outside ``mask``.
+
+        Between ``segment()`` and ``jump()`` only the end block is kept: the
+        start block is not read again, and ``x`` is the end block until
+        ``jump()``.
+        """
+        sizes, lo = [], 0
+        for size in self._sizes:
+            sizes.append(int(np.count_nonzero(mask[lo:lo + size])))
+            lo += size
         live = [s for s, size in enumerate(sizes) if size]
         self._rngs = [self._rngs[s] for s in live]
         self._sizes = [sizes[s] for s in live]
         self._born = [self._born[s] for s in live]
-        same = self.x_end is self.x
         at = np.flatnonzero(mask)
-        self.idx, self.state, self.x = self.idx.take(at), self.state.take(at), self.x.take(at, axis=1)
-        self.x_end = self.x if same else self.x_end.take(at, axis=1)
+        self.idx, self.state = self.idx.take(at), self.state.take(at)
+        self.x = self.x_end = self.x_end.take(at, axis=1)
 
     def done(self, n_epochs: int) -> int:
         """Number of leading live paths whose streams have walked ``n_epochs`` epochs."""
@@ -329,6 +396,31 @@ class _Walk:
                 break
             count += size
         return count
+
+    def in_tail(self) -> bool:
+        """Whether no stream is queued and at most ``TAIL_PATHS`` paths are live."""
+        return self._queued is None and self.idx.size <= TAIL_PATHS
+
+    def floats(self) -> list:
+        """Retire every live path into a walk in Python floats.
+
+        Returns, per live stream in admission order, ``[rng, born, paths]``:
+        its RNG, the clock reading at its admission and, per live path in
+        order, ``[number, walker, end]``, where ``walker`` is the path's
+        primed ``_path_floats`` coroutine and ``end`` its block at its last
+        epoch, as ``_path_floats`` yields it.
+        """
+        e, paths = self._epoch, []
+        for i, state, x in zip(self.idx.tolist(), self.state.tolist(), self.x.T.tolist()):
+            walker = _path_floats(e, state, None, *x)
+            next(walker)
+            paths.append([i, walker, (state, None, *x)])
+        streams, lo = [], 0
+        for rng, born, size in zip(self._rngs, self._born, self._sizes):
+            streams.append([rng, born, paths[lo:lo + size]])
+            lo += size
+        self.drop(self.idx.size)
+        return streams
 
     def drop(self, count: int) -> None:
         """Retire the first ``count`` live paths, which make up whole streams."""
@@ -342,46 +434,54 @@ class _Walk:
             del self._rngs[0], self._born[0]
 
 
-def _walk_one(model: FluidModel, z: float, rng, alpha, start_state=None):
-    """Walk one path across the Poisson epochs in Python floats.
+def _path_floats(e: _Epoch, state, arrived, level, div, time, dur, cost):
+    """One path's epochs in Python floats, from its state and block at an epoch.
 
-    The path is the one ``_Walk`` would walk from a one-path stream on
-    ``rng``, bit for bit: the same draws in the same order (the start state
-    from ``alpha`` unless ``start_state`` pins it; then
-    per epoch ``rng.exponential`` and ``rng.random``) and the same float
-    operations.  At the end of each segment it yields ``(state, arrived,
-    level, div, time, dur, cost)``: the state the segment was spent in,
-    whether the epoch that began it was an arrival (the first segment begins
-    at the conventional arrival ``S_0 = 0``), and the level, dividends,
-    clock, duration and costs at its end.  Resuming resolves the epoch that
-    ends the segment; a caller that stops there draws no uniform for it.  A
-    duration-free kernel's epoch is read off ``_Epoch.lists``; a
-    duration-dependent kernel's goes through ``_Epoch.step``, which checks
-    the kernel at every epoch.
+    A coroutine, primed by ``next``.  Sent the holding time ``dt`` of the
+    path's next segment, it yields the segment's end ``(state, arrived,
+    level, div, time, dur, cost)``: the state the segment is spent in,
+    whether the epoch that began it was an arrival, and the level,
+    dividends, clock, duration and costs at its end.  Sent then the pick
+    ``k`` of the epoch ending the segment (``_Epoch.step``'s index), it
+    resolves that epoch.  These are the float operations of
+    ``_Walk.segment`` and ``_Walk.jump`` on one column of the block, so the
+    path is the numpy walk's bit for bit.
     """
-    e = model._epoch
-    rates, sigmas, cum, totals, costs, next_state, arrives, runs = e.lists
-    if start_state is None:
-        state = int(rng.choice(e.p, size=1, p=alpha)[0])
-    else:
-        state = int(start_state)
-    scale = 1.0 / e.gamma
-    level = div = time = cost = 0.0
-    dur, arrived = float(z), True
+    rates, sigmas, _, _, costs, next_state, arrives, runs = e.lists
     while True:
-        dt = rng.exponential(scale)
+        dt = yield
         level += rates[state] * dt
         div += sigmas[state] * dt
         time += dt
         dur += dt
-        yield state, arrived, level, div, time, dur, cost
-        if cum is None:
-            k = int(e.step(np.array([state]), np.array([dur]), rng.random(1))[0])
-        else:
-            k = sum(map((rng.random() * totals[state]).__gt__, cum[state]))
+        k = yield state, arrived, level, div, time, dur, cost
         cost += costs[state][k]
         dur *= runs[k]
         state, arrived = next_state[k], arrives[k]
+
+
+def _walk_one(model: FluidModel, z: float, rng, cdf, start_state=None):
+    """Walk one path across the Poisson epochs in Python floats.
+
+    The path is the one ``_Walk`` would walk from a one-path stream on
+    ``rng``, bit for bit: the same draws in the same order (the start state
+    from ``cdf``, one of ``_Epoch``'s start distributions, unless
+    ``start_state`` pins it; then per epoch ``rng.exponential`` and
+    ``rng.random``, whose scalar draws equal one-element ones) and the same
+    float operations (``_path_floats``).  It yields ``_path_floats``'s
+    segment ends, the first segment beginning at the conventional arrival
+    ``S_0 = 0``.  Resuming resolves the epoch that ends the segment; a
+    caller that stops there draws no uniform for it.
+    """
+    e = model._epoch
+    state = bisect_right(cdf, rng.random()) if start_state is None else int(start_state)
+    path = _path_floats(e, state, True, 0.0, 0.0, 0.0, float(z), 0.0)
+    next(path)
+    exponential, random, pick, scale = rng.exponential, rng.random, e.pick, 1.0 / e.gamma
+    while True:
+        end = path.send(exponential(scale))
+        yield end
+        path.send(pick(end[0], end[5], random()))
 
 
 def _check_start(model: FluidModel, z: float, start_state) -> None:
@@ -400,10 +500,11 @@ def _first_passage_alpha(
     max_epochs: int,
     start_state,
     barrier_offset: float = 0.0,
-) -> np.ndarray:
-    """Check a first-passage run's arguments; return the distribution that
-    draws its start states (for a first return, ``alpha`` restricted to the
-    ascending states unless ``start_state`` pins an ascending one)."""
+) -> tuple:
+    """Check a first-passage run's arguments; return ``(alpha, cdf)``, the
+    distribution that draws its start states (for a first return, ``alpha``
+    restricted to the ascending states unless ``start_state`` pins an
+    ascending one) as ``_Epoch`` holds it."""
     _check_start(model, z, start_state)
     if not (theta1 >= 0.0 and theta2 >= 0.0):
         raise ValueError("transform arguments must be nonnegative")
@@ -415,13 +516,12 @@ def _first_passage_alpha(
         raise ValueError(
             f"start state {start_state} has nonpositive fluid rate; first return is degenerate"
         )
+    e = model._epoch
     if start_state is not None or barrier_offset > 0.0:
-        return model.alpha
-    alpha_plus = np.zeros(model.p)
-    alpha_plus[model.s_plus] = model.alpha[model.s_plus]
-    if alpha_plus.sum() <= 0.0:
+        return e.start
+    if e.start_plus is None:
         raise ValueError("alpha has no mass on positive-rate states; specify start_state")
-    return alpha_plus / alpha_plus.sum()
+    return e.start_plus
 
 
 def _walk_to_barrier(walk: _Walk, rates, theta1, theta2, max_epochs, barrier_offset, out) -> None:
@@ -430,22 +530,80 @@ def _walk_to_barrier(walk: _Walk, rates, theta1, theta2, max_epochs, barrier_off
     ``out`` holds the ``ReturnSamples`` arrays ``n_epoch``, ``exit_state``,
     ``weight`` and ``crossing_time``, indexed by path number; a returning
     path's entries are written in place, a path censored at ``max_epochs``
-    keeps the ones it has.
+    keeps the ones it has.  Once no stream is queued and at most
+    ``TAIL_PATHS`` paths are live, the walk finishes in Python floats
+    (``_finish_in_floats``).
     """
     n_epoch, exit_state, weight, t_cross = out
+
+    def record(i, n, s, div, cost, time, level):
+        """Write the outcomes of paths ``i`` that hit the barrier on the
+        ``n``-th segment of their walk, spent in states ``s``: ``div`` and
+        ``cost`` are at the segment's end, ``time`` and ``level`` at its
+        start."""
+        n_epoch[i] = n
+        exit_state[i] = s
+        weight[i] = np.exp(-theta1 * div - theta2 * cost)
+        t_cross[i] = time + (-barrier_offset - level) / rates[s]
+
     while walk.refill():
+        if walk.in_tail():
+            _finish_in_floats(walk, record, max_epochs, barrier_offset)
+            return
         walk.segment()
         hit = walk.x_end[LEVEL] <= -barrier_offset
         if np.count_nonzero(hit):
-            i, s = walk.idx[hit], walk.state[hit]
-            start, end = walk.x[:, hit], walk.x_end[:, hit]
-            n_epoch[i] = walk.path_epochs(hit)
-            exit_state[i] = s
-            weight[i] = np.exp(-theta1 * end[DIV] - theta2 * end[COST])
-            t_cross[i] = start[TIME] + (-barrier_offset - start[LEVEL]) / rates[s]
+            at = np.flatnonzero(hit)
+            # Rows read in place: a local bound to a block would hold it past its epoch.
+            record(
+                walk.idx.take(at), walk.path_epochs(hit), walk.state.take(at),
+                walk.x_end[DIV].take(at), walk.x_end[COST].take(at),
+                walk.x[TIME].take(at), walk.x[LEVEL].take(at),
+            )
             walk.keep(~hit)
         walk.drop(walk.done(max_epochs))
         walk.jump()
+
+
+def _finish_in_floats(walk: _Walk, record, max_epochs, barrier_offset) -> None:
+    """Walk ``walk``'s live paths to the barrier in Python floats.
+
+    The epochs are ``_walk_to_barrier``'s, with the same draws in the same
+    order: each stream draws ``exponential(scale, size=k)`` for its ``k``
+    live paths; after the hits are recorded and the streams censored at
+    ``max_epochs`` retired, it draws ``random(k')`` for its ``k'`` paths
+    left, and one ``_Epoch.picks`` resolves the epoch of every stream's
+    paths.  Hits go to ``record`` as arrays, as the numpy epochs give them.
+    """
+    e, scale, clock = walk._epoch, walk._scale, walk.clock
+    streams = walk.floats()
+    while True:
+        clock += 1
+        hits = []
+        for stream in streams:
+            rng, born, paths = stream
+            live = []
+            for path, dt in zip(paths, rng.exponential(scale, size=len(paths)).tolist()):
+                number, walker, start = path
+                end = walker.send(dt)
+                state, _, level, div, _, _, cost = end
+                if level <= -barrier_offset:
+                    hits.append((number, clock - born, state, div, cost, start[4], start[2]))
+                else:
+                    path[2] = end
+                    live.append(path)
+            stream[2] = live
+        if hits:
+            record(*map(np.array, zip(*hits)))
+        streams = [stream for stream in streams if stream[2] and clock - stream[1] < max_epochs]
+        if not streams:
+            return
+        paths = [path for _, _, live in streams for path in live]
+        uniforms = [u for rng, _, live in streams for u in rng.random(len(live)).tolist()]
+        ends = [path[2] for path in paths]
+        ks = e.picks([end[0] for end in ends], [end[5] for end in ends], uniforms)
+        for path, k in zip(paths, ks):
+            path[1].send(k)
 
 
 def simulate_path(
@@ -481,7 +639,7 @@ def simulate_path(
     times, levels, divs, durations = [0.0], [0.0], [0.0], [float(z)]
     states, arrived, costs = [], [], []
     for state, arrival, level, div, time, dur, cost in _walk_one(
-        model, z, np.random.default_rng(seed), model.alpha, start_state
+        model, z, np.random.default_rng(seed), model._epoch.start[1], start_state
     ):
         states.append(state)
         arrived.append(arrival)
@@ -533,10 +691,10 @@ def simulate_until_return(
         return immediately and degenerately); drawn from ``model.alpha``
         restricted to that class when omitted.
     """
-    alpha = _first_passage_alpha(model, z, theta1, theta2, max_epochs, start_state)
+    _, cdf = _first_passage_alpha(model, z, theta1, theta2, max_epochs, start_state)
     # In float64, as the arrays of a walk would promote them.
     theta1, theta2 = float(theta1), float(theta2)
-    walk = _walk_one(model, z, np.random.default_rng(seed), alpha, start_state)
+    walk = _walk_one(model, z, np.random.default_rng(seed), cdf, start_state)
     for n, (state, _, level, div, _, _, cost) in enumerate(walk, 1):
         if level <= 0.0:
             weight = float(np.exp(-theta1 * div - theta2 * cost))

@@ -8,6 +8,8 @@ import pytest
 from fluidrisk import simulate, simulate_path, simulate_until_return
 from fluidrisk.gallery import gallery_models, two_state_model
 from fluidrisk.montecarlo import (
+    _shares,
+    _walk_shares,
     arrival_time_samples,
     first_return_samples,
     mc_bridge_histogram,
@@ -374,6 +376,27 @@ def test_first_return_samples_match_the_sequential_reference(name):
                     _same_bits(one.weight, weight[0])
 
 
+def test_a_model_with_another_alpha_draws_from_its_own_ascending_alpha():
+    model, theta = GALLERY["mmpp"], (0.3, 0.2)  # rates (1, -1, 0.5), alpha e_0
+    simulate_until_return(model, 0.0, *theta, 100, 0)  # the original's start distribution is built
+    for alpha in ([0.0, 0.0, 1.0], [0.2, 0.5, 0.3]):
+        other = model.with_alpha(alpha)
+        for seed in range(20):
+            one = simulate_until_return(other, 0.7, *theta, 100, seed)
+            n_epoch, exit_state, weight, _, _ = _ref_first_return(
+                _ascending(other), 0.7, theta, 1, 100, np.random.default_rng(seed), 0.0
+            )
+            assert (one.returned, one.exit_state, one.n_used) == (n_epoch[0] > 0, exit_state[0], n_epoch[0] or 100)
+            _same_bits(one.weight, weight[0])
+    descending = model.with_alpha([0.0, 1.0, 0.0])
+    for sample in (
+        lambda: simulate_until_return(descending, 0.0, *theta, 100, 0),
+        lambda: first_return_samples(descending, 0.0, *theta, 10, 100, 0),
+    ):
+        with pytest.raises(ValueError, match="alpha has no mass on positive-rate states; specify start_state"):
+            sample()
+
+
 @pytest.mark.parametrize("name", GALLERY)
 def test_bridge_histogram_matches_the_sequential_reference(name):
     model = GALLERY[name]
@@ -463,3 +486,49 @@ def test_the_live_set_is_refilled_and_stays_bounded(monkeypatch):
     epochs = np.where(got.n_epoch > 0, got.n_epoch, 1000)
     one_by_one = sum(epochs[lo:lo + 64].max() for lo in range(0, 2000, 64))
     assert len(seen) < one_by_one / 2
+
+
+# The tail: once no stream is queued and at most ``simulate.TAIL_PATHS``
+# paths are live, ``_walk_to_barrier`` finishes them in Python floats.
+# Streams of 16 admitted whenever at most 16 paths are live leave stragglers
+# of several streams live at the handover.
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("name", GALLERY)
+def test_the_python_float_tail_matches_the_sequential_reference(name, n_threads, monkeypatch):
+    handed = []  # per handover: the streams' live path numbers
+    floats = simulate._Walk.floats
+
+    def recording(walk):
+        streams = floats(walk)
+        handed.append([[path[0] for path in paths] for _, _, paths in streams])
+        return streams
+
+    monkeypatch.setattr(simulate._Walk, "floats", recording)
+    model, theta = GALLERY[name], (0.3, 0.2)
+    returned = censored = most_streams = 0
+    for barrier, start_model in ((0.0, _ascending(model)), (0.7, model)):
+        for start_state in (None, int(model.s_plus[-1])):
+            for max_epochs in (10, 100):
+                alpha, _ = simulate._first_passage_alpha(model, 0.7, *theta, max_epochs, start_state, barrier)
+                out = np.zeros(300, np.int64), np.full(300, -1, np.int64), np.zeros(300), np.full(300, np.inf)
+                starts = np.empty(300, np.int64)
+
+                def sample(streams):
+                    walk = simulate._Walk(model, 0.7, streams, start_state, alpha, SMALL, starts)
+                    simulate._walk_to_barrier(walk, model.rates, *theta, max_epochs, barrier, out)
+
+                handed.clear()
+                _walk_shares(sample, _shares(300, SMALL, 4, n_threads))
+                parts = [_ref_first_return(start_model, 0.7, theta, m, max_epochs, rng, barrier, start_state)
+                         for m, rng in _ref_chunks(300, SMALL, 4)]
+                for k, got in enumerate((*out, starts)):
+                    _same_bits(got, np.concatenate([p[k] for p in parts]))
+                tail = [i for streams in handed for ids in streams for i in ids]
+                returned += np.count_nonzero(out[0][tail])
+                censored += np.count_nonzero(out[0][tail] == 0)
+                most_streams = max([most_streams] + [len(streams) for streams in handed])
+    # The tail finished paths that returned and paths censored at the cap,
+    # and took over stragglers of more than one stream.
+    assert returned and censored and most_streams >= 2
