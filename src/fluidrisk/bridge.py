@@ -22,9 +22,12 @@ The recursion is evaluated on uniform grids; this module holds the grid and
 tensor containers, the closed-form base case, the generic (duration-kernel)
 contribution operators with an explicit initial-duration axis, and the
 dispatcher that selects a fast path (see :mod:`.homogeneous`) when the model
-allows one.  The base case takes every initial duration in one call: its
-z-free factors are built once, and the kernel is evaluated once per distinct
-argument and gathered onto the ``(z, s, l)`` lattice.  The ``w = 1`` and
+allows one.  Either engine only builds and clamps its orders: the dispatcher
+reports the window-edge densities, the holding-time tail bound and the
+saturated-window warning once for both, and masses are read off the slices.
+The base case takes every initial duration in one call: its z-free factors
+are built once, and the kernel is evaluated once per distinct argument and
+gathered onto the ``(z, s, l)`` lattice.  The ``w = 1`` and
 ``w = n-1`` classes integrate over one holding time, along which the level
 moves linearly: a shear of the (duration, level) plane, so each is a few
 matrix products in sheared level coordinates (:func:`_sheared_quadrature`)
@@ -210,11 +213,6 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def _level_edge_max(fields) -> float:
-    """Largest density magnitude on either end of the level window."""
-    return max(float(np.abs(f[..., [0, -1]]).max()) for f in fields)
-
-
 def _uniformized_nodes(model: FluidModel, u) -> tuple[np.ndarray, np.ndarray]:
     """Uniformized kernels ``(Cbar, Dbar)`` as ``(m, p, p)`` stacks on quadrature nodes.
 
@@ -250,7 +248,6 @@ def bridge2_slice(
     z,
     theta1: float = 0.0,
     theta2: float = 0.0,
-    edge_weights: bool = False,
 ) -> np.ndarray:
     """Closed-form 2-bridge density at one or more initial durations.
 
@@ -261,17 +258,16 @@ def bridge2_slice(
     arrival branch resets the duration, so the final segment length equals
     ``s`` outright and values for ``s < z`` can be nonzero.
 
-    With ``edge_weights`` the nodes lying exactly on a support boundary carry
-    half the one-sided limit (the recursion engines use this internally: it
-    keeps quadrature and convolution against the jump second-order accurate).
-    Without it boundary nodes carry the full closed-region limit.
+    Nodes lying exactly on a support boundary carry half the one-sided limit:
+    it keeps quadrature and convolution against the jump second-order
+    accurate in both recursion engines.
     """
-    no_arrival, arrival = _bridge2_branches(model, grid, z, theta1, theta2, edge_weights)
+    no_arrival, arrival = _bridge2_branches(model, grid, z, theta1, theta2)
     no_arrival += arrival
     return no_arrival
 
 
-def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
+def _bridge2_branches(model, grid, z, theta1, theta2):
     """The two kernel branches of :func:`bridge2_slice`, as ``(no_arrival, arrival)``.
 
     Each branch is a z-free factor times one kernel entry per node.  The
@@ -290,7 +286,7 @@ def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
     s = grid.durations[:, None]
     lvl = grid.levels[None, :]
     kappa = np.exp(-theta2 * model.k_cost)
-    tol = 1e-9 * grid.du if edge_weights else 0.0
+    tol = 1e-9 * grid.du
     no_arrival = np.empty((q.size, ip.size, im.size, ns, L))
     arrival = np.empty_like(no_arrival)
     # Lag k - q of each final duration behind the initial one; a negative
@@ -300,8 +296,6 @@ def _bridge2_branches(model, grid, z, theta1, theta2, edge_weights):
     block = _z_block(no_arrival[0, 0, 0])
 
     def _edge(h):
-        if not edge_weights:
-            return 1.0
         return np.where(np.abs(h) <= tol, 0.5, 1.0)
 
     for a, i in enumerate(ip):
@@ -724,8 +718,9 @@ class BridgeTensor:
       per ``n`` (duration-free kernels, built by
       :func:`~fluidrisk.homogeneous.run_split_recursion`).
 
-    ``masses[n]`` holds the grid integral over ``s`` and ``l <= 0`` at
-    ``z = 0`` (the first-return contribution of the n-th epoch).
+    Masses are read off the slices (:meth:`mass`); ``diagnostics`` holds the
+    clamp record, the window-edge densities and the holding-time tail bound
+    of either engine (:func:`bridge_recursion`).
     """
 
     model: FluidModel
@@ -735,7 +730,6 @@ class BridgeTensor:
     n_max: int
     mode: str
     slices: dict
-    masses: dict
     diagnostics: dict
 
     def value(self, n: int, z: float) -> np.ndarray:
@@ -749,15 +743,9 @@ class BridgeTensor:
         A, B = entry
         return _shift_duration(A, q) + B
 
-    def mass(self, n: int, z: float | None = None) -> np.ndarray:
-        """Integrated first-return mass of order ``n``.
-
-        With ``z`` omitted, returns the mass at initial duration zero
-        integrated over the full window; for other on-grid ``z`` it
-        integrates the assembled density view.
-        """
-        if z is None or (z == 0.0 and n in self.masses):
-            return self.masses[n]
+    def mass(self, n: int, z: float = 0.0) -> np.ndarray:
+        """First-return mass of order ``n`` at the on-grid initial duration
+        ``z``: :func:`integrate_bridge` over every duration and ``l <= 0``."""
         return integrate_bridge(self, n, z)
 
     @property
@@ -785,13 +773,9 @@ def integrate_bridge(tensor: BridgeTensor, n: int, z: float = 0.0, l_hi: float =
     m_hi = grid.zero_index + int(round(l_hi / grid.dl))
     if not 0 <= m_hi < grid.n_levels:
         raise ValueError(f"level bound {l_hi!r} outside the grid window")
-    return _integrate_field(vals, grid, m_hi)
-
-
-def _integrate_field(field_arr: np.ndarray, grid: LevelDurationGrid, m_hi: int) -> np.ndarray:
     w_s = _trapezoid_weights(grid.n_durations) * grid.du
     w_l = _trapezoid_weights(m_hi + 1) * grid.dl
-    return np.einsum("...sl,s,l->...", field_arr[..., : m_hi + 1], w_s, w_l)
+    return np.einsum("...sl,s,l->...", vals[..., : m_hi + 1], w_s, w_l)
 
 
 def _estimate_bytes(grid: LevelDurationGrid, model: FluidModel, n_max: int, mode: str) -> int:
@@ -853,6 +837,11 @@ def bridge_recursion(
     first-return matrix of a duration-free kernel comes from
     :func:`~fluidrisk.homogeneous.doubling_psi`, which solves its Riccati
     equation exactly, with no window to truncate.
+
+    Each engine returns its clamped orders.  The largest densities on the
+    level-window and duration-window edges, ``holding_tail_bound =
+    exp(-gamma u_max)`` and the saturated-window warning are worked out here,
+    the same way for both.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max!r}")
@@ -875,10 +864,22 @@ def bridge_recursion(
     if method == "split":
         from .homogeneous import run_split_recursion
 
-        slices, masses = run_split_recursion(model, grid, theta1, theta2, n_max, diagnostics)
+        slices = run_split_recursion(model, grid, theta1, theta2, n_max, diagnostics)
+        fields = [f for pair in slices.values() for f in pair]
     else:
-        slices, masses = _run_z_recursion(model, grid, theta1, theta2, n_max, diagnostics)
-
+        slices = _run_z_recursion(model, grid, theta1, theta2, n_max, diagnostics)
+        fields = list(slices.values())
+    level_edge = max(float(np.abs(f[..., [0, -1]]).max()) for f in fields)
+    duration_edge = max(float(np.abs(f[..., -1, :]).max()) for f in fields)
+    diagnostics["level_edge_max_density"] = level_edge
+    diagnostics["duration_edge_max_density"] = duration_edge
+    diagnostics["holding_tail_bound"] = float(np.exp(-model.gamma * grid.u_max))
+    if level_edge > 1e-6:
+        warnings.warn(
+            f"bridge density at the level-window edge is {level_edge:.2e}; "
+            "the level window may be saturated — consider a larger l_max",
+            stacklevel=2,
+        )
     return BridgeTensor(
         model=model,
         grid=grid,
@@ -887,19 +888,16 @@ def bridge_recursion(
         n_max=n_max,
         mode=method,
         slices=slices,
-        masses=masses,
         diagnostics=diagnostics,
     )
 
 
 def _run_z_recursion(model, grid, theta1, theta2, n_max, diagnostics):
-    base = bridge2_slice(model, grid, grid.durations, theta1, theta2, edge_weights=True)
+    base = bridge2_slice(model, grid, grid.durations, theta1, theta2)
     _clamp_and_flag(base, diagnostics)
     slices = {2: base}
     factors = _MiddleFactors(model, grid, slices, theta2)
     held = range(2, 2 + _z_sizes(grid, model, n_max)[3])
-    m_hi = grid.zero_index
-    masses = {2: _integrate_field(base[0], grid, m_hi)}
     for n in range(3, n_max + 1):
         if n - 1 in held:  # transformed once, right after it was clamped
             factors.hold(n - 1)
@@ -909,15 +907,4 @@ def _run_z_recursion(model, grid, theta1, theta2, n_max, diagnostics):
             total += gamma_middle(model, grid, slices, n, theta2, factors)
         _clamp_and_flag(total, diagnostics)
         slices[n] = total
-        masses[n] = _integrate_field(total[0], grid, m_hi)
-    level_edge = _level_edge_max(slices.values())
-    duration_edge = max(float(np.abs(s[..., -1, :]).max()) for s in slices.values())
-    diagnostics["level_edge_max_density"] = level_edge
-    diagnostics["duration_edge_max_density"] = duration_edge
-    if level_edge > 1e-6:
-        warnings.warn(
-            f"bridge density at the level-window edge is {level_edge:.2e}; "
-            "the level window may be saturated — consider a larger l_max",
-            stacklevel=2,
-        )
-    return slices, masses
+    return slices

@@ -231,17 +231,8 @@ def _cmd_density(args, model: FluidModel, out: str) -> tuple[int, dict]:
     return EXIT_OK, {}
 
 
-def _bridge_grid(model: FluidModel, args) -> LevelDurationGrid:
-    grid = LevelDurationGrid.for_model(model)
-    u_max = args.u_max if args.u_max is not None else grid.u_max
-    du = args.du if args.du is not None else grid.du
-    l_max = args.l_max if args.l_max is not None else grid.l_max
-    dl = args.dl if args.dl is not None else grid.dl
-    return LevelDurationGrid(u_max=u_max, du=du, l_max=l_max, dl=dl)
-
-
 def _cmd_bridge(args, model: FluidModel, out: str) -> tuple[int, dict]:
-    grid = _bridge_grid(model, args)
+    grid = LevelDurationGrid.for_model(model, args.u_max, args.du, args.l_max, args.dl)
     tensor = bridge_recursion(model, grid, args.theta1, args.theta2, n_max=args.n_max)
     diag = tensor.diagnostics
     header = [
@@ -255,10 +246,10 @@ def _cmd_bridge(args, model: FluidModel, out: str) -> tuple[int, dict]:
         "negative_clamp_magnitude",
     ]
     diag_cols = [
-        _fmt(diag.get("holding_tail_bound", 0.0)),
-        _fmt(diag.get("level_edge_max_density", 0.0)),
-        _fmt(diag.get("duration_edge_max_density", 0.0)),
-        _fmt(abs(diag.get("negative_min", 0.0))),
+        _fmt(diag["holding_tail_bound"]),
+        _fmt(diag["level_edge_max_density"]),
+        _fmt(diag["duration_edge_max_density"]),
+        _fmt(abs(diag["negative_min"])),
     ]
     rows = []
     for n in tensor.orders:

@@ -130,7 +130,7 @@ def psi(
     increments = []
     n_used, tail, converged = 0, np.inf, False
     for n in tensor.orders:
-        inc = tensor.mass(n, None if z == 0.0 else z)
+        inc = tensor.mass(n, z)
         matrix = matrix + inc
         increments.append(inc)
         n_used, tail = n, float(np.abs(inc).max())
@@ -262,7 +262,7 @@ def finite_time_return(
 
     tensor = bridge_recursion(model, grid, theta1, theta2, n_max=n_top)
     orders = np.array(tensor.orders)
-    increments = np.stack([tensor.mass(n, None if z == 0.0 else z) for n in orders])
+    increments = np.stack([tensor.mass(n, z) for n in orders])
     epoch_bounds = pdtrc(orders - 1, gamma_t)
     worst = float((increments.max(axis=(1, 2)) - epoch_bounds).max())
     if worst > 1e-9:

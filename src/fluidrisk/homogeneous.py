@@ -40,8 +40,6 @@ from .bridge import (
     LevelDurationGrid,
     _bridge2_branches,
     _clamp_and_flag,
-    _integrate_field,
-    _level_edge_max,
     _level_halves,
     _sweep_level,
     _trapezoid_weights,
@@ -266,18 +264,18 @@ class _SplitConstants:
             return K
 
         # First-epoch holding-time lines per ascending state (slope r_i),
-        # on the l >= 0 half.
-        self.K1_hat, self.K1L_hat = [], []
+        # on the l >= 0 half: spectra (p+, ft, fl) and level spectra (p+, fl).
+        K1 = []
         for i in ip:
             g = gamma * np.exp(-(gamma + theta1 * model.sigma[i]) * t) * du * w_tr
-            K = line(g, model.rates[i], 0)
-            self.K1_hat.append(self.plans.f2(K))
-            self.K1L_hat.append(self.plans.f1(K.sum(axis=0)))
+            K1.append(line(g, model.rates[i], 0))
+        self.K1_hat = np.stack([self.plans.f2(K) for K in K1])
+        self.K1L_hat = np.stack([self.plans.f1(K.sum(axis=0)) for K in K1])
 
         # Closing-segment lines per descending state (slope r_j), on the
-        # l <= 0 half.
+        # l <= 0 half: spectra (p-, ft, fl).
         g3 = gamma * np.exp(-gamma * t) * du * w_tr
-        self.K3_hat = [self.plans.f2(line(g3, model.rates[j], m0)) for j in im]
+        self.K3_hat = np.stack([self.plans.f2(line(g3, model.rates[j], m0)) for j in im])
 
         self.exp_s = gamma * np.exp(-gamma * t)  # closing-arrival prefactor
         self.delta_minus = [grid.level_cells(model.rates[j]) for j in im]
@@ -313,19 +311,16 @@ def _split_step(prev: _SplitLevel, pair_sums, c: _SplitConstants):
     p, m0 = c.plans, c.grid.zero_index
     up_A, dn_A, up_B, dn_B = prev.halves
 
-    K1 = np.stack(c.K1_hat)  # (p+, ft, fl)
-    K3 = np.stack(c.K3_hat)  # (p-, ft, fl)
-
     # Arrival-free target: first-epoch line, interior split, closing line.
-    freq_A = K1[:, None] * p.f2(np.einsum("ik,kjtl->ijtl", c.C.pp, _halve_first_row(dn_A)))
-    freq_A += K3[None, :] * p.f2(np.einsum("ixtl,xj->ijtl", _halve_first_row(up_A), c.C.mm))
+    freq_A = c.K1_hat[:, None] * p.f2(np.einsum("ik,kjtl->ijtl", c.C.pp, _halve_first_row(dn_A)))
+    freq_A += c.K3_hat[None, :] * p.f2(np.einsum("ixtl,xj->ijtl", _halve_first_row(up_A), c.C.mm))
     if pair_sums is not None:
         freq_A += pair_sums[0]
     A_new = p.i2(freq_A)
 
     # Arrival target, 2-D pieces: interior splits whose right factor is
     # arrival-free, and the no-arrival closing line over the arrival part.
-    freq_B2 = K3[None, :] * p.f2(np.einsum("ixtl,xj->ijtl", _halve_first_row(up_B), c.C.mm))
+    freq_B2 = c.K3_hat[None, :] * p.f2(np.einsum("ixtl,xj->ijtl", _halve_first_row(up_B), c.C.mm))
     if pair_sums is not None:
         freq_B2 += pair_sums[1]
     B_new = p.i2(freq_B2)
@@ -336,8 +331,7 @@ def _split_step(prev: _SplitLevel, pair_sums, c: _SplitConstants):
     YB = np.einsum("ik,kjtl->ijtl", c.C.pp, dn_B) + np.einsum(
         "ik,kjtl->ijtl", c.D.pp, dn_A + dn_B
     )
-    K1L = np.stack(c.K1L_hat)  # (p+, fl)
-    freq_B1 = K1L[:, None, None, :] * p.f1(YB)
+    freq_B1 = c.K1L_hat[:, None, None, :] * p.f1(YB)
     if pair_sums is not None:
         freq_B1 += pair_sums[2]
     B_new += p.i1(freq_B1)
@@ -373,19 +367,21 @@ def _pair_spectra(levels: dict, n: int, du: float, dl: float):
 
 
 def run_split_recursion(model, grid, theta1, theta2, n_max, diagnostics):
-    """Per-order bridge fields for duration-free kernels.
+    """Per-order ``(A, B)`` bridge fields for duration-free kernels, clamped.
 
     The order-2 pair is the closed form of :func:`~fluidrisk.bridge.bridge2_slice`
     at ``z = 0``: its no-arrival branch is ``A`` and its arrival branch ``B``.
+    Returns ``{n: (A_n, B_n)}``; the clamp record and ``kernel_window_loss``,
+    the weight the holding-time lines lose off their level halves, go into
+    ``diagnostics``.  The window diagnostics common to both engines come from
+    :func:`~fluidrisk.bridge.bridge_recursion`.
     """
     c = _SplitConstants(model, grid, theta1, theta2)
-    A, B = _bridge2_branches(model, grid, 0.0, theta1, theta2, edge_weights=True)
+    A, B = _bridge2_branches(model, grid, 0.0, theta1, theta2)
     _clamp_and_flag(A, diagnostics)
     _clamp_and_flag(B, diagnostics)
     slices = {2: (A, B)}
     levels = {2: _SplitLevel(A, B, c)}
-    m0 = grid.zero_index
-    masses = {2: _integrate_field(A + B, grid, m0)}
     for n in range(3, n_max + 1):
         pair = _pair_spectra(levels, n, grid.du, grid.dl)
         A_n, B_n = _split_step(levels[n - 1], pair, c)
@@ -393,15 +389,8 @@ def run_split_recursion(model, grid, theta1, theta2, n_max, diagnostics):
         _clamp_and_flag(B_n, diagnostics)
         slices[n] = (A_n, B_n)
         levels[n] = _SplitLevel(A_n, B_n, c)
-        masses[n] = _integrate_field(A_n + B_n, grid, m0)
-    fields = [f for pair in slices.values() for f in pair]
-    diagnostics["level_edge_max_density"] = _level_edge_max(fields)
-    diagnostics["duration_edge_max_density"] = max(
-        float(np.abs(f[..., -1, :]).max()) for f in fields
-    )
-    diagnostics["holding_tail_bound"] = float(np.exp(-model.gamma * grid.u_max))
     diagnostics["kernel_window_loss"] = c.kernel_loss
-    return slices, masses
+    return slices
 
 
 # ---------------------------------------------------------------------------

@@ -363,11 +363,13 @@ def arrival_time_samples(
     times = np.full((n_paths, n_arrivals), np.nan)
     n_seen = np.zeros(n_paths, dtype=np.int64)
 
+    arrives = model._epoch.arrives
+
     def sample(streams) -> None:
         walk = _Walk(model, z, streams, start_state, refill_at=chunk_size // 8)
         while walk.refill():
             walk.segment()
-            arrived = walk.jump()
+            arrived = arrives.take(walk.jump())
             if arrived.any():
                 i = walk.idx[arrived]
                 times[i, n_seen[i]] = walk.x[TIME, arrived]

@@ -352,15 +352,16 @@ class _Walk:
         self.x_end = end
 
     def jump(self) -> np.ndarray:
-        """Resolve the epoch ending the segment; return the arrival mask."""
+        """Resolve the epoch ending the segment; return each live path's pick
+        ``k`` (:class:`_Epoch`; ``_Epoch.arrives[k]`` flags an arrival)."""
         if not self._sizes:
-            return np.zeros(0, dtype=bool)
+            return np.zeros(0, dtype=np.int64)
         e, x, state = self._epoch, self.x_end, self.state
         k = e.step(state, x[DUR], self._draw(lambda rng, out: rng.random(out=out)))
         x[COST] += e.costs.take(k + (2 * e.p + 1) * state)
         x[DUR] *= e.runs.take(k)
         self.state, self.x = e.next_state.take(k), x
-        return e.arrives.take(k)
+        return k
 
     def path_epochs(self, mask: np.ndarray):
         """Epochs walked by the stream of each live path in ``mask`` (one

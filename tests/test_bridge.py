@@ -130,7 +130,7 @@ def test_generic_engine_base_order_matches_closed_form():
     z = grid.durations[16]
     np.testing.assert_allclose(
         tensor.value(2, float(z)),
-        bridge2_slice(model, grid, float(z), edge_weights=True),
+        bridge2_slice(model, grid, float(z)),
         atol=1e-12,
     )
 
@@ -532,11 +532,11 @@ def test_batched_base_equals_the_one_duration_calls(name, dyadic, theta):
     # calendar_switch's land within rounding of its breakpoints.
     model = _BASE_MODELS[name]()
     grid = LevelDurationGrid(3.0, 1 / 8, 4.0, 1 / 8) if dyadic else LevelDurationGrid.for_model(model)
-    base = bridge2_slice(model, grid, grid.durations, *theta, edge_weights=True)
+    base = bridge2_slice(model, grid, grid.durations, *theta)
     ns = grid.n_durations
     assert base.shape == (ns, model.s_plus.size, model.s_minus.size, ns, grid.n_levels)
     stacked = np.stack(
-        [bridge2_slice(model, grid, float(z), *theta, edge_weights=True) for z in grid.durations]
+        [bridge2_slice(model, grid, float(z), *theta) for z in grid.durations]
     )
     np.testing.assert_allclose(base, stacked, rtol=0.0, atol=1e-14)
     for q in (0, 1, ns // 2, ns - 1):
@@ -577,7 +577,7 @@ def _base_kernel_points(model, monkeypatch):
 
     monkeypatch.setattr(model_module, "_evaluate", counted)
     grid = LevelDurationGrid.for_model(model)
-    bridge2_slice(model, grid, grid.durations, 0.3, 0.2, edge_weights=True)
+    bridge2_slice(model, grid, grid.durations, 0.3, 0.2)
     pairs = model.s_plus.size * model.s_minus.size
     # Each branch once per (z, s, l) node and state pair: one kernel per node.
     lattice = 2 * pairs * grid.n_durations**2 * grid.n_levels
@@ -674,9 +674,9 @@ def test_z_build_whose_factors_all_fit_transforms_each_order_once(monkeypatch):
 def test_default_z_build_with_two_state_pairs_fits_the_budget(monkeypatch):
     # The sizing check alone: mmpp has |S+| |S-| = 2, and the default grid
     # (65 x 257) with the default n_max = 64 must pass it, as it did before
-    # gamma_middle held level spectra.
+    # gamma_middle held level spectra.  A one-order stand-in replaces the build.
     model = mmpp_model()
-    monkeypatch.setattr(bridge, "_run_z_recursion", lambda *args: ({}, {}))
+    monkeypatch.setattr(bridge, "_run_z_recursion", lambda *args: {2: np.zeros((1, 1, 1, 2, 2))})
     grid = LevelDurationGrid.for_model(model)
     assert (grid.n_durations, grid.n_levels) == (65, 257)
     bridge_recursion(model, grid, n_max=64, method="z")
@@ -690,9 +690,16 @@ def test_default_z_build_with_two_state_pairs_fits_the_budget(monkeypatch):
 
 def test_integrated_mass_matches_stored_masses():
     model = two_state_model()
-    tensor = bridge_recursion(model, _grid(u_max=8.0, cells=128), n_max=3)
+    grid = _grid(u_max=8.0, cells=128)
+    tensor = bridge_recursion(model, grid, n_max=3)
+    m0 = grid.zero_index
     for n in (2, 3):
-        assert integrate_bridge(tensor, n, z=0.0) == pytest.approx(tensor.mass(n), abs=1e-12)
+        # Masses are read off the slices: the trapezoid rule over every
+        # duration and the levels l <= 0.
+        below = tensor.value(n, 0.0)[..., : m0 + 1]
+        want = np.trapezoid(np.trapezoid(below, dx=grid.dl, axis=-1), dx=grid.du, axis=-1)
+        np.testing.assert_allclose(tensor.mass(n), want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(integrate_bridge(tensor, n, z=0.0), tensor.mass(n))
 
 
 def test_integration_bound_must_stay_on_grid():
@@ -775,6 +782,17 @@ def test_grid_nodes_on_a_jump_take_the_mean_of_both_sides():
         off = uniformized_kernel(model.kernel, [0.5, 2.0])
         np.testing.assert_array_equal(Cbar[[0, 4]], off[0])
         np.testing.assert_array_equal(Dbar[[0, 4]], off[1])
+
+
+@pytest.mark.parametrize("method", ["split", "z"])
+def test_both_engines_report_the_window_diagnostics(method):
+    # Both engines read an edge density of 1.30e-3 on this small window.
+    model = mmpp_model()
+    grid = LevelDurationGrid(u_max=2.0, du=0.25, l_max=2.0, dl=0.25)
+    with pytest.warns(UserWarning, match="level-window edge"):
+        tensor = bridge_recursion(model, grid, n_max=5, method=method)
+    assert tensor.diagnostics["level_edge_max_density"] >= 1.3e-3
+    assert tensor.diagnostics["holding_tail_bound"] == np.exp(-model.gamma * grid.u_max)
 
 
 def test_z_engine_reports_both_level_window_edges():

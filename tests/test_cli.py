@@ -364,6 +364,38 @@ def test_bridge_binary_dump_round_trips(two_state_config, tmp_path):
         np.testing.assert_array_equal(values[k], tensor.value(n, 0.5))
 
 
+def _bridge_rows(out):
+    with open(out / "bridge.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_z_engine_bridge_reports_the_holding_tail_bound(tmp_path):
+    out = tmp_path / "out"
+    config = _config(tmp_path, "calendar_switch")
+    assert main(["bridge", str(config), "--out", str(out), "--n-max", "3"]) == EXIT_OK
+    rows = _bridge_rows(out)
+    assert rows
+    for row in rows:
+        # The default window is 8 mean holding times long.
+        assert float(row["holding_tail_bound"]) == pytest.approx(np.exp(-8.0), rel=0.0, abs=1e-15)
+
+
+def test_bridge_grid_overrides_go_through_the_default_grid_rule(two_state_config, tmp_path):
+    out = tmp_path / "out"
+    args = ["bridge", str(two_state_config), "--out", str(out), "--du", "0.0625", "--n-max", "3"]
+    assert main(args) == EXIT_OK
+    model = two_state_model()
+    tensor = bridge_recursion(model, LevelDurationGrid.for_model(model, du=0.0625), n_max=3)
+    got = {(int(r["n"]), int(r["i"]), int(r["j"])): float(r["L_value"]) for r in _bridge_rows(out)}
+    want = {
+        (n, int(i), int(j)): float(tensor.mass(n)[a, b])
+        for n in tensor.orders
+        for a, i in enumerate(model.s_plus)
+        for b, j in enumerate(model.s_minus)
+    }
+    assert got == want
+
+
 def test_manifest_records_the_command_and_config_hash(two_state_config, tmp_path):
     out = tmp_path / "out"
     assert main(["bridge", str(two_state_config), "--out", str(out), "--n-max", "2"]) == EXIT_OK

@@ -55,7 +55,8 @@ def test_split_engine_transforms_through_the_module_names(monkeypatch):
     for name in names:
         monkeypatch.setattr(homogeneous, name, _counted(name, getattr(homogeneous, name), calls))
     grid = LevelDurationGrid(u_max=2.0, du=0.25, l_max=2.0, dl=0.25)
-    bridge_recursion(two_state_model(), grid, n_max=4, method="split")
+    with pytest.warns(UserWarning, match="level-window edge"):
+        bridge_recursion(two_state_model(), grid, n_max=4, method="split")
     # Every transform of the split engine goes through a module attribute.
     assert set(calls) == set(names)
 
