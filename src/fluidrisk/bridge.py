@@ -45,6 +45,7 @@ import numpy as np
 from .model import (
     FluidModel,
     FluidModelError,
+    _check_transform,
     cost_weights,
     uniformized_kernel,
 )
@@ -72,6 +73,13 @@ class BridgeMemoryError(FluidModelError):
     """A requested tensor build would exceed the memory budget."""
 
 
+def _whole_cells(extent: float, spacing: float) -> float:
+    """``extent`` as a whole number (at least one) of ``spacing`` cells, unchanged
+    when it is one already within the grid's tolerance."""
+    n = max(1, round(extent / spacing))
+    return extent if abs(n * spacing - extent) <= 1e-9 * extent else n * spacing
+
+
 @dataclass(frozen=True)
 class LevelDurationGrid:
     """Uniform duration and level grids carrying the bridge discretization.
@@ -91,8 +99,8 @@ class LevelDurationGrid:
     zero_index: int = field(init=False)
 
     def __post_init__(self):
-        if self.du <= 0 or self.dl <= 0 or self.u_max <= 0 or self.l_max <= 0:
-            raise ValueError("grid spacings and extents must be positive")
+        if not all(0.0 < v < math.inf for v in (self.u_max, self.du, self.l_max, self.dl)):
+            raise ValueError("grid spacings and extents must be positive and finite")
         n_u = int(round(self.u_max / self.du))
         n_l = int(round(self.l_max / self.dl))
         if n_u < 2 or n_l < 1:
@@ -121,14 +129,17 @@ class LevelDurationGrid:
         """Default grid: ``u_max = 8/gamma`` split into 64 duration cells and
         a level window of twice the fastest rate times ``u_max``, with the
         level spacing matched to ``du`` times the largest |rate| so that
-        per-epoch level shifts land on-grid."""
+        per-epoch level shifts land on-grid.  A defaulted extent is rounded
+        to a whole number of cells of a given spacing."""
+        if not all(v is None or 0.0 < v < math.inf for v in (u_max, du, l_max, dl)):
+            raise ValueError("grid spacings and extents must be positive and finite")
         r_max = float(np.max(np.abs(model.rates)))
         if u_max is None:
-            u_max = 8.0 / model.gamma
+            u_max = 8.0 / model.gamma if du is None else _whole_cells(8.0 / model.gamma, du)
         if du is None:
             du = u_max / 64.0
         if l_max is None:
-            l_max = 2.0 * r_max * u_max
+            l_max = 2.0 * r_max * u_max if dl is None else _whole_cells(2.0 * r_max * u_max, dl)
         if dl is None:
             dl = du * r_max
             l_max = dl * round(l_max / dl)
@@ -389,17 +400,17 @@ def _kernel_tables(model, grid, offsets, ri, rj, i, j):
 # two-tap rule lands on one of a few fixed offsets, so the quadrature is one
 # matrix product per block of passive columns (gamma_first integrates over
 # the initial duration z + u, gamma_last over the final duration s - u), with
-# each tap weight the number _add_shifted would use.
-# gamma_last's arrival branch stays one line sweep (_sweep_level) per
-# descending state.  The order-2 base (bridge2_slice) fills its tensor in
-# blocks of z values (_z_block).  gamma_middle sums every interior split of
-# an order on the halves' level spectra, frequency first, so a split is one
-# batched matrix product (_MiddleFactors), and inverts that sum once.  The z
-# recursion holds the lowest orders' spectra while they take no more memory
-# than the tensors (_hold_cap); others are transformed once per call.  Each
-# operator still costs O(nz * ns) slabs per order, so the operators serve
-# duration-dependent kernels at moderate n (the dispatcher uses the split
-# engine of :mod:`.homogeneous` whenever the kernel is duration-free).
+# each tap weight the number _add_shifted would use; gamma_last's arrival
+# branch rides on row s' = 0 of its product.  The order-2 base
+# (bridge2_slice) fills its tensor in blocks of z values (_z_block).
+# gamma_middle sums every interior split of an order on the halves' level
+# spectra, frequency first, so a split is one batched matrix product
+# (_MiddleFactors), and inverts that sum once.  The z recursion holds the
+# lowest orders' spectra while they take no more memory than the tensors
+# (_hold_cap); others are transformed once per call.  Each operator still
+# costs O(nz * ns) slabs per order, so the operators serve duration-dependent
+# kernels at moderate n (the dispatcher uses the split engine of
+# :mod:`.homogeneous` whenever the kernel is duration-free).
 
 
 def _z_block(row: np.ndarray) -> int:
@@ -645,12 +656,14 @@ def gamma_last(
     final duration.  Sub-bridge displacements are restricted to ``>= 0``.
 
     Both branches contract the pre-switch state first.  For each descending
-    state the no-arrival quadrature is one sheared product
-    (:func:`_sheared_quadrature`) over the sub-bridge's final duration
-    ``s' = s - u``, with ``W[s, s'] = decay(s - s')`` for ``s >= 1`` (row
-    ``s = 0`` is zero) and shift ``m0 + (s - s') r_j du/dl``; the trapezoid
-    half at ``u = s`` is the halved sub-bridge row ``s' = 0``.  The arrival
-    branch is one line sweep per descending state.
+    state the quadrature is one sheared product (:func:`_sheared_quadrature`)
+    over the sub-bridge's final duration ``s' = s - u``, with ``W[s, s'] =
+    decay(s - s')`` for ``s >= 1`` (row ``s = 0`` is zero) and shift ``m0 +
+    (s - s') r_j du/dl``; the trapezoid half at ``u = s`` is the halved
+    sub-bridge row ``s' = 0``.  The arrival branch closes with the whole
+    final duration, as row ``s' = 0`` does: its weight there is
+    ``W[s, 0] = closing(s) du``, so it rides on that row contracted without
+    ``du``, and only its ``s = 0`` term, ``gamma du``, is added directly.
     """
     gamma = model.gamma
     im = model.s_minus
@@ -668,21 +681,23 @@ def gamma_last(
     above = bridge_prev[..., m0:]
     # Arrival closing segment: final duration = s exactly; integrate the half
     # over its own final duration with the arrival kernel, before the level
-    # shift (the boundary node carries the midpoint value).
-    w_u = _trapezoid_weights(ns) * du
-    arrival = np.einsum("zixsl,sxj,s->zijl", above, kDmm, w_u)
+    # shift (the boundary node carries the midpoint value).  Its du is the
+    # one in W[s, 0].
+    arrival = np.einsum("zixsl,sxj,s->zijl", above, kDmm, _trapezoid_weights(ns))
     arrival[..., 0] *= 0.5
     # No-arrival closing segment: the sub-bridge at final duration s - u,
     # weighted by the kernel at that pre-switch duration.  Trapezoid in u:
     # half weight at u = 0 by the node weight and at u = s by halving the
-    # contracted row s = 0.
+    # contracted row s = 0, which then takes the arrival.
     reduced = np.einsum("zixsl,sxj->zijsl", above, Cmm)
     reduced[..., 0, :] *= 0.5
     reduced[..., 0] *= 0.5
+    reduced[..., 0, :] += arrival
 
     out = np.zeros_like(bridge_prev)
-    closing = gamma * np.exp(-gamma * grid.durations)
-    decay = closing * du
+    # Row s = 0 of W is zero: a zero-length final duration closes by arrival only.
+    out[..., 0, m0:] = (gamma * du) * arrival
+    decay = gamma * np.exp(-gamma * grid.durations) * du
     decay[0] *= 0.5  # trapezoid half weight at u = 0
     # Segment length a = s - s' cells; a zero-length segment adds nothing at s = 0.
     a = -_lags(ns)
@@ -696,7 +711,6 @@ def gamma_last(
             m0,
             cells,
         )
-        _sweep_level(out[:, :, bj], arrival[:, :, bj], m0, cells, closing)
     return out
 
 
@@ -845,8 +859,7 @@ def bridge_recursion(
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max!r}")
-    if not (theta1 >= 0.0 and theta2 >= 0.0):
-        raise ValueError("transform arguments must be nonnegative")
+    _check_transform(theta1, theta2)
     if method == "auto":
         method = "split" if model.kernel.is_constant else "z"
     if method not in ("split", "z"):

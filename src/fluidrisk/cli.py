@@ -28,7 +28,9 @@ bridge             per-order integrated bridge masses (+ optional binary dump)
 first-return       first-return descriptor matrix Psi
 finite-time        horizon-limited return descriptor (arrival-free models)
 ruin               ruin descriptor from Erlang-randomized capital
-mc                 Monte Carlo estimates (first-return | ruin | bridge)
+mc                 Monte Carlo estimates (first-return | ruin | bridge), walked
+                   on one thread: the samples depend only on --seed and
+                   --n-paths
 convergence-study  analytic vs Monte Carlo 3-SE cross-check (a first-return
                    study needs a duration-free kernel; ruin takes any)
 
@@ -82,21 +84,6 @@ _BRIDGE_MAGIC = b"FRBRIDG1"
 def _fmt(x) -> str:
     """Floats with 17 significant digits: round-trip exact, locale-free."""
     return format(float(x), ".17g")
-
-
-def _resolve_threads(args) -> int:
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        env = os.environ.get("FLUIDRISK_THREADS", "")
-        if not env.strip():
-            return 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise FluidModelError(f"FLUIDRISK_THREADS must be an integer, got {env!r}")
-    if threads < 1:
-        raise FluidModelError(f"thread count must be at least 1, got {threads!r}")
-    return threads
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -380,7 +367,6 @@ def _cmd_mc(args, model: FluidModel, out: str) -> tuple[int, dict]:
         n_paths=args.n_paths,
         seed=args.seed,
         start_state=args.start_state,
-        n_threads=_resolve_threads(args),
     )
     if args.mode == "bridge":
         grid = LevelDurationGrid.for_model(model)
@@ -428,7 +414,6 @@ def _cmd_mc(args, model: FluidModel, out: str) -> tuple[int, dict]:
 
 
 def _cmd_convergence_study(args, model: FluidModel, out: str) -> tuple[int, dict]:
-    threads = _resolve_threads(args)
     if args.quantity == "first-return":
         if not model.kernel.is_constant:
             raise FluidModelError(
@@ -453,7 +438,6 @@ def _cmd_convergence_study(args, model: FluidModel, out: str) -> tuple[int, dict
             n_paths=args.n_paths,
             max_epochs=args.max_epochs,
             seed=args.seed,
-            n_threads=threads,
         )
     else:  # ruin
         res = ruin_descriptor(
@@ -472,7 +456,6 @@ def _cmd_convergence_study(args, model: FluidModel, out: str) -> tuple[int, dict
             max_epochs=args.max_epochs,
             seed=args.seed,
             start_state=0,
-            n_threads=threads,
         )
 
     gap = abs(analytic - est.value)
@@ -526,16 +509,9 @@ def _cmd_convergence_study(args, model: FluidModel, out: str) -> tuple[int, dict
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, theta: bool = True, seed: bool = False, threads: bool = False):
+def _add_common(sub, theta: bool = True, seed: bool = False):
     sub.add_argument("config", help="path to a JSON model configuration")
     sub.add_argument("--out", default=".", help="artifact directory (default: .)")
-    if threads:
-        sub.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="Monte Carlo worker cap (fallback: FLUIDRISK_THREADS, then 1)",
-        )
     if theta:
         sub.add_argument("--theta1", type=float, default=0.0, help="dividend transform argument")
         sub.add_argument("--theta2", type=float, default=0.0, help="cost transform argument")
@@ -626,12 +602,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--i0", type=int, default=None, help="entry state (default: from alpha)")
     s.set_defaults(func=_cmd_ruin)
 
-    s = subs.add_parser("mc", help="Monte Carlo estimates with standard errors")
+    s = subs.add_parser(
+        "mc", help="Monte Carlo estimates with standard errors (fixed by --seed and --n-paths)"
+    )
     # One parser per mode, so a flag of another mode is an error (exit 2).
     modes = s.add_subparsers(dest="mode", required=True, help="quantity to estimate")
     for mode in ("first-return", "ruin", "bridge"):
         m = modes.add_parser(mode, allow_abbrev=False)
-        _add_common(m, theta=mode != "bridge", seed=True, threads=True)
+        _add_common(m, theta=mode != "bridge", seed=True)
         m.add_argument("--n-paths", type=int, default=100_000, help="sample size (default 1e5)")
         m.add_argument("--z", type=float, default=0.0, help="initial duration (default 0)")
         m.add_argument("--start-state", type=int, default=None, help="pin the starting state")
@@ -647,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser(
         "convergence-study", help="analytic vs Monte Carlo 3-SE cross-check"
     )
-    _add_common(s, seed=True, threads=True)
+    _add_common(s, seed=True)
     s.add_argument(
         "--quantity",
         choices=["first-return", "ruin"],

@@ -73,6 +73,12 @@ class FirstReturnDescriptor:
     info: dict
 
 
+def _check_eps(eps: float) -> None:
+    # A zero tolerance is never met once a tail underflows, and a NaN one never compares.
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
+
+
 def psi(
     model: FluidModel,
     theta1: float = 0.0,
@@ -99,6 +105,7 @@ def psi(
     """
     if not z >= 0.0:
         raise ValueError(f"initial duration must be nonnegative, got {z!r}")
+    _check_eps(eps)
     if model.kernel.is_constant:
         if grid is not None and not isinstance(grid, LevelGrid):
             raise TypeError("duration-free kernels take no grid (a LevelGrid is ignored)")
@@ -237,6 +244,7 @@ def finite_time_return(
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     if not z >= 0.0:
         raise ValueError(f"initial duration must be nonnegative, got {z!r}")
+    _check_eps(eps)
     u_max = z + horizon
     _require_arrival_free(model, u_max)
     if du is None:

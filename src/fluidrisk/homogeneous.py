@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, irfft2, next_fast_len, rfft, rfft2
 
-from .model import BlockView, FluidModel, StructureError, uniformized_kernel
+from .model import BlockView, FluidModel, StructureError, _check_transform, uniformized_kernel
 from .bridge import (
     LevelDurationGrid,
     _bridge2_branches,
@@ -136,8 +136,7 @@ def doubling_psi(model: FluidModel, theta1: float = 0.0, theta2: float = 0.0):
     Riccati residual of ``matrix`` and ``tail_estimate``: the last
     increment, floored at :data:`DOUBLING_ROUNDING`.
     """
-    if not (theta1 >= 0.0 and theta2 >= 0.0):
-        raise ValueError("transform arguments must be nonnegative")
+    _check_transform(theta1, theta2)
     T = _rate_scaled_generator(model, theta1, theta2)
     ip, im = model.s_plus, model.s_minus
     Tpp, Tpm = T[np.ix_(ip, ip)], T[np.ix_(ip, im)]

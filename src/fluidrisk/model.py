@@ -493,10 +493,15 @@ class FluidModel:
         )
 
 
+def _check_transform(*theta: float) -> None:
+    """Reject a transform argument that is negative, infinite or NaN."""
+    if not all(0.0 <= t < math.inf for t in theta):
+        raise ValueError(f"transform arguments must be nonnegative and finite, got {theta!r}")
+
+
 def cost_weights(model: FluidModel, theta2: float) -> BlockView:
     """Entrywise arrival-cost weights ``exp(-theta2 * k(i, j))`` in ``(0, 1]``."""
-    if not theta2 >= 0.0:
-        raise ValueError("transform arguments must be nonnegative")
+    _check_transform(theta2)
     return BlockView.split(np.exp(-theta2 * model.k_cost), model.space)
 
 

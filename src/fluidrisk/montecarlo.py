@@ -1,33 +1,30 @@
 """Vectorized Monte Carlo reference engines.
 
-Each sampler splits its paths into streams of ``chunk_size`` paths.  Stream
-``b`` draws every random number of its paths from its own RNG,
+Each sampler splits its paths into streams of ``_DEFAULT_CHUNK`` paths.
+Stream ``b`` draws every random number of its paths from its own RNG,
 ``default_rng(SeedSequence((seed, b)))``, and walks them on the one refilled
-walker of :mod:`fluidrisk.simulate`: streams are admitted in order whenever
-the live set falls to ``chunk_size // 8`` paths, so the long tail of one
-stream walks in the same epochs as the bulk of the next, and the live set
-stays below ``chunk_size + chunk_size // 8`` paths.  The first-passage
-samplers (``first_return_samples``, ``mc_first_return``, ``mc_ruin``) finish
-in Python floats once every stream is admitted and at most
-``simulate.TAIL_PATHS`` paths are live: one numpy epoch costs about as much
-as a dozen paths' epochs in floats.  The tail keeps the streams in lockstep
-and each stream draws its holding times and uniforms in the order and batch
-sizes of the numpy epochs, on the same float operations, so its samples are
-bit for bit those of the numpy walk.  ``mc_bridge_histogram`` and
-``arrival_time_samples`` walk their tails in numpy.  With ``n_threads > 1``
-each thread walks a round-robin share of the streams.  Results are written
-in place at each path's number; they are reproducible and independent of
-``n_threads`` and of when a stream was admitted, but depend on
-``chunk_size``, which fixes how paths are split among the streams.  Censored
-paths (no event by ``max_epochs``) contribute weight zero, which biases
-weighted estimates downward; the censored fraction is always reported so
-callers can bracket the bias.
+walker of :mod:`fluidrisk.simulate`, on the calling thread: streams are
+admitted in order whenever the live set falls to ``_DEFAULT_CHUNK // 8``
+paths, so the long tail of one stream walks in the same epochs as the bulk
+of the next, and the live set stays below ``_DEFAULT_CHUNK + _DEFAULT_CHUNK
+// 8`` paths.  The first-passage samplers (``first_return_samples``,
+``mc_first_return``, ``mc_ruin``) finish in Python floats once every stream
+is admitted and at most ``simulate.TAIL_PATHS`` paths are live: one numpy
+epoch costs about as much as a dozen paths' epochs in floats.  The tail
+keeps the streams in lockstep and each stream draws its holding times and
+uniforms in the order and batch sizes of the numpy epochs, on the same
+float operations, so its samples are bit for bit those of the numpy walk.
+``mc_bridge_histogram`` and ``arrival_time_samples`` walk their tails in
+numpy.  Results are written in place at each path's number; they depend
+only on the seed and the path count, not on when a stream was admitted.
+Censored paths (no event by ``max_epochs``) contribute weight zero, which
+biases weighted estimates downward; the censored fraction is always
+reported so callers can bracket the bias.
 """
 
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +43,9 @@ __all__ = [
     "arrival_time_samples",
 ]
 
-#: Paths per stream.  Each stream draws from its own RNG, so for a fixed seed
-#: a different ``chunk_size`` gives different samples; it also bounds the
-#: live set of a walk at ``chunk_size + chunk_size // 8`` paths.
+#: Paths per stream.  Each stream draws from its own RNG, so the stream size
+#: fixes the samples of a seed; it also bounds the live set of a walk at
+#: ``_DEFAULT_CHUNK + _DEFAULT_CHUNK // 8`` paths.
 _DEFAULT_CHUNK = 1 << 14
 
 
@@ -114,35 +111,25 @@ class BridgeHistogram:
         return self.n_hits == 0
 
 
-def _shares(n_paths: int, chunk_size: int, seed: int, n_threads: int) -> list:
-    """Split ``n_paths`` into streams of ``chunk_size`` and deal them
-    round-robin into at most ``n_threads`` shares.
+def _streams(n_paths: int, seed: int):
+    """The streams ``(offset, m, rng)`` of ``n_paths`` paths, in order.
 
-    A share lazily yields its streams ``(offset, m, rng)`` in order; stream
-    ``b`` covers paths ``b * chunk_size`` onward and draws from
-    ``default_rng(SeedSequence((seed, b)))``.
+    Stream ``b`` covers paths ``b * _DEFAULT_CHUNK`` onward and draws from
+    ``default_rng(SeedSequence((seed, b)))``.  ``n_paths`` is checked here,
+    before any stream is drawn.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
-    n_streams = -(-n_paths // chunk_size)
-    n_shares = max(1, min(n_threads, n_streams))
-
-    def share(first: int):
-        for b in range(first, n_streams, n_shares):
-            lo = b * chunk_size
-            yield lo, min(chunk_size, n_paths - lo), np.random.default_rng(np.random.SeedSequence((seed, b)))
-
-    return [share(k) for k in range(n_shares)]
+    chunk = _DEFAULT_CHUNK
+    return (
+        (lo, min(chunk, n_paths - lo), np.random.default_rng(np.random.SeedSequence((seed, b))))
+        for b, lo in enumerate(range(0, n_paths, chunk))
+    )
 
 
-def _walk_shares(sample, shares: list) -> list:
-    """``sample(share)`` for each share, on one thread per share; the results in share order."""
-    if len(shares) == 1:
-        return [sample(shares[0])]
-    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-        return list(pool.map(sample, shares))
+def _one_thread(n_threads: int) -> None:
+    if n_threads != 1:
+        raise ValueError(f"the samplers walk on the calling thread: n_threads must be 1, got {n_threads!r}")
 
 
 def first_return_samples(
@@ -155,8 +142,6 @@ def first_return_samples(
     seed: int,
     start_state: int | None = None,
     barrier_offset: float = 0.0,
-    chunk_size: int = _DEFAULT_CHUNK,
-    n_threads: int = 1,
 ) -> ReturnSamples:
     """Sample first-passage outcomes of the fluid below its start (or a barrier).
 
@@ -164,16 +149,11 @@ def first_return_samples(
     epoch whose level is ``<= -barrier_offset`` (first return for offset 0,
     ruin from capital ``barrier_offset`` otherwise).  Starting states are
     drawn from ``model.alpha`` restricted to the positive-rate class unless
-    ``start_state`` pins one.
-
-    The paths are split into streams of ``chunk_size``, each with its own
-    RNG, so for a fixed seed ``chunk_size`` fixes the samples; it also
-    bounds the walk's live set at ``chunk_size + chunk_size // 8`` paths.
-    ``n_threads`` walks the streams on that many threads and changes no
-    sample.
+    ``start_state`` pins one.  The samples depend only on ``seed`` and
+    ``n_paths``.
     """
     alpha, _ = _first_passage_alpha(model, z, theta1, theta2, max_epochs, start_state, barrier_offset)
-    shares = _shares(n_paths, chunk_size, seed, n_threads)
+    streams = _streams(n_paths, seed)
     out = (
         np.zeros(n_paths, dtype=np.int64),
         np.full(n_paths, -1, dtype=np.int64),
@@ -181,12 +161,8 @@ def first_return_samples(
         np.full(n_paths, np.inf),
     )
     starts = np.empty(n_paths, dtype=np.int64)
-
-    def sample(streams) -> None:
-        walk = _Walk(model, z, streams, start_state, alpha, chunk_size // 8, starts)
-        _walk_to_barrier(walk, model.rates, theta1, theta2, max_epochs, barrier_offset, out)
-
-    _walk_shares(sample, shares)
+    walk = _Walk(model, z, streams, start_state, alpha, _DEFAULT_CHUNK // 8, starts)
+    _walk_to_barrier(walk, model.rates, theta1, theta2, max_epochs, barrier_offset, out)
     n_epoch, exit_state, weight, crossing_time = out
     return ReturnSamples(
         n_epoch=n_epoch,
@@ -221,13 +197,15 @@ def mc_first_return(
     """Estimate the weighted first-return quantity ``E[1{return} e^{-...}]``.
 
     Censored paths contribute zero weight, so the value is a lower bound up
-    to the reported censored fraction.
+    to the reported censored fraction.  ``n_threads`` must be 1: every
+    stream is walked on the calling thread.
     """
+    _one_thread(n_threads)
     if n_paths < 100:
         raise ValueError(f"n_paths must be at least 100 for a meaningful estimate, got {n_paths}")
     samples = first_return_samples(
         model, z, theta1, theta2, n_paths, max_epochs, seed,
-        start_state=start_state, n_threads=n_threads,
+        start_state=start_state,
     )
     return _estimate(samples.weight, samples.censored_fraction, seed)
 
@@ -249,8 +227,10 @@ def mc_ruin(
 
     Ruin is the fluid's first passage to zero starting from ``F(0) = u``;
     crossing times are exact within segments, so an optional continuous-time
-    ``horizon`` restricts to ruin before that time.
+    ``horizon`` restricts to ruin before that time.  ``n_threads`` must be 1,
+    as for :func:`mc_first_return`.
     """
+    _one_thread(n_threads)
     if not u >= 0.0:
         raise ValueError(f"initial capital must be nonnegative, got {u!r}")
     if horizon is not None and not horizon > 0.0:
@@ -259,7 +239,7 @@ def mc_ruin(
         raise ValueError(f"n_paths must be at least 100 for a meaningful estimate, got {n_paths}")
     samples = first_return_samples(
         model, z, theta1, theta2, n_paths, max_epochs, seed,
-        start_state=start_state, barrier_offset=u, n_threads=n_threads,
+        start_state=start_state, barrier_offset=u,
     )
     values = samples.weight
     if horizon is not None:
@@ -276,16 +256,14 @@ def mc_bridge_histogram(
     n_paths: int,
     seed: int,
     start_state: int | None = None,
-    chunk_size: int = _DEFAULT_CHUNK,
-    n_threads: int = 1,
 ) -> BridgeHistogram:
     """Histogram the fixed-``n`` bridge event by simulation.
 
     A path qualifies when its state on segment ``(T_{n-1}, T_n)`` has
     negative rate and every intermediate grid level stays at or above
     ``max(0, F(T_n) - F(0))``; qualifying paths are binned over
-    ``(U(T_n-), F(T_n) - F(0))`` per final-segment state.  ``chunk_size``
-    and ``n_threads`` act as in :func:`first_return_samples`.
+    ``(U(T_n-), F(T_n) - F(0))`` per final-segment state.  The counts
+    depend only on ``seed`` and ``n_paths``.
     """
     _check_start(model, z, start_state)
     if operator.index(n) < 2:
@@ -297,33 +275,25 @@ def mc_bridge_histogram(
     if l_edges.ndim != 1 or l_edges.size < 2 or np.any(np.diff(l_edges) <= 0):
         raise ValueError("l_edges must be strictly increasing with at least two entries")
 
-    shares = _shares(n_paths, chunk_size, seed, n_threads)
+    walk = _Walk(model, z, _streams(n_paths, seed), start_state, refill_at=_DEFAULT_CHUNK // 8)
     low = np.full(n_paths, np.inf)  # lowest intermediate grid level per path
-
-    def sample(streams):
-        walk = _Walk(model, z, streams, start_state, refill_at=chunk_size // 8)
-        counts = np.zeros((model.p, s_edges.size - 1, l_edges.size - 1), dtype=np.int64)
-        hits = np.zeros(model.p, dtype=np.int64)
-        while walk.refill():
-            walk.segment()
-            k = walk.done(n)  # the leading paths on their final segment
-            if k:
-                final, end = walk.state[:k], walk.x_end[:, :k]
-                level = end[LEVEL]
-                qualifies = (model.rates[final] < 0.0) & (low[walk.idx[:k]] >= np.maximum(0.0, level))
-                for j in np.flatnonzero(np.bincount(final[qualifies], minlength=model.p)):
-                    sel = qualifies & (final == j)
-                    hits[j] += int(sel.sum())
-                    h, _, _ = np.histogram2d(end[DUR, sel], level[sel], bins=[s_edges, l_edges])
-                    counts[j] += h.astype(np.int64)
-                walk.drop(k)
-            low[walk.idx] = np.minimum(low[walk.idx], walk.x_end[LEVEL])
-            walk.jump()
-        return counts, hits
-
-    parts = _walk_shares(sample, shares)
-    counts = sum(p[0] for p in parts)
-    hits = sum(p[1] for p in parts)
+    counts = np.zeros((model.p, s_edges.size - 1, l_edges.size - 1), dtype=np.int64)
+    hits = np.zeros(model.p, dtype=np.int64)
+    while walk.refill():
+        walk.segment()
+        k = walk.done(n)  # the leading paths on their final segment
+        if k:
+            final, end = walk.state[:k], walk.x_end[:, :k]
+            level = end[LEVEL]
+            qualifies = (model.rates[final] < 0.0) & (low[walk.idx[:k]] >= np.maximum(0.0, level))
+            for j in np.flatnonzero(np.bincount(final[qualifies], minlength=model.p)):
+                sel = qualifies & (final == j)
+                hits[j] += int(sel.sum())
+                h, _, _ = np.histogram2d(end[DUR, sel], level[sel], bins=[s_edges, l_edges])
+                counts[j] += h.astype(np.int64)
+            walk.drop(k)
+        low[walk.idx] = np.minimum(low[walk.idx], walk.x_end[LEVEL])
+        walk.jump()
     return BridgeHistogram(
         counts=counts,
         s_edges=s_edges,
@@ -343,15 +313,13 @@ def arrival_time_samples(
     seed: int,
     max_epochs: int = 100_000,
     start_state: int | None = None,
-    chunk_size: int = _DEFAULT_CHUNK,
-    n_threads: int = 1,
 ) -> np.ndarray:
     """Sample the first ``n_arrivals`` arrival times of each of ``n_paths`` paths.
 
     Returns an ``(n_paths, n_arrivals)`` array; entries are NaN for arrivals
     not observed within ``max_epochs`` (report and bound this censoring when
-    comparing distributions).  ``chunk_size`` and ``n_threads`` act as in
-    :func:`first_return_samples`.
+    comparing distributions).  The samples depend only on ``seed`` and
+    ``n_paths``.
     """
     _check_start(model, z, start_state)
     if n_arrivals < 1:
@@ -359,25 +327,19 @@ def arrival_time_samples(
     if operator.index(max_epochs) < 1:
         raise ValueError(f"max_epochs must be at least 1, got {max_epochs!r}")
 
-    shares = _shares(n_paths, chunk_size, seed, n_threads)
+    walk = _Walk(model, z, _streams(n_paths, seed), start_state, refill_at=_DEFAULT_CHUNK // 8)
     times = np.full((n_paths, n_arrivals), np.nan)
     n_seen = np.zeros(n_paths, dtype=np.int64)
-
     arrives = model._epoch.arrives
-
-    def sample(streams) -> None:
-        walk = _Walk(model, z, streams, start_state, refill_at=chunk_size // 8)
-        while walk.refill():
-            walk.segment()
-            arrived = arrives.take(walk.jump())
-            if arrived.any():
-                i = walk.idx[arrived]
-                times[i, n_seen[i]] = walk.x[TIME, arrived]
-                n_seen[i] += 1
-                more = n_seen[walk.idx] < n_arrivals
-                if not more.all():
-                    walk.keep(more)
-            walk.drop(walk.done(max_epochs))
-
-    _walk_shares(sample, shares)
+    while walk.refill():
+        walk.segment()
+        arrived = arrives.take(walk.jump())
+        if arrived.any():
+            i = walk.idx[arrived]
+            times[i, n_seen[i]] = walk.x[TIME, arrived]
+            n_seen[i] += 1
+            more = n_seen[walk.idx] < n_arrivals
+            if not more.all():
+                walk.keep(more)
+        walk.drop(walk.done(max_epochs))
     return times

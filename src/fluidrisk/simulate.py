@@ -57,6 +57,7 @@ from .model import (
     FluidModel,
     FluidModelError,
     UniformizationBoundError,
+    _check_transform,
     eval_kernel_batch,
 )
 
@@ -507,8 +508,7 @@ def _first_passage_alpha(
     restricted to the ascending states unless ``start_state`` pins an
     ascending one) as ``_Epoch`` holds it."""
     _check_start(model, z, start_state)
-    if not (theta1 >= 0.0 and theta2 >= 0.0):
-        raise ValueError("transform arguments must be nonnegative")
+    _check_transform(theta1, theta2)
     if operator.index(max_epochs) < 2:
         raise ValueError(f"max_epochs must be at least 2, got {max_epochs!r}")
     if not barrier_offset >= 0.0:

@@ -139,6 +139,11 @@ def _sweep(kernel: DurationKernel, G: np.ndarray, nodes, steps) -> tuple[np.ndar
     return out, width
 
 
+def _check_step(step: float | None) -> None:
+    if step is not None and not 0.0 < step < np.inf:
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+
+
 def _default_step(kernel: DurationKernel, span: float) -> float:
     return float(min(span / 32.0, 1.0 / (128.0 * kernel.gamma)))
 
@@ -165,10 +170,11 @@ def survival_matrix(
     -------
     SurvivalMatrix
     """
+    if not np.isfinite(s) or not np.isfinite(t):
+        raise ValueError(f"s and t must be finite, got s={s!r}, t={t!r}")
     if s < 0.0 or t < s:
         raise ValueError(f"need 0 <= s <= t, got s={s!r}, t={t!r}")
-    if step is not None and step <= 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
+    _check_step(step)
     if t == s:
         return SurvivalMatrix(s=s, t=t, matrix=np.eye(kernel.p), error_estimate=0.0, step=0.0)
     h = step if step is not None else _default_step(kernel, t - s)
@@ -192,10 +198,11 @@ def survival_profile(kernel: DurationKernel, t_grid, step: float | None = None) 
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-D array")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be finite")
     if t_grid[0] < 0.0 or np.any(np.diff(t_grid) < 0.0):
         raise ValueError("t_grid must be nonnegative and nondecreasing")
-    if step is not None and step <= 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
+    _check_step(step)
     h = step if step is not None else _default_step(kernel, max(float(t_grid[-1]), 1e-12))
     return _sweep(kernel, np.eye(kernel.p), np.r_[0.0, t_grid], np.full(t_grid.size, h))[0]
 
@@ -274,9 +281,11 @@ def renewal_operator(
     """
     kernel = model.kernel
     gamma = kernel.gamma
+    _check_step(step)
     if u_max is not None:
-        if u_max <= 0:
-            raise ValueError(f"u_max must be positive, got {u_max!r}")
+        # An infinite window would never be reached by the quadrature nodes.
+        if not 0.0 < u_max < np.inf:
+            raise ValueError(f"u_max must be finite and positive, got {u_max!r}")
         targets = [float(u_max)]
     else:
         targets = []

@@ -70,9 +70,47 @@ def test_grid_rejects_misaligned_windows():
         LevelDurationGrid(u_max=1.0, du=0.3, l_max=1.0, dl=0.5)
     with pytest.raises(ValueError):
         LevelDurationGrid(u_max=1.0, du=-0.1, l_max=1.0, dl=0.5)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="grid spacings and extents must be positive and finite"):
+            LevelDurationGrid(u_max=bad, du=0.25, l_max=1.0, dl=0.25)
+        with pytest.raises(ValueError, match="grid spacings and extents must be positive and finite"):
+            LevelDurationGrid.for_model(two_state_model(), du=bad)
     grid = LevelDurationGrid(u_max=1.0, du=0.25, l_max=1.0, dl=0.25)
     with pytest.raises(ValueError, match="duration-grid point"):
         grid.z_index(0.37)
+
+
+def test_defaulted_extents_fit_a_given_spacing():
+    # two_state: gamma = 1, |rate| <= 1, so the default window is u_max = 8
+    # and l_max = 16; neither is a whole number of 0.3 cells.
+    model = two_state_model()
+    grid = LevelDurationGrid.for_model(model, du=0.3)
+    assert (grid.u_max, grid.n_durations) == (pytest.approx(8.1), 28)
+    assert (grid.dl, grid.l_max) == (0.3, pytest.approx(16.2))
+    grid = LevelDurationGrid.for_model(model, dl=0.3)
+    assert (grid.u_max, grid.du, grid.dl) == (8.0, 0.125, 0.3)
+    assert (grid.l_max, grid.n_levels) == (pytest.approx(15.9), 107)
+    # A given extent is not rounded: one that disagrees with its spacing is refused.
+    with pytest.raises(ValueError, match="u_max must be an integer multiple of du"):
+        LevelDurationGrid.for_model(model, u_max=8.0, du=0.3)
+    with pytest.raises(ValueError, match="l_max must be an integer multiple of dl"):
+        LevelDurationGrid.for_model(model, l_max=16.0, dl=0.3)
+
+
+@pytest.mark.parametrize(
+    "make_model", [two_state_model, mmpp_model, pareto_renewal_model, calendar_switch_model]
+)
+def test_defaulted_extents_that_fit_are_kept_bit_for_bit(make_model):
+    model = make_model()
+    default = LevelDurationGrid.for_model(model)
+    u_max, r_max = 8.0 / model.gamma, float(np.max(np.abs(model.rates)))
+    assert (default.u_max, default.du) == (u_max, u_max / 64.0)
+    for du in (u_max / 32.0, u_max / 64.0):
+        grid = LevelDurationGrid.for_model(model, du=du)
+        dl = du * r_max
+        assert (grid.u_max, grid.du, grid.dl, grid.l_max) == (u_max, du, dl, dl * round(2.0 * r_max * u_max / dl))
+    grid = LevelDurationGrid.for_model(model, dl=default.dl)
+    assert (grid.u_max, grid.du, grid.l_max, grid.dl) == (default.u_max, default.du, 2.0 * r_max * u_max, default.dl)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,14 @@ def test_every_subcommand_writes_its_manifest(tmp_path, name, args, artifact):
         ("calendar_switch", ["finite-time", "--horizon", "nan"]),
         ("calendar_switch", ["finite-time", "--horizon", "inf"]),
         ("calendar_switch", ["finite-time", "--horizon", "2", "--z", "nan"]),
+        ("calendar_switch", ["finite-time", "--horizon", "2", "--eps", "0"]),
+        ("calendar_switch", ["finite-time", "--horizon", "2", "--eps", "nan"]),
+        ("two_state", ["first-return", "--eps", "nan"]),
+        ("calendar_switch", ["first-return", "--theta1", "inf", "--n-max", "3"]),
+        ("two_state", ["first-return", "--theta1", "inf"]),
+        ("two_state", ["mc", "first-return", "--theta2", "inf", "--n-paths", "100"]),
+        ("two_state", ["gmatrix", "--t", "inf"]),
+        ("pareto_renewal", ["gmatrix", "--t", "1", "--step", "nan"]),
     ],
     ids=[
         "ruin_nan_capital",
@@ -178,11 +187,21 @@ def test_every_subcommand_writes_its_manifest(tmp_path, name, args, artifact):
         "finite_time_nan_horizon",
         "finite_time_infinite_horizon",
         "finite_time_nan_z",
+        "finite_time_zero_eps",
+        "finite_time_nan_eps",
+        "first_return_nan_eps",
+        "first_return_infinite_theta1",
+        "doubling_first_return_infinite_theta1",
+        "mc_first_return_infinite_theta2",
+        "gmatrix_infinite_t",
+        "gmatrix_nan_step",
     ],
 )
 def test_invalid_arguments_exit_invalid(tmp_path, name, args):
     out = tmp_path / "out"
-    assert main(args + [str(_config(tmp_path, name)), "--out", str(out)]) == EXIT_INVALID
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # refused before numpy sees it
+        assert main(args + [str(_config(tmp_path, name)), "--out", str(out)]) == EXIT_INVALID
     assert not (out / "manifest.json").exists()
 
 
@@ -216,6 +235,20 @@ def test_mc_rejects_the_flags_of_other_modes(two_state_config, tmp_path, mode, f
     args = ["mc", mode, str(two_state_config), "--out", str(out), "--n-paths", "500"]
     with pytest.raises(SystemExit) as err:
         main(args + flags)
+    assert err.value.code == EXIT_INVALID
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["mc", "first-return"], ["mc", "ruin", "--u", "1"], ["mc", "bridge"], ["convergence-study"]],
+    ids=["mc_first_return", "mc_ruin", "mc_bridge", "convergence_study"],
+)
+def test_samplers_take_no_thread_count(two_state_config, tmp_path, command):
+    # Every stream is walked on the calling thread.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(command + [str(two_state_config), "--out", str(out), "--n-paths", "500", "--threads", "2"])
     assert err.value.code == EXIT_INVALID
     assert not out.exists()
 
@@ -333,16 +366,6 @@ def test_ruin_convergence_study_on_a_duration_dependent_model(tmp_path):
     assert row["inside"] == "True"
 
 
-def test_threads_flag_only_on_the_monte_carlo_subcommands(two_state_config):
-    parser = build_parser()
-    with pytest.raises(SystemExit) as err:
-        parser.parse_args(["validate", str(two_state_config), "--threads", "2"])
-    assert err.value.code == EXIT_INVALID
-    for argv in (["mc", "first-return"], ["convergence-study"]):
-        args = parser.parse_args(argv[:1] + argv[1:] + [str(two_state_config), "--threads", "2"])
-        assert args.threads == 2
-
-
 def test_bridge_binary_dump_round_trips(two_state_config, tmp_path):
     out = tmp_path / "out"
     args = ["bridge", str(two_state_config), "--out", str(out), "--n-max", "3"]
@@ -378,6 +401,15 @@ def test_z_engine_bridge_reports_the_holding_tail_bound(tmp_path):
     for row in rows:
         # The default window is 8 mean holding times long.
         assert float(row["holding_tail_bound"]) == pytest.approx(np.exp(-8.0), rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("spacing", ["--du", "--dl"])
+def test_bridge_spacing_alone_fits_the_default_window(two_state_config, tmp_path, spacing):
+    # Neither default window of two_state (8 and 16) is a whole number of 0.3 cells.
+    out = tmp_path / "out"
+    args = ["bridge", str(two_state_config), "--out", str(out), "--n-max", "2", spacing, "0.3"]
+    assert main(args) == EXIT_OK
+    assert _bridge_rows(out)
 
 
 def test_bridge_grid_overrides_go_through_the_default_grid_rule(two_state_config, tmp_path):
@@ -421,20 +453,3 @@ def test_capped_finite_time_series_exits_no_convergence(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "finite-time"
     assert manifest["parameters"]["m_max"] == 3
-
-
-@pytest.mark.parametrize(
-    "threads, env, code",
-    [("0", "", EXIT_INVALID), ("-2", "", EXIT_INVALID), (None, "0", EXIT_INVALID)]
-    + [("1", "0", EXIT_OK)],
-    ids=["flag_zero", "flag_negative", "env_zero", "flag_overrides_env"],
-)
-def test_nonpositive_thread_counts_exit_invalid(
-    two_state_config, tmp_path, monkeypatch, threads, env, code
-):
-    monkeypatch.setenv("FLUIDRISK_THREADS", env)
-    args = ["mc", "first-return", str(two_state_config), "--out", str(tmp_path)]
-    args += ["--n-paths", "100"] + THETA
-    if threads is not None:
-        args += ["--threads", threads]
-    assert main(args) == code

@@ -74,6 +74,36 @@ def test_analytic_engines_reject_nan_transform_arguments(make_model, thetas):
         cost_weights(model, NAN)
 
 
+@pytest.mark.parametrize("make_model", [two_state_model, calendar_switch_model])
+@pytest.mark.parametrize("thetas", [(np.inf, 0.2), (0.3, np.inf)], ids=["theta1", "theta2"])
+def test_analytic_engines_reject_infinite_transform_arguments(make_model, thetas):
+    # An infinite theta1 sends the Riccati solver's LAPACK calls NaN scales.
+    model = make_model()
+    message = "transform arguments must be nonnegative and finite"
+    with pytest.raises(ValueError, match=message):
+        psi(model, *thetas)
+    with pytest.raises(ValueError, match=message):
+        bridge_recursion(model, LevelDurationGrid.for_model(model), *thetas, n_max=3)
+    with pytest.raises(ValueError, match=message):
+        ruin_descriptor(model, 1.0, 4, *thetas, i0=0)
+    with pytest.raises(ValueError, match=message):
+        cost_weights(model, np.inf)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-5, NAN], ids=["zero", "negative", "nan"])
+def test_descriptors_reject_a_nonpositive_or_nan_eps(eps):
+    # A zero tolerance is never met once the tail underflows to zero, and a
+    # NaN one compares false: the series would never stop, or stop at once.
+    for call in (
+        lambda: psi(two_state_model(), eps=eps),
+        lambda: psi(pareto_renewal_model(), eps=eps),
+        lambda: ruin_descriptor(two_state_model(), 1.0, 4, i0=0, eps=eps),
+        lambda: finite_time_return(calendar_switch_model(), 2.0, m_max=5, eps=eps),
+    ):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            call()
+
+
 @pytest.mark.parametrize(
     "make_model", [two_state_model, mmpp_model, renewal_ph_model, cross_arrival_model]
 )

@@ -5,11 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fluidrisk import simulate, simulate_path, simulate_until_return
+from fluidrisk import montecarlo, simulate, simulate_path, simulate_until_return
 from fluidrisk.gallery import gallery_models, two_state_model
 from fluidrisk.montecarlo import (
-    _shares,
-    _walk_shares,
     arrival_time_samples,
     first_return_samples,
     mc_bridge_histogram,
@@ -34,10 +32,10 @@ from _oracles import TWO_STATE_PSI_03_02, TWO_STATE_RUIN_EXACT_U1
     [
         ({"n_paths": -3}, "n_paths"),
         ({"n_paths": 0}, "n_paths"),
-        ({"n_paths": 10, "chunk_size": 0}, "chunk_size"),
     ],
 )
 def test_samplers_reject_nonpositive_sizes(sample, sizes, message):
+    # Checked before the walk: numpy would fail on a negative size itself.
     with pytest.raises(ValueError, match=message):
         sample(two_state_model(), **sizes)
 
@@ -50,12 +48,18 @@ def test_samplers_against_the_two_state_closed_forms():
     assert abs(est.value - TWO_STATE_RUIN_EXACT_U1) <= 3.0 * est.std_error
 
 
-def test_thread_count_does_not_change_samples():
-    args = (two_state_model(), 0.0, 0.3, 0.2, 1000, 10_000, 5)
-    one = first_return_samples(*args, chunk_size=300, n_threads=1)
-    two = first_return_samples(*args, chunk_size=300, n_threads=2)
-    for field in ("n_epoch", "exit_state", "weight", "crossing_time", "start_state"):
-        np.testing.assert_array_equal(getattr(one, field), getattr(two, field))
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda m, k: mc_first_return(m, 0.0, 0.3, 0.2, 100, 10, seed=1, n_threads=k),
+        lambda m, k: mc_ruin(m, 1.0, 0.0, 100, 10, seed=1, n_threads=k),
+    ],
+    ids=["mc_first_return", "mc_ruin"],
+)
+@pytest.mark.parametrize("n_threads", [0, 2])
+def test_estimators_walk_on_the_calling_thread_only(estimate, n_threads):
+    with pytest.raises(ValueError, match="n_threads must be 1"):
+        estimate(two_state_model(), n_threads)
 
 
 @pytest.mark.parametrize(
@@ -132,10 +136,15 @@ def test_a_numpy_integer_start_state_gives_the_same_samples(sample):
     ],
     ids=["simulate_until_return", "first_return", "mc_first_return", "mc_ruin"],
 )
-@pytest.mark.parametrize("theta", [(-0.5, 0.0), (0.0, -0.5)], ids=["theta1", "theta2"])
+@pytest.mark.parametrize(
+    "theta",
+    [(-0.5, 0.0), (0.0, -0.5), (float("inf"), 0.0), (0.0, float("inf"))],
+    ids=["theta1", "theta2", "theta1_inf", "theta2_inf"],
+)
 def test_samplers_reject_negative_transform_arguments(sample, theta):
     # A negative theta1 makes each path weight exp(-theta1 * dividends) grow
-    # without bound; the samplers refuse it as the analytic engines do.
+    # without bound; the samplers refuse it, and an infinite one, as the
+    # analytic engines do.
     with pytest.raises(ValueError, match="transform arguments must be nonnegative"):
         sample(two_state_model(), *theta)
 
@@ -350,11 +359,12 @@ def _ascending(model):
 
 
 @pytest.mark.parametrize("name", GALLERY)
-def test_first_return_samples_match_the_sequential_reference(name):
+def test_first_return_samples_match_the_sequential_reference(name, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_DEFAULT_CHUNK", 128)
     model, theta = GALLERY[name], (0.3, 0.2)
     ascending = _ascending(model)
     for barrier, start_model in ((0.0, ascending), (0.7, model)):
-        got = first_return_samples(model, 0.7, *theta, 300, 100, 4, barrier_offset=barrier, chunk_size=128)
+        got = first_return_samples(model, 0.7, *theta, 300, 100, 4, barrier_offset=barrier)
         parts = [_ref_first_return(start_model, 0.7, theta, m, 100, rng, barrier)
                  for m, rng in _ref_chunks(300, 128, 4)]
         fields = ("n_epoch", "exit_state", "weight", "crossing_time", "start_state")
@@ -398,19 +408,21 @@ def test_a_model_with_another_alpha_draws_from_its_own_ascending_alpha():
 
 
 @pytest.mark.parametrize("name", GALLERY)
-def test_bridge_histogram_matches_the_sequential_reference(name):
+def test_bridge_histogram_matches_the_sequential_reference(name, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_DEFAULT_CHUNK", 128)
     model = GALLERY[name]
     s_edges, l_edges = np.linspace(0.0, 4.0, 9), np.linspace(-3.0, 3.0, 13)
-    got = mc_bridge_histogram(model, 0.7, 3, s_edges, l_edges, 300, 6, chunk_size=128)
+    got = mc_bridge_histogram(model, 0.7, 3, s_edges, l_edges, 300, 6)
     parts = [_ref_bridge(model, 0.7, 3, m, rng, s_edges, l_edges) for m, rng in _ref_chunks(300, 128, 6)]
     _same_bits(got.counts, sum(p[0] for p in parts))
     _same_bits(got.n_hits, sum(p[1] for p in parts))
 
 
 @pytest.mark.parametrize("name", GALLERY)
-def test_arrival_times_match_the_sequential_reference(name):
+def test_arrival_times_match_the_sequential_reference(name, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_DEFAULT_CHUNK", 128)
     model = GALLERY[name]
-    got = arrival_time_samples(model, 0.7, 3, 300, 7, max_epochs=6, chunk_size=128)
+    got = arrival_time_samples(model, 0.7, 3, 300, 7, max_epochs=6)
     want = np.concatenate([_ref_arrivals(model, 0.7, 3, m, 6, rng) for m, rng in _ref_chunks(300, 128, 7)])
     _same_bits(got, want)
 
@@ -422,22 +434,21 @@ def test_arrival_times_match_the_sequential_reference(name):
 SMALL = 16
 
 
-@pytest.mark.parametrize("n_threads", [1, 2])
 @pytest.mark.parametrize("max_epochs", [5, 100])
 @pytest.mark.parametrize("name", GALLERY)
-def test_refilled_first_passage_matches_the_sequential_reference(name, max_epochs, n_threads):
+def test_refilled_first_passage_matches_the_sequential_reference(name, max_epochs, monkeypatch):
     model, theta = GALLERY[name], (0.3, 0.2)
-    for barrier, start_model in ((0.0, _ascending(model)), (0.7, model)):
-        got = first_return_samples(
-            model, 0.7, *theta, 300, max_epochs, 4, barrier_offset=barrier, chunk_size=SMALL, n_threads=n_threads
-        )
-        parts = [_ref_first_return(start_model, 0.7, theta, m, max_epochs, rng, barrier)
-                 for m, rng in _ref_chunks(300, SMALL, 4)]
-        fields = ("n_epoch", "exit_state", "weight", "crossing_time", "start_state")
-        for k, field in enumerate(fields):
-            _same_bits(getattr(got, field), np.concatenate([p[k] for p in parts]))
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_DEFAULT_CHUNK", SMALL)
+        for barrier, start_model in ((0.0, _ascending(model)), (0.7, model)):
+            got = first_return_samples(model, 0.7, *theta, 300, max_epochs, 4, barrier_offset=barrier)
+            parts = [_ref_first_return(start_model, 0.7, theta, m, max_epochs, rng, barrier)
+                     for m, rng in _ref_chunks(300, SMALL, 4)]
+            fields = ("n_epoch", "exit_state", "weight", "crossing_time", "start_state")
+            for k, field in enumerate(fields):
+                _same_bits(getattr(got, field), np.concatenate([p[k] for p in parts]))
     # mc_ruin walks one stream of its default size; the horizon only filters.
-    est = mc_ruin(model, 0.7, 0.7, 300, max_epochs, 9, theta1=0.3, theta2=0.2, horizon=5.0, n_threads=n_threads)
+    est = mc_ruin(model, 0.7, 0.7, 300, max_epochs, 9, theta1=0.3, theta2=0.2, horizon=5.0)
     (_, rng), = _ref_chunks(300, 1 << 14, 9)
     _, _, weight, t_cross, _ = _ref_first_return(model, 0.7, theta, 300, max_epochs, rng, 0.7)
     values = np.where(t_cross <= 5.0, weight, 0.0)
@@ -445,23 +456,23 @@ def test_refilled_first_passage_matches_the_sequential_reference(name, max_epoch
     _same_bits(est.std_error, values.std(ddof=1) / np.sqrt(300))
 
 
-@pytest.mark.parametrize("n_threads", [1, 2])
 @pytest.mark.parametrize("max_epochs", [5, 100])
 @pytest.mark.parametrize("name", GALLERY)
-def test_refilled_arrival_times_match_the_sequential_reference(name, max_epochs, n_threads):
+def test_refilled_arrival_times_match_the_sequential_reference(name, max_epochs, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_DEFAULT_CHUNK", SMALL)
     model = GALLERY[name]
-    got = arrival_time_samples(model, 0.7, 3, 300, 7, max_epochs=max_epochs, chunk_size=SMALL, n_threads=n_threads)
+    got = arrival_time_samples(model, 0.7, 3, 300, 7, max_epochs=max_epochs)
     want = [_ref_arrivals(model, 0.7, 3, m, max_epochs, rng) for m, rng in _ref_chunks(300, SMALL, 7)]
     _same_bits(got, np.concatenate(want))
 
 
-@pytest.mark.parametrize("n_threads", [1, 2])
 @pytest.mark.parametrize("n", [2, 5])
 @pytest.mark.parametrize("name", GALLERY)
-def test_refilled_bridge_histogram_matches_the_sequential_reference(name, n, n_threads):
+def test_refilled_bridge_histogram_matches_the_sequential_reference(name, n, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_DEFAULT_CHUNK", SMALL)
     model = GALLERY[name]
     s_edges, l_edges = np.linspace(0.0, 4.0, 9), np.linspace(-3.0, 3.0, 13)
-    got = mc_bridge_histogram(model, 0.7, n, s_edges, l_edges, 300, 6, chunk_size=SMALL, n_threads=n_threads)
+    got = mc_bridge_histogram(model, 0.7, n, s_edges, l_edges, 300, 6)
     parts = [_ref_bridge(model, 0.7, n, m, rng, s_edges, l_edges) for m, rng in _ref_chunks(300, SMALL, 6)]
     _same_bits(got.counts, sum(p[0] for p in parts))
     _same_bits(got.n_hits, sum(p[1] for p in parts))
@@ -477,7 +488,8 @@ def test_the_live_set_is_refilled_and_stays_bounded(monkeypatch):
         segment(walk)
 
     monkeypatch.setattr(simulate._Walk, "segment", recording)
-    got = first_return_samples(two_state_model(), 0.0, 0.3, 0.2, 2000, 1000, 3, chunk_size=64)
+    monkeypatch.setattr(montecarlo, "_DEFAULT_CHUNK", 64)
+    got = first_return_samples(two_state_model(), 0.0, 0.3, 0.2, 2000, 1000, 3)
     live, streams = np.array(seen).T
     assert live.max() <= 64 + 64 // 8
     assert streams.max() > 1  # a stream was admitted while another was walking
@@ -494,9 +506,8 @@ def test_the_live_set_is_refilled_and_stays_bounded(monkeypatch):
 # of several streams live at the handover.
 
 
-@pytest.mark.parametrize("n_threads", [1, 2])
 @pytest.mark.parametrize("name", GALLERY)
-def test_the_python_float_tail_matches_the_sequential_reference(name, n_threads, monkeypatch):
+def test_the_python_float_tail_matches_the_sequential_reference(name, monkeypatch):
     handed = []  # per handover: the streams' live path numbers
     floats = simulate._Walk.floats
 
@@ -506,6 +517,7 @@ def test_the_python_float_tail_matches_the_sequential_reference(name, n_threads,
         return streams
 
     monkeypatch.setattr(simulate._Walk, "floats", recording)
+    monkeypatch.setattr(montecarlo, "_DEFAULT_CHUNK", SMALL)
     model, theta = GALLERY[name], (0.3, 0.2)
     returned = censored = most_streams = 0
     for barrier, start_model in ((0.0, _ascending(model)), (0.7, model)):
@@ -514,13 +526,9 @@ def test_the_python_float_tail_matches_the_sequential_reference(name, n_threads,
                 alpha, _ = simulate._first_passage_alpha(model, 0.7, *theta, max_epochs, start_state, barrier)
                 out = np.zeros(300, np.int64), np.full(300, -1, np.int64), np.zeros(300), np.full(300, np.inf)
                 starts = np.empty(300, np.int64)
-
-                def sample(streams):
-                    walk = simulate._Walk(model, 0.7, streams, start_state, alpha, SMALL, starts)
-                    simulate._walk_to_barrier(walk, model.rates, *theta, max_epochs, barrier, out)
-
                 handed.clear()
-                _walk_shares(sample, _shares(300, SMALL, 4, n_threads))
+                walk = simulate._Walk(model, 0.7, montecarlo._streams(300, 4), start_state, alpha, SMALL, starts)
+                simulate._walk_to_barrier(walk, model.rates, *theta, max_epochs, barrier, out)
                 parts = [_ref_first_return(start_model, 0.7, theta, m, max_epochs, rng, barrier, start_state)
                          for m, rng in _ref_chunks(300, SMALL, 4)]
                 for k, got in enumerate((*out, starts)):

@@ -253,6 +253,38 @@ def test_invalid_intervals_rejected():
         survival_matrix(kernel, 0.0, 1.0, step=-0.5)
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda k: survival_matrix(k, 0.0, INF), "s and t must be finite"),
+        (lambda k: survival_matrix(k, 0.0, NAN), "s and t must be finite"),
+        (lambda k: survival_matrix(k, NAN, 1.0), "s and t must be finite"),
+        (lambda k: survival_matrix(k, 0.0, 1.0, step=NAN), "step must be finite and positive"),
+        (lambda k: survival_matrix(k, 0.0, 1.0, step=INF), "step must be finite and positive"),
+        (lambda k: survival_profile(k, [NAN, 1.0]), "t_grid must be finite"),
+        (lambda k: survival_profile(k, [0.5, INF]), "t_grid must be finite"),
+        (lambda k: survival_profile(k, [0.5, 1.0], step=NAN), "step must be finite and positive"),
+    ],
+    ids=[
+        "matrix_infinite_t",
+        "matrix_nan_t",
+        "matrix_nan_s",
+        "matrix_nan_step",
+        "matrix_infinite_step",
+        "profile_nan_point",
+        "profile_infinite_point",
+        "profile_nan_step",
+    ],
+)
+def test_survival_operators_reject_non_finite_arguments(call, message):
+    # A NaN point compared false with every check: G(0, 1) read as the identity.
+    with pytest.raises(ValueError, match=message):
+        call(pareto_renewal_model().kernel)
+
+
 # ---------------------------------------------------------------------------
 # Interarrival densities
 # ---------------------------------------------------------------------------
@@ -409,6 +441,11 @@ def test_library_evaluates_kernels_only_on_arrays():
 def test_arrival_operator_rejects_bad_window():
     with pytest.raises(ValueError):
         renewal_operator(two_state_model(), u_max=-1.0)
+    # An infinite window is never reached by the quadrature nodes.
+    with pytest.raises(ValueError, match="u_max must be finite and positive"):
+        renewal_operator(two_state_model(), u_max=float("inf"))
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        renewal_operator(two_state_model(), step=float("nan"))
 
 
 # ---------------------------------------------------------------------------
