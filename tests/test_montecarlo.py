@@ -429,51 +429,56 @@ def test_arrival_times_match_the_sequential_reference(name, monkeypatch):
 
 # Many small streams: 300 paths in streams of 16 are 19 streams, admitted
 # whenever the live set falls to 16 // 8 = 2 paths, so most are admitted
-# while others are in mid-walk and each must count its own epochs.
+# while others are in mid-walk and each must count its own epochs.  The last
+# of them holds 12 paths; 320 paths fill 20 streams to the last path.
 
 SMALL = 16
+PATH_COUNTS = pytest.mark.parametrize("n_paths", [300, 320], ids=["short_last_stream", "full_streams"])
 
 
+@PATH_COUNTS
 @pytest.mark.parametrize("max_epochs", [5, 100])
 @pytest.mark.parametrize("name", GALLERY)
-def test_refilled_first_passage_matches_the_sequential_reference(name, max_epochs, monkeypatch):
+def test_refilled_first_passage_matches_the_sequential_reference(name, max_epochs, n_paths, monkeypatch):
     model, theta = GALLERY[name], (0.3, 0.2)
     with monkeypatch.context() as patch:
         patch.setattr(montecarlo, "_DEFAULT_CHUNK", SMALL)
         for barrier, start_model in ((0.0, _ascending(model)), (0.7, model)):
-            got = first_return_samples(model, 0.7, *theta, 300, max_epochs, 4, barrier_offset=barrier)
+            got = first_return_samples(model, 0.7, *theta, n_paths, max_epochs, 4, barrier_offset=barrier)
             parts = [_ref_first_return(start_model, 0.7, theta, m, max_epochs, rng, barrier)
-                     for m, rng in _ref_chunks(300, SMALL, 4)]
+                     for m, rng in _ref_chunks(n_paths, SMALL, 4)]
             fields = ("n_epoch", "exit_state", "weight", "crossing_time", "start_state")
             for k, field in enumerate(fields):
                 _same_bits(getattr(got, field), np.concatenate([p[k] for p in parts]))
     # mc_ruin walks one stream of its default size; the horizon only filters.
-    est = mc_ruin(model, 0.7, 0.7, 300, max_epochs, 9, theta1=0.3, theta2=0.2, horizon=5.0)
-    (_, rng), = _ref_chunks(300, 1 << 14, 9)
-    _, _, weight, t_cross, _ = _ref_first_return(model, 0.7, theta, 300, max_epochs, rng, 0.7)
+    est = mc_ruin(model, 0.7, 0.7, n_paths, max_epochs, 9, theta1=0.3, theta2=0.2, horizon=5.0)
+    (_, rng), = _ref_chunks(n_paths, 1 << 14, 9)
+    _, _, weight, t_cross, _ = _ref_first_return(model, 0.7, theta, n_paths, max_epochs, rng, 0.7)
     values = np.where(t_cross <= 5.0, weight, 0.0)
     _same_bits(est.value, values.mean())
-    _same_bits(est.std_error, values.std(ddof=1) / np.sqrt(300))
+    _same_bits(est.std_error, values.std(ddof=1) / np.sqrt(n_paths))
 
 
+@PATH_COUNTS
 @pytest.mark.parametrize("max_epochs", [5, 100])
 @pytest.mark.parametrize("name", GALLERY)
-def test_refilled_arrival_times_match_the_sequential_reference(name, max_epochs, monkeypatch):
+def test_refilled_arrival_times_match_the_sequential_reference(name, max_epochs, n_paths, monkeypatch):
     monkeypatch.setattr(montecarlo, "_DEFAULT_CHUNK", SMALL)
     model = GALLERY[name]
-    got = arrival_time_samples(model, 0.7, 3, 300, 7, max_epochs=max_epochs)
-    want = [_ref_arrivals(model, 0.7, 3, m, max_epochs, rng) for m, rng in _ref_chunks(300, SMALL, 7)]
+    got = arrival_time_samples(model, 0.7, 3, n_paths, 7, max_epochs=max_epochs)
+    want = [_ref_arrivals(model, 0.7, 3, m, max_epochs, rng) for m, rng in _ref_chunks(n_paths, SMALL, 7)]
     _same_bits(got, np.concatenate(want))
 
 
+@PATH_COUNTS
 @pytest.mark.parametrize("n", [2, 5])
 @pytest.mark.parametrize("name", GALLERY)
-def test_refilled_bridge_histogram_matches_the_sequential_reference(name, n, monkeypatch):
+def test_refilled_bridge_histogram_matches_the_sequential_reference(name, n, n_paths, monkeypatch):
     monkeypatch.setattr(montecarlo, "_DEFAULT_CHUNK", SMALL)
     model = GALLERY[name]
     s_edges, l_edges = np.linspace(0.0, 4.0, 9), np.linspace(-3.0, 3.0, 13)
-    got = mc_bridge_histogram(model, 0.7, n, s_edges, l_edges, 300, 6)
-    parts = [_ref_bridge(model, 0.7, n, m, rng, s_edges, l_edges) for m, rng in _ref_chunks(300, SMALL, 6)]
+    got = mc_bridge_histogram(model, 0.7, n, s_edges, l_edges, n_paths, 6)
+    parts = [_ref_bridge(model, 0.7, n, m, rng, s_edges, l_edges) for m, rng in _ref_chunks(n_paths, SMALL, 6)]
     _same_bits(got.counts, sum(p[0] for p in parts))
     _same_bits(got.n_hits, sum(p[1] for p in parts))
 
