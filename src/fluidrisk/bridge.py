@@ -154,7 +154,7 @@ class LevelDurationGrid:
         return self.levels.size
 
     def z_index(self, z: float) -> int:
-        q = int(round(z / self.du))
+        q = int(round(z / self.du)) if math.isfinite(z) else -1
         if q < 0 or q >= self.n_durations or abs(q * self.du - z) > 1e-9 * max(1.0, abs(z)):
             raise ValueError(
                 f"initial duration {z!r} must be a duration-grid point in [0, {self.u_max!r}]"
@@ -164,38 +164,6 @@ class LevelDurationGrid:
     def level_cells(self, rate: float) -> float:
         """Level cells swept per duration cell at a given fluid rate."""
         return rate * self.du / self.dl
-
-
-def _add_shifted(out: np.ndarray, scale, field_arr: np.ndarray, cells: float) -> None:
-    """Accumulate ``out[..., k + cells] += scale * field[..., k]`` in place.
-
-    A fractional ``cells`` splits each value between its two neighboring
-    cells (linear interpolation), and whatever falls outside ``out`` is
-    dropped: the one level-shift rule of the grid engines.  ``field`` may be
-    shorter than ``out``; a level half (:func:`_level_halves`) is placed by
-    its offset, the ``l >= 0`` half at ``zero_index + cells``.  ``scale`` is a
-    scalar or broadcasts against ``out``.
-    """
-    base = math.floor(cells)
-    frac = cells - base
-    n_out, n_in = out.shape[-1], field_arr.shape[-1]
-    for shift, weight in ((base, 1.0 - frac), (base + 1, frac)):
-        lo, hi = max(0, -shift), min(n_in, n_out - shift)
-        if weight == 0.0 or lo >= hi:
-            continue
-        out[..., lo + shift : hi + shift] += (scale * weight) * field_arr[..., lo:hi]
-
-
-def _sweep_level(out: np.ndarray, field_arr: np.ndarray, offset: float, cells: float, weights):
-    """Sweep ``field`` from ``offset`` along a line of ``cells`` level cells
-    per duration cell.
-
-    Accumulates ``weights[k] * field`` placed at ``offset + k * cells`` (by
-    :func:`_add_shifted`) into ``out[..., k, :]``: ``out``'s second to last
-    axis is the duration of the line.
-    """
-    for k, w in enumerate(weights):
-        _add_shifted(out[..., k, :], w, field_arr, offset + k * cells)
 
 
 def _level_halves(field_arr: np.ndarray, zero_index: int) -> np.ndarray:
@@ -232,7 +200,8 @@ def _uniformized_nodes(model: FluidModel, u) -> tuple[np.ndarray, np.ndarray]:
     two one-sided values at ``b``, which keeps quadrature through the jump
     second-order accurate when a node lands on it, whichever way the node's
     own arithmetic rounded.  Every other node gets the kernel's
-    right-continuous value.
+    right-continuous value.  The stacks may be read-only broadcast views
+    (:func:`~fluidrisk.model.uniformized_kernel`).
     """
     u = np.asarray(u, dtype=float).ravel()
     hit = np.zeros(u.shape, dtype=bool)
@@ -242,6 +211,7 @@ def _uniformized_nodes(model: FluidModel, u) -> tuple[np.ndarray, np.ndarray]:
         hit |= near
     Cbar, Dbar = uniformized_kernel(model.kernel, u)
     if hit.any():
+        Cbar, Dbar = Cbar.copy(), Dbar.copy()
         C_left, D_left = uniformized_kernel(model.kernel, np.nextafter(u[hit], -np.inf))
         Cbar[hit] = 0.5 * (Cbar[hit] + C_left)
         Dbar[hit] = 0.5 * (Dbar[hit] + D_left)
@@ -395,14 +365,16 @@ def _kernel_tables(model, grid, offsets, ri, rj, i, j):
 # gamma_last contract the kernel's state axis on a view of the half, halve
 # level zero of the contraction and then shift it onto the full lattice.
 # Their holding-time quadratures, out[q] += sum_p W[q, p] shift(field[p],
-# offset + (q - p) cells), run through _sheared_quadrature: in level
-# coordinates sheared by floor(p cells) per row, every shift of _add_shifted's
-# two-tap rule lands on one of a few fixed offsets, so the quadrature is one
-# matrix product per block of passive columns (gamma_first integrates over
-# the initial duration z + u, gamma_last over the final duration s - u), with
-# each tap weight the number _add_shifted would use; gamma_last's arrival
-# branch rides on row s' = 0 of its product.  The order-2 base
-# (bridge2_slice) fills its tensor in blocks of z values (_z_block).
+# offset + (q - p) cells), run through _sheared_quadrature, the one
+# level-shift rule: a fractional shift splits a value between its two
+# neighbouring cells by linear interpolation (two taps) and drops what leaves
+# the lattice.  In level coordinates sheared by floor(p cells) per row, every
+# tap lands on one of a few fixed offsets, so the quadrature is one matrix
+# product per block of passive columns (gamma_first integrates over the
+# initial duration z + u, gamma_last over the final duration s - u);
+# gamma_last's arrival branch rides on row s' = 0 of its product.  The
+# order-2 base (bridge2_slice) fills its tensor in blocks of z values
+# (_z_block).
 # gamma_middle sums every interior split of an order on the halves' level
 # spectra, frequency first, so a split is one batched matrix product
 # (_MiddleFactors), and inverts that sum once.  The z recursion holds the
@@ -439,38 +411,47 @@ def _columns(arr: np.ndarray) -> np.ndarray:
 
 def _sheared_quadrature(out, field_arr, weights, offset, cells) -> None:
     """Accumulate ``out[q] += sum_p weights[q, p] * field[p]`` shifted by
-    ``offset + (q - p) * cells`` level cells, by :func:`_add_shifted`'s rule.
+    ``offset + (q - p) * cells`` level cells.
 
-    ``out`` is ``(n, columns, L_out)``, ``field`` ``(n, columns, L_in)`` and
-    ``weights`` ``(n, n)``.  The shift is a shear of the (row, level) plane:
-    with ``A_q = floor(offset + q cells)`` and ``B_p = floor(p cells)``, field
+    This is the one level-shift rule of the grid engines: a value shifted by
+    a fractional number of cells splits between its two neighbouring cells,
+    ``1 - frac`` to ``floor`` and ``frac`` to ``floor + 1`` (linear
+    interpolation, two taps), and whatever falls outside ``out`` is dropped.
+
+    ``out`` is ``(n_out, columns, L_out)``, ``field`` ``(n_in, columns,
+    L_in)`` and ``weights`` ``(n_out, n_in)``; a level half
+    (:func:`_level_halves`) is placed by ``offset``, the ``l >= 0`` half at
+    ``zero_index``.  The shift is a shear of the (row, level) plane: with
+    ``A_q = floor(offset + q cells)`` and ``B_p = floor(p cells)``, field
     level ``k`` lands at ``A_q + (k - B_p) + t`` for a tap ``t`` taking few
     values (one for integer ``cells``, at most three in exact arithmetic).
     So the field is copied once per tap into sheared coordinates
     ``y = k - B_p + t``, the quadrature is one matrix product over (tap, p)
     for every column and sheared level, and row ``q`` of the product is added
-    back at ``A_q + y``.  Each tap weight is ``weights[q, p]`` times the split
-    of ``_add_shifted``; only the summation order differs from shifting one
-    row at a time.  Columns go in blocks of about :data:`_STEP_CHUNK` values
-    of the product.
+    back at ``A_q + y``.  Each tap weight is ``weights[q, p]`` times its
+    share of the split.  Columns go in blocks of about :data:`_STEP_CHUNK`
+    values of the product.  One field row swept along ``n_out`` output rows
+    (``n_in = 1``) is a holding-time line.
     """
-    n, n_cols, n_out = out.shape
-    n_in = field_arr.shape[-1]
-    pos = offset + -_lags(n) * cells
+    n_out, n_cols, L_out = out.shape
+    n_in, L_in = field_arr.shape[0], field_arr.shape[-1]
+    pos = offset + (np.arange(n_out)[:, None] - np.arange(n_in)) * cells
     base = np.floor(pos)
     frac = pos - base
-    row_q = np.floor(offset + np.arange(n) * cells).astype(int)
-    row_p = np.floor(np.arange(n) * cells).astype(int)
+    row_q = np.floor(offset + np.arange(n_out) * cells).astype(int)
+    row_p = np.floor(np.arange(n_in) * cells).astype(int)
     lower = base.astype(int) - row_q[:, None] + row_p
     tap = np.stack([lower, lower + 1])
     tap_w = np.stack([weights * (1.0 - frac), weights * frac])
     live = np.nonzero(tap_w)
     taps = np.unique(tap[live])
-    U = np.zeros((n, taps.size, n))
+    U = np.zeros((n_out, taps.size, n_in))
     U[live[1], np.searchsorted(taps, tap[live]), live[2]] = tap_w[live]
     # Sheared levels that some field row reaches inside some output row.
     y_lo = int(max(-row_q.max(), taps[0] - row_p.max()))
-    width = int(min(n_out - row_q.min(), n_in + taps[-1] - row_p.min())) - y_lo
+    width = int(min(L_out - row_q.min(), L_in + taps[-1] - row_p.min())) - y_lo
+    if width <= 0:
+        return  # every shifted value leaves the lattice
     # (tap, p, sheared range, field level) of each copy that meets a nonzero
     # weight, and (q, lattice range, sheared index) of each row that receives.
     row_q, row_p = row_q.tolist(), row_p.tolist()
@@ -478,27 +459,27 @@ def _sheared_quadrature(out, field_arr, weights, offset, cells) -> None:
     for t_i, t in enumerate(taps.tolist()):
         for p in np.flatnonzero(U[:, t_i].any(axis=0)).tolist():
             start = y_lo - t + row_p[p]
-            k0, k1 = max(0, start), min(n_in, start + width)
+            k0, k1 = max(0, start), min(L_in, start + width)
             if k0 < k1:
                 copies.append((t_i, p, k0 - start, k1 - start, k0))
     rows = []
     for q in np.flatnonzero(U.any(axis=(1, 2))).tolist():
         start = row_q[q] + y_lo
-        x0, x1 = max(0, start), min(n_out, start + width)
+        x0, x1 = max(0, start), min(L_out, start + width)
         if x0 < x1:
             rows.append((q, x0, x1, x0 - start))
-    block = max(1, min(n_cols, _STEP_CHUNK // (n * width)))
-    sheared = np.zeros((taps.size, n, block, width))
-    product = np.empty(n * block * width)
-    U = U.reshape(n, -1)
+    block = max(1, min(n_cols, _STEP_CHUNK // (max(n_out, n_in) * width)))
+    sheared = np.zeros((taps.size, n_in, block, width))
+    product = np.empty(n_out * block * width)
+    U = U.reshape(n_out, -1)
     for c0 in range(0, n_cols, block):
         c1 = min(c0 + block, n_cols)
         x = sheared[:, :, : c1 - c0]
         for t_i, p, y0, y1, k0 in copies:
             x[t_i, p, :, y0:y1] = field_arr[p, c0:c1, k0 : k0 + y1 - y0]
-        y = product[: n * (c1 - c0) * width].reshape(n, -1)
-        np.matmul(U, x.reshape(taps.size * n, -1), out=y)
-        y = y.reshape(n, c1 - c0, width)
+        y = product[: n_out * (c1 - c0) * width].reshape(n_out, -1)
+        np.matmul(U, x.reshape(taps.size * n_in, -1), out=y)
+        y = y.reshape(n_out, c1 - c0, width)
         for q, x0, x1, y0 in rows:
             out[q, c0:c1, x0:x1] += y[q, :, y0 : y0 + x1 - x0]
 

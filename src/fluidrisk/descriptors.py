@@ -24,6 +24,7 @@ Three quantities built on the bridge machinery:
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -103,8 +104,8 @@ def psi(
     below ``eps``, capped at ``n_max`` with a warning; the duration window
     adds its own truncation (documented in ``info``).
     """
-    if not z >= 0.0:
-        raise ValueError(f"initial duration must be nonnegative, got {z!r}")
+    if not 0.0 <= z < np.inf:
+        raise ValueError(f"initial duration must be nonnegative and finite, got {z!r}")
     _check_eps(eps)
     if model.kernel.is_constant:
         if grid is not None and not isinstance(grid, LevelGrid):
@@ -242,8 +243,8 @@ def finite_time_return(
     """
     if not 0.0 < horizon < np.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
-    if not z >= 0.0:
-        raise ValueError(f"initial duration must be nonnegative, got {z!r}")
+    if not 0.0 <= z < np.inf:
+        raise ValueError(f"initial duration must be nonnegative and finite, got {z!r}")
     _check_eps(eps)
     u_max = z + horizon
     _require_arrival_free(model, u_max)
@@ -336,7 +337,7 @@ def erlangize(model: FluidModel, u: float, n_stages: int, i0: int | None = None)
     """
     if not u > 0.0:
         raise ValueError(f"target level must be positive, got {u!r}")
-    if n_stages < 1:
+    if operator.index(n_stages) < 1:
         raise ValueError(f"n_stages must be at least 1, got {n_stages!r}")
     if i0 is None:
         support = np.flatnonzero(model.alpha > 0.0)

@@ -25,7 +25,9 @@ holding-time density swept along its fluid displacement), so the engine runs
 on FFTs.  Every level product pairs an ``l >= 0`` half with an ``l <= 0``
 half (:func:`~fluidrisk.bridge._level_halves`), each holding-time line lives
 on the half it sweeps, and the products land on the grid's own level indices
-(:class:`_Plans`).
+(:class:`_Plans`).  The holding-time lines and the closing-arrival sweep
+shift levels by the generic engine's one rule,
+:func:`~fluidrisk.bridge._sheared_quadrature`, with one field row.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .bridge import (
     _bridge2_branches,
     _clamp_and_flag,
     _level_halves,
-    _sweep_level,
+    _sheared_quadrature,
     _trapezoid_weights,
 )
 
@@ -258,7 +260,7 @@ class _SplitConstants:
             # zero (index `origin`) swept at slope `rate`; whatever weight
             # leaves the half is recorded as lost.
             K = np.zeros((ns, m0 + 1))
-            _sweep_level(K, np.ones(1), origin, grid.level_cells(rate), weights)
+            _sheared_quadrature(K[:, None], np.ones((1, 1, 1)), weights[:, None], origin, grid.level_cells(rate))
             self.kernel_loss = max(self.kernel_loss, float(weights.sum() - K.sum()))
             return K
 
@@ -340,7 +342,7 @@ def _split_step(prev: _SplitLevel, pair_sums, c: _SplitConstants):
     # the shift; the boundary node carries the midpoint value).
     cc = np.einsum("ixl,xj->ijl", prev.chat, c.D.mm)
     for b_j, cells in enumerate(c.delta_minus):
-        _sweep_level(B_new[:, b_j], cc[:, b_j], m0, cells, c.exp_s)
+        _sheared_quadrature(np.moveaxis(B_new[:, b_j], 1, 0), cc[None, :, b_j], c.exp_s[:, None], m0, cells)
     return A_new, B_new
 
 

@@ -353,7 +353,9 @@ def uniformized_kernel(kernel: DurationKernel, u) -> tuple[np.ndarray, np.ndarra
     """Per-epoch transition matrices ``Cbar(u) = I + C(u)/gamma``, ``Dbar(u) = D(u)/gamma``.
 
     ``u`` is one duration, giving ``(p, p)`` matrices, or a 1-D array of
-    durations, giving ``(m, p, p)`` stacks.
+    durations, giving ``(m, p, p)`` stacks.  A stack broadcast from one
+    matrix, as a duration-free kernel's evaluator returns it, is uniformized
+    on that matrix and returned as a read-only broadcast view.
 
     Raises
     ------
@@ -364,12 +366,17 @@ def uniformized_kernel(kernel: DurationKernel, u) -> tuple[np.ndarray, np.ndarra
     u = np.asarray(u, dtype=float)
     C, D = eval_kernel_batch(kernel, u)
     gamma = kernel.gamma
-    total = -C.diagonal(axis1=-2, axis2=-1)
-    if np.any(total > gamma * (1.0 + 1e-12)):
-        k, i = np.unravel_index(np.argmax(total), total.shape)
-        raise UniformizationBoundError(u=float(u.ravel()[k]), state=int(i), total_rate=float(total[k, i]), gamma=gamma)
-    Cbar = np.eye(kernel.p) + C / gamma
-    Dbar = D / gamma
+    C1, D1 = (x[:1] if x.strides[0] == 0 else x for x in (C, D))
+    diag = C1.diagonal(0, -2, -1)
+    if np.count_nonzero(diag < -gamma * (1.0 + 1e-12)):
+        k, i = np.unravel_index(np.argmin(diag), diag.shape)
+        raise UniformizationBoundError(u=float(u.ravel()[k]), state=int(i), total_rate=float(-diag[k, i]), gamma=gamma)
+    Cbar, Dbar = C1 / gamma, D1 / gamma
+    Cbar += np.eye(kernel.p)
+    if C1 is not C:
+        Cbar = np.broadcast_to(Cbar, C.shape)
+    if D1 is not D:
+        Dbar = np.broadcast_to(Dbar, D.shape)
     return (Cbar[0], Dbar[0]) if u.ndim == 0 else (Cbar, Dbar)
 
 

@@ -152,7 +152,7 @@ def first_return_samples(
     ``start_state`` pins one.  The samples depend only on ``seed`` and
     ``n_paths``.
     """
-    alpha, _ = _first_passage_alpha(model, z, theta1, theta2, max_epochs, start_state, barrier_offset)
+    cdf = _first_passage_alpha(model, z, theta1, theta2, max_epochs, start_state, barrier_offset)
     streams = _streams(n_paths, seed)
     out = (
         np.zeros(n_paths, dtype=np.int64),
@@ -161,7 +161,7 @@ def first_return_samples(
         np.full(n_paths, np.inf),
     )
     starts = np.empty(n_paths, dtype=np.int64)
-    walk = _Walk(model, z, streams, start_state, alpha, _DEFAULT_CHUNK // 8, starts)
+    walk = _Walk(model, z, streams, start_state, cdf, _DEFAULT_CHUNK // 8, starts)
     _walk_to_barrier(walk, model.rates, theta1, theta2, max_epochs, barrier_offset, out)
     n_epoch, exit_state, weight, crossing_time = out
     return ReturnSamples(

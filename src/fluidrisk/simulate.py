@@ -39,27 +39,22 @@ so either way gives a path bit for bit:
   draws, in place), and the epoch is resolved by one ``_Epoch`` step for
   all streams.
 
-For a duration-free kernel ``_Epoch`` builds the cumulative ``[Cbar | Dbar]``
-rows of all states once and then only reads rows by state; a
-duration-dependent kernel is evaluated, and checked, at every epoch.
+``_Epoch`` gathers its cumulative ``[Cbar | Dbar]`` rows from
+:func:`~fluidrisk.model.uniformized_kernel`, the one home of the
+uniformization rule and its bound on ``gamma``: for a duration-free kernel
+once, for every state, after which it only reads rows by state; for a
+duration-dependent kernel at every epoch.  Either walker draws start states
+from one cumulative distribution (``_cdf``) by one rule.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    EPOCH_PROB_TOL,
-    FluidModel,
-    FluidModelError,
-    UniformizationBoundError,
-    _check_transform,
-    eval_kernel_batch,
-)
+from .model import EPOCH_PROB_TOL, FluidModel, FluidModelError, _check_transform, uniformized_kernel
 
 __all__ = [
     "KernelConsistencyError",
@@ -165,9 +160,9 @@ class _Epoch:
     cumulative row and row total (``None`` for a duration-dependent kernel)
     and row of costs, then per ``k`` the new state, arrival flag and
     duration factor; ``picks`` is ``step`` on Python numbers.  ``start`` and
-    ``start_plus`` hold ``(alpha, cdf)`` for ``model.alpha`` and for it
-    restricted to the ascending states (``None`` when they have no mass),
-    ``cdf`` as a Python list built as ``Generator.choice`` builds it.
+    ``start_plus`` are the start laws of the walks, as cumulative
+    distributions (:func:`_cdf`): ``model.alpha`` and ``model.alpha``
+    restricted to the ascending states (``None`` when they have no mass).
     """
 
     def __init__(self, model: FluidModel):
@@ -190,35 +185,25 @@ class _Epoch:
             self.arrives.tolist(),
             self.runs.tolist(),
         )
-        self.start = (model.alpha, _cdf(model.alpha))
+        self.start = _cdf(model.alpha)
         plus = np.zeros(p)
         plus[model.s_plus] = model.alpha[model.s_plus]
         self.start_plus = None
         if plus.sum() > 0.0:
+            # Normalized before the cumulative sum, as Generator.choice takes a law.
             plus /= plus.sum()
-            self.start_plus = (plus, _cdf(plus))
+            self.start_plus = _cdf(plus)
 
     def rows(self, states, u_args):
         """Each path's cumulative ``[Cbar | Dbar]`` row, as one column of a
-        ``(2p, m)`` array, and the row totals."""
-        p, m, gamma = self.p, states.size, self.gamma
-        C, D = eval_kernel_batch(self.kernel, u_args)
-        base = np.arange(m) * p
-        at = base + states  # each path's row of the (m * p, p) stacks
-        probs = np.concatenate([C.reshape(-1, p).take(at, axis=0), D.reshape(-1, p).take(at, axis=0)], axis=1)
-        probs /= gamma
-        diag = at + base  # each path's Cbar diagonal entry in probs.ravel()
-        flat = probs.reshape(-1)
-        flat[diag] += 1.0
-        self_prob = flat.take(diag)
-        if np.count_nonzero(self_prob < -1e-12):
-            k = int(np.argmin(self_prob))
-            raise UniformizationBoundError(
-                u=float(u_args[k]),
-                state=int(states[k]),
-                total_rate=float((1.0 - self_prob[k]) * gamma),
-                gamma=gamma,
-            )
+        ``(2p, m)`` array, and the row totals.  The rows are gathered from
+        :func:`~fluidrisk.model.uniformized_kernel`'s stacks at ``u_args``,
+        which checks the uniformization bound of every state there; the row
+        sums are checked here."""
+        p, m = self.p, states.size
+        Cbar, Dbar = uniformized_kernel(self.kernel, u_args)
+        at = np.arange(m) * p + states  # each path's row of the (m * p, p) stacks
+        probs = np.concatenate([Cbar.reshape(-1, p).take(at, axis=0), Dbar.reshape(-1, p).take(at, axis=0)], axis=1)
         totals = probs.sum(axis=1)
         err = np.abs(totals - 1.0)
         if np.count_nonzero(err > EPOCH_PROB_TOL):
@@ -252,13 +237,17 @@ class _Epoch:
         return list(map(self.pick, states, u_args, uniforms))
 
 
-def _cdf(alpha: np.ndarray) -> list:
-    """``alpha``'s cumulative distribution as ``Generator.choice`` builds it, so
-    that ``bisect_right(cdf, rng.random())`` draws what ``rng.choice(p, size=1,
-    p=alpha)`` draws."""
+def _cdf(alpha: np.ndarray) -> np.ndarray:
+    """``alpha``'s cumulative distribution as ``Generator.choice`` builds it.
+
+    Both walkers draw ``m`` start states as ``cdf.searchsorted(rng.random(m),
+    side="right")`` (``_walk_one`` with one scalar draw), which is how
+    ``Generator.choice`` draws ``m`` states with probabilities ``alpha``: the
+    same states from the same draws, leaving the RNG in the same state.
+    """
     cdf = alpha.cumsum()
     cdf /= cdf[-1]
-    return cdf.tolist()
+    return cdf
 
 
 class _Walk:
@@ -279,9 +268,10 @@ class _Walk:
     times and leaves the block at the segment's end in ``x_end``, then
     ``jump()``; ``keep(mask)`` and ``drop(n)`` retire paths between the two
     or after the jump, and ``floats()`` retires every live path into Python
-    floats after it.  A stream's start states come from ``alpha``
-    (``model.alpha`` when omitted) unless ``start_state`` pins one, and are
-    written into ``starts`` at the paths' numbers when it is given.
+    floats after it.  A stream's start states are drawn from the cumulative
+    distribution ``cdf`` (``_Epoch.start``, the law ``model.alpha``, when
+    omitted) unless ``start_state`` pins one, and are written into
+    ``starts`` at the paths' numbers when it is given.
     """
 
     def __init__(
@@ -290,15 +280,15 @@ class _Walk:
         z: float,
         streams,
         start_state=None,
-        alpha=None,
+        cdf=None,
         refill_at: int = 0,
         starts=None,
     ):
         self._epoch = model._epoch
         self._scale = 1.0 / model.gamma
-        self._p, self._z = model.p, float(z)
+        self._z = float(z)
         self._start_state, self._starts, self._refill_at = start_state, starts, refill_at
-        self._alpha = model.alpha if alpha is None else alpha
+        self._cdf = self._epoch.start if cdf is None else cdf
         self._pending = iter(streams)
         self._queued = next(self._pending, None)
         # Per live stream, in admission order: its RNG, live paths and the
@@ -316,7 +306,7 @@ class _Walk:
             offset, m, rng = self._queued
             self._queued = next(self._pending, None)
             if self._start_state is None:
-                states = rng.choice(self._p, size=m, p=self._alpha).astype(np.int64)
+                states = self._cdf.searchsorted(rng.random(m), side="right")
             else:
                 states = np.full(m, int(self._start_state), dtype=np.int64)
             if self._starts is not None:
@@ -467,8 +457,8 @@ def _walk_one(model: FluidModel, z: float, rng, cdf, start_state=None):
 
     The path is the one ``_Walk`` would walk from a one-path stream on
     ``rng``, bit for bit: the same draws in the same order (the start state
-    from ``cdf``, one of ``_Epoch``'s start distributions, unless
-    ``start_state`` pins it; then per epoch ``rng.exponential`` and
+    from ``cdf``, one of ``_Epoch``'s start laws, drawn as ``_Walk`` draws it,
+    unless ``start_state`` pins it; then per epoch ``rng.exponential`` and
     ``rng.random``, whose scalar draws equal one-element ones) and the same
     float operations (``_path_floats``).  It yields ``_path_floats``'s
     segment ends, the first segment beginning at the conventional arrival
@@ -476,7 +466,7 @@ def _walk_one(model: FluidModel, z: float, rng, cdf, start_state=None):
     caller that stops there draws no uniform for it.
     """
     e = model._epoch
-    state = bisect_right(cdf, rng.random()) if start_state is None else int(start_state)
+    state = int(cdf.searchsorted(rng.random(), side="right")) if start_state is None else int(start_state)
     path = _path_floats(e, state, True, 0.0, 0.0, 0.0, float(z), 0.0)
     next(path)
     exponential, random, pick, scale = rng.exponential, rng.random, e.pick, 1.0 / e.gamma
@@ -487,9 +477,10 @@ def _walk_one(model: FluidModel, z: float, rng, cdf, start_state=None):
 
 
 def _check_start(model: FluidModel, z: float, start_state) -> None:
-    """Reject a negative or NaN initial duration and a start state that is not a state index."""
-    if not z >= 0.0:
-        raise ValueError(f"initial duration must be nonnegative, got {z!r}")
+    """Reject a negative, infinite or NaN initial duration and a start state
+    that is not a state index."""
+    if not 0.0 <= z < np.inf:
+        raise ValueError(f"initial duration must be nonnegative and finite, got {z!r}")
     if start_state is not None and not 0 <= operator.index(start_state) < model.p:
         raise ValueError(f"start state must lie in 0..{model.p - 1}, got {start_state!r}")
 
@@ -502,11 +493,11 @@ def _first_passage_alpha(
     max_epochs: int,
     start_state,
     barrier_offset: float = 0.0,
-) -> tuple:
-    """Check a first-passage run's arguments; return ``(alpha, cdf)``, the
-    distribution that draws its start states (for a first return, ``alpha``
-    restricted to the ascending states unless ``start_state`` pins an
-    ascending one) as ``_Epoch`` holds it."""
+) -> np.ndarray:
+    """Check a first-passage run's arguments; return the cumulative
+    distribution of its start states as ``_Epoch`` holds it (for a first
+    return, ``model.alpha`` restricted to the ascending states unless
+    ``start_state`` pins an ascending one)."""
     _check_start(model, z, start_state)
     _check_transform(theta1, theta2)
     if operator.index(max_epochs) < 2:
@@ -640,7 +631,7 @@ def simulate_path(
     times, levels, divs, durations = [0.0], [0.0], [0.0], [float(z)]
     states, arrived, costs = [], [], []
     for state, arrival, level, div, time, dur, cost in _walk_one(
-        model, z, np.random.default_rng(seed), model._epoch.start[1], start_state
+        model, z, np.random.default_rng(seed), model._epoch.start, start_state
     ):
         states.append(state)
         arrived.append(arrival)
@@ -692,7 +683,7 @@ def simulate_until_return(
         return immediately and degenerately); drawn from ``model.alpha``
         restricted to that class when omitted.
     """
-    _, cdf = _first_passage_alpha(model, z, theta1, theta2, max_epochs, start_state)
+    cdf = _first_passage_alpha(model, z, theta1, theta2, max_epochs, start_state)
     # In float64, as the arrays of a walk would promote them.
     theta1, theta2 = float(theta1), float(theta2)
     walk = _walk_one(model, z, np.random.default_rng(seed), cdf, start_state)

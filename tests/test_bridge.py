@@ -320,7 +320,8 @@ def _ref_shift(field, cells):
     ids=["up", "off_left_edge", "off_right_edge", "down", "half_cell", "in_place", "all_right", "all_left"],
 )
 def test_a_level_half_shifts_like_its_zero_padded_field(offset, cells):
-    # A half of m0 + 1 levels placed at `offset` on a 2 m0 + 1 lattice.
+    # A half of m0 + 1 levels placed at `offset` on a 2 m0 + 1 lattice, as
+    # one row of a sheared quadrature with one weight.
     m0 = 4
     rng = np.random.default_rng(3)
     half = rng.random((2, 3, m0 + 1))
@@ -328,7 +329,23 @@ def test_a_level_half_shifts_like_its_zero_padded_field(offset, cells):
     padded[..., offset : offset + m0 + 1] = half
     out = rng.random(padded.shape)
     expected = out + 0.7 * _ref_shift(padded, cells)
-    bridge._add_shifted(out, 0.7, half, offset + cells)
+    rows = bridge._columns(out[None]), bridge._columns(half[None])
+    bridge._sheared_quadrature(*rows, np.full((1, 1), 0.7), offset + cells, cells)
+    np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)
+
+
+def test_one_field_row_swept_along_a_line_shifts_row_by_row():
+    # n_in = 1 < n_out: output row q takes the half shifted by q cells, at a
+    # negative slope that walks the last rows off the lattice's left edge.
+    m0, offset, cells = 4, 4, -1.25
+    rng = np.random.default_rng(5)
+    half = rng.random((1, 3, m0 + 1))
+    padded = np.zeros((3, 2 * m0 + 1))
+    padded[:, offset : offset + m0 + 1] = half[0]
+    weights = rng.random((6, 1))
+    out = rng.random((6, 3, 2 * m0 + 1))
+    expected = out + weights[:, :, None] * np.stack([_ref_shift(padded, q * cells) for q in range(6)])
+    bridge._sheared_quadrature(out, half, weights, offset, cells)
     np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)
 
 

@@ -131,7 +131,10 @@ def test_every_subcommand_writes_its_manifest(tmp_path, name, args, artifact):
         ("two_state", ["convergence-study", "--quantity", "ruin", "--u", "nan", "--i0", "0"]),
         ("two_state", ["first-return", "--z", "nan"]),
         ("two_state", ["first-return", "--z", "-1"]),
+        ("two_state", ["first-return", "--z", "inf"]),
+        ("calendar_switch", ["first-return", "--z", "inf", "--n-max", "3"]),
         ("two_state", ["simulate", "--horizon", "2", "--z", "-1"]),
+        ("two_state", ["simulate", "--horizon", "2", "--z", "inf"]),
         ("two_state", ["simulate", "--horizon", "inf"]),
         ("two_state", ["mc", "first-return", "--n-paths", "50"]),
         ("two_state", ["mc", "bridge", "--z", "-0.000001"]),
@@ -143,15 +146,18 @@ def test_every_subcommand_writes_its_manifest(tmp_path, name, args, artifact):
         ("two_state", ["ruin", "--u", "1", "--n-stages", "1", "--i0", "5"]),
         ("two_state", ["mc", "ruin", "--u", "nan", "--n-paths", "100"]),
         ("two_state", ["mc", "first-return", "--z", "nan", "--n-paths", "100"]),
+        ("two_state", ["mc", "bridge", "--z", "inf", "--n-paths", "100"]),
         ("calendar_switch", ["bridge", "--n-max", "3", "--theta1", "nan"]),
         ("calendar_switch", ["finite-time", "--horizon", "2", "--theta1", "nan"]),
         ("calendar_switch", ["first-return", "--theta1", "nan"]),
         ("two_state", ["first-return", "--theta2", "nan"]),
         ("calendar_switch", ["ruin", "--u", "1", "--n-stages", "1", "--i0", "0", "--theta2", "nan"]),
         ("two_state", ["bridge", "--n-max", "3", "--theta2", "nan"]),
+        ("two_state", ["bridge", "--n-max", "3", "--z", "inf"]),
         ("calendar_switch", ["finite-time", "--horizon", "nan"]),
         ("calendar_switch", ["finite-time", "--horizon", "inf"]),
         ("calendar_switch", ["finite-time", "--horizon", "2", "--z", "nan"]),
+        ("calendar_switch", ["finite-time", "--horizon", "2", "--z", "inf"]),
         ("calendar_switch", ["finite-time", "--horizon", "2", "--eps", "0"]),
         ("calendar_switch", ["finite-time", "--horizon", "2", "--eps", "nan"]),
         ("two_state", ["first-return", "--eps", "nan"]),
@@ -166,7 +172,10 @@ def test_every_subcommand_writes_its_manifest(tmp_path, name, args, artifact):
         "convergence_study_nan_capital",
         "first_return_nan_z",
         "first_return_negative_z",
+        "first_return_infinite_z",
+        "z_engine_first_return_infinite_z",
         "simulate_negative_z",
+        "simulate_infinite_z",
         "simulate_infinite_horizon",
         "mc_too_few_paths",
         "mc_bridge_negative_z",
@@ -178,15 +187,18 @@ def test_every_subcommand_writes_its_manifest(tmp_path, name, args, artifact):
         "ruin_entry_state_too_large",
         "mc_ruin_nan_capital",
         "mc_first_return_nan_z",
+        "mc_bridge_infinite_z",
         "bridge_nan_theta1",
         "finite_time_nan_theta1",
         "first_return_nan_theta1",
         "first_return_nan_theta2",
         "ruin_nan_theta2",
         "split_bridge_nan_theta2",
+        "bridge_infinite_z",
         "finite_time_nan_horizon",
         "finite_time_infinite_horizon",
         "finite_time_nan_z",
+        "finite_time_infinite_z",
         "finite_time_zero_eps",
         "finite_time_nan_eps",
         "first_return_nan_eps",

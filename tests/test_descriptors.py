@@ -247,10 +247,20 @@ def test_erlangize_rejects_a_nonpositive_or_nan_capital(u):
         erlangize(two_state_model(), u, 4, 0)
 
 
+# A fractional count would be truncated by the ramp and fail late in the
+# ladder's matrix power; it is refused up front, as an epoch cap is.
+@pytest.mark.parametrize("build", [erlangize, ruin_descriptor], ids=["erlangize", "ruin_descriptor"])
+def test_a_fractional_stage_count_is_refused_up_front(build):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build(two_state_model(), 1.0, 2.5, i0=0)
+    with pytest.raises(ValueError, match="n_stages must be at least 1"):
+        build(two_state_model(), 1.0, 0, i0=0)
+
+
 # A duration-free kernel ignores z, so only the check rejects it there; on
-# pareto_renewal a NaN z would otherwise reach the duration grid.
+# pareto_renewal a NaN or infinite z would otherwise reach the duration grid.
 @pytest.mark.parametrize("make", [two_state_model, pareto_renewal_model], ids=["two_state", "pareto_renewal"])
-@pytest.mark.parametrize("z", [NAN, -1.0], ids=["nan_z", "negative_z"])
+@pytest.mark.parametrize("z", [NAN, -1.0, np.inf], ids=["nan_z", "negative_z", "infinite_z"])
 def test_psi_rejects_a_negative_or_nan_initial_duration(make, z):
     with pytest.raises(ValueError, match="initial duration must be nonnegative"):
         psi(make(), z=z)
@@ -316,9 +326,10 @@ def test_uncapped_finite_time_stops_at_the_first_epoch_tail_below_eps():
         ({"horizon": np.inf}, "horizon must be finite and positive"),
         ({"horizon": 2.0, "z": NAN}, "initial duration must be nonnegative"),
         ({"horizon": 2.0, "z": -0.5}, "initial duration must be nonnegative"),
+        ({"horizon": 2.0, "z": np.inf}, "initial duration must be nonnegative and finite"),
         ({"horizon": 2.0, "theta1": NAN}, "transform arguments must be nonnegative"),
     ],
-    ids=["zero_horizon", "nan_horizon", "infinite_horizon", "nan_z", "negative_z", "nan_theta1"],
+    ids=["zero_horizon", "nan_horizon", "infinite_horizon", "nan_z", "negative_z", "infinite_z", "nan_theta1"],
 )
 def test_finite_time_rejects_invalid_arguments_by_name(kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -167,17 +167,21 @@ def test_samplers_reject_runs_too_short_to_sample(sample, message):
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize(
     "sample, message",
     [
         (lambda m: simulate_path(m, NAN, 1.0, seed=1), "initial duration"),
+        (lambda m: simulate_path(m, INF, 1.0, seed=1), "initial duration must be nonnegative and finite"),
         (lambda m: simulate_path(m, 0.0, NAN, seed=1), "horizon must be finite and positive"),
         (lambda m: simulate_path(m, 0.0, float("inf"), seed=1), "horizon must be finite and positive"),
         (lambda m: simulate_until_return(m, NAN, 0.0, 0.0, 10, seed=1), "initial duration"),
         (lambda m: first_return_samples(m, NAN, 0.0, 0.0, 10, 10, seed=1), "initial duration"),
         (lambda m: mc_bridge_histogram(m, NAN, 2, [0.0, 1.0], [-1.0, 1.0], 10, seed=1), "initial duration"),
+        (lambda m: mc_bridge_histogram(m, INF, 2, [0.0, 1.0], [-1.0, 1.0], 10, seed=1), "initial duration"),
+        (lambda m: first_return_samples(m, INF, 0.0, 0.0, 10, 10, seed=1), "initial duration"),
         (lambda m: arrival_time_samples(m, NAN, 1, 10, seed=1), "initial duration"),
         (lambda m: first_return_samples(m, 0.0, 0.0, 0.0, 10, 10, seed=1, barrier_offset=NAN), "barrier offset"),
         (lambda m: mc_ruin(m, NAN, 0.0, 100, 10, seed=1, start_state=0), "initial capital"),
@@ -188,11 +192,14 @@ NAN = float("nan")
     ],
     ids=[
         "simulate_path_z",
+        "simulate_path_infinite_z",
         "simulate_path_horizon",
         "simulate_path_infinite_horizon",
         "simulate_until_return_z",
         "first_return_z",
         "bridge_histogram_z",
+        "bridge_histogram_infinite_z",
+        "first_return_infinite_z",
         "arrival_time_z",
         "first_return_barrier",
         "mc_ruin_capital",
@@ -205,6 +212,8 @@ NAN = float("nan")
 def test_samplers_reject_nan_arguments(sample, message):
     # A NaN compares false both ways: a NaN capital or barrier is never
     # reached, so every path would be censored and the estimate read 0 ± 0.
+    # An infinite initial duration would walk paths whose durations read inf
+    # and then NaN.
     with pytest.raises(ValueError, match=message):
         sample(two_state_model())
 
@@ -528,11 +537,11 @@ def test_the_python_float_tail_matches_the_sequential_reference(name, monkeypatc
     for barrier, start_model in ((0.0, _ascending(model)), (0.7, model)):
         for start_state in (None, int(model.s_plus[-1])):
             for max_epochs in (10, 100):
-                alpha, _ = simulate._first_passage_alpha(model, 0.7, *theta, max_epochs, start_state, barrier)
+                cdf = simulate._first_passage_alpha(model, 0.7, *theta, max_epochs, start_state, barrier)
                 out = np.zeros(300, np.int64), np.full(300, -1, np.int64), np.zeros(300), np.full(300, np.inf)
                 starts = np.empty(300, np.int64)
                 handed.clear()
-                walk = simulate._Walk(model, 0.7, montecarlo._streams(300, 4), start_state, alpha, SMALL, starts)
+                walk = simulate._Walk(model, 0.7, montecarlo._streams(300, 4), start_state, cdf, SMALL, starts)
                 simulate._walk_to_barrier(walk, model.rates, *theta, max_epochs, barrier, out)
                 parts = [_ref_first_return(start_model, 0.7, theta, m, max_epochs, rng, barrier, start_state)
                          for m, rng in _ref_chunks(300, SMALL, 4)]

@@ -1,5 +1,7 @@
 """Path simulation on the uniformized Poisson grid."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fluidrisk import (
     FluidModel,
     KernelConsistencyError,
     StateSpace,
+    UniformizationBoundError,
     constant_kernel,
     kernel_from_callables,
     simulate_path,
@@ -15,6 +18,7 @@ from fluidrisk import (
 from fluidrisk.gallery import (
     calendar_switch_model,
     mmpp_model,
+    pareto_renewal_model,
     renewal_ph_model,
     two_state_model,
 )
@@ -141,6 +145,17 @@ def test_inconsistent_kernel_raises():
             first_return_samples(model, 0.0, 0.0, 0.0, 100, 1000, seed=1)
         with pytest.raises(KernelConsistencyError):
             simulate_until_return(model, 0.0, 0.0, 0.0, 1000, seed=1)
+
+
+def test_an_epoch_checks_the_bound_of_every_state_at_its_duration():
+    # At gamma = 1 only state 0's hazard 2.5/(1 + u) is too fast, for u < 1.5.
+    # A path in state 1 at duration 0.5 is refused all the same: the epoch's
+    # rows come from uniformized_kernel, which checks every state there.
+    base = pareto_renewal_model()
+    tight = dataclasses.replace(base, kernel=dataclasses.replace(base.kernel, gamma=1.0))
+    with pytest.raises(UniformizationBoundError) as err:
+        tight._epoch.rows(np.array([1]), np.array([0.5]))
+    assert (err.value.state, err.value.u, err.value.total_rate) == (0, 0.5, 2.5 / 1.5)
 
 
 # ---------------------------------------------------------------------------
