@@ -34,6 +34,11 @@ mc                 Monte Carlo estimates (first-return | ruin | bridge), walked
 convergence-study  analytic vs Monte Carlo 3-SE cross-check (a first-return
                    study needs a duration-free kernel; ruin takes any)
 
+``mc_first_return.csv`` and ``mc_ruin.csv`` have one row with the columns
+``value``, ``std_error``, ``n_paths``, ``censored_fraction`` (paths censored
+at ``--max-epochs``), ``rouletted_fraction`` (paths the unbiased weight
+roulette retired) and ``seed``.
+
 ``convergence_study.csv`` has one row with the columns ``quantity``,
 ``analytic``, ``numeric_error_estimate``, ``mc_value``, ``mc_std_error``,
 ``gap``, ``band`` (3 SE + the numeric error estimate) and ``inside``.
@@ -397,10 +402,13 @@ def _cmd_mc(args, model: FluidModel, out: str) -> tuple[int, dict]:
             horizon=args.horizon,
             **sampling,
         )
-    row = [_fmt(est.value), _fmt(est.std_error), str(est.n_paths), _fmt(est.censored_fraction)]
+    row = [
+        _fmt(est.value), _fmt(est.std_error), str(est.n_paths),
+        _fmt(est.censored_fraction), _fmt(est.rouletted_fraction),
+    ]
     _write_csv(
         os.path.join(out, f"mc_{args.mode.replace('-', '_')}.csv"),
-        ["value", "std_error", "n_paths", "censored_fraction", "seed"],
+        ["value", "std_error", "n_paths", "censored_fraction", "rouletted_fraction", "seed"],
         [row + [str(est.seed)]],
     )
     print(f"mc {args.mode}: {est.value:.6f} ± {est.std_error:.2e}")

@@ -20,6 +20,15 @@ only on the seed and the path count, not on when a stream was admitted.
 Censored paths (no event by ``max_epochs``) contribute weight zero, which
 biases weighted estimates downward; the censored fraction is always
 reported so callers can bracket the bias.
+
+The estimators ``mc_first_return`` and ``mc_ruin`` need only the mean
+weight, so they walk with Russian roulette on the weights at
+``ROULETTE_W_MIN`` (``first_return_samples(..., w_min=)``): a path whose
+weight ``w`` falls below ``w_min`` goes on with probability ``w / w_min``,
+carrying ``w_min``, and is retired with weight 0 otherwise.  The mean is
+unchanged and the paths of negligible weight stop early.  Retired paths
+are reported apart from censored ones (``rouletted_fraction``).  At
+``theta = (0, 0)`` every weight is 1 and the roulette never draws.
 """
 
 from __future__ import annotations
@@ -48,15 +57,26 @@ __all__ = [
 #: ``_DEFAULT_CHUNK + _DEFAULT_CHUNK // 8`` paths.
 _DEFAULT_CHUNK = 1 << 14
 
+#: The roulette threshold of ``mc_first_return`` and ``mc_ruin``.  On
+#: two_state at theta = (0.3, 0.2), 8.7% of paths end below weight 1e-3;
+#: they walk 72.8% of the epochs and carry 1.5e-5 of the estimate.
+ROULETTE_W_MIN = 1e-3
+
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A Monte Carlo mean with its standard error and censoring diagnostics."""
+    """A Monte Carlo mean with its standard error and censoring diagnostics.
+
+    ``censored_fraction`` is the share of paths censored at ``max_epochs``
+    (a downward bias of ``value``), ``rouletted_fraction`` the share retired
+    by the weight roulette (no bias).
+    """
 
     value: float
     std_error: float
     n_paths: int
     censored_fraction: float
+    rouletted_fraction: float
     seed: int
 
 
@@ -71,6 +91,14 @@ class ReturnSamples:
     ``crossing_time`` the exact within-segment hitting time of the barrier
     (+inf when censored; the fluid is piecewise linear so the crossing time
     is exact, not grid-rounded).
+
+    Sampled with ``w_min > 0``, the weights were played for by Russian
+    roulette (:func:`first_return_samples`): a returning path's ``weight``
+    carries the factor the roulette gave it, and a path the roulette retired
+    has ``n_epoch`` the epoch it was retired at, ``exit_state`` -1,
+    ``weight`` 0 and ``crossing_time`` +inf.  Its ``n_epoch`` is not 0, so
+    ``censored_fraction`` counts only the paths censored at ``max_epochs``,
+    and ``rouletted_fraction`` the paths the roulette retired.
     """
 
     n_epoch: np.ndarray
@@ -85,6 +113,10 @@ class ReturnSamples:
     @property
     def censored_fraction(self) -> float:
         return float(np.mean(self.n_epoch == 0))
+
+    @property
+    def rouletted_fraction(self) -> float:
+        return float(np.mean((self.n_epoch > 0) & (self.exit_state < 0)))
 
 
 @dataclass(frozen=True)
@@ -142,6 +174,8 @@ def first_return_samples(
     seed: int,
     start_state: int | None = None,
     barrier_offset: float = 0.0,
+    *,
+    w_min: float = 0.0,
 ) -> ReturnSamples:
     """Sample first-passage outcomes of the fluid below its start (or a barrier).
 
@@ -150,8 +184,20 @@ def first_return_samples(
     ruin from capital ``barrier_offset`` otherwise).  Starting states are
     drawn from ``model.alpha`` restricted to the positive-rate class unless
     ``start_state`` pins one.  The samples depend only on ``seed`` and
-    ``n_paths``.
+    ``n_paths`` (and ``w_min``).
+
+    ``w_min`` in ``[0, 1)`` is the weight roulette's threshold.  At 0, the
+    default, every ``weight`` is the path's exact transform weight.  Above
+    0, after each segment a live path whose weight ``w`` is below ``w_min``
+    goes on with probability ``w / w_min`` and then carries ``w_min``; it is
+    retired otherwise (see :class:`ReturnSamples` for how such a path is
+    reported).  Each weight then has the exact weight's expectation, but
+    not its value: use it for means, as ``mc_first_return`` and ``mc_ruin``
+    do.  At ``theta = (0, 0)`` every weight is 1 and the roulette never
+    draws, so the samples are those of ``w_min = 0``.
     """
+    if not 0.0 <= w_min < 1.0:
+        raise ValueError(f"w_min must lie in [0, 1), got {w_min!r}")
     cdf = _first_passage_alpha(model, z, theta1, theta2, max_epochs, start_state, barrier_offset)
     streams = _streams(n_paths, seed)
     out = (
@@ -162,7 +208,7 @@ def first_return_samples(
     )
     starts = np.empty(n_paths, dtype=np.int64)
     walk = _Walk(model, z, streams, start_state, cdf, _DEFAULT_CHUNK // 8, starts)
-    _walk_to_barrier(walk, model.rates, theta1, theta2, max_epochs, barrier_offset, out)
+    _walk_to_barrier(walk, model.rates, theta1, theta2, max_epochs, barrier_offset, out, w_min)
     n_epoch, exit_state, weight, crossing_time = out
     return ReturnSamples(
         n_epoch=n_epoch,
@@ -176,11 +222,18 @@ def first_return_samples(
     )
 
 
-def _estimate(values: np.ndarray, censored: float, seed: int) -> McEstimate:
+def _estimate(values: np.ndarray, samples: ReturnSamples) -> McEstimate:
     n = values.size
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-    return McEstimate(value=mean, std_error=se, n_paths=n, censored_fraction=censored, seed=seed)
+    return McEstimate(
+        value=mean,
+        std_error=se,
+        n_paths=n,
+        censored_fraction=samples.censored_fraction,
+        rouletted_fraction=samples.rouletted_fraction,
+        seed=samples.seed,
+    )
 
 
 def mc_first_return(
@@ -197,17 +250,19 @@ def mc_first_return(
     """Estimate the weighted first-return quantity ``E[1{return} e^{-...}]``.
 
     Censored paths contribute zero weight, so the value is a lower bound up
-    to the reported censored fraction.  ``n_threads`` must be 1: every
-    stream is walked on the calling thread.
+    to the reported censored fraction.  The paths are walked with the weight
+    roulette at ``ROULETTE_W_MIN`` (:func:`first_return_samples`), which
+    leaves the mean unchanged; at ``theta = (0, 0)`` it never fires.
+    ``n_threads`` must be 1: every stream is walked on the calling thread.
     """
     _one_thread(n_threads)
     if n_paths < 100:
         raise ValueError(f"n_paths must be at least 100 for a meaningful estimate, got {n_paths}")
     samples = first_return_samples(
         model, z, theta1, theta2, n_paths, max_epochs, seed,
-        start_state=start_state,
+        start_state=start_state, w_min=ROULETTE_W_MIN,
     )
-    return _estimate(samples.weight, samples.censored_fraction, seed)
+    return _estimate(samples.weight, samples)
 
 
 def mc_ruin(
@@ -227,8 +282,10 @@ def mc_ruin(
 
     Ruin is the fluid's first passage to zero starting from ``F(0) = u``;
     crossing times are exact within segments, so an optional continuous-time
-    ``horizon`` restricts to ruin before that time.  ``n_threads`` must be 1,
-    as for :func:`mc_first_return`.
+    ``horizon`` restricts to ruin before that time (a path retired by the
+    roulette never counts).  The paths are walked with the weight roulette
+    at ``ROULETTE_W_MIN``, as for :func:`mc_first_return`; ``n_threads``
+    must be 1.
     """
     _one_thread(n_threads)
     if not u >= 0.0:
@@ -239,12 +296,12 @@ def mc_ruin(
         raise ValueError(f"n_paths must be at least 100 for a meaningful estimate, got {n_paths}")
     samples = first_return_samples(
         model, z, theta1, theta2, n_paths, max_epochs, seed,
-        start_state=start_state, barrier_offset=u,
+        start_state=start_state, barrier_offset=u, w_min=ROULETTE_W_MIN,
     )
     values = samples.weight
     if horizon is not None:
         values = np.where(samples.crossing_time <= horizon, values, 0.0)
-    return _estimate(values, samples.censored_fraction, seed)
+    return _estimate(values, samples)
 
 
 def mc_bridge_histogram(

@@ -33,11 +33,12 @@ so either way gives a path bit for bit:
 * the first-passage walk (``_walk_to_barrier``) hands its last paths to
   Python floats once no stream is queued and at most ``TAIL_PATHS`` paths
   are live (``_finish_in_floats``).  The streams stay in lockstep and each
-  still draws ``exponential(scale, size=k)`` and then ``random(k')`` for its
-  live paths in order, so it consumes its RNG exactly as in the numpy
-  epochs (which fill ``scale`` times ``standard_exponential``, the same
-  draws, in place), and the epoch is resolved by one ``_Epoch`` step for
-  all streams.
+  still draws ``exponential(scale, size=k)``, then ``random(j)`` for the
+  weight roulette of its ``j`` low-weight paths (``_Roulette``, when on),
+  then ``random(k')`` for its live paths in order, so it consumes its RNG
+  exactly as in the numpy epochs (which fill ``scale`` times
+  ``standard_exponential``, the same draws, in place), and the epoch is
+  resolved by one ``_Epoch`` step for all streams.
 
 ``_Epoch`` gathers its cumulative ``[Cbar | Dbar]`` rows from
 :func:`~fluidrisk.model.uniformized_kernel`, the one home of the
@@ -380,6 +381,17 @@ class _Walk:
         self.idx, self.state = self.idx.take(at), self.state.take(at)
         self.x = self.x_end = self.x_end.take(at, axis=1)
 
+    def uniforms(self, mask: np.ndarray) -> np.ndarray:
+        """One uniform per live path in ``mask``: each stream draws
+        ``random(k)`` for its ``k`` paths there (none when ``k`` is 0)."""
+        parts, lo = [], 0
+        for rng, size in zip(self._rngs, self._sizes):
+            k = int(np.count_nonzero(mask[lo:lo + size]))
+            if k:
+                parts.append(rng.random(k))
+            lo += size
+        return np.concatenate(parts)
+
     def done(self, n_epochs: int) -> int:
         """Number of leading live paths whose streams have walked ``n_epochs`` epochs."""
         count = 0
@@ -516,17 +528,60 @@ def _first_passage_alpha(
     return e.start_plus
 
 
-def _walk_to_barrier(walk: _Walk, rates, theta1, theta2, max_epochs, barrier_offset, out) -> None:
+class _Roulette:
+    """Russian roulette on the transform weights of a first-passage walk.
+
+    A live path's weight at the end of a segment is ``exp(log_weight(i,
+    div, cost))``: ``exp(-theta1 * div - theta2 * cost)`` times the factor
+    ``exp(lift[i])`` that the roulette has given path ``i`` so far.  Once it
+    is below ``w_min``, ``play`` keeps the path with probability
+    ``w / w_min``, adding ``log(w_min / w)`` to its lift so that it carries
+    ``w_min``, and retires it otherwise: its weight is 0 and its ``n_epoch``
+    the epoch it was retired at (``exit_state`` -1, ``crossing_time`` +inf).
+    The weight's expectation is unchanged (Kahn & Harris, 1951).
+
+    Both walkers of ``_walk_to_barrier`` compute ``log_weight`` with the same
+    float operations, on arrays or on Python numbers, and decide through
+    ``play`` (``math.exp`` and ``np.exp`` may differ by an ulp), so they
+    keep and retire the same paths.
+    """
+
+    def __init__(self, theta1, theta2, w_min: float, n_epoch: np.ndarray):
+        self.theta1, self.theta2, self._n_epoch = theta1, theta2, n_epoch
+        self.log_w_min = float(np.log(w_min))
+        self.lift = np.zeros(n_epoch.size)  # per path number
+
+    def log_weight(self, i, div, cost):
+        return -self.theta1 * div - self.theta2 * cost + self.lift[i]
+
+    def play(self, i, n, log_w, uniforms) -> np.ndarray:
+        """Play for paths ``i``, on the ``n``-th segment of their walk, at
+        log weights ``log_w`` below ``log_w_min``, from one uniform each;
+        return the mask of the survivors."""
+        survive = uniforms < np.exp(log_w - self.log_w_min)
+        self.lift[i[survive]] += self.log_w_min - log_w[survive]
+        lost = ~survive
+        self._n_epoch[i[lost]] = np.broadcast_to(n, i.shape)[lost]
+        return survive
+
+
+def _walk_to_barrier(walk: _Walk, rates, theta1, theta2, max_epochs, barrier_offset, out, w_min=0.0) -> None:
     """Walk every path to its first grid level at or below ``-barrier_offset``.
 
     ``out`` holds the ``ReturnSamples`` arrays ``n_epoch``, ``exit_state``,
     ``weight`` and ``crossing_time``, indexed by path number; a returning
     path's entries are written in place, a path censored at ``max_epochs``
-    keeps the ones it has.  Once no stream is queued and at most
-    ``TAIL_PATHS`` paths are live, the walk finishes in Python floats
-    (``_finish_in_floats``).
+    keeps the ones it has.  With ``w_min > 0`` the weights are played for by
+    ``_Roulette`` after each segment: after the hits are recorded, each
+    stream draws ``random(k)`` for its ``k`` paths below ``w_min``, before
+    the streams censored at ``max_epochs`` are retired and the epoch's
+    uniforms are drawn.  A hit's weight carries its roulette factor.  At
+    ``w_min = 0`` no weight is played for and none carries a factor.  Once
+    no stream is queued and at most ``TAIL_PATHS`` paths are live, the walk
+    finishes in Python floats (``_finish_in_floats``).
     """
     n_epoch, exit_state, weight, t_cross = out
+    roulette = _Roulette(theta1, theta2, w_min, n_epoch) if w_min > 0.0 else None
 
     def record(i, n, s, div, cost, time, level):
         """Write the outcomes of paths ``i`` that hit the barrier on the
@@ -535,12 +590,13 @@ def _walk_to_barrier(walk: _Walk, rates, theta1, theta2, max_epochs, barrier_off
         start."""
         n_epoch[i] = n
         exit_state[i] = s
-        weight[i] = np.exp(-theta1 * div - theta2 * cost)
+        w = np.exp(-theta1 * div - theta2 * cost)
+        weight[i] = w if roulette is None else w * np.exp(roulette.lift[i])
         t_cross[i] = time + (-barrier_offset - level) / rates[s]
 
     while walk.refill():
         if walk.in_tail():
-            _finish_in_floats(walk, record, max_epochs, barrier_offset)
+            _finish_in_floats(walk, record, max_epochs, barrier_offset, roulette)
             return
         walk.segment()
         hit = walk.x_end[LEVEL] <= -barrier_offset
@@ -553,19 +609,30 @@ def _walk_to_barrier(walk: _Walk, rates, theta1, theta2, max_epochs, barrier_off
                 walk.x[TIME].take(at), walk.x[LEVEL].take(at),
             )
             walk.keep(~hit)
+        if roulette is not None:
+            log_w = roulette.log_weight(walk.idx, walk.x_end[DIV], walk.x_end[COST])
+            low = log_w < roulette.log_w_min
+            if np.count_nonzero(low):
+                at = np.flatnonzero(low)
+                survive = roulette.play(walk.idx.take(at), walk.path_epochs(low), log_w.take(at), walk.uniforms(low))
+                low[at.compress(survive)] = False  # now the retired paths
+                walk.keep(~low)
         walk.drop(walk.done(max_epochs))
         walk.jump()
 
 
-def _finish_in_floats(walk: _Walk, record, max_epochs, barrier_offset) -> None:
+def _finish_in_floats(walk: _Walk, record, max_epochs, barrier_offset, roulette=None) -> None:
     """Walk ``walk``'s live paths to the barrier in Python floats.
 
     The epochs are ``_walk_to_barrier``'s, with the same draws in the same
     order: each stream draws ``exponential(scale, size=k)`` for its ``k``
-    live paths; after the hits are recorded and the streams censored at
-    ``max_epochs`` retired, it draws ``random(k')`` for its ``k'`` paths
-    left, and one ``_Epoch.picks`` resolves the epoch of every stream's
-    paths.  Hits go to ``record`` as arrays, as the numpy epochs give them.
+    live paths; after the hits are recorded, it draws ``random(j)`` for the
+    roulette of its ``j`` paths below ``w_min`` (if ``roulette`` is given
+    and ``j > 0``); after the streams censored at ``max_epochs`` are
+    retired, it draws ``random(k')`` for its ``k'`` paths left, and one
+    ``_Epoch.picks`` resolves the epoch of every stream's paths.  Hits go to
+    ``record``, and the roulette of every stream's paths to one
+    ``_Roulette.play``, as arrays, as the numpy epochs give them.
     """
     e, scale, clock = walk._epoch, walk._scale, walk.clock
     streams = walk.floats()
@@ -587,6 +654,8 @@ def _finish_in_floats(walk: _Walk, record, max_epochs, barrier_offset) -> None:
             stream[2] = live
         if hits:
             record(*map(np.array, zip(*hits)))
+        if roulette is not None:
+            _play_in_floats(roulette, streams, clock)
         streams = [stream for stream in streams if stream[2] and clock - stream[1] < max_epochs]
         if not streams:
             return
@@ -596,6 +665,31 @@ def _finish_in_floats(walk: _Walk, record, max_epochs, barrier_offset) -> None:
         ks = e.picks([end[0] for end in ends], [end[5] for end in ends], uniforms)
         for path, k in zip(paths, ks):
             path[1].send(k)
+
+
+def _play_in_floats(roulette: _Roulette, streams, clock: int) -> None:
+    """The roulette of ``_finish_in_floats``'s live paths at ``clock``: each
+    stream draws one uniform per path below ``w_min``, and the losers leave
+    its live list."""
+    numbers, epochs, log_ws, uniforms = [], [], [], []
+    for rng, born, paths in streams:
+        low = 0
+        for number, _, end in paths:
+            log_w = roulette.log_weight(number, end[3], end[6])
+            if log_w < roulette.log_w_min:
+                numbers.append(number)
+                log_ws.append(log_w)
+                low += 1
+        if low:
+            epochs += [clock - born] * low
+            uniforms.append(rng.random(low))
+    if not numbers:
+        return
+    i = np.array(numbers)
+    survive = roulette.play(i, np.array(epochs), np.array(log_ws), np.concatenate(uniforms))
+    lost = set(i[~survive].tolist())
+    for stream in streams:
+        stream[2] = [path for path in stream[2] if path[0] not in lost]
 
 
 def simulate_path(

@@ -1,6 +1,7 @@
 """Monte Carlo samplers: argument validation, closed forms and reproducibility."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -285,11 +286,15 @@ def _ref_path(model, z, horizon, seed):
     return cols[:1] + [cols[1].astype(int)] + cols[2:] + [np.asarray(arrivals)]
 
 
-def _ref_first_return(model, z, theta, m, max_epochs, rng, barrier, start_state=None):
+def _ref_first_return(model, z, theta, m, max_epochs, rng, barrier, start_state=None, w_min=0.0):
+    """With ``w_min > 0``, after each segment's hits every path whose weight
+    ``w`` (times its roulette factor) is below ``w_min`` draws a uniform, in
+    path order; it goes on, carrying ``w_min``, if the uniform is below
+    ``w / w_min``, and retires at that epoch with weight 0 otherwise."""
     step = _ref_step(model)
     states0 = _ref_start(model, rng, m) if start_state is None else np.full(m, start_state, np.int64)
     active, states, dur = np.arange(m), states0.copy(), np.full(m, float(z))
-    level, div, costs, t = (np.zeros(m) for _ in range(4))
+    level, div, costs, t, lift = (np.zeros(m) for _ in range(5))
     out = np.zeros(m, np.int64), np.full(m, -1, np.int64), np.zeros(m), np.full(m, np.inf)
     for n in range(1, max_epochs + 1):
         dt = rng.exponential(1.0 / model.gamma, size=active.size)
@@ -299,9 +304,19 @@ def _ref_first_return(model, z, theta, m, max_epochs, rng, barrier, start_state=
         hit = lvl <= -barrier
         i = active[hit]
         out[0][i], out[1][i] = n, s[hit]
-        out[2][i] = np.exp(-theta[0] * dv[hit] - theta[1] * costs[i])
+        out[2][i] = np.exp(-theta[0] * dv[hit] - theta[1] * costs[i]) * np.exp(lift[i])
         out[3][i] = t[i] + (-barrier - level[i]) / model.rates[s[hit]]
         active, s, dt, u, lvl, dv = (x[~hit] for x in (active, s, dt, u, lvl, dv))
+        if w_min > 0.0:
+            log_w = -theta[0] * dv - theta[1] * costs[active] + lift[active]
+            low = np.flatnonzero(log_w < np.log(w_min))
+            if low.size:
+                wins = rng.random(low.size) < np.exp(log_w[low] - np.log(w_min))
+                lift[active[low[wins]]] += np.log(w_min) - log_w[low[wins]]
+                out[0][active[low[~wins]]] = n
+                stay = np.ones(active.size, bool)
+                stay[low[~wins]] = False
+                active, s, dt, u, lvl, dv = (x[stay] for x in (active, s, dt, u, lvl, dv))
         if active.size == 0:
             break
         new, arrived = step(s, u, rng)
@@ -459,13 +474,24 @@ def test_refilled_first_passage_matches_the_sequential_reference(name, max_epoch
             fields = ("n_epoch", "exit_state", "weight", "crossing_time", "start_state")
             for k, field in enumerate(fields):
                 _same_bits(getattr(got, field), np.concatenate([p[k] for p in parts]))
-    # mc_ruin walks one stream of its default size; the horizon only filters.
+    # The estimators walk one stream of the default size, with the roulette;
+    # mc_ruin's horizon only filters.
+    w_min = montecarlo.ROULETTE_W_MIN
     est = mc_ruin(model, 0.7, 0.7, n_paths, max_epochs, 9, theta1=0.3, theta2=0.2, horizon=5.0)
     (_, rng), = _ref_chunks(n_paths, 1 << 14, 9)
-    _, _, weight, t_cross, _ = _ref_first_return(model, 0.7, theta, n_paths, max_epochs, rng, 0.7)
+    _, _, weight, t_cross, _ = _ref_first_return(model, 0.7, theta, n_paths, max_epochs, rng, 0.7, w_min=w_min)
     values = np.where(t_cross <= 5.0, weight, 0.0)
     _same_bits(est.value, values.mean())
     _same_bits(est.std_error, values.std(ddof=1) / np.sqrt(n_paths))
+    est = mc_first_return(model, 0.7, *theta, n_paths, max_epochs, 9)
+    (_, rng), = _ref_chunks(n_paths, 1 << 14, 9)
+    n_epoch, exit_state, weight, _, _ = _ref_first_return(
+        _ascending(model), 0.7, theta, n_paths, max_epochs, rng, 0.0, w_min=w_min
+    )
+    _same_bits(est.value, weight.mean())
+    _same_bits(est.std_error, weight.std(ddof=1) / np.sqrt(n_paths))
+    assert est.censored_fraction == np.mean(n_epoch == 0)
+    assert est.rouletted_fraction == np.mean((n_epoch > 0) & (exit_state < 0))
 
 
 @PATH_COUNTS
@@ -533,24 +559,98 @@ def test_the_python_float_tail_matches_the_sequential_reference(name, monkeypatc
     monkeypatch.setattr(simulate._Walk, "floats", recording)
     monkeypatch.setattr(montecarlo, "_DEFAULT_CHUNK", SMALL)
     model, theta = GALLERY[name], (0.3, 0.2)
-    returned = censored = most_streams = 0
-    for barrier, start_model in ((0.0, _ascending(model)), (0.7, model)):
-        for start_state in (None, int(model.s_plus[-1])):
-            for max_epochs in (10, 100):
-                cdf = simulate._first_passage_alpha(model, 0.7, *theta, max_epochs, start_state, barrier)
-                out = np.zeros(300, np.int64), np.full(300, -1, np.int64), np.zeros(300), np.full(300, np.inf)
-                starts = np.empty(300, np.int64)
-                handed.clear()
-                walk = simulate._Walk(model, 0.7, montecarlo._streams(300, 4), start_state, cdf, SMALL, starts)
-                simulate._walk_to_barrier(walk, model.rates, *theta, max_epochs, barrier, out)
-                parts = [_ref_first_return(start_model, 0.7, theta, m, max_epochs, rng, barrier, start_state)
-                         for m, rng in _ref_chunks(300, SMALL, 4)]
-                for k, got in enumerate((*out, starts)):
-                    _same_bits(got, np.concatenate([p[k] for p in parts]))
-                tail = [i for streams in handed for ids in streams for i in ids]
-                returned += np.count_nonzero(out[0][tail])
-                censored += np.count_nonzero(out[0][tail] == 0)
-                most_streams = max([most_streams] + [len(streams) for streams in handed])
-    # The tail finished paths that returned and paths censored at the cap,
-    # and took over stragglers of more than one stream.
+    returned = censored = rouletted = most_streams = 0
+    # w_min: the plain walk, and a roulette at a threshold that these short
+    # walks reach in their tails.
+    for w_min, (barrier, start_model), start_state, max_epochs in itertools.product(
+        (0.0, 0.5), ((0.0, _ascending(model)), (0.7, model)), (None, int(model.s_plus[-1])), (10, 100)
+    ):
+        cdf = simulate._first_passage_alpha(model, 0.7, *theta, max_epochs, start_state, barrier)
+        out = np.zeros(300, np.int64), np.full(300, -1, np.int64), np.zeros(300), np.full(300, np.inf)
+        starts = np.empty(300, np.int64)
+        handed.clear()
+        walk = simulate._Walk(model, 0.7, montecarlo._streams(300, 4), start_state, cdf, SMALL, starts)
+        simulate._walk_to_barrier(walk, model.rates, *theta, max_epochs, barrier, out, w_min)
+        parts = [_ref_first_return(start_model, 0.7, theta, m, max_epochs, rng, barrier, start_state, w_min)
+                 for m, rng in _ref_chunks(300, SMALL, 4)]
+        for k, got in enumerate((*out, starts)):
+            _same_bits(got, np.concatenate([p[k] for p in parts]))
+        tail = [i for streams in handed for ids in streams for i in ids]
+        returned += np.count_nonzero(out[1][tail] >= 0)
+        censored += np.count_nonzero(out[0][tail] == 0)
+        rouletted += np.count_nonzero((out[0][tail] > 0) & (out[1][tail] < 0))
+        most_streams = max([most_streams] + [len(streams) for streams in handed])
+    # The tail finished paths that returned, paths censored at the cap and,
+    # unless every weight is 1, paths the roulette retired; and it took over
+    # stragglers of more than one stream.
     assert returned and censored and most_streams >= 2
+    assert bool(rouletted) == bool(model.sigma.any() or model.k_cost.any())
+
+
+# The weight roulette of mc_first_return and mc_ruin.
+
+
+def test_rouletted_paths_are_not_censored():
+    model, theta = two_state_model(), (0.3, 0.2)
+    for u, start_state in ((0.0, None), (1.0, 0)):
+        samples = first_return_samples(
+            model, 0.0, *theta, 20_000, 10_000, 3, start_state=start_state,
+            barrier_offset=u, w_min=montecarlo.ROULETTE_W_MIN,
+        )
+        returned = samples.exit_state >= 0
+        retired = (samples.n_epoch > 0) & ~returned
+        assert retired.any()
+        # A retired path is reported at the epoch it was retired at.
+        assert np.all(samples.weight[retired] == 0.0) and np.all(samples.crossing_time[retired] == np.inf)
+        assert samples.censored_fraction == 0.0
+        assert abs(returned.mean() + samples.censored_fraction + samples.rouletted_fraction - 1.0) <= 1e-12
+        est = mc_ruin(model, u, 0.0, 20_000, 10_000, 3, start_state=start_state, theta1=0.3, theta2=0.2)
+        assert (est.censored_fraction, est.rouletted_fraction) == (0.0, samples.rouletted_fraction)
+
+
+def test_roulette_estimators_against_the_two_state_closed_forms():
+    # Unbiased, and about as precise as the exact weights of the plain walk.
+    model, theta, n = two_state_model(), (0.3, 0.2), 400_000
+    for estimate, plain, exact in (
+        (
+            lambda: mc_first_return(model, 0.0, *theta, n, 10_000, seed=21),
+            lambda: first_return_samples(model, 0.0, *theta, n, 10_000, seed=21),
+            TWO_STATE_PSI_03_02,
+        ),
+        (
+            lambda: mc_ruin(model, 1.0, 0.0, n, 10_000, seed=22, start_state=0, theta1=0.3, theta2=0.2),
+            lambda: first_return_samples(model, 0.0, *theta, n, 10_000, seed=22, start_state=0, barrier_offset=1.0),
+            TWO_STATE_RUIN_EXACT_U1,
+        ),
+    ):
+        est, weight = estimate(), plain().weight
+        assert est.rouletted_fraction > 0.05
+        assert abs(est.value - exact) <= 3.0 * est.std_error
+        assert est.std_error <= 1.05 * weight.std(ddof=1) / np.sqrt(n)
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_roulette_estimators_at_theta_zero_are_the_plain_walk(name):
+    # Every weight is 1, so the roulette never draws.
+    model = GALLERY[name]
+    for estimate, plain in (
+        (
+            lambda: mc_first_return(model, 0.7, 0.0, 0.0, 2_000, 200, seed=5),
+            lambda: first_return_samples(model, 0.7, 0.0, 0.0, 2_000, 200, seed=5),
+        ),
+        (
+            lambda: mc_ruin(model, 1.0, 0.7, 2_000, 200, seed=5),
+            lambda: first_return_samples(model, 0.7, 0.0, 0.0, 2_000, 200, seed=5, barrier_offset=1.0),
+        ),
+    ):
+        est, weight = estimate(), plain().weight
+        _same_bits(est.value, weight.mean())
+        _same_bits(est.std_error, weight.std(ddof=1) / np.sqrt(weight.size))
+        assert est.rouletted_fraction == 0.0
+
+
+@pytest.mark.parametrize("w_min", [NAN, -1e-3, 1.0, 2.0], ids=["nan", "negative", "one", "above_one"])
+def test_first_return_samples_reject_a_roulette_threshold_outside_zero_one(w_min, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_streams", lambda *args: pytest.fail("a stream was drawn"))
+    with pytest.raises(ValueError, match="w_min"):
+        first_return_samples(two_state_model(), 0.0, 0.3, 0.2, 100, 10, seed=1, w_min=w_min)
